@@ -419,7 +419,9 @@ def locate_wall(potential: Callable[[float], PotentialResult],
 
     The scan maximum is refined by golden-section search; a wall is declared
     only when the refined maximum exceeds ten times its quadrature error
-    estimate, so quadrature noise is never reported as a wall.
+    estimate, so quadrature noise is never reported as a wall.  Scan points
+    that do not converge are skipped with a warning; a refinement potential
+    that does not converge raises RuntimeError naming its z.
     """
     zs = np.geomspace(z_lo, z_hi, samples)
     values: list[tuple[float, PotentialResult]] = []
@@ -437,25 +439,31 @@ def locate_wall(potential: Callable[[float], PotentialResult],
     if best.value <= 0.0:
         return None
 
+    def refined(z: float) -> PotentialResult:
+        res = potential(z)
+        if not res.converged:
+            raise RuntimeError(f"wall refinement: quadrature did not converge at z = {z:.6g}")
+        return res
+
     lo = values[idx - 1][0] if idx > 0 else best_z
     hi = values[idx + 1][0] if idx + 1 < len(values) else best_z
     if lo < hi:
         a, b = lo, hi
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
-        fc = potential(c).value
-        fd = potential(d).value
+        fc = refined(c).value
+        fd = refined(d).value
         while (b - a) > position_rel_tol * 0.5 * (a + b):
             if fc >= fd:
                 b, d, fd = d, c, fc
                 c = b - _INVPHI * (b - a)
-                fc = potential(c).value
+                fc = refined(c).value
             else:
                 a, c, fc = c, d, fd
                 d = a + _INVPHI * (b - a)
-                fd = potential(d).value
+                fd = refined(d).value
         best_z = 0.5 * (a + b)
-        best = potential(best_z)
+        best = refined(best_z)
 
     if best.value <= 10.0 * abs(best.error):
         return None

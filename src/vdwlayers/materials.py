@@ -32,6 +32,13 @@ __all__ = [
 ]
 
 
+def _require_finite(obj, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Resonance:
     """One Drude-Lorentz resonance: plasma, transverse and damping frequencies.
@@ -47,6 +54,7 @@ class Resonance:
     damping: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("plasma", "transverse", "damping"))
         if not self.transverse > 0.0:
             raise ValueError(f"transverse frequency must be > 0, got {self.transverse}")
         if self.plasma < 0.0:
@@ -148,6 +156,7 @@ class Transition:
     dipole_sq: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("frequency", "dipole_sq"))
         if not self.frequency > 0.0:
             raise ValueError(f"transition frequency must be > 0, got {self.frequency}")
         if self.dipole_sq < 0.0:

@@ -69,8 +69,8 @@ def _u_scale(atom: AtomModel, *materials: Medium) -> float:
 
 
 def _require_positive(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise ValueError(f"{name} must be > 0, got {value}")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def potential_mirror(atom: AtomModel, z: float, kind: str = "conducting",

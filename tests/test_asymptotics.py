@@ -336,3 +336,19 @@ def test_locate_wall_matches_short_distance_formula(atom):
     _, closed_thin = v.wall_estimate("thin", atom, m, thickness=d)
     assert wall_thin is not None
     assert wall_thin.z_max == pytest.approx(closed_thin.z_max, rel=0.15)
+
+
+def test_locate_wall_rejects_nonconverged_refinement():
+    # converged on the scan, then the golden-section refinement stops converging
+    samples = 12
+    calls = []
+
+    def pot(z):
+        calls.append(z)
+        value = math.exp(-(math.log(z) - 0.3) ** 2)
+        return v.PotentialResult(value, 1e-12, value, 0.0, len(calls) <= samples, 15)
+
+    with pytest.raises(RuntimeError, match=r"z = [0-9.]+"):
+        v.locate_wall(pot, z_lo=0.1, z_hi=10.0, samples=samples)
+    assert len(calls) == samples + 1
+

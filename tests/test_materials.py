@@ -83,6 +83,26 @@ def test_resonance_validation():
         v.Resonance(1.0, 1.0, -0.1)
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: v.Resonance(math.nan, 1.0), "plasma"),
+        (lambda: v.Resonance(math.inf, 1.0), "plasma"),
+        (lambda: v.Resonance(1.0, math.nan), "transverse"),
+        (lambda: v.Resonance(1.0, math.inf), "transverse"),
+        (lambda: v.Resonance(1.0, 1.0, math.nan), "damping"),
+        (lambda: v.Resonance(1.0, 1.0, math.inf), "damping"),
+        (lambda: v.Transition(math.nan, 1.0), "frequency"),
+        (lambda: v.Transition(math.inf, 1.0), "frequency"),
+        (lambda: v.Transition(1.0, math.nan), "dipole_sq"),
+        (lambda: v.Transition(1.0, math.inf), "dipole_sq"),
+    ],
+)
+def test_non_finite_parameters_rejected(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 def test_mirror_flags():
     assert v.CONDUCTING_MIRROR.r_s == -1.0 and v.CONDUCTING_MIRROR.r_p == 1.0
     assert v.PERMEABLE_MIRROR.r_s == 1.0 and v.PERMEABLE_MIRROR.r_p == -1.0

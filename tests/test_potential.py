@@ -265,3 +265,14 @@ def test_interior_vacuum_gap_multilayer(atom):
     assert res.value < 0.0  # both walls attract
     assert res.left != 0.0 and res.right != 0.0
     assert res.left + res.right == res.value
+
+
+@pytest.mark.parametrize("z", [math.inf, math.nan])
+def test_halfspace_rejects_non_finite_z(atom, z):
+    with pytest.raises(ValueError, match="z must be finite and > 0"):
+        v.potential_halfspace(atom, fig2_material(), z)
+
+
+def test_plate_rejects_infinite_thickness(atom):
+    with pytest.raises(ValueError, match="thickness must be finite"):
+        v.potential_plate(atom, fig2_material(), math.inf, 1.0)

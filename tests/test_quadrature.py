@@ -183,3 +183,109 @@ def test_spec_validation():
         v.QuadratureSpec(rel_tol_inner=0.0)
     with pytest.raises(ValueError):
         v.QuadratureSpec(mode="sideways")
+
+
+# ---------------------------------------------------------------- lockstep driver
+
+# Rows of one lockstep batch: (c, p) is c * (1 + x^2)^(-p) on [0, inf), and
+# p = None is the constant 1 on [0, 1].  p = 0.5 diverges and exhausts the
+# budget; c = 0 is the zero kernel; on the constant every panel of a given
+# width has the same error, so refining it is decided by tie-breaking alone.
+_ROWS = [(1.0, 1.25), (2.0, 2.0), (1.0, 0.5), (0.0, 1.0), (3.0, 1.5), (1.0, None), (1.0, 3.0)]
+
+
+@pytest.mark.parametrize("rel_tol, max_subdivisions", [(1e-8, 2000), (1e-8, 40), (1e-15, 25)])
+def test_lockstep_matches_scalar_rows(rel_tol, max_subdivisions):
+    from vdwlayers.quadrature import _lockstep, _mapped
+
+    spec = v.QuadratureSpec(rel_tol_outer=rel_tol, max_subdivisions=max_subdivisions)
+    coef = np.array([[c] for c, _ in _ROWS])
+    power = np.array([[p or 1.0] for _, p in _ROWS])
+    flat = np.array([[p is None] for _, p in _ROWS])
+
+    seen = [[] for _ in _ROWS]  # nodes of every panel, per row, in evaluation order
+
+    def f(rows, t):
+        c, p = coef[rows], power[rows]
+
+        def g(x):
+            for r, xr, tr in zip(rows, x, t):
+                seen[r].append(tr if flat[r, 0] else xr)
+            return c * (1.0 + x * x) ** -p
+
+        return np.where(flat[rows], 1.0, _mapped(g, 0.0, 1.0)(t))
+
+    val, err, _, evals, conv = _lockstep(f, len(_ROWS), rel_tol, spec.abs_tol,
+                                         max_subdivisions)
+    exhausted = 0
+    for i, (c, p) in enumerate(_ROWS):
+        nodes = []
+
+        def g(x, c=c, p=p):
+            nodes.append(x)
+            return np.ones_like(x) if p is None else c * (1.0 + x * x) ** -p
+
+        if p is None:
+            ref = v.integrate_finite(g, 0.0, 1.0, spec=spec)
+        else:
+            ref = v.integrate_semi_infinite(g, 0.0, spec=spec, scale=1.0)
+        assert abs(val[i] - ref.value) <= 8 * math.ulp(ref.value), (c, p)
+        assert err[i] == pytest.approx(ref.error, rel=1e-6, abs=0.0), (c, p)
+        assert evals[i] == ref.evaluations, (c, p)
+        assert conv[i] == ref.converged, (c, p)
+        # same panels, split in the same order
+        assert len(nodes) == len(seen[i]), (c, p)
+        assert all(np.array_equal(a, b) for a, b in zip(nodes, seen[i])), (c, p)
+        exhausted += ref.evaluations == 15 + 30 * max_subdivisions
+    assert exhausted >= 1
+    assert val[3] == 0.0 and conv[3]
+
+
+def test_lockstep_aux_channel_rides_along():
+    from vdwlayers.quadrature import _lockstep
+
+    def f(rows, t):
+        return np.exp(-t), 2.0 * np.exp(-t)
+
+    val, err, aux, evals, conv = _lockstep(f, 1, 1e-10, 1e-30, 2000, with_aux=True)
+    assert conv[0]
+    assert val[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+    assert aux[0] == pytest.approx(2.0 * val[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("mode, counts", [
+    ("nonretarded", (24405, 20205, 17565, 17745)),
+    ("direct", (28785, 23475, 21015, 21135)),
+    ("retarded", (44505, 24075, 10515, 7425)),
+])
+def test_nested_evaluation_counts_pinned(atom, mode, counts):
+    # the lockstep engine refines exactly the panels of the scalar worst-first heap
+    spec = dataclasses.replace(v.DEFAULT_SPEC, mode=mode)
+    m = fig2_material()
+    for z, expected in zip((0.01, 0.1, 1.0, 10.0), counts):
+        res = v.potential_halfspace(atom, m, z, spec)
+        assert res.converged
+        assert res.evaluations == expected, (mode, z)
+
+
+@pytest.mark.parametrize("mode", v.MODES)
+def test_nested_kernel_batch_shapes(mode):
+    shapes = []
+
+    def kernel(u, b):
+        shapes.append((np.shape(u), np.shape(b)))
+        return np.exp(-2.0 * b) * np.ones_like(u)
+
+    res = v.integrate_nested(kernel, z=1.0, mode=mode)
+    assert res.converged
+    assert sum(np.broadcast_shapes(su, sb)[0] * 15 for su, sb in shapes) == res.evaluations
+    for su, sb in shapes:
+        assert sb[1] == 15 and su[0] == sb[0]
+        assert su[1] == (15 if mode == "retarded" else 1)
+    assert res.evaluations / len(shapes) > 15
+
+
+@pytest.mark.parametrize("z", [math.inf, math.nan, 0.0, -1.0])
+def test_nested_rejects_bad_z(z):
+    with pytest.raises(ValueError, match="z must be finite and > 0"):
+        v.integrate_nested(lambda u, b: np.exp(-2.0 * b), z=z)
