@@ -16,7 +16,6 @@ from .materials import (
     Transition,
     promote_near_mirror,
     static_summary,
-    susceptibility_eval,
 )
 from .quadrature import (
     DEFAULT_SPEC,

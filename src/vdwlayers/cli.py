@@ -108,26 +108,32 @@ def _scan_series(cfg: RunConfig) -> list[str]:
     return list(geo.materials)
 
 
-def _scan_point(task) -> tuple:
-    cfg, name, z = task
+def _potential(cfg: RunConfig, name: str, z: float) -> PotentialResult:
+    """Potential at z for the configured geometry and the series ``name``."""
     geo = cfg.geometry
     atom = cfg.atom
     spec = cfg.quadrature
-    no_reflect = None
     if geo.kind == "mirror":
-        res = potential_mirror(atom, z, geo.mirror, spec)
-    elif geo.kind == "halfspace":
-        res = potential_halfspace(atom, cfg.medium(name), z, spec)
-    elif geo.kind == "plate":
-        res = potential_plate(atom, cfg.medium(name), geo.thickness, z, spec)
-    elif geo.kind == "thin-plate":
-        res = potential_thin_plate(atom, cfg.medium(name), geo.thickness, z, spec)
-    elif geo.kind == "two-plates":
-        res = potential_two_plates(atom, cfg.medium(name), geo.separation, z, spec)
-        no_reflect = potential_two_plates(atom, cfg.medium(name), geo.separation, z, spec,
-                                          multiple_reflections=False).value
-    else:  # multilayer
-        res = potential_multilayer(cfg.build_stack(z), atom, spec)
+        return potential_mirror(atom, z, geo.mirror, spec)
+    if geo.kind == "multilayer":
+        return potential_multilayer(cfg.build_stack(z), atom, spec)
+    material = cfg.medium(name)
+    if geo.kind == "halfspace":
+        return potential_halfspace(atom, material, z, spec)
+    if geo.kind == "plate":
+        return potential_plate(atom, material, geo.thickness, z, spec)
+    if geo.kind == "thin-plate":
+        return potential_thin_plate(atom, material, geo.thickness, z, spec)
+    return potential_two_plates(atom, material, geo.separation, z, spec)
+
+
+def _scan_point(task) -> tuple:
+    cfg, name, z = task
+    res = _potential(cfg, name, z)
+    no_reflect = None
+    if cfg.geometry.kind == "two-plates":
+        no_reflect = potential_two_plates(cfg.atom, cfg.medium(name), cfg.geometry.separation,
+                                          z, cfg.quadrature, multiple_reflections=False).value
     return (z, res, no_reflect)
 
 
@@ -257,19 +263,9 @@ def cmd_wall(cfg: RunConfig, args) -> int:
     for name in geo.materials:
         material = cfg.medium(name)
         rows = []
-
-        if geo.kind == "halfspace":
-            def pot(z):
-                return potential_halfspace(cfg.atom, material, z, cfg.quadrature)
-        elif geo.kind == "plate":
-            def pot(z):
-                return potential_plate(cfg.atom, material, geo.thickness, z, cfg.quadrature)
-        else:
-            def pot(z):
-                return potential_thin_plate(cfg.atom, material, geo.thickness, z, cfg.quadrature)
-
         try:
-            numeric = locate_wall(pot, z_lo=z_lo, z_hi=z_hi, samples=samples)
+            numeric = locate_wall(lambda z: _potential(cfg, name, z),
+                                  z_lo=z_lo, z_hi=z_hi, samples=samples)
         except RuntimeError:
             numeric = None
             all_ok = False

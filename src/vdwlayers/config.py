@@ -262,7 +262,13 @@ def _parse_geometry(obj, path: str, materials: dict[str, Medium]) -> Geometry:
         return Geometry(kind=kind, materials=material_names())
     if kind in ("plate", "thin-plate"):
         _check_keys(obj, path, ("kind", "material", "thickness"))
-        return Geometry(kind=kind, materials=material_names(),
+        names = material_names()
+        if kind == "thin-plate":
+            for n in names:
+                if isinstance(materials[n], PerfectMirror):
+                    raise ConfigError(f"{path}.material: the thin-plate linearization is "
+                                      f"undefined for the perfect mirror {n!r}")
+        return Geometry(kind=kind, materials=names,
                         thickness=_number(obj["thickness"], f"{path}.thickness", positive=True))
     if kind == "two-plates":
         _check_keys(obj, path, ("kind", "material", "separation"))

@@ -26,7 +26,6 @@ __all__ = [
     "AtomModel",
     "StaticSummary",
     "VACUUM",
-    "susceptibility_eval",
     "static_summary",
     "promote_near_mirror",
 ]
@@ -216,11 +215,6 @@ class StaticSummary:
     impedance: float
     chi_e0: float
     chi_m0: float
-
-
-def susceptibility_eval(material: MaterialModel, u):
-    """(eps, mu) of ``material`` at imaginary frequency i*u."""
-    return material.eps(u), material.mu(u)
 
 
 def static_summary(material: MaterialModel) -> StaticSummary:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .materials import AtomModel, MaterialModel
 from .quadrature import QuadratureSpec, integrate_nested, integrate_semi_infinite
+from .stack import thin_layer_reflection
 
 __all__ = [
     "ExpansionTerm",
@@ -299,10 +300,9 @@ def thin_pair_reflection(material: MaterialModel, d: float, s: float,
 
     phase_s = 1.0 - (m * m * b * b + bm2) * d / (m * b)
     phase_p = 1.0 - (e * e * b * b + bm2) * d / (e * b)
-    lin_s = (m * m * b * b - bm2) / (2.0 * m * b)
-    lin_p = (e * e * b * b - bm2) / (2.0 * e * b)
-    r_s_linear = lin_s * d + lin_s * d * back * phase_s
-    r_p_linear = lin_p * d + lin_p * d * back * phase_p
+    lin_s, lin_p = thin_layer_reflection(material, d, u, b)
+    r_s_linear = lin_s + lin_s * back * phase_s
+    r_p_linear = lin_p + lin_p * back * phase_p
 
     chi_e = e - 1.0
     chi_m = m - 1.0

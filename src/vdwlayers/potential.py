@@ -6,10 +6,16 @@ vacuum axial wavenumber b of
     (1 / 8 pi^2) * alpha(iu) * e^{-2 b z} * [u^2 r_s/D_s - (2 b^2 - u^2) r_p/D_p]
 
 summed over the walls on both sides of the atom, with geometry entering only
-through the reflection coefficients.  For atoms in an interior layer the two
-wall terms are integrated separately, which makes the left/right split exact
-bookkeeping rather than an approximation.  Position-independent bulk terms
-are omitted throughout, so an all-vacuum scene gives exactly zero.
+through the reflection coefficients: ``_wall_kernel`` is the one place that
+forms this integrand.  Half-space, plate and two-plate scenes are built as a
+``LayerStack`` and evaluated by ``potential_multilayer``, whose coefficients
+come from ``reflection_coefficients(stack, u, b)``; the thin plate feeds the
+same kernel its linear-in-thickness coefficients, and a perfect-mirror
+half-space or plate takes the 1-D ``potential_mirror`` integral.  For atoms in
+an interior layer the two wall terms are integrated separately, which makes
+the left/right split exact bookkeeping rather than an approximation.
+Position-independent bulk terms are omitted throughout, so an all-vacuum
+scene gives exactly zero.
 """
 
 from __future__ import annotations
@@ -17,10 +23,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .materials import (
+    VACUUM,
     AtomModel,
     MaterialModel,
     Medium,
@@ -29,7 +37,7 @@ from .materials import (
     static_summary,
 )
 from .quadrature import IntegralResult, QuadratureSpec, integrate_nested, integrate_semi_infinite
-from .stack import LayerStack, reflection_coefficients
+from .stack import Layer, LayerStack, reflection_coefficients, thin_layer_reflection
 
 __all__ = [
     "PotentialResult",
@@ -95,58 +103,36 @@ def potential_mirror(atom: AtomModel, z: float, kind: str = "conducting",
     return PotentialResult(value, pref * res.error, value, 0.0, res.converged, res.evaluations)
 
 
-def _halfspace_refl(material: Medium):
-    if isinstance(material, PerfectMirror):
-        r_s, r_p = material.r_s, material.r_p
-
-        def refl(u, b):
-            shape = np.broadcast(u, b).shape
-            return np.full(shape, r_s), np.full(shape, r_p)
-
-        return refl
-
-    def refl(u, b):
-        e = material.eps(u)
-        m = material.mu(u)
-        b_m = np.sqrt(u * u * (e * m - 1.0) + b * b)
-        return (m * b - b_m) / (m * b + b_m), (e * b - b_m) / (e * b + b_m)
-
-    return refl
-
-
-def _plate_refl(material: Medium, d: float):
-    if isinstance(material, PerfectMirror):
-        return _halfspace_refl(material)  # fully reflecting at any thickness
-
-    def refl(u, b):
-        e = material.eps(u)
-        m = material.mu(u)
-        bm2 = u * u * (e * m - 1.0) + b * b
-        b_m = np.sqrt(bm2)
-        th = np.tanh(b_m * d)
-        r_s = (m * m * b * b - bm2) * th / (2.0 * m * b * b_m + (m * m * b * b + bm2) * th)
-        r_p = (e * e * b * b - bm2) * th / (2.0 * e * b * b_m + (e * e * b * b + bm2) * th)
-        return r_s, r_p
-
-    return refl
-
-
-def _wall_kernel(atom: AtomModel, refl, z: float, dfun=None):
+def _wall_kernel(atom: AtomModel, refl, z: float):
+    """Integrand of one wall at distance z; ``refl(u, b)`` gives its (r_s, r_p)."""
     def kernel(u, b):
         r_s, r_p = refl(u, b)
-        if dfun is not None:
-            d_s, d_p = dfun(u, b)
-            r_s = r_s / d_s
-            r_p = r_p / d_p
         bracket = u * u * r_s - (2.0 * b * b - u * u) * r_p
         return _PREF * atom.alpha(u) * np.exp(-2.0 * b * z) * bracket
 
     return kernel
 
 
-def _one_wall(atom, refl, z, spec, u_scale, dfun=None) -> IntegralResult:
-    return integrate_nested(
-        _wall_kernel(atom, refl, z, dfun), z=z, spec=spec, u_scale=u_scale
+def _stack_refl(stack: LayerStack, side: str):
+    """Cavity-resummed reflection r/D of the sub-stack on one side of the atom."""
+    def refl(u, b):
+        r = reflection_coefficients(stack, u, b)
+        if side == "left":
+            return r.r_s_minus / r.d_s, r.r_p_minus / r.d_p
+        return r.r_s_plus / r.d_s, r.r_p_plus / r.d_p
+
+    return refl
+
+
+def _wall_sum(left, right) -> PotentialResult:
+    """Potential of the left and right wall terms (integral or potential results)."""
+    return PotentialResult(
+        left.value + right.value,
+        left.error + right.error,
+        left.value,
+        right.value,
+        left.converged and right.converged,
+        left.evaluations + right.evaluations,
     )
 
 
@@ -158,8 +144,8 @@ def potential_halfspace(atom: AtomModel, material: Medium, z: float,
     mat = promote_near_mirror(material) if promote else material
     if isinstance(mat, PerfectMirror):
         return potential_mirror(atom, z, mat.kind, spec)
-    res = _one_wall(atom, _halfspace_refl(mat), z, spec, _u_scale(atom, mat))
-    return PotentialResult(res.value, res.error, res.value, 0.0, res.converged, res.evaluations)
+    stack = LayerStack((Layer(mat, math.inf), Layer(VACUUM, math.inf)), 1, z)
+    return potential_multilayer(stack, atom, spec)
 
 
 def potential_plate(atom: AtomModel, material: Medium, thickness: float, z: float,
@@ -170,9 +156,11 @@ def potential_plate(atom: AtomModel, material: Medium, thickness: float, z: floa
     _require_positive("thickness", thickness)
     mat = promote_near_mirror(material) if promote else material
     if isinstance(mat, PerfectMirror):
-        return potential_mirror(atom, z, mat.kind, spec)
-    res = _one_wall(atom, _plate_refl(mat, thickness), z, spec, _u_scale(atom, mat))
-    return PotentialResult(res.value, res.error, res.value, 0.0, res.converged, res.evaluations)
+        return potential_mirror(atom, z, mat.kind, spec)  # fully reflecting at any thickness
+    stack = LayerStack(
+        (Layer(VACUUM, math.inf), Layer(mat, thickness), Layer(VACUUM, math.inf)), 2, z
+    )
+    return potential_multilayer(stack, atom, spec)
 
 
 def potential_thin_plate(atom: AtomModel, material: MaterialModel, thickness: float, z: float,
@@ -193,18 +181,9 @@ def potential_thin_plate(atom: AtomModel, material: MaterialModel, thickness: fl
             f"n(0) d / z = {n0 * thickness / z:.3g} > 0.1",
             stacklevel=2,
         )
-    d = thickness
-
-    def kernel(u, b):
-        e = material.eps(u)
-        m = material.mu(u)
-        bm2 = u * u * (e * m - 1.0) + b * b
-        bracket = u * u * (m * m * b * b - bm2) / (2.0 * m * b) - (2.0 * b * b - u * u) * (
-            e * e * b * b - bm2
-        ) / (2.0 * e * b)
-        return _PREF * d * atom.alpha(u) * np.exp(-2.0 * b * z) * bracket
-
-    res = integrate_nested(kernel, z=z, spec=spec, u_scale=_u_scale(atom, material))
+    refl = partial(thin_layer_reflection, material, thickness)
+    res = integrate_nested(_wall_kernel(atom, refl, z), z=z, spec=spec,
+                           u_scale=_u_scale(atom, material))
     return PotentialResult(res.value, res.error, res.value, 0.0, res.converged, res.evaluations)
 
 
@@ -214,53 +193,22 @@ def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z
                          promote: bool = True) -> PotentialResult:
     """Potential of an atom between two identical infinitely thick plates.
 
-    With ``multiple_reflections=False`` the cavity denominators are forced to
-    one, which reduces the result to the sum of two single-plate potentials
-    and exposes the multiple-reflection correction by comparison.
+    With ``multiple_reflections=False`` the result is the sum of the two
+    single-plate potentials at z and separation - z (the cavity denominators
+    forced to one), which exposes the multiple-reflection correction by
+    comparison.
     """
     _require_positive("separation", separation)
     if not 0.0 < z < separation:
         raise ValueError(f"need 0 < z < separation, got z={z}, separation={separation}")
     mat = promote_near_mirror(material) if promote else material
-    refl = _halfspace_refl(mat)
-    s = separation
-
-    dfun = None
-    if multiple_reflections:
-        def dfun(u, b):
-            r_s, r_p = refl(u, b)
-            fac = np.exp(-2.0 * b * s)
-            return 1.0 - r_s * r_s * fac, 1.0 - r_p * r_p * fac
-
-    u_scale = _u_scale(atom, mat)
-    left = _one_wall(atom, refl, z, spec, u_scale, dfun)
-    right = _one_wall(atom, refl, s - z, spec, u_scale, dfun)
-    return PotentialResult(
-        left.value + right.value,
-        left.error + right.error,
-        left.value,
-        right.value,
-        left.converged and right.converged,
-        left.evaluations + right.evaluations,
+    if not multiple_reflections:
+        return _wall_sum(potential_halfspace(atom, mat, z, spec, promote=False),
+                         potential_halfspace(atom, mat, separation - z, spec, promote=False))
+    stack = LayerStack(
+        (Layer(mat, math.inf), Layer(VACUUM, separation), Layer(mat, math.inf)), 1, z
     )
-
-
-def _stack_wall_kernel(atom: AtomModel, stack: LayerStack, z: float, side: str):
-    def kernel(u, b):
-        u_arr = np.asarray(u, dtype=float)
-        b_arr = np.asarray(b, dtype=float)
-        q = np.sqrt(np.maximum(b_arr * b_arr - u_arr * u_arr, 0.0))
-        refl = reflection_coefficients(stack, u_arr, q)
-        if side == "left":
-            r_s, r_p = refl.r_s_minus, refl.r_p_minus
-        else:
-            r_s, r_p = refl.r_s_plus, refl.r_p_plus
-        r_s = r_s / refl.d_s
-        r_p = r_p / refl.d_p
-        bracket = u_arr * u_arr * r_s - (2.0 * b_arr * b_arr - u_arr * u_arr) * r_p
-        return _PREF * atom.alpha(u_arr) * np.exp(-2.0 * b_arr * z) * bracket
-
-    return kernel
+    return potential_multilayer(stack, atom, spec)
 
 
 def potential_multilayer(stack: LayerStack, atom: AtomModel,
@@ -289,19 +237,9 @@ def potential_multilayer(stack: LayerStack, atom: AtomModel,
     left = zero
     right = zero
     if z_left is not None:
-        left = integrate_nested(
-            _stack_wall_kernel(atom, stack, z_left, "left"), z=z_left, spec=spec, u_scale=u_scale
-        )
+        left = integrate_nested(_wall_kernel(atom, _stack_refl(stack, "left"), z_left),
+                                z=z_left, spec=spec, u_scale=u_scale)
     if z_right is not None:
-        right = integrate_nested(
-            _stack_wall_kernel(atom, stack, z_right, "right"), z=z_right, spec=spec,
-            u_scale=u_scale,
-        )
-    return PotentialResult(
-        left.value + right.value,
-        left.error + right.error,
-        left.value,
-        right.value,
-        left.converged and right.converged,
-        left.evaluations + right.evaluations,
-    )
+        right = integrate_nested(_wall_kernel(atom, _stack_refl(stack, "right"), z_right),
+                                 z=z_right, spec=spec, u_scale=u_scale)
+    return _wall_sum(left, right)

@@ -4,9 +4,13 @@ A stack is an ordered list of layers, index 0..n from left to right; the two
 outer layers are semi-infinite.  The atom sits in a vacuum layer j.  The
 reflection coefficients r^sigma_{j-}, r^sigma_{j+} describe reflection of s/p
 polarized components by the entire sub-stack on either side of the atom layer,
-built by an iterative two-term recursion from the outer seeds r_{0-} = r_{n+}
-= 0 inward.  Everything is evaluated at imaginary frequency, where all
-quantities are real.
+built by an iterative two-term recursion inward from the Fresnel coefficient
+of the outermost interface (or from the innermost perfect mirror, which hides
+everything beyond it).  They are functions of the imaginary frequency u and
+the vacuum axial wavenumber b = sqrt(u^2 + q^2), the variable the potential
+integrals run over; each layer's axial wavenumber is sqrt(u^2 (eps mu - 1)
++ b^2).  Everything is evaluated at imaginary frequency, where all quantities
+are real.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "ReflectionSet",
     "axial_wavenumber",
     "reflection_coefficients",
+    "thin_layer_reflection",
     "duality_swap",
 ]
 
@@ -83,7 +88,7 @@ class LayerStack:
 
 @dataclass(frozen=True)
 class ReflectionSet:
-    """Generalized reflection coefficients and cavity denominators at one (u, q).
+    """Generalized reflection coefficients and cavity denominators at one (u, b).
 
     ``d_s = 1 - r_s_minus * r_s_plus * exp(-2 b d_j)`` resums the multiple
     reflections between the two sub-stacks flanking the atom (``d_p``
@@ -98,92 +103,124 @@ class ReflectionSet:
     d_p: float
 
 
-def _check_nondegenerate(u, q) -> None:
-    if np.any((np.asarray(u, float) == 0.0) & (np.asarray(q, float) == 0.0)):
-        raise ValueError("(u, q) = (0, 0) is a degenerate point")
-
-
-def _axial(material, u, q):
-    # hypot form avoids under/overflow of u^2 for extreme u
-    return np.hypot(u * np.sqrt(material.eps(u) * material.mu(u)), q)
-
-
 def axial_wavenumber(material, u, q):
     """Imaginary-axis z-component of the wave vector, sqrt(u^2 eps mu + q^2)."""
-    _check_nondegenerate(u, q)
-    b = _axial(material, np.asarray(u, float), np.asarray(q, float))
+    u = np.asarray(u, float)
+    q = np.asarray(q, float)
+    if np.any((u == 0.0) & (q == 0.0)):
+        raise ValueError("(u, q) = (0, 0) is a degenerate point")
+    # hypot form avoids under/overflow of u^2 for extreme u
+    b = np.hypot(u * np.sqrt(material.eps(u) * material.mu(u)), q)
     return float(b) if np.ndim(b) == 0 else b
 
 
-def _interface_step(a_prev, a_here, fac, r_prev):
-    # One recursion step: reflection at the current layer's outer boundary,
-    # given the accumulated reflection behind the neighbouring layer.
-    num = (a_prev - a_here) + (a_prev + a_here) * fac * r_prev
-    den = (a_prev + a_here) + (a_prev - a_here) * fac * r_prev
-    return num / den
+def _layer_values(material, u, b):
+    """(eps, mu, axial wavenumber) of one layer, from the vacuum axial wavenumber b."""
+    if material.is_vacuum:
+        return 1.0, 1.0, b
+    e = material.eps(u)
+    m = material.mu(u)
+    return e, m, np.sqrt(u * u * (e * m - 1.0) + b * b)
 
 
-def _side_reflection(layers, seq, u, q):
+def _fresnel(resp_out, b_out, resp_in, b_in):
+    # Single-interface coefficient seen from the inner layer, for the response
+    # (mu for s, eps for p) and axial wavenumber on either side.  Swapping the
+    # sides negates it exactly.
+    p = resp_out * b_in
+    q = resp_in * b_out
+    return (p - q) / (p + q)
+
+
+def _interface_step(rho, r_behind, fac, em1):
+    """Reflection at an interface (Fresnel coefficient ``rho``) behind a layer.
+
+    ``r_behind`` is the reflection beyond the layer, ``fac`` = e^{-2x} its
+    round trip through the layer and ``em1`` = fac - 1 from expm1.  The
+    numerator rho + fac r is formed as fac (rho + r) - rho em1, which is
+    accurate at every depth: a thin layer between like media has r = -rho
+    exactly, so its linear-in-thickness reflection keeps full relative
+    precision however thin the layer is.
+    """
+    return (fac * (rho + r_behind) - rho * em1) / (1.0 + rho * fac * r_behind)
+
+
+def _side_reflection(layers, seq, u, b):
     """(r_s, r_p) of the sub-stack walked along ``seq`` (outermost -> atom layer)."""
-    shape = np.broadcast(u, q).shape
     if len(seq) < 2:
+        shape = np.broadcast(u, b).shape
         return np.zeros(shape), np.zeros(shape)
 
     # A perfect mirror hides everything beyond it: seed the walk right there.
-    mirror_pos = None
-    for pos in range(len(seq) - 2, -1, -1):
-        if isinstance(layers[seq[pos]].material, PerfectMirror):
-            mirror_pos = pos
-            break
+    mirror_pos = next((pos for pos in range(len(seq) - 2, -1, -1)
+                       if isinstance(layers[seq[pos]].material, PerfectMirror)), None)
     if mirror_pos is not None:
         mirror = layers[seq[mirror_pos]].material
-        r_s = np.full(shape, mirror.r_s)
-        r_p = np.full(shape, mirror.r_p)
-        start = mirror_pos + 2
+        first = mirror_pos + 1
+        prev = _layer_values(layers[seq[first]].material, u, b)
+        shape = np.broadcast(u, b).shape
+        r_s, r_p = np.full(shape, mirror.r_s), np.full(shape, mirror.r_p)
     else:
-        r_s = np.zeros(shape)
-        r_p = np.zeros(shape)
-        start = 1
+        first = 1
+        e0, m0, b0 = _layer_values(layers[seq[0]].material, u, b)
+        prev = _layer_values(layers[seq[1]].material, u, b)
+        r_s = _fresnel(m0, b0, prev[1], prev[2])
+        r_p = _fresnel(e0, b0, prev[0], prev[2])
 
-    for i in range(start, len(seq)):
-        prev = layers[seq[i - 1]]
-        here = layers[seq[i]]
-        b_prev = _axial(prev.material, u, q)
-        b_here = _axial(here.material, u, q)
-        # exp underflow to 0 is exact in the thick-layer limit
-        fac = np.exp(-2.0 * b_prev * prev.thickness) if math.isfinite(prev.thickness) else 0.0
-        r_s = _interface_step(prev.material.mu(u) / b_prev, here.material.mu(u) / b_here, fac, r_s)
-        r_p = _interface_step(prev.material.eps(u) / b_prev, here.material.eps(u) / b_here, fac, r_p)
+    for i in range(first + 1, len(seq)):
+        e_p, m_p, b_p = prev
+        here = _layer_values(layers[seq[i]].material, u, b)
+        em1 = np.expm1(b_p * (-2.0 * layers[seq[i - 1]].thickness))
+        fac = 1.0 + em1
+        r_s = _interface_step(_fresnel(m_p, b_p, here[1], here[2]), r_s, fac, em1)
+        r_p = _interface_step(_fresnel(e_p, b_p, here[0], here[2]), r_p, fac, em1)
+        prev = here
     return r_s, r_p
 
 
-def reflection_coefficients(stack: LayerStack, u, q) -> ReflectionSet:
+def reflection_coefficients(stack: LayerStack, u, b) -> ReflectionSet:
     """Reflection coefficients of the sub-stacks on both sides of the atom layer.
 
-    ``u`` and ``q`` may be floats or broadcastable arrays; (0, 0) is rejected.
+    ``b`` is the axial wavenumber in vacuum (the atom layer), sqrt(u^2 + q^2)
+    for in-plane wavenumber q, so b >= u; ``u`` and ``b`` may be floats or
+    broadcastable arrays, and b = 0 (the degenerate point u = q = 0) is
+    rejected.
     """
-    _check_nondegenerate(u, q)
     u = np.asarray(u, dtype=float)
-    q = np.asarray(q, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not b.all():
+        raise ValueError("b = 0 (u = q = 0) is a degenerate point")
     j = stack.atom_layer
     n = stack.n
-    r_s_m, r_p_m = _side_reflection(stack.layers, list(range(0, j + 1)), u, q)
-    r_s_p, r_p_p = _side_reflection(stack.layers, list(range(n, j - 1, -1)), u, q)
+    r_s_m, r_p_m = _side_reflection(stack.layers, range(0, j + 1), u, b)
+    r_s_p, r_p_p = _side_reflection(stack.layers, range(n, j - 1, -1), u, b)
 
     d_j = stack.layers[j].thickness
     if math.isfinite(d_j):
-        b = np.hypot(u, q)  # atom layer is vacuum
         fac = np.exp(-2.0 * b * d_j)
-    else:
-        fac = 0.0
-    d_s = 1.0 - r_s_m * r_s_p * fac
-    d_p = 1.0 - r_p_m * r_p_p * fac
+        d_s = 1.0 - r_s_m * r_s_p * fac
+        d_p = 1.0 - r_p_m * r_p_p * fac
+    else:  # the atom sits in an outer layer: one wall, no cavity
+        d_s = d_p = 1.0
 
-    if np.ndim(u) == 0 and np.ndim(q) == 0:
+    if np.ndim(u) == 0 and np.ndim(b) == 0:
         return ReflectionSet(
             float(r_s_m), float(r_s_p), float(r_p_m), float(r_p_p), float(d_s), float(d_p)
         )
     return ReflectionSet(r_s_m, r_s_p, r_p_m, r_p_p, d_s, d_p)
+
+
+def thin_layer_reflection(material, d, u, b):
+    """First-order-in-thickness (r_s, r_p) of a layer of thickness d in vacuum.
+
+    d (mu^2 b^2 - b_M^2) / (2 mu b) and d (eps^2 b^2 - b_M^2) / (2 eps b),
+    with b the vacuum and b_M the layer's axial wavenumber; valid for
+    b_M d << 1.
+    """
+    e = material.eps(u)
+    m = material.mu(u)
+    bm2 = u * u * (e * m - 1.0) + b * b
+    return (m * m * b * b - bm2) / (2.0 * m * b) * d, (e * e * b * b - bm2) / (2.0 * e * b) * d
 
 
 def duality_swap(stack: LayerStack) -> LayerStack:

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+import vdwlayers as v
 from vdwlayers.cli import main
+from vdwlayers.config import parse_config
 
 ATOM = {"transitions": [{"frequency": 1.0, "dipole_sq": 1.0}]}
 PLATE = {
@@ -72,6 +74,15 @@ def test_vacuum_name_reserved(tmp_path, capsys):
     doc["materials"] = {"vacuum": PLATE, "plate": PLATE}
     code, _ = run(tmp_path, "scan", doc)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["scan", "wall"])
+def test_thin_plate_mirror_rejected(tmp_path, capsys, command):
+    doc = scan_doc(materials={"plate": PLATE, "wall": {"mirror": "conducting"}})
+    doc["geometry"] = {"kind": "thin-plate", "material": ["plate", "wall"], "thickness": 0.01}
+    code, _ = run(tmp_path, command, doc)
+    assert code == 2
+    assert "config.geometry.material" in capsys.readouterr().err
 
 
 def test_missing_section(tmp_path, capsys):
@@ -150,6 +161,23 @@ def test_scan_two_plates_emits_reference_column(tmp_path):
     assert float(mid["U_left"]) + float(mid["U_right"]) == pytest.approx(
         float(mid["U"]), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("kind", ["plate", "thin-plate"])
+def test_scan_plate_columns_match_library(tmp_path, kind):
+    doc = scan_doc()
+    doc["geometry"] = {"kind": kind, "material": "plate", "thickness": 0.01}
+    code, out = run(tmp_path, "scan", doc, "--threads", "1")
+    assert code == 0
+    _, rows = read_rows(out / "scan_plate.csv")
+    cfg = parse_config(doc)
+    potential = v.potential_plate if kind == "plate" else v.potential_thin_plate
+    assert len(rows) == 4
+    for row in rows:
+        res = potential(cfg.atom, cfg.medium("plate"), 0.01, float(row["z_A"]), cfg.quadrature)
+        assert float(row["U"]) == res.value
+        assert float(row["U_left"]) == res.left
+        assert float(row["U_right"]) == res.right
 
 
 def test_scan_mirror_geometry(tmp_path):

@@ -11,7 +11,7 @@ from conftest import constant_material, fig2_material, material
 
 
 def test_vacuum_response_is_unity():
-    eps, mu = v.susceptibility_eval(v.VACUUM, 3.7)
+    eps, mu = v.VACUUM.eps(3.7), v.VACUUM.mu(3.7)
     assert eps == 1.0 and mu == 1.0
 
 

@@ -196,8 +196,8 @@ def test_pair_reflection_tracks_exact_recursion(atom):
          v.Layer(v.VACUUM, math.inf)),
         3, 1.0,
     )
-    rf = v.reflection_coefficients(full, u, q)
-    r1 = v.reflection_coefficients(front, u, q)
-    r2 = v.reflection_coefficients(back, u, q)
+    rf = v.reflection_coefficients(full, u, np.hypot(u, q))
+    r1 = v.reflection_coefficients(front, u, np.hypot(u, q))
+    r2 = v.reflection_coefficients(back, u, np.hypot(u, q))
     assert rf.r_s_minus - r1.r_s_minus - r2.r_s_minus == pytest.approx(pair.r_s, rel=5e-3)
     assert rf.r_p_minus - r1.r_p_minus - r2.r_p_minus == pytest.approx(pair.r_p, rel=5e-3)

@@ -77,7 +77,7 @@ def test_all_vacuum_reflects_nothing():
         1, 1.0,
     )
     for (u, q) in [(0.3, 0.0), (0.0, 1.0), (2.0, 3.0)]:
-        r = v.reflection_coefficients(stack, u, q)
+        r = v.reflection_coefficients(stack, u, np.hypot(u, q))
         assert r.r_s_minus == 0.0 and r.r_p_minus == 0.0
         assert r.r_s_plus == 0.0 and r.r_p_plus == 0.0
         assert r.d_s == 1.0 and r.d_p == 1.0
@@ -86,17 +86,17 @@ def test_all_vacuum_reflects_nothing():
 def test_huge_permittivity_approaches_conducting_mirror():
     stack = halfspace_stack(constant_material(eps0=1e12), 1.0)
     for (u, q) in [(0.5, 0.7), (1.0, 1.0), (3.0, 0.2)]:
-        r = v.reflection_coefficients(stack, u, q)
+        r = v.reflection_coefficients(stack, u, np.hypot(u, q))
         assert r.r_s_minus == pytest.approx(-1.0, abs=1e-5)
         assert r.r_p_minus == pytest.approx(1.0, abs=1e-5)
 
 
 def test_mirror_layer_is_exact():
     stack = halfspace_stack(v.CONDUCTING_MIRROR, 1.0)
-    r = v.reflection_coefficients(stack, 0.5, 0.7)
+    r = v.reflection_coefficients(stack, 0.5, np.hypot(0.5, 0.7))
     assert r.r_s_minus == -1.0 and r.r_p_minus == 1.0
     stack = halfspace_stack(v.PERMEABLE_MIRROR, 1.0)
-    r = v.reflection_coefficients(stack, 0.5, 0.7)
+    r = v.reflection_coefficients(stack, 0.5, np.hypot(0.5, 0.7))
     assert r.r_s_minus == 1.0 and r.r_p_minus == -1.0
 
 
@@ -118,8 +118,8 @@ def test_mirror_hides_layers_behind_it():
         ),
         2, 1.0,
     )
-    rb = v.reflection_coefficients(behind, 0.4, 0.9)
-    rp = v.reflection_coefficients(plain, 0.4, 0.9)
+    rb = v.reflection_coefficients(behind, 0.4, np.hypot(0.4, 0.9))
+    rp = v.reflection_coefficients(plain, 0.4, np.hypot(0.4, 0.9))
     assert rb.r_s_minus == rp.r_s_minus
     assert rb.r_p_minus == rp.r_p_minus
 
@@ -134,21 +134,21 @@ def test_magnetic_reflectivity_bound():
     us = np.geomspace(1e-3, 50.0, 12)
     qs = np.geomspace(1e-3, 200.0, 14)
     for u in us:
-        r = v.reflection_coefficients(stack, np.full_like(qs, u), qs)
+        r = v.reflection_coefficients(stack, np.full_like(qs, u), np.hypot(u, qs))
         assert np.all(r.r_s_minus <= bound_s + 1e-12)
         assert np.all(r.r_p_minus <= bound_p + 1e-12)
     # the bound is approached in the electrostatic corner
-    r = v.reflection_coefficients(stack, 1e-6, 1e4)
+    r = v.reflection_coefficients(stack, 1e-6, np.hypot(1e-6, 1e4))
     assert r.r_s_minus == pytest.approx(bound_s, rel=1e-4)
 
 
 def test_finite_plate_converges_to_halfspace():
     m = fig2_material()
     u, q = 0.6, 0.8
-    half = v.reflection_coefficients(halfspace_stack(m, 1.0), u, q)
+    half = v.reflection_coefficients(halfspace_stack(m, 1.0), u, np.hypot(u, q))
     prev_gap = None
     for d in (0.5, 2.0, 8.0, 20.0):
-        plate = v.reflection_coefficients(plate_stack(m, d, 1.0), u, q)
+        plate = v.reflection_coefficients(plate_stack(m, d, 1.0), u, np.hypot(u, q))
         gap = abs(plate.r_s_minus - half.r_s_minus) + abs(plate.r_p_minus - half.r_p_minus)
         if prev_gap is not None:
             assert gap < prev_gap
@@ -161,7 +161,7 @@ def test_cavity_denominators_bounded_for_identical_plates():
     us = np.geomspace(1e-3, 30.0, 10)
     qs = np.geomspace(1e-3, 30.0, 10)
     uu, qq = np.meshgrid(us, qs)
-    r = v.reflection_coefficients(stack, uu, qq)
+    r = v.reflection_coefficients(stack, uu, np.hypot(uu, qq))
     assert np.all(r.d_s > 0.0) and np.all(r.d_s <= 1.0)
     assert np.all(r.d_p > 0.0) and np.all(r.d_p <= 1.0)
 
@@ -171,7 +171,7 @@ def test_two_plate_denominator_matches_closed_form():
     s = 6.0
     stack = two_plate_stack(m, s, 2.0)
     u, q = 0.4, 0.5
-    r = v.reflection_coefficients(stack, u, q)
+    r = v.reflection_coefficients(stack, u, np.hypot(u, q))
     b = math.hypot(u, q)
     e, mu = m.eps(u), m.mu(u)
     bm = math.sqrt(u * u * (e * mu - 1.0) + b * b)
@@ -179,6 +179,53 @@ def test_two_plate_denominator_matches_closed_form():
     rp = (e * b - bm) / (e * b + bm)
     assert r.d_s == pytest.approx(1.0 - rs * rs * math.exp(-2 * b * s), rel=1e-13)
     assert r.d_p == pytest.approx(1.0 - rp * rp * math.exp(-2 * b * s), rel=1e-13)
+
+
+# ---------------------------------------------------------------- closed-form oracles
+
+def fresnel_oracle(mat, u, b):
+    """Textbook half-space coefficients (mu b - b_M)/(mu b + b_M), (eps b - b_M)/(eps b + b_M)."""
+    e, m = mat.eps(u), mat.mu(u)
+    b_m = np.sqrt(u * u * (e * m - 1.0) + b * b)
+    return (m * b - b_m) / (m * b + b_m), (e * b - b_m) / (e * b + b_m)
+
+
+def tanh_oracle(mat, d, u, b):
+    """Textbook slab coefficients, both faces resummed through tanh(b_M d)."""
+    e, m = mat.eps(u), mat.mu(u)
+    bm2 = u * u * (e * m - 1.0) + b * b
+    b_m = np.sqrt(bm2)
+    th = np.tanh(b_m * d)
+    r_s = (m * m * b * b - bm2) * th / (2.0 * m * b * b_m + (m * m * b * b + bm2) * th)
+    r_p = (e * e * b * b - bm2) * th / (2.0 * e * b * b_m + (e * e * b * b + bm2) * th)
+    return r_s, r_p
+
+
+# Purely electric and purely magnetic media: no coefficient changes sign on the
+# grid, so a relative comparison is well posed everywhere.  u <= 3 and
+# u / b >= 0.1 keep the closed forms themselves accurate to ~1e-13 (their
+# mu b - b_M cancellation costs about eps * b^2 / (u^2 chi)).
+ORACLE_MATERIALS = [material(wpe=0.75, wte=1.03, ge=0.001), material(wpm=2.0, wtm=1.0, gm=0.001)]
+U_GRID = np.geomspace(1e-3, 3.0, 7)[:, None]
+B_GRID = U_GRID * np.array([1.01, 1.5, 4.0, 10.0])
+
+
+@pytest.mark.parametrize("mat", ORACLE_MATERIALS)
+def test_halfspace_reflection_matches_fresnel_form(mat):
+    r = v.reflection_coefficients(halfspace_stack(mat, 1.0), U_GRID, B_GRID)
+    r_s, r_p = fresnel_oracle(mat, U_GRID, B_GRID)
+    assert r.r_s_minus == pytest.approx(r_s, rel=1e-12)
+    assert r.r_p_minus == pytest.approx(r_p, rel=1e-12)
+
+
+@pytest.mark.parametrize("mat", ORACLE_MATERIALS)
+@pytest.mark.parametrize("d", [1e-6, 1e-2, 1.0, 100.0])
+def test_plate_reflection_matches_tanh_form(mat, d):
+    # b d runs from 1e-9 (d = 1e-6) to 3e3 (d = 100)
+    r = v.reflection_coefficients(plate_stack(mat, d, 1.0), U_GRID, B_GRID)
+    r_s, r_p = tanh_oracle(mat, d, U_GRID, B_GRID)
+    assert r.r_s_minus == pytest.approx(r_s, rel=1e-12)
+    assert r.r_p_minus == pytest.approx(r_p, rel=1e-12)
 
 
 # ---------------------------------------------------------------- duality
@@ -204,8 +251,8 @@ def test_duality_swaps_polarizations(m0, m1, d, u, q):
         2, 1.0,
     )
     swapped = v.duality_swap(stack)
-    a = v.reflection_coefficients(stack, u, q)
-    b = v.reflection_coefficients(swapped, u, q)
+    a = v.reflection_coefficients(stack, u, np.hypot(u, q))
+    b = v.reflection_coefficients(swapped, u, np.hypot(u, q))
     assert b.r_s_minus == pytest.approx(a.r_p_minus, rel=1e-12, abs=1e-15)
     assert b.r_p_minus == pytest.approx(a.r_s_minus, rel=1e-12, abs=1e-15)
 
@@ -242,9 +289,9 @@ def _pair_correlation_exact(mat, d, s, u, q):
          v.Layer(v.VACUUM, math.inf)),
         3, 1.0,
     )
-    rf = v.reflection_coefficients(full, u, q)
-    r1 = v.reflection_coefficients(front, u, q)
-    r2 = v.reflection_coefficients(back, u, q)
+    rf = v.reflection_coefficients(full, u, np.hypot(u, q))
+    r1 = v.reflection_coefficients(front, u, np.hypot(u, q))
+    r2 = v.reflection_coefficients(back, u, np.hypot(u, q))
     return (rf.r_s_minus - r1.r_s_minus - r2.r_s_minus,
             rf.r_p_minus - r1.r_p_minus - r2.r_p_minus)
 
