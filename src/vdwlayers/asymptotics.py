@@ -24,7 +24,8 @@ from scipy.optimize import brentq
 
 from .materials import AtomModel, MaterialModel, Medium, PerfectMirror, static_summary
 from .potential import PotentialResult
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_finite, integrate_semi_infinite
+from .quadrature import (DEFAULT_SPEC, QuadratureSpec, _require, integrate_finite,
+                         integrate_semi_infinite)
 
 __all__ = [
     "NoWallError",
@@ -101,13 +102,6 @@ class WallEstimate:
     u_max: float
     method: str
     consistency: float | None = None
-
-
-def _require(res, what: str) -> float:
-    if not res.converged:
-        raise RuntimeError(f"quadrature for {what} did not converge "
-                           f"(error estimate {res.error:.3e})")
-    return res.value
 
 
 def _c4_bracket_integral(eps0: float, mu0: float, spec: QuadratureSpec | None = None) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .materials import AtomModel, MaterialModel
-from .quadrature import QuadratureSpec, integrate_nested, integrate_semi_infinite
+from .quadrature import QuadratureSpec, _require, integrate_nested, integrate_semi_infinite
 from .stack import thin_layer_reflection
 
 __all__ = [
@@ -158,8 +158,8 @@ def expansion_order1(geometry: str, atom: AtomModel, material: MaterialModel, z:
     if geometry == "thick":
         pref, b_power = -1.0 / (8.0 * math.pi**2), 0
     else:
-        if d is None or not d > 0.0:
-            raise ValueError("thin geometry needs a thickness d > 0")
+        if d is None or not (d > 0.0 and math.isfinite(d)):
+            raise ValueError(f"thin geometry needs a finite thickness d > 0, got {d}")
         pref, b_power = -d / (4.0 * math.pi**2), 1
     return _evaluate_term(1, geometry, atom, material, FIRST_ORDER_WEIGHTS,
                           pref, b_power, z, spec)
@@ -180,72 +180,55 @@ def expansion_order2(geometry: str, atom: AtomModel, material: MaterialModel, z:
     if geometry == "thick":
         return _evaluate_term(2, geometry, atom, material, SECOND_ORDER_THICK_WEIGHTS,
                               -1.0 / (8.0 * math.pi**2), 0, z, spec)
-    if d is None or not d > 0.0:
-        raise ValueError(f"{geometry} geometry needs a thickness d > 0")
+    if d is None or not (d > 0.0 and math.isfinite(d)):
+        raise ValueError(f"{geometry} geometry needs a finite thickness d > 0, got {d}")
     if geometry == "thin":
         return _evaluate_term(2, geometry, atom, material, SECOND_ORDER_THIN_WEIGHTS,
                               -d / (4.0 * math.pi**2), 1, z, spec)
-    if s is None or s < 0.0:
-        raise ValueError("two-thin-plates geometry needs a separation s >= 0")
+    if s is None or not (s >= 0.0 and math.isfinite(s)):
+        raise ValueError(f"two-thin-plates geometry needs a finite separation s >= 0, got {s}")
     return _evaluate_term(2, geometry, atom, material, SECOND_ORDER_PAIR_WEIGHTS,
                           -d * d / (2.0 * math.pi**2), 2, z + s, spec)
 
 
 def additivity_check(atom: AtomModel, material: MaterialModel, z: float,
-                     spec: QuadratureSpec | None = None,
-                     outer_rel_tol: float = 1e-6) -> AdditivityReport:
+                     spec: QuadratureSpec | None = None) -> AdditivityReport:
     """Numerically verify the first- and second-order additivity identities.
 
-    The right-hand sides integrate the thin-plate terms over depth (and the
-    correlation term over both depth and pair separation) with the same
-    semi-infinite engine, so the two sides follow genuinely independent
-    quadrature paths.  Residuals are relative to the thick-plate terms and
-    are independent of the nominal unit thickness used internally.
+    The stacked sides integrate unit-thickness thin-plate terms over the depth
+    w >= z with the same semi-infinite engine, so the two sides of each
+    identity follow genuinely independent quadrature paths.  The correlation
+    term is a double integral over the front plate's depth z' and the pair
+    separation s, but the pair term P depends on them only through
+    w = z' + s; Cauchy's formula for repeated integration folds it into
+    int_z^inf (w - z) P(w) dw.  Every depth integral runs at
+    ``spec.rel_tol_outer``.  Residuals are relative to the thick-plate terms
+    and are independent of the nominal unit thickness.
+
+    Raises ``RuntimeError`` naming the term and z when a term or a depth
+    integral does not converge.
     """
     if not z > 0.0:
         raise ValueError(f"z must be > 0, got {z}")
 
-    first_thick = expansion_order1("thick", atom, material, z, spec=spec).value
+    def stacked(what, term, weighted=False):
+        def f(ws):
+            vals = np.array([_require(term(float(w)), f"the {what} at z={w}") for w in ws])
+            return vals * (ws - z) if weighted else vals
 
-    def f1(zp):
-        zp = np.atleast_1d(np.asarray(zp, dtype=float))
-        return np.array(
-            [expansion_order1("thin", atom, material, float(t), d=1.0, spec=spec).value
-             for t in zp]
-        )
+        return _require(integrate_semi_infinite(f, z, spec=spec, scale=z),
+                        f"the depth integral of the {what} from z={z}")
 
-    first_stacked = integrate_semi_infinite(f1, z, spec=spec, scale=z,
-                                            rel_tol=outer_rel_tol).value
-
-    second_thick = expansion_order2("thick", atom, material, z, spec=spec).value
-
-    def f2(zp):
-        zp = np.atleast_1d(np.asarray(zp, dtype=float))
-        return np.array(
-            [expansion_order2("thin", atom, material, float(t), d=1.0, spec=spec).value
-             for t in zp]
-        )
-
-    single_term = integrate_semi_infinite(f2, z, spec=spec, scale=z,
-                                          rel_tol=outer_rel_tol).value
-
-    def f2dd(zp):
-        zp = np.atleast_1d(np.asarray(zp, dtype=float))
-        out = np.empty_like(zp)
-        for i, t in enumerate(zp):
-            def g(sv, t=float(t)):
-                sv = np.atleast_1d(np.asarray(sv, dtype=float))
-                return np.array(
-                    [expansion_order2("two-thin-plates", atom, material, t, d=1.0,
-                                      s=float(x), spec=spec).value for x in sv]
-                )
-
-            out[i] = integrate_semi_infinite(g, 0.0, spec=spec, scale=float(t),
-                                             rel_tol=outer_rel_tol).value
-        return out
-
-    correlation_term = integrate_semi_infinite(f2dd, z, spec=spec, scale=z,
-                                               rel_tol=outer_rel_tol).value
+    first_thick = _require(expansion_order1("thick", atom, material, z, spec=spec),
+                           f"the first-order thick term at z={z}")
+    first_stacked = stacked("first-order thin term", lambda w: expansion_order1(
+        "thin", atom, material, w, d=1.0, spec=spec))
+    second_thick = _require(expansion_order2("thick", atom, material, z, spec=spec),
+                            f"the second-order thick term at z={z}")
+    single_term = stacked("second-order thin term", lambda w: expansion_order2(
+        "thin", atom, material, w, d=1.0, spec=spec))
+    correlation_term = stacked("pair correlation term", lambda w: expansion_order2(
+        "two-thin-plates", atom, material, w, d=1.0, s=0.0, spec=spec), weighted=True)
 
     tiny = 1e-300
     second_stacked = single_term + correlation_term
@@ -288,8 +271,10 @@ def thin_pair_reflection(material: MaterialModel, d: float, s: float,
     Pure formula evaluation (no quadrature); accurate for b_M d << 1 and
     weak susceptibilities.
     """
-    if not d > 0.0 or s < 0.0:
-        raise ValueError("need d > 0 and s >= 0")
+    if not (d > 0.0 and math.isfinite(d)):
+        raise ValueError(f"need a finite thickness d > 0, got {d}")
+    if not (s >= 0.0 and math.isfinite(s)):
+        raise ValueError(f"need a finite separation s >= 0, got {s}")
     b = math.hypot(u, q)
     if b == 0.0:
         raise ValueError("(u, q) = (0, 0) is a degenerate point")

@@ -125,6 +125,13 @@ class IntegralResult:
     converged: bool
 
 
+def _require(res, what: str) -> float:
+    if not res.converged:
+        raise RuntimeError(f"quadrature for {what} did not converge "
+                           f"(error estimate {res.error:.3e})")
+    return res.value
+
+
 def resolve_mode(mode: str | None, z: float) -> str:
     if mode is not None:
         return mode

@@ -12,6 +12,10 @@ PLATE = {
     "electric": [{"plasma": 0.75, "transverse": 1.03, "damping": 0.001}],
     "magnetic": [{"plasma": 2.0, "transverse": 1.0, "damping": 0.001}],
 }
+WEAK = {
+    "electric": [{"plasma": 0.0326, "transverse": 1.03}],
+    "magnetic": [{"plasma": 0.0316, "transverse": 1.0}],
+}
 FAST_QUAD = {"rel_tol_inner": 1e-6, "rel_tol_outer": 1e-5}
 
 
@@ -322,12 +326,7 @@ def test_wall_with_estimates(tmp_path):
 def test_check_command(tmp_path):
     doc = {
         "atom": ATOM,
-        "materials": {
-            "weak": {
-                "electric": [{"plasma": 0.0326, "transverse": 1.03}],
-                "magnetic": [{"plasma": 0.0316, "transverse": 1.0}],
-            }
-        },
+        "materials": {"weak": WEAK},
         "check": {"material": "weak", "z": 1.0},
         "quadrature": FAST_QUAD,
     }
@@ -336,6 +335,19 @@ def test_check_command(tmp_path):
     report = json.loads((out / "check.json").read_text())
     assert report["first_order"]["residual"] < 0.01
     assert report["second_order"]["residual"] < 0.02
+
+
+def test_check_nonconverged_exits_3(tmp_path, capsys):
+    doc = {
+        "atom": ATOM,
+        "materials": {"weak": WEAK},
+        "check": {"material": "weak", "z": 1.0},
+        "quadrature": {"rel_tol_outer": 1e-14, "rel_tol_inner": 1e-15, "max_subdivisions": 1},
+    }
+    code, out = run(tmp_path, "check", doc)
+    assert code == 3
+    assert "first-order thick term at z=1.0" in capsys.readouterr().err
+    assert not (out / "check.json").exists()
 
 
 def test_cli_version():

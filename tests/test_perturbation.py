@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import vdwlayers as v
+import vdwlayers.perturbation as perturbation
 from vdwlayers.perturbation import (
     FIRST_ORDER_WEIGHTS,
     SECOND_ORDER_PAIR_WEIGHTS,
@@ -135,6 +137,74 @@ def test_additivity_identities(atom):
     gap = report.second_order_thick - report.second_order_single_term
     assert report.second_order_correlation_term == pytest.approx(gap, rel=1e-4)
     assert abs(gap) > 0.01 * abs(report.second_order_thick)
+
+
+def test_pair_term_depends_on_depth_plus_separation(atom):
+    # the premise of folding the correlation term's double integral into one
+    m = weak_material()
+    split = v.expansion_order2("two-thin-plates", atom, m, 0.75, d=1.0, s=0.5)
+    joined = v.expansion_order2("two-thin-plates", atom, m, 1.25, d=1.0, s=0.0)
+    assert split == joined
+
+
+def test_additivity_check_cost_flat_in_z(atom, monkeypatch):
+    # with the depth integrals at the spec's outer tolerance, their refinement
+    # no longer chases inner-quadrature noise, so the work does not jump with z
+    m = weak_material()
+    spec = v.QuadratureSpec(rel_tol_outer=1e-3, rel_tol_inner=1e-4)
+    calls = []
+    nested = perturbation.integrate_nested
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return nested(*args, **kwargs)
+
+    monkeypatch.setattr(perturbation, "integrate_nested", counted)
+    counts = []
+    for z in (0.5, 0.9, 1.0, 1.1, 2.0):
+        calls.clear()
+        v.additivity_check(atom, m, z, spec)
+        counts.append(len(calls))
+    assert len(set(counts)) == 1, counts
+
+
+def test_additivity_check_rejects_nonconverged_terms(atom, monkeypatch):
+    m = weak_material()
+    starved = v.QuadratureSpec(rel_tol_outer=1e-14, rel_tol_inner=1e-15, max_subdivisions=1)
+    assert not v.expansion_order1("thick", atom, m, 1.0, spec=starved).converged
+    assert not v.expansion_order1("thin", atom, m, 1.0, d=1.0, spec=starved).converged
+    with pytest.raises(RuntimeError, match=r"first-order thick term at z=1\.0"):
+        v.additivity_check(atom, m, 1.0, starved)
+
+    # a node term inside a depth integral is checked as well
+    order2 = perturbation.expansion_order2
+
+    def pair_unconverged(geometry, *args, **kwargs):
+        term = order2(geometry, *args, **kwargs)
+        if geometry == "two-thin-plates":
+            term = dataclasses.replace(term, converged=False)
+        return term
+
+    monkeypatch.setattr(perturbation, "expansion_order2", pair_unconverged)
+    loose = v.QuadratureSpec(rel_tol_outer=1e-3, rel_tol_inner=1e-4)
+    with pytest.raises(RuntimeError, match=r"pair correlation term at z="):
+        v.additivity_check(atom, m, 1.0, loose)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("d", lambda atom, m: v.expansion_order1("thin", atom, m, 1.0, d=math.inf)),
+    ("d", lambda atom, m: v.expansion_order2("thin", atom, m, 1.0, d=math.inf)),
+    ("s", lambda atom, m: v.expansion_order2("two-thin-plates", atom, m, 1.0, d=1.0,
+                                             s=math.inf)),
+    ("s", lambda atom, m: v.expansion_order2("two-thin-plates", atom, m, 1.0, d=1.0,
+                                             s=math.nan)),
+    ("d", lambda atom, m: v.thin_pair_reflection(m, math.inf, 1.0, 0.5, 0.7)),
+    ("s", lambda atom, m: v.thin_pair_reflection(m, 1e-3, math.nan, 0.5, 0.7)),
+], ids=["order1-thin-d-inf", "order2-thin-d-inf", "pair-s-inf", "pair-s-nan",
+        "reflection-d-inf", "reflection-s-nan"])
+def test_nonfinite_thickness_and_separation_rejected(atom, name, call):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(atom, weak_material())
 
 
 def test_additivity_vacuum(atom):
