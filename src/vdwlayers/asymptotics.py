@@ -13,7 +13,6 @@ single-resonance medium with weak electric response.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,11 +20,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from .materials import AtomModel, MaterialModel, Medium, PerfectMirror, static_summary
 from .potential import PotentialResult
-from .quadrature import (DEFAULT_SPEC, QuadratureSpec, _require, integrate_finite,
-                         integrate_semi_infinite)
+# integrate_finite is unused here but stays importable: perfbench's
+# quadrature.oned probe wraps asymptotics.integrate_finite.
+from .quadrature import (DEFAULT_SPEC, QuadratureSpec, _lockstep, _require,  # noqa: F401
+                         integrate_finite, integrate_semi_infinite)
 
 __all__ = [
     "NoWallError",
@@ -104,23 +106,33 @@ class WallEstimate:
     consistency: float | None = None
 
 
-def _c4_bracket_integral(eps0: float, mu0: float, spec: QuadratureSpec | None = None) -> float:
-    """The static v-integral whose sign decides attraction vs repulsion at long range.
+def _c4_bracket_integral(eps0, mu0, spec: QuadratureSpec | None = None) -> np.ndarray:
+    """The static v-integrals whose sign decides attraction vs repulsion at long range.
 
-    Mapped by v = 1/t onto (0, 1], where the integrand is bounded and smooth.
+    One integral per entry of the equal-length 1-D arrays ``eps0`` and
+    ``mu0``, all refined together as one lockstep batch.  Each is mapped by
+    v = 1/t onto (0, 1], where its integrand is bounded and smooth.
     """
+    eps0 = np.asarray(eps0, dtype=float)
+    mu0 = np.asarray(mu0, dtype=float)
     em = eps0 * mu0 - 1.0
 
-    def g(t):
-        h = np.sqrt(1.0 + em * t * t)
-        return (2.0 - t * t) * (eps0 - h) / (eps0 + h) - t * t * (mu0 - h) / (mu0 + h)
+    def g(rows, t):
+        e, m = eps0[rows, None], mu0[rows, None]
+        h = np.sqrt(1.0 + em[rows, None] * t * t)
+        return (2.0 - t * t) * (e - h) / (e + h) - t * t * (m - h) / (m + h)
 
     # the integrand is O(1)-bounded, so an absolute floor is meaningful here;
     # near the attraction/repulsion border the integral itself crosses zero
     base = spec or DEFAULT_SPEC
-    local = dataclasses.replace(base, abs_tol=max(base.abs_tol, 1e-14))
-    return _require(integrate_finite(g, 0.0, 1.0, spec=local, rel_tol=1e-10),
-                    "long-distance coefficient")
+    value, error, _, _, converged = _lockstep(g, eps0.size, 1e-10, max(base.abs_tol, 1e-14),
+                                              base.max_subdivisions)
+    if not converged.all():
+        i = int(np.flatnonzero(~converged)[0])
+        raise RuntimeError(f"quadrature for the long-distance coefficient at "
+                           f"eps0={float(eps0[i])!r}, mu0={float(mu0[i])!r} did not converge "
+                           f"(error estimate {error[i]:.3e})")
+    return value
 
 
 def _char_scale(atom: AtomModel, material: MaterialModel) -> float:
@@ -158,7 +170,8 @@ def thick_coefficients(atom: AtomModel, material: Medium,
         return ThickCoeffs(c4=c4, c3=c3, c1=math.inf, method="mirror-limit")
 
     s = static_summary(material)
-    c4 = -(3.0 * alpha0 / (64.0 * _PI2)) * _c4_bracket_integral(s.eps0, s.mu0, spec)
+    c4 = -(3.0 * alpha0 / (64.0 * _PI2)) * float(
+        _c4_bracket_integral([s.eps0], [s.mu0], spec)[0])
 
     scale = _char_scale(atom, material)
 
@@ -258,37 +271,49 @@ def border_curve(plate_kind: str, eps0_values: Sequence[float],
     The thick border is the unique root of the static C4 integral in mu0
     (uniqueness from its monotonicity in both arguments), bracketed
     geometrically up to ``mu_ceiling``; points with no root below the ceiling
-    are marked with ``mu0=None``.  The thin border is closed-form.
+    are marked with ``mu0=None``.  All points are solved together: each
+    bracketing round and each root-finding iteration evaluates the integrals
+    of every point still in play as one batch.  A point's result does not
+    depend on the other points.  The thin border is closed-form.
     """
     if plate_kind not in ("thick", "thin"):
         raise ValueError(f"plate_kind must be 'thick' or 'thin', got {plate_kind!r}")
-    points: list[BorderPoint] = []
-    for eps0 in eps0_values:
-        eps0 = float(eps0)
-        if eps0 < 1.0:
-            raise ValueError(f"eps0 must be >= 1, got {eps0}")
-        if plate_kind == "thin":
-            points.append(BorderPoint(eps0, thin_border_mu(eps0), "closed-form"))
-            continue
+    if not (math.isfinite(mu_ceiling) and mu_ceiling >= 1.0):
+        raise ValueError(f"mu_ceiling must be finite and >= 1, got {mu_ceiling}")
+    eps = np.array([float(e) for e in eps0_values], dtype=float)
+    bad = ~(np.isfinite(eps) & (eps >= 1.0))
+    if bad.any():
+        raise ValueError(f"eps0 must be finite and >= 1, got {eps[bad][0]}")
+    if plate_kind == "thin":
+        return [BorderPoint(e, thin_border_mu(e), "closed-form") for e in eps.tolist()]
 
-        def f(mu0: float) -> float:
-            return _c4_bracket_integral(eps0, mu0, spec)
+    def f(e, mu):
+        return _c4_bracket_integral(e, mu, spec)
 
-        f1 = f(1.0)
-        if abs(f1) < 1e-13:
-            points.append(BorderPoint(eps0, 1.0, "root-find"))
-            continue
-        hi = 10.0 * max(eps0, 10.0)
-        f_hi = f(hi)
-        while f_hi > 0.0 and hi < mu_ceiling:
-            hi *= 10.0
-            f_hi = f(hi)
-        if f_hi > 0.0:
-            points.append(BorderPoint(eps0, None, "root-find"))
-            continue
-        mu0 = float(brentq(f, 1.0, hi, xtol=1e-12, rtol=1e-12))
-        points.append(BorderPoint(eps0, mu0, "root-find"))
-    return points
+    at_one = np.abs(f(eps, np.ones_like(eps))) < 1e-13
+    hi = 10.0 * np.maximum(eps, 10.0)
+    f_hi = np.zeros_like(eps)
+    todo = ~at_one
+    while todo.any():  # one round per decade of bracket growth
+        f_hi[todo] = f(eps[todo], hi[todo])
+        todo &= (f_hi > 0.0) & (hi < mu_ceiling)
+        hi[todo] *= 10.0
+    solve = ~at_one & ~(f_hi > 0.0)
+    mu = np.ones_like(eps)
+    if solve.any():
+        # in x = log mu0, on [0, log hi]
+        eps_s = eps[solve]
+        res = find_root(lambda x, e: f(e, np.exp(x)), (np.zeros_like(eps_s), np.log(hi[solve])),
+                        args=(eps_s,),
+                        tolerances=dict(xatol=1e-13, xrtol=0.0, fatol=0.0, frtol=0.0))
+        failed = np.flatnonzero(res.status != 0)
+        if failed.size:
+            i = failed[0]
+            raise RuntimeError(f"border root search at eps0={float(eps_s[i])!r} failed "
+                               f"(status {int(res.status[i])})")
+        mu[solve] = np.exp(res.x)
+    return [BorderPoint(e, m if ok else None, "root-find")
+            for e, m, ok in zip(eps.tolist(), mu.tolist(), (at_one | solve).tolist())]
 
 
 def _single_resonance(resonances) -> "tuple[float, float] | None":

@@ -4,8 +4,10 @@ Each command reads a strict JSON config (schema: see :mod:`vdwlayers.config`),
 computes, and writes plot-ready data files plus a provenance sidecar
 ``<command>.meta.json`` that embeds the exact configuration; running the same
 command with the sidecar as the config reproduces the data files byte for
-byte.  Sweep points are distributed over a process pool and re-serialized in
-input order, so parallel runs stay deterministic.
+byte.  ``scan`` distributes its points over a process pool and re-serializes
+them in input order, so parallel runs stay deterministic; the other commands
+run in one process (``border`` solves all its points as one batch), so
+``--threads`` does not change their output.
 
 Exit codes: 0 success, 2 configuration error, 3 partial numerical failure.
 """
@@ -224,17 +226,11 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _border_point(task):
-    cfg, kind, eps0 = task
-    return border_curve(kind, [eps0], cfg.quadrature)[0]
-
-
 def cmd_border(cfg: RunConfig, args) -> int:
     if cfg.border is None or cfg.border_kind is None:
         raise ConfigError("border needs a border section")
     eps_values = [float(e) for e in cfg.border.values()]
-    tasks = [(cfg, cfg.border_kind, e) for e in eps_values]
-    points = _pool_map(_border_point, tasks, args.threads)
+    points = border_curve(cfg.border_kind, eps_values, cfg.quadrature)
     rows = [
         (p.eps0, p.mu0, "ok" if p.mu0 is not None else "no-root", p.method)
         for p in points
@@ -361,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--quad-mode", choices=list(MODES), default=None,
                         help="force a substitution mode")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker processes (default: all CPUs)")
+                        help="worker processes for scan (default: all CPUs)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="data file format")
     return parser
@@ -383,3 +379,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -241,6 +241,9 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions, with_aux=False):
     aux are zeroed, which leaves the final sums over the leaves alone.
     Returns per-integral arrays (value, error, aux, evals, converged).
     """
+    if n == 0:  # e.g. a border whose points all sit at eps0 = 1
+        empty = np.zeros(0)
+        return empty, empty, empty, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool)
     rows = np.arange(n)
     cap = 8
     tab = np.zeros((6, n, cap))
@@ -270,10 +273,11 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions, with_aux=False):
             idx, col, pa, pb, mid = idx[ok], col[ok], pa[ok], pb[ok], mid[ok]
             if not idx.size:
                 continue
-        if 2 * splits[idx].max() + 3 > cap:
-            grown = np.zeros((6, n, cap))
-            grown[_KEY] = -np.inf
-            tab = np.concatenate([tab, grown], axis=2)
+        if 2 * splits[idx].max() + 3 > cap:  # copy in place: no concatenate temporary
+            grown = np.zeros((6, n, 2 * cap))
+            grown[_KEY, :, cap:] = -np.inf
+            grown[:, :, :cap] = tab
+            tab = grown
             cap *= 2
         k = idx.size
         rows2 = np.concatenate([idx, idx])

@@ -171,6 +171,132 @@ def test_border_thick_monotone(atom):
     assert mus[0] < mus[1] < mus[2]
 
 
+def _c4_bracket_scalar(eps0, mu0, spec=None):
+    """The static C4 v-integral as one scalar adaptive integral (the border oracle)."""
+    em = eps0 * mu0 - 1.0
+
+    def g(t):
+        h = np.sqrt(1.0 + em * t * t)
+        return (2.0 - t * t) * (eps0 - h) / (eps0 + h) - t * t * (mu0 - h) / (mu0 + h)
+
+    base = spec or v.DEFAULT_SPEC
+    local = v.QuadratureSpec(abs_tol=max(base.abs_tol, 1e-14),
+                             max_subdivisions=base.max_subdivisions)
+    res = v.integrate_finite(g, 0.0, 1.0, spec=local, rel_tol=1e-10)
+    assert res.converged
+    return res.value
+
+
+def brentq_border(eps0, spec=None, mu_ceiling=1e6):
+    """The thick border point by a scalar bracket-and-brentq search, one point at a time."""
+    from scipy.optimize import brentq
+
+    def f(mu0):
+        return _c4_bracket_scalar(eps0, mu0, spec)
+
+    if abs(f(1.0)) < 1e-13:
+        return 1.0
+    hi = 10.0 * max(eps0, 10.0)
+    f_hi = f(hi)
+    while f_hi > 0.0 and hi < mu_ceiling:
+        hi *= 10.0
+        f_hi = f(hi)
+    if f_hi > 0.0:
+        return None
+    return float(brentq(f, 1.0, hi, xtol=1e-12, rtol=1e-12))
+
+
+BORDER_EPS = np.geomspace(1.0, 1000.0, 40).tolist() + [1.0001, 1.0]
+
+
+def test_border_thick_matches_brentq_oracle():
+    points = v.border_curve("thick", BORDER_EPS)
+    assert [p.eps0 for p in points] == BORDER_EPS
+    for p in points:
+        ref = brentq_border(p.eps0)
+        assert p.mu0 is not None and p.method == "root-find"
+        assert p.mu0 == pytest.approx(ref, rel=1e-10, abs=0.0), p.eps0
+
+
+def test_border_thick_batch_equals_pointwise():
+    eps = BORDER_EPS[::3] + BORDER_EPS[-2:]
+    batch = v.border_curve("thick", eps)
+    single = [v.border_curve("thick", [e])[0] for e in eps]
+    assert batch == single
+
+
+@pytest.mark.parametrize("kind", ["thick", "thin"])
+def test_border_edge_lists(kind):
+    assert v.border_curve(kind, []) == []
+    (point,) = v.border_curve(kind, [1.0])
+    assert point.mu0 == pytest.approx(1.0, abs=1e-12)
+    if kind == "thick":
+        assert point.mu0 == 1.0
+
+
+def test_border_rounds_are_batches(monkeypatch):
+    """Bracket growth runs in rounds over every growing point; no-root points get None."""
+    sizes = []
+
+    def fake(eps0, mu0, spec=None):  # root at mu0 = 1e4 * eps0, zero at eps0 = 1
+        eps0, mu0 = np.asarray(eps0), np.asarray(mu0)
+        sizes.append(eps0.size)
+        return (eps0 - 1.0) * (1.0 - mu0 / (1e4 * eps0))
+
+    monkeypatch.setattr(v.asymptotics, "_c4_bracket_integral", fake)
+    points = v.border_curve("thick", [2.0, 1.0, 3.0])
+    # f(1) for all, then hi = 1e2, 1e3, 1e4, 1e5 for the two growing points
+    assert sizes[:5] == [3, 2, 2, 2, 2]
+    assert points[1].mu0 == 1.0
+    assert points[0].mu0 == pytest.approx(2e4, rel=1e-12)
+    assert points[2].mu0 == pytest.approx(3e4, rel=1e-12)
+    capped = v.border_curve("thick", [2.0, 1.0, 3.0], mu_ceiling=1e3)
+    assert [p.mu0 for p in capped] == [None, 1.0, None]
+
+
+def test_border_failed_root_search_names_its_point(monkeypatch):
+    def no_sign_change(eps0, mu0, spec=None):
+        return -np.ones_like(np.asarray(mu0, dtype=float))
+
+    monkeypatch.setattr(v.asymptotics, "_c4_bracket_integral", no_sign_change)
+    with pytest.raises(RuntimeError, match=r"eps0=2\.5"):
+        v.border_curve("thick", [2.5])
+
+
+@pytest.mark.parametrize("kind", ["thick", "thin"])
+@pytest.mark.parametrize("eps, ceiling, name", [
+    ([2.0, math.nan], 1e6, "eps0"),
+    ([math.inf], 1e6, "eps0"),
+    ([-math.inf, 2.0], 1e6, "eps0"),
+    ([0.5], 1e6, "eps0"),
+    ([2.0], math.nan, "mu_ceiling"),
+    ([2.0], 0.5, "mu_ceiling"),
+    ([2.0], math.inf, "mu_ceiling"),
+])
+def test_border_rejects_bad_input_before_integrating(monkeypatch, kind, eps, ceiling, name):
+    def no_integral(*args, **kwargs):
+        raise AssertionError("an integral ran before the input was validated")
+
+    monkeypatch.setattr(v.asymptotics, "_lockstep", no_integral)
+    with pytest.raises(ValueError, match=name):
+        v.border_curve(kind, eps, mu_ceiling=ceiling)
+
+
+def test_border_nonconverged_integral_names_its_point():
+    spec = v.QuadratureSpec(max_subdivisions=1)
+    with pytest.raises(RuntimeError, match=r"eps0=2\.0, mu0=\d"):
+        v.border_curve("thick", [1.0, 2.0], spec)
+
+
+def test_c4_matches_scalar_integral(atom):
+    for eps0, mu0 in [(1.5, 1.2), (3.0, 5.0), (20.0, 40.0)]:
+        m = constant_material(eps0, mu0)
+        c4 = v.thick_coefficients(atom, m).c4
+        s = v.static_summary(m)
+        ref = -(3.0 * atom.alpha0 / (64.0 * math.pi**2)) * _c4_bracket_scalar(s.eps0, s.mu0)
+        assert c4 == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
 # ---------------------------------------------------------------- monotonicity
 
 def test_c4_static_monotonicity(atom):

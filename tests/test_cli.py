@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,6 +286,30 @@ def test_border_thin_command(tmp_path):
     assert all(r["status"] == "ok" for r in rows)
 
 
+def test_border_thick_command_matches_library_for_any_threads(tmp_path):
+    doc = {
+        "atom": ATOM,
+        "materials": {},
+        "border": {"plate_kind": "thick", "eps_min": 1.0, "eps_max": 100.0, "points": 6,
+                   "spacing": "log"},
+    }
+    cfg = write_config(tmp_path, doc)
+    data = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        assert main(["border", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 0
+        data.append((out / "border_thick.csv").read_bytes())
+    assert data[0] == data[1]
+    _, rows = read_rows(tmp_path / "out1" / "border_thick.csv")
+    parsed = parse_config(doc)
+    eps = [float(e) for e in parsed.border.values()]
+    points = v.border_curve("thick", eps, parsed.quadrature)
+    assert [float(r["eps0"]) for r in rows] == eps
+    assert [float(r["mu0"]) for r in rows] == [p.mu0 for p in points]
+    assert all(r["status"] == "ok" and r["method"] == "root-find" for r in rows)
+
+
 def test_wall_no_wall_record(tmp_path):
     doc = {
         "atom": ATOM,
@@ -348,6 +376,19 @@ def test_check_nonconverged_exits_3(tmp_path, capsys):
     assert code == 3
     assert "first-order thick term at z=1.0" in capsys.readouterr().err
     assert not (out / "check.json").exists()
+
+
+def test_module_entry_point_exits_nonzero_on_missing_config(tmp_path):
+    src = str(Path(v.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vdwlayers.cli", "border",
+         "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "cannot read config" in proc.stderr
 
 
 def test_cli_version():

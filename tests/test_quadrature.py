@@ -253,6 +253,17 @@ def test_lockstep_aux_channel_rides_along():
     assert aux[0] == pytest.approx(2.0 * val[0], rel=1e-12)
 
 
+def test_lockstep_empty_batch():
+    from vdwlayers.quadrature import _lockstep
+
+    def f(rows, t):
+        raise AssertionError("an empty batch must not call the integrand")
+
+    out = _lockstep(f, 0, 1e-10, 1e-30, 2000, with_aux=True)
+    assert [a.shape for a in out] == [(0,)] * 5
+    assert out[4].dtype == bool
+
+
 @pytest.mark.parametrize("mode, counts", [
     ("nonretarded", (24405, 20205, 17565, 17745)),
     ("direct", (28785, 23475, 21015, 21135)),
