@@ -428,8 +428,8 @@ def with_overrides(cfg: RunConfig, rel_tol: float | None, mode: str | None) -> R
     """Apply CLI quadrature overrides; flags beat config fields."""
     spec = cfg.quadrature
     if rel_tol is not None:
-        if not rel_tol > 0:
-            raise ConfigError(f"--rel-tol must be > 0, got {rel_tol}")
+        if not (rel_tol > 0 and math.isfinite(rel_tol)):
+            raise ConfigError(f"--rel-tol must be finite and > 0, got {rel_tol}")
         spec = dataclasses.replace(spec, rel_tol_outer=rel_tol, rel_tol_inner=rel_tol / 10.0)
     if mode is not None:
         spec = dataclasses.replace(spec, mode=mode)

@@ -36,7 +36,8 @@ from .materials import (
     promote_near_mirror,
     static_summary,
 )
-from .quadrature import IntegralResult, QuadratureSpec, integrate_nested, integrate_semi_infinite
+from .quadrature import (IntegralResult, QuadratureSpec, _require_positive, integrate_nested,
+                         integrate_semi_infinite)
 from .stack import Layer, LayerStack, reflection_coefficients, thin_layer_reflection
 
 __all__ = [
@@ -74,11 +75,6 @@ def _u_scale(atom: AtomModel, *materials: Medium) -> float:
         if isinstance(m, MaterialModel):
             freqs.extend(m.resonance_frequencies())
     return min(freqs)
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def potential_mirror(atom: AtomModel, z: float, kind: str = "conducting",
@@ -137,11 +133,10 @@ def _wall_sum(left, right) -> PotentialResult:
 
 
 def potential_halfspace(atom: AtomModel, material: Medium, z: float,
-                        spec: QuadratureSpec | None = None,
-                        promote: bool = True) -> PotentialResult:
+                        spec: QuadratureSpec | None = None) -> PotentialResult:
     """Potential in front of a semi-infinite magnetodielectric half-space."""
     _require_positive("z", z)
-    mat = promote_near_mirror(material) if promote else material
+    mat = promote_near_mirror(material)
     if isinstance(mat, PerfectMirror):
         return potential_mirror(atom, z, mat.kind, spec)
     stack = LayerStack((Layer(mat, math.inf), Layer(VACUUM, math.inf)), 1, z)
@@ -149,12 +144,11 @@ def potential_halfspace(atom: AtomModel, material: Medium, z: float,
 
 
 def potential_plate(atom: AtomModel, material: Medium, thickness: float, z: float,
-                    spec: QuadratureSpec | None = None,
-                    promote: bool = True) -> PotentialResult:
+                    spec: QuadratureSpec | None = None) -> PotentialResult:
     """Potential in front of a plate of finite thickness."""
     _require_positive("z", z)
     _require_positive("thickness", thickness)
-    mat = promote_near_mirror(material) if promote else material
+    mat = promote_near_mirror(material)
     if isinstance(mat, PerfectMirror):
         return potential_mirror(atom, z, mat.kind, spec)  # fully reflecting at any thickness
     stack = LayerStack(
@@ -189,8 +183,7 @@ def potential_thin_plate(atom: AtomModel, material: MaterialModel, thickness: fl
 
 def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z: float,
                          spec: QuadratureSpec | None = None,
-                         multiple_reflections: bool = True,
-                         promote: bool = True) -> PotentialResult:
+                         multiple_reflections: bool = True) -> PotentialResult:
     """Potential of an atom between two identical infinitely thick plates.
 
     With ``multiple_reflections=False`` the result is the sum of the two
@@ -201,10 +194,10 @@ def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z
     _require_positive("separation", separation)
     if not 0.0 < z < separation:
         raise ValueError(f"need 0 < z < separation, got z={z}, separation={separation}")
-    mat = promote_near_mirror(material) if promote else material
+    mat = promote_near_mirror(material)
     if not multiple_reflections:
-        return _wall_sum(potential_halfspace(atom, mat, z, spec, promote=False),
-                         potential_halfspace(atom, mat, separation - z, spec, promote=False))
+        return _wall_sum(potential_halfspace(atom, mat, z, spec),
+                         potential_halfspace(atom, mat, separation - z, spec))
     stack = LayerStack(
         (Layer(mat, math.inf), Layer(VACUUM, separation), Layer(mat, math.inf)), 1, z
     )

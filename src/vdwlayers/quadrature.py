@@ -24,14 +24,16 @@ does not depend on the other points of the batch.  ``b`` here is the vacuum
 axial wavenumber of the atom layer, so the change of variables is purely
 geometric and identical for every stack.
 
-The 1-D integrals (``integrate_finite``, ``integrate_semi_infinite``) call
-their integrand with a 1-D array of 15 nodes per panel.
+The 1-D integrals (``integrate_finite``, ``integrate_semi_infinite``) are
+one-row batches of the same driver.  Their integrand gets a flat array of
+the 15 nodes of every new panel (15 on the first call, 30 after) and must
+return its values elementwise.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +87,16 @@ _WG = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])  # weights for _XK[1::2]
 _EPS = float(np.finfo(float).eps)
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances, subdivision budget and substitution mode.
@@ -100,10 +112,11 @@ class QuadratureSpec:
     mode: str | None = None
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol_inner > 0 and self.rel_tol_outer > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be > 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        for name in ("rel_tol_inner", "rel_tol_outer", "abs_tol"):
+            _require_positive(name, getattr(self, name))
+        if not isinstance(self.max_subdivisions, numbers.Integral) or self.max_subdivisions < 1:
+            raise ValueError(f"max_subdivisions must be an integer >= 1, "
+                             f"got {self.max_subdivisions!r}")
         if self.mode is not None and self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -138,59 +151,6 @@ def resolve_mode(mode: str | None, z: float) -> str:
     return "nonretarded" if z < 1.0 else "retarded"
 
 
-def _eval_panel(f, a: float, b: float):
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = c + h * _XK
-    fx = np.asarray(f(x), dtype=float)
-    resk = h * float(_WK @ fx)
-    resg = h * float(_WG @ fx[1::2])
-    resabs = h * float(_WK @ np.abs(fx))
-    err = abs(resk - resg)
-    if err != 0.0:
-        mean = resk / (b - a)
-        resasc = h * float(_WK @ np.abs(fx - mean))
-        if resasc != 0.0:
-            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-    return resk, err
-
-
-def _adaptive(f, a, b, rel_tol, abs_tol, max_subdivisions):
-    """Worst-first panel bisection.  Returns (value, error, evals, converged)."""
-    val, err = _eval_panel(f, a, b)
-    evals = 15
-    seq = 0
-    heap = [(-err, seq, a, b, val, err)]
-    done: list[tuple] = []
-    tot_val, tot_err = val, err
-    splits = 0
-    while tot_err > max(rel_tol * abs(tot_val), abs_tol) and splits < max_subdivisions:
-        if not heap:
-            break
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if not (pa < mid < pb):  # panel at floating-point resolution
-            done.append((0.0, 0, pa, pb, pval, perr))
-            continue
-        v1, e1 = _eval_panel(f, pa, mid)
-        v2, e2 = _eval_panel(f, mid, pb)
-        evals += 30
-        splits += 1
-        tot_val += v1 + v2 - pval
-        tot_err += e1 + e2 - perr
-        seq += 1
-        heapq.heappush(heap, (-e1, seq, pa, mid, v1, e1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, pb, v2, e2))
-
-    panels = heap + done
-    tot_val = math.fsum(p[4] for p in panels)
-    tot_err = math.fsum(p[5] for p in panels)
-    converged = tot_err <= max(rel_tol * abs(tot_val), abs_tol)
-    return tot_val, tot_err, evals, converged
-
-
 def _rowdot(x, w):
     # einsum sums each row on its own, so a panel's estimate does not depend
     # on the other panels of the batch (a BLAS matrix-vector product can).
@@ -198,9 +158,10 @@ def _rowdot(x, w):
 
 
 def _eval_panels(f, rows, a, b, with_aux):
-    """``_eval_panel`` for many panels at once; panel i belongs to integral rows[i].
+    """Kronrod value and QUADPACK error estimate of m panels at once.
 
-    ``f`` returns float arrays of the shape of the (m, 15) nodes ``t``.
+    Panel i is [a[i], b[i]] of integral rows[i]; ``f`` returns float arrays
+    of the shape of the (m, 15) nodes ``t``.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
@@ -228,7 +189,7 @@ _LO, _HI, _VAL, _ERR, _AUX, _KEY = range(6)
 
 
 def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions, with_aux=False):
-    """``_adaptive`` over [0, 1] for n integrals at once, refined in lockstep.
+    """Worst-first panel bisection over [0, 1] for n integrals, refined in lockstep.
 
     ``f(rows, t)`` returns the integrand of integral ``rows[i]`` at the nodes
     ``t[i]``, an (m, 15) array; with ``with_aux`` it returns a second array
@@ -236,8 +197,8 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions, with_aux=False):
     Each step, every integral that has not converged splits its own worst
     panel, and all new panels go to ``f`` in one call.  Panels are stored per
     integral in creation order, with their error as the queue key until they
-    leave the queue (key -inf), so ``argmax`` picks the panel the scalar
-    heap's (-err, seq) order would pop.  A split panel's value, error and
+    leave the queue (key -inf), so ``argmax`` picks the panel that a heap
+    ordered by (-err, creation) would pop.  A split panel's value, error and
     aux are zeroed, which leaves the final sums over the leaves alone.
     Returns per-integral arrays (value, error, aux, evals, converged).
     """
@@ -291,21 +252,35 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions, with_aux=False):
         splits[idx] += 1
 
     used = 1 + 2 * splits.max()
-    value = np.array([math.fsum(r) for r in tab[_VAL, :, :used].tolist()])
-    error = np.array([math.fsum(r) for r in tab[_ERR, :, :used].tolist()])
-    aux = np.array([math.fsum(r) for r in tab[_AUX, :, :used].tolist()]) if with_aux \
-        else np.zeros(n)
+    value, error, aux = (np.array([math.fsum(r) for r in tab[field, :, :used].tolist()])
+                         for field in (_VAL, _ERR, _AUX))
     converged = error <= np.maximum(rel_tol * np.abs(value), abs_tol)
     return value, error, aux, 15 + 30 * splits, converged
 
 
-def integrate_finite(f, a: float, b: float, *, spec: QuadratureSpec | None = None,
-                     rel_tol: float | None = None) -> IntegralResult:
-    """Adaptive integral of a vectorized integrand over the finite [a, b]."""
+def _oned(g, spec: QuadratureSpec | None, rel_tol: float | None) -> IntegralResult:
+    """The integral of ``g`` over [0, 1] as a one-row ``_lockstep``; ``g`` gets flat nodes."""
     spec = spec or DEFAULT_SPEC
     rel = rel_tol if rel_tol is not None else spec.rel_tol_outer
-    val, err, evals, conv = _adaptive(f, a, b, rel, spec.abs_tol, spec.max_subdivisions)
-    return IntegralResult(val, err, evals, conv)
+    _require_positive("rel_tol", rel)
+    val, err, _, evals, conv = _lockstep(
+        lambda rows, t: np.asarray(g(t.ravel()), dtype=float).reshape(t.shape),
+        1, rel, spec.abs_tol, spec.max_subdivisions,
+    )
+    return IntegralResult(float(val[0]), float(err[0]), int(evals[0]), bool(conv[0]))
+
+
+def integrate_finite(f, a: float, b: float, *, spec: QuadratureSpec | None = None,
+                     rel_tol: float | None = None) -> IntegralResult:
+    """Adaptive integral of a vectorized integrand over the finite [a, b].
+
+    The interval is mapped to [0, 1] by x = a + (b - a) t, so b < a gives the
+    negated integral over [b, a] and b == a gives zero.
+    """
+    _require_finite("a", a)
+    _require_finite("b", b)
+    width = b - a
+    return _oned(lambda t: np.asarray(f(a + width * t), dtype=float) * width, spec, rel_tol)
 
 
 def _mapped(f, a, scale):
@@ -331,14 +306,9 @@ def integrate_semi_infinite(f, a: float = 0.0, *, spec: QuadratureSpec | None = 
     a + scale.  Exponential or power-law decay (1/x^2 or faster) is handled
     by the rational map; slower tails will not converge.
     """
-    spec = spec or DEFAULT_SPEC
-    if not scale > 0.0:
-        raise ValueError(f"scale must be > 0, got {scale}")
-    rel = rel_tol if rel_tol is not None else spec.rel_tol_outer
-    val, err, evals, conv = _adaptive(
-        _mapped(f, a, scale), 0.0, 1.0, rel, spec.abs_tol, spec.max_subdivisions
-    )
-    return IntegralResult(val, err, evals, conv)
+    _require_finite("a", a)
+    _require_positive("scale", scale)
+    return _oned(_mapped(f, a, scale), spec, rel_tol)
 
 
 def _point_map(kernel, mode: str, b_scale: float, u_scale: float):
@@ -371,8 +341,7 @@ def integrate_nested(kernel, *, z: float, spec: QuadratureSpec | None = None,
     with one lockstep batch of 30 inner integrals.
     """
     spec = spec or DEFAULT_SPEC
-    if not (z > 0.0 and math.isfinite(z)):
-        raise ValueError(f"z must be finite and > 0, got {z}")
+    _require_positive("z", z)
     mode = resolve_mode(mode if mode is not None else spec.mode, z)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")

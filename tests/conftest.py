@@ -1,9 +1,11 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
 
 import vdwlayers as v
+from vdwlayers.quadrature import _EPS, _WG, _WK, _XK
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +69,61 @@ def brute_force_2d(kernel, z, n=2000, u_scale=1.0):
     # np.trapz is gone in numpy 2.4; look it up only where trapezoid is missing (numpy < 2.0)
     trapz = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
     return trapz(trapz(f, r, axis=1), t)
+
+
+def _eval_panel(f, a: float, b: float):
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    x = c + h * _XK
+    fx = np.asarray(f(x), dtype=float)
+    resk = h * float(_WK @ fx)
+    resg = h * float(_WG @ fx[1::2])
+    resabs = h * float(_WK @ np.abs(fx))
+    err = abs(resk - resg)
+    if err != 0.0:
+        mean = resk / (b - a)
+        resasc = h * float(_WK @ np.abs(fx - mean))
+        if resasc != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    err = max(err, 50.0 * _EPS * resabs)
+    return resk, err
+
+
+def adaptive_heap(f, a, b, rel_tol, abs_tol, max_subdivisions):
+    """Worst-first panel bisection on a heap, one 15-node panel per integrand call.
+
+    The scalar oracle for ``quadrature._lockstep``: the same QUADPACK panel
+    rule and refinement order, written one panel at a time.  Returns
+    (value, error, evals, converged).
+    """
+    val, err = _eval_panel(f, a, b)
+    evals = 15
+    seq = 0
+    heap = [(-err, seq, a, b, val, err)]
+    done: list[tuple] = []
+    tot_val, tot_err = val, err
+    splits = 0
+    while tot_err > max(rel_tol * abs(tot_val), abs_tol) and splits < max_subdivisions:
+        if not heap:
+            break
+        _, _, pa, pb, pval, perr = heapq.heappop(heap)
+        mid = 0.5 * (pa + pb)
+        if not (pa < mid < pb):  # panel at floating-point resolution
+            done.append((0.0, 0, pa, pb, pval, perr))
+            continue
+        v1, e1 = _eval_panel(f, pa, mid)
+        v2, e2 = _eval_panel(f, mid, pb)
+        evals += 30
+        splits += 1
+        tot_val += v1 + v2 - pval
+        tot_err += e1 + e2 - perr
+        seq += 1
+        heapq.heappush(heap, (-e1, seq, pa, mid, v1, e1))
+        seq += 1
+        heapq.heappush(heap, (-e2, seq, mid, pb, v2, e2))
+
+    panels = heap + done
+    tot_val = math.fsum(p[4] for p in panels)
+    tot_err = math.fsum(p[5] for p in panels)
+    converged = tot_err <= max(rel_tol * abs(tot_val), abs_tol)
+    return tot_val, tot_err, evals, converged

@@ -5,7 +5,7 @@ import pytest
 
 import vdwlayers as v
 
-from conftest import constant_material, fig2_material, material
+from conftest import adaptive_heap, constant_material, fig2_material, material
 
 
 WEAK_ELECTRIC = dict(wpe=0.02, wte=1.03, wpm=2.0, wtm=1.0)
@@ -180,11 +180,10 @@ def _c4_bracket_scalar(eps0, mu0, spec=None):
         return (2.0 - t * t) * (eps0 - h) / (eps0 + h) - t * t * (mu0 - h) / (mu0 + h)
 
     base = spec or v.DEFAULT_SPEC
-    local = v.QuadratureSpec(abs_tol=max(base.abs_tol, 1e-14),
-                             max_subdivisions=base.max_subdivisions)
-    res = v.integrate_finite(g, 0.0, 1.0, spec=local, rel_tol=1e-10)
-    assert res.converged
-    return res.value
+    value, _, _, converged = adaptive_heap(g, 0.0, 1.0, 1e-10, max(base.abs_tol, 1e-14),
+                                           base.max_subdivisions)
+    assert converged
+    return value
 
 
 def brentq_border(eps0, spec=None, mu_ceiling=1e6):

@@ -93,6 +93,13 @@ def test_thin_plate_mirror_rejected(tmp_path, capsys, command):
     assert "config.geometry.material" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rel_tol", ["0", "-1", "nan", "inf"])
+def test_rel_tol_flag_rejected(tmp_path, capsys, rel_tol):
+    code, _ = run(tmp_path, "scan", scan_doc(), "--rel-tol", rel_tol)
+    assert code == 2
+    assert "--rel-tol must be finite and > 0" in capsys.readouterr().err
+
+
 def test_missing_section(tmp_path, capsys):
     doc = scan_doc()
     del doc["scan"]

@@ -85,7 +85,7 @@ def test_near_mirror_halfspace_converges_to_mirror(atom):
     z = 50.0
     mirror = v.potential_mirror(atom, z)
     # honest numerical path, just below the promotion threshold
-    near = v.potential_halfspace(atom, constant_material(eps0=9e7), z, promote=False)
+    near = v.potential_halfspace(atom, constant_material(eps0=9e7), z)
     assert near.value == pytest.approx(mirror.value, rel=1e-3)
     # far above the threshold the mirror path is taken exactly
     promoted = v.potential_halfspace(atom, constant_material(eps0=1e12), z)

@@ -6,7 +6,7 @@ import pytest
 
 import vdwlayers as v
 
-from conftest import brute_force_2d, fig2_material
+from conftest import adaptive_heap, brute_force_2d, fig2_material
 
 
 def test_exponential_moment():
@@ -29,9 +29,45 @@ def test_mirror_static_bracket():
     assert res.value == pytest.approx(2.0, rel=1e-10)
 
 
-def test_finite_interval():
-    res = v.integrate_finite(lambda x: np.sin(x), 0.0, math.pi)
-    assert res.value == pytest.approx(2.0, rel=1e-12)
+@pytest.mark.parametrize("a, b, expected", [
+    pytest.param(0.0, math.pi, 2.0, id="forward"),
+    pytest.param(math.pi, 0.0, -2.0, id="reversed"),
+    pytest.param(1.0, 1.0, 0.0, id="empty"),
+])
+def test_finite_interval(a, b, expected):
+    res = v.integrate_finite(lambda x: np.sin(x), a, b)
+    assert res.converged
+    assert res.value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"a": math.inf}, "a"),
+    ({"a": -math.inf}, "a"),
+    ({"a": math.nan}, "a"),
+    ({"scale": math.inf}, "scale"),
+    ({"scale": math.nan}, "scale"),
+    ({"scale": 0.0}, "scale"),
+    ({"rel_tol": 0.0}, "rel_tol"),
+    ({"rel_tol": -1.0}, "rel_tol"),
+    ({"rel_tol": math.nan}, "rel_tol"),
+    ({"rel_tol": math.inf}, "rel_tol"),
+])
+def test_semi_infinite_rejects_bad_arguments(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        v.integrate_semi_infinite(lambda x: np.exp(-x), **kwargs)
+
+
+@pytest.mark.parametrize("a, b, rel_tol, name", [
+    (0.0, math.inf, None, "b"),
+    (-math.inf, 0.0, None, "a"),
+    (0.0, math.nan, None, "b"),
+    (0.0, 1.0, 0.0, "rel_tol"),
+    (0.0, 1.0, math.nan, "rel_tol"),
+    (0.0, 1.0, math.inf, "rel_tol"),
+])
+def test_finite_rejects_bad_arguments(a, b, rel_tol, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        v.integrate_finite(np.sin, a, b, rel_tol=rel_tol)
 
 
 def test_converged_flag_honors_tolerance():
@@ -185,6 +221,21 @@ def test_spec_validation():
         v.QuadratureSpec(mode="sideways")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("abs_tol", math.inf),
+    ("abs_tol", math.nan),
+    ("rel_tol_outer", math.inf),
+    ("rel_tol_inner", math.nan),
+    ("rel_tol_outer", -1.0),
+    ("max_subdivisions", 2.5),
+    ("max_subdivisions", 0),
+    ("max_subdivisions", "100"),
+])
+def test_spec_rejects_bad_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        v.QuadratureSpec(**{field: value})
+
+
 # ---------------------------------------------------------------- lockstep driver
 
 # Rows of one lockstep batch: (c, p) is c * (1 + x^2)^(-p) on [0, inf), and
@@ -219,24 +270,35 @@ def test_lockstep_matches_scalar_rows(rel_tol, max_subdivisions):
                                          max_subdivisions)
     exhausted = 0
     for i, (c, p) in enumerate(_ROWS):
-        nodes = []
-
-        def g(x, c=c, p=p):
-            nodes.append(x)
+        def h(x, c=c, p=p):
             return np.ones_like(x) if p is None else c * (1.0 + x * x) ** -p
 
+        nodes = []
+
+        def g(x):
+            nodes.append(x)
+            return h(x)
+
         if p is None:
-            ref = v.integrate_finite(g, 0.0, 1.0, spec=spec)
+            ref = adaptive_heap(g, 0.0, 1.0, rel_tol, spec.abs_tol, max_subdivisions)
+            public = v.integrate_finite(h, 0.0, 1.0, spec=spec)
         else:
-            ref = v.integrate_semi_infinite(g, 0.0, spec=spec, scale=1.0)
-        assert abs(val[i] - ref.value) <= 8 * math.ulp(ref.value), (c, p)
-        assert err[i] == pytest.approx(ref.error, rel=1e-6, abs=0.0), (c, p)
-        assert evals[i] == ref.evaluations, (c, p)
-        assert conv[i] == ref.converged, (c, p)
+            ref = adaptive_heap(_mapped(g, 0.0, 1.0), 0.0, 1.0, rel_tol, spec.abs_tol,
+                                max_subdivisions)
+            public = v.integrate_semi_infinite(h, 0.0, spec=spec, scale=1.0)
+        ref_val, ref_err, ref_evals, ref_conv = ref
+        # the batch and the public 1-D entry points (one-row batches) against the heap
+        for value, error, n_evals, ok in ((val[i], err[i], evals[i], conv[i]),
+                                          (public.value, public.error, public.evaluations,
+                                           public.converged)):
+            assert abs(value - ref_val) <= 8 * math.ulp(ref_val), (c, p)
+            assert error == pytest.approx(ref_err, rel=1e-6, abs=0.0), (c, p)
+            assert n_evals == ref_evals, (c, p)
+            assert ok == ref_conv, (c, p)
         # same panels, split in the same order
         assert len(nodes) == len(seen[i]), (c, p)
         assert all(np.array_equal(a, b) for a, b in zip(nodes, seen[i])), (c, p)
-        exhausted += ref.evaluations == 15 + 30 * max_subdivisions
+        exhausted += ref_evals == 15 + 30 * max_subdivisions
     assert exhausted >= 1
     assert val[3] == 0.0 and conv[3]
 
@@ -294,6 +356,26 @@ def test_nested_kernel_batch_shapes(mode):
         assert sb[1] == 15 and su[0] == sb[0]
         assert su[1] == (15 if mode == "retarded" else 1)
     assert res.evaluations / len(shapes) > 15
+
+
+@pytest.mark.parametrize("kind", ["finite", "semi-infinite"])
+def test_oned_integrand_batch_shapes(kind):
+    shapes = []
+
+    def f(x):
+        shapes.append(np.shape(x))
+        return np.exp(-x) * np.cos(3.0 * x)
+
+    if kind == "finite":
+        res = v.integrate_finite(f, 0.0, 10.0, rel_tol=1e-12)
+    else:
+        res = v.integrate_semi_infinite(f, 0.0, scale=1.0, rel_tol=1e-12)
+    assert res.converged
+    assert all(len(s) == 1 and s[0] % 15 == 0 for s in shapes)
+    assert sum(s[0] for s in shapes) == res.evaluations
+    # the first panel alone, then both halves of each split in one call
+    assert shapes[0] == (15,) and len(shapes) > 1
+    assert all(s == (30,) for s in shapes[1:])
 
 
 @pytest.mark.parametrize("z", [math.inf, math.nan, 0.0, -1.0])
