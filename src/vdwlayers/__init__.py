@@ -20,6 +20,7 @@ from .materials import (
 from .quadrature import (
     DEFAULT_SPEC,
     MODES,
+    IntegralBatch,
     IntegralResult,
     QuadratureSpec,
     integrate_finite,

@@ -431,25 +431,26 @@ def thin_wall_height_bound(atom: AtomModel, material: MaterialModel) -> float:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def locate_wall(potential: Callable[[float], PotentialResult],
-                z_lo: float = 1e-3, z_hi: float = 1e2, samples: int = 60,
+def locate_wall(potential: Callable, z_lo: float = 1e-3, z_hi: float = 1e2, samples: int = 60,
                 position_rel_tol: float = 1e-4) -> WallEstimate | None:
     """Find the positive maximum of a potential on a log-spaced scan, or None.
 
-    The scan maximum is refined by golden-section search; a wall is declared
-    only when the refined maximum exceeds ten times its quadrature error
-    estimate, so quadrature noise is never reported as a wall.  Scan points
-    that do not converge are skipped with a warning; a refinement potential
-    that does not converge raises RuntimeError naming its z.
+    ``potential`` maps a float z to a ``PotentialResult`` and a 1-D array of
+    z to a list of them, as the potentials of :mod:`vdwlayers.potential` do;
+    the scan is one array call.  Its maximum is refined by golden-section
+    search; a wall is declared only when the refined maximum exceeds ten
+    times its quadrature error estimate, so quadrature noise is never
+    reported as a wall.  Scan points that do not converge are skipped with a
+    warning; a refinement potential that does not converge raises
+    RuntimeError naming its z.
     """
     zs = np.geomspace(z_lo, z_hi, samples)
     values: list[tuple[float, PotentialResult]] = []
-    for z in zs:
-        res = potential(float(z))
+    for z, res in zip(zs.tolist(), potential(zs)):
         if not res.converged:
             warnings.warn(f"skipping z = {z:.4g}: quadrature did not converge", stacklevel=2)
             continue
-        values.append((float(z), res))
+        values.append((z, res))
     if not values:
         raise RuntimeError("no scan point converged")
 

@@ -4,10 +4,9 @@ Each command reads a strict JSON config (schema: see :mod:`vdwlayers.config`),
 computes, and writes plot-ready data files plus a provenance sidecar
 ``<command>.meta.json`` that embeds the exact configuration; running the same
 command with the sidecar as the config reproduces the data files byte for
-byte.  ``scan`` distributes its points over a process pool and re-serializes
-them in input order, so parallel runs stay deterministic; the other commands
-run in one process (``border`` solves all its points as one batch), so
-``--threads`` does not change their output.
+byte.  Every command runs in one process: ``scan`` computes each series with
+one potential call over its z grid and ``border`` solves all its points as one batch.
+``--threads`` is accepted for compatibility and starts no workers.
 
 Exit codes: 0 success, 2 configuration error, 3 partial numerical failure.
 """
@@ -17,10 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -36,7 +33,6 @@ from .config import ConfigError, RunConfig, load_config, with_overrides
 from .materials import PerfectMirror
 from .perturbation import additivity_check
 from .potential import (
-    PotentialResult,
     potential_halfspace,
     potential_mirror,
     potential_multilayer,
@@ -110,8 +106,8 @@ def _scan_series(cfg: RunConfig) -> list[str]:
     return list(geo.materials)
 
 
-def _potential(cfg: RunConfig, name: str, z: float) -> PotentialResult:
-    """Potential at z for the configured geometry and the series ``name``."""
+def _potential(cfg: RunConfig, name: str, z):
+    """Potential at z (a float, or a 1-D array giving a list) for the series ``name``."""
     geo = cfg.geometry
     atom = cfg.atom
     spec = cfg.quadrature
@@ -127,25 +123,6 @@ def _potential(cfg: RunConfig, name: str, z: float) -> PotentialResult:
     if geo.kind == "thin-plate":
         return potential_thin_plate(atom, material, geo.thickness, z, spec)
     return potential_two_plates(atom, material, geo.separation, z, spec)
-
-
-def _scan_point(task) -> tuple:
-    cfg, name, z = task
-    res = _potential(cfg, name, z)
-    no_reflect = None
-    if cfg.geometry.kind == "two-plates":
-        no_reflect = potential_two_plates(cfg.atom, cfg.medium(name), cfg.geometry.separation,
-                                          z, cfg.quadrature, multiple_reflections=False).value
-    return (z, res, no_reflect)
-
-
-def _pool_map(func, tasks, threads: int | None):
-    threads = os.cpu_count() if threads is None else threads
-    if threads <= 1 or len(tasks) <= 1:
-        return [func(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        chunk = max(1, len(tasks) // (4 * threads))
-        return list(pool.map(func, tasks, chunksize=chunk))
 
 
 def _validate_scan_geometry(cfg: RunConfig) -> None:
@@ -166,11 +143,8 @@ def _validate_scan_geometry(cfg: RunConfig) -> None:
 
 def cmd_scan(cfg: RunConfig, args) -> int:
     _validate_scan_geometry(cfg)
-    zs = [float(z) for z in cfg.scan.values()]
+    zs = cfg.scan.values()
     series = _scan_series(cfg)
-    tasks = [(cfg, name, z) for name in series for z in zs]
-    results = _pool_map(_scan_point, tasks, args.threads)
-
     two_plates = cfg.geometry.kind == "two-plates"
     columns = ["z_A", "U", "err", "U_left", "U_right"]
     if two_plates:
@@ -182,9 +156,15 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     outputs = []
     all_ok = True
     ext = "csv" if args.format == "csv" else "json"
-    for i, name in enumerate(series):
+    for name in series:
+        results = _potential(cfg, name, zs)
+        noreflect = [None] * zs.size
+        if two_plates:
+            noreflect = [r.value for r in potential_two_plates(
+                cfg.atom, cfg.medium(name), cfg.geometry.separation, zs, cfg.quadrature,
+                multiple_reflections=False)]
         rows = []
-        for (z, res, noref) in results[i * len(zs):(i + 1) * len(zs)]:
+        for z, res, noref in zip(zs.tolist(), results, noreflect):
             row = [z, res.value, res.error, res.left, res.right]
             if two_plates:
                 row.append(noref)
@@ -357,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--quad-mode", choices=list(MODES), default=None,
                         help="force a substitution mode")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker processes for scan (default: all CPUs)")
+                        help="accepted for compatibility; starts no workers")
         sp.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="data file format")
     return parser

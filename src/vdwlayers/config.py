@@ -131,7 +131,8 @@ class RunConfig:
         except KeyError:
             raise ConfigError(f"unknown material {name!r}") from None
 
-    def build_stack(self, atom_position: float) -> LayerStack:
+    def build_stack(self, atom_position) -> LayerStack:
+        """The multilayer stack with the atom at ``atom_position`` (a float or a 1-D array)."""
         geo = self.geometry
         if geo is None or geo.kind != "multilayer":
             raise ConfigError("geometry.kind must be 'multilayer' to build a stack")

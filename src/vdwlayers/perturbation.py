@@ -99,8 +99,8 @@ def _weight_times_u2(weight: dict[int, float], u, b):
     return out
 
 
-def _channel_kernel(atom, material, weight, chi_name, pref, b_power, zdecay):
-    def kernel(u, b):
+def _channel_kernel(atom, material, weight, chi_name, pref, b_power):
+    def kernel(u, b, z):
         chi_e = material.eps(u) - 1.0
         chi_m = material.mu(u) - 1.0
         chi = {
@@ -111,7 +111,7 @@ def _channel_kernel(atom, material, weight, chi_name, pref, b_power, zdecay):
             "chi_em": chi_e * chi_m,
         }[chi_name]
         w = _weight_times_u2(weight, u, b)
-        return pref * atom.alpha(u) * b**b_power * np.exp(-2.0 * b * zdecay) * w * chi
+        return pref * atom.alpha(u) * b**b_power * np.exp(-2.0 * b * z) * w * chi
 
     return kernel
 
@@ -128,7 +128,7 @@ def _evaluate_term(order, geometry, atom, material, weights, pref, b_power, zdec
         if not weight:
             channels[name] = 0.0
             continue
-        kern = _channel_kernel(atom, material, weight, name, pref, b_power, zdecay)
+        kern = _channel_kernel(atom, material, weight, name, pref, b_power)
         res = integrate_nested(kern, z=zdecay, spec=spec, u_scale=scale)
         channels[name] = res.value
         error += res.error

@@ -11,9 +11,13 @@ forms this integrand.  Half-space, plate and two-plate scenes are built as a
 ``LayerStack`` and evaluated by ``potential_multilayer``, whose coefficients
 come from ``reflection_coefficients(stack, u, b)``; the thin plate feeds the
 same kernel its linear-in-thickness coefficients, and a perfect-mirror
-half-space or plate takes the 1-D ``potential_mirror`` integral.  For atoms in
-an interior layer the two wall terms are integrated separately, which makes
-the left/right split exact bookkeeping rather than an approximation.
+half-space or plate takes the 1-D ``potential_mirror`` integral.  Every
+potential takes the atom position ``z`` as a float, returning one
+``PotentialResult``, or as a 1-D array, returning a list with one result per
+entry that equals the float call exactly; each wall of an array is one
+``integrate_nested`` call.  For atoms in an interior layer the two wall
+terms are integrated separately, which makes the left/right split exact
+bookkeeping rather than an approximation.
 Position-independent bulk terms are omitted throughout, so an all-vacuum
 scene gives exactly zero.
 """
@@ -36,8 +40,8 @@ from .materials import (
     promote_near_mirror,
     static_summary,
 )
-from .quadrature import (IntegralResult, QuadratureSpec, _require_positive, integrate_nested,
-                         integrate_semi_infinite)
+from .quadrature import (IntegralResult, QuadratureSpec, _as_rows, _require_positive,
+                         integrate_nested, integrate_semi_infinite)
 from .stack import Layer, LayerStack, reflection_coefficients, thin_layer_reflection
 
 __all__ = [
@@ -77,31 +81,40 @@ def _u_scale(atom: AtomModel, *materials: Medium) -> float:
     return min(freqs)
 
 
-def potential_mirror(atom: AtomModel, z: float, kind: str = "conducting",
-                     spec: QuadratureSpec | None = None) -> PotentialResult:
+def _per_z(z, results: list[PotentialResult]):
+    """The one result of a float ``z``, or the list of an array."""
+    return results if np.ndim(z) else results[0]
+
+
+def potential_mirror(atom: AtomModel, z, kind: str = "conducting",
+                     spec: QuadratureSpec | None = None):
     """Potential in front of a perfectly reflecting plate, as a single 1-D integral.
 
     ``kind="conducting"`` gives the attractive Casimir-Polder result;
     ``kind="permeable"`` its exact sign flip.
     """
-    _require_positive("z", z)
+    zs = _as_rows("z", z)
     if kind not in ("conducting", "permeable"):
         raise ValueError(f"kind must be 'conducting' or 'permeable', got {kind!r}")
-
-    def f(u):
-        uz = u * z
-        return atom.alpha(u) * np.exp(-2.0 * uz) * (1.0 + 2.0 * uz + 2.0 * uz * uz)
-
-    res = integrate_semi_infinite(f, 0.0, spec=spec, scale=min(_u_scale(atom), 0.5 / z))
-    pref = 1.0 / (16.0 * math.pi**2 * z**3)
     sign = -1.0 if kind == "conducting" else 1.0
-    value = sign * pref * res.value
-    return PotentialResult(value, pref * res.error, value, 0.0, res.converged, res.evaluations)
+
+    def one(z):
+        def f(u):
+            uz = u * z
+            return atom.alpha(u) * np.exp(-2.0 * uz) * (1.0 + 2.0 * uz + 2.0 * uz * uz)
+
+        res = integrate_semi_infinite(f, 0.0, spec=spec, scale=min(_u_scale(atom), 0.5 / z))
+        pref = 1.0 / (16.0 * math.pi**2 * z**3)
+        value = sign * pref * res.value
+        return PotentialResult(value, pref * res.error, value, 0.0, res.converged,
+                               res.evaluations)
+
+    return _per_z(z, [one(zi) for zi in zs.tolist()])
 
 
-def _wall_kernel(atom: AtomModel, refl, z: float):
+def _wall_kernel(atom: AtomModel, refl):
     """Integrand of one wall at distance z; ``refl(u, b)`` gives its (r_s, r_p)."""
-    def kernel(u, b):
+    def kernel(u, b, z):
         r_s, r_p = refl(u, b)
         bracket = u * u * r_s - (2.0 * b * b - u * u) * r_p
         return _PREF * atom.alpha(u) * np.exp(-2.0 * b * z) * bracket
@@ -132,10 +145,10 @@ def _wall_sum(left, right) -> PotentialResult:
     )
 
 
-def potential_halfspace(atom: AtomModel, material: Medium, z: float,
-                        spec: QuadratureSpec | None = None) -> PotentialResult:
+def potential_halfspace(atom: AtomModel, material: Medium, z,
+                        spec: QuadratureSpec | None = None):
     """Potential in front of a semi-infinite magnetodielectric half-space."""
-    _require_positive("z", z)
+    _as_rows("z", z)  # an error names z; LayerStack would name it atom_position
     mat = promote_near_mirror(material)
     if isinstance(mat, PerfectMirror):
         return potential_mirror(atom, z, mat.kind, spec)
@@ -143,10 +156,10 @@ def potential_halfspace(atom: AtomModel, material: Medium, z: float,
     return potential_multilayer(stack, atom, spec)
 
 
-def potential_plate(atom: AtomModel, material: Medium, thickness: float, z: float,
-                    spec: QuadratureSpec | None = None) -> PotentialResult:
+def potential_plate(atom: AtomModel, material: Medium, thickness: float, z,
+                    spec: QuadratureSpec | None = None):
     """Potential in front of a plate of finite thickness."""
-    _require_positive("z", z)
+    _as_rows("z", z)  # an error names z; LayerStack would name it atom_position
     _require_positive("thickness", thickness)
     mat = promote_near_mirror(material)
     if isinstance(mat, PerfectMirror):
@@ -157,33 +170,35 @@ def potential_plate(atom: AtomModel, material: Medium, thickness: float, z: floa
     return potential_multilayer(stack, atom, spec)
 
 
-def potential_thin_plate(atom: AtomModel, material: MaterialModel, thickness: float, z: float,
-                         spec: QuadratureSpec | None = None) -> PotentialResult:
+def potential_thin_plate(atom: AtomModel, material: MaterialModel, thickness: float, z,
+                         spec: QuadratureSpec | None = None):
     """Thin-plate potential, exactly linear in the thickness.
 
-    Valid for n(0) * thickness << z; a warning (not an error) is emitted when
-    n(0) * thickness / z > 0.1.
+    Valid for n(0) * thickness << z; one warning per call (not an error)
+    counts the z where n(0) * thickness / z > 0.1.
     """
-    _require_positive("z", z)
+    zs = _as_rows("z", z)
     _require_positive("thickness", thickness)
     if isinstance(material, PerfectMirror):
         raise TypeError("the thin-plate linearization is undefined for a perfect mirror")
-    n0 = static_summary(material).n0
-    if n0 * thickness / z > 0.1:
+    ratio = static_summary(material).n0 * thickness / zs
+    outside = ratio > 0.1
+    if outside.any():
         warnings.warn(
-            f"thin-plate linearization used outside its regime: "
-            f"n(0) d / z = {n0 * thickness / z:.3g} > 0.1",
+            f"thin-plate linearization used outside its regime at {int(outside.sum())} of "
+            f"{zs.size} z: largest n(0) d / z = {ratio.max():.3g} > 0.1",
             stacklevel=2,
         )
     refl = partial(thin_layer_reflection, material, thickness)
-    res = integrate_nested(_wall_kernel(atom, refl, z), z=z, spec=spec,
-                           u_scale=_u_scale(atom, material))
-    return PotentialResult(res.value, res.error, res.value, 0.0, res.converged, res.evaluations)
+    batch = integrate_nested(_wall_kernel(atom, refl), z=zs, spec=spec,
+                             u_scale=_u_scale(atom, material))
+    return _per_z(z, [PotentialResult(r.value, r.error, r.value, 0.0, r.converged, r.evaluations)
+                      for r in batch])
 
 
-def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z: float,
+def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z,
                          spec: QuadratureSpec | None = None,
-                         multiple_reflections: bool = True) -> PotentialResult:
+                         multiple_reflections: bool = True):
     """Potential of an atom between two identical infinitely thick plates.
 
     With ``multiple_reflections=False`` the result is the sum of the two
@@ -192,12 +207,12 @@ def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z
     comparison.
     """
     _require_positive("separation", separation)
-    if not 0.0 < z < separation:
-        raise ValueError(f"need 0 < z < separation, got z={z}, separation={separation}")
+    zs = _as_rows("z", z, separation)
     mat = promote_near_mirror(material)
     if not multiple_reflections:
-        return _wall_sum(potential_halfspace(atom, mat, z, spec),
-                         potential_halfspace(atom, mat, separation - z, spec))
+        near = potential_halfspace(atom, mat, zs, spec)
+        far = potential_halfspace(atom, mat, separation - zs, spec)
+        return _per_z(z, [_wall_sum(a, b) for a, b in zip(near, far)])
     stack = LayerStack(
         (Layer(mat, math.inf), Layer(VACUUM, separation), Layer(mat, math.inf)), 1, z
     )
@@ -205,34 +220,35 @@ def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z
 
 
 def potential_multilayer(stack: LayerStack, atom: AtomModel,
-                         spec: QuadratureSpec | None = None) -> PotentialResult:
+                         spec: QuadratureSpec | None = None):
     """Potential of an atom inside an arbitrary planar multilayer stack.
 
     The atom layer must be vacuum.  For an interior atom layer the result is
     the exact sum of a left-wall and a right-wall term; for an atom in an
-    outer layer only the inward-facing term exists.
+    outer layer only the inward-facing term exists.  A 1-D array
+    ``stack.atom_position`` gives one result per entry, each wall integrated
+    over all entries in one ``integrate_nested`` call.
     """
     j = stack.atom_layer
     n = stack.n
     u_scale = _u_scale(atom, *(layer.material for layer in stack.layers))
+    position = np.atleast_1d(np.asarray(stack.atom_position, dtype=float))  # checked by LayerStack
 
-    d_j = stack.layers[j].thickness
     z_left = z_right = None
     if j == 0:
-        z_right = stack.atom_position
+        z_right = position
     elif j == n:
-        z_left = stack.atom_position
+        z_left = position
     else:
-        z_left = stack.atom_position
-        z_right = d_j - stack.atom_position
+        z_left = position
+        z_right = stack.layers[j].thickness - position
 
-    zero = IntegralResult(0.0, 0.0, 0, True)
-    left = zero
-    right = zero
+    zero = [IntegralResult(0.0, 0.0, 0, True)] * position.size
+    left = right = zero
     if z_left is not None:
-        left = integrate_nested(_wall_kernel(atom, _stack_refl(stack, "left"), z_left),
+        left = integrate_nested(_wall_kernel(atom, _stack_refl(stack, "left")),
                                 z=z_left, spec=spec, u_scale=u_scale)
     if z_right is not None:
-        right = integrate_nested(_wall_kernel(atom, _stack_refl(stack, "right"), z_right),
+        right = integrate_nested(_wall_kernel(atom, _stack_refl(stack, "right")),
                                  z=z_right, spec=spec, u_scale=u_scale)
-    return _wall_sum(left, right)
+    return _per_z(stack.atom_position, [_wall_sum(a, b) for a, b in zip(left, right)])

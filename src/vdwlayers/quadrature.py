@@ -7,19 +7,23 @@ x = a + scale * t / (1 - t); the scale is chosen by the caller to sit at the
 knee of the integrand (the exponential decay length for the inner transverse
 integral, a characteristic resonance frequency for the outer one).
 
-``integrate_nested`` evaluates integrals of a kernel F(u, b) over the region
+``integrate_nested`` evaluates integrals of a kernel F(u, b, z) over the region
 u >= 0, b >= u, in any of three equivalent parameterizations:
 
-  nonretarded   int_0^inf du int_u^inf db F(u, b)
-  direct        int_0^inf du int_0^inf dq (q/b) F(u, b),  b = hypot(u, q)
-  retarded      int_1^inf dv int_0^inf du u F(u, u v)
+  nonretarded   int_0^inf du int_u^inf db F(u, b, z)
+  direct        int_0^inf du int_0^inf dq (q/b) F(u, b, z),  b = hypot(u, q)
+  retarded      int_1^inf dv int_0^inf du u F(u, u v, z)
 
-All inner integrals of one outer refinement step are refined together, as
+``z`` is a float or a 1-D array; each entry is one integral, a row of the
+outer refinement.  Rows are grouped by substitution mode (a long array
+runs in chunks of ``_NESTED_ROWS`` rows), and all inner integrals of one
+outer refinement step, over every row of a chunk, are refined together as
 arrays, so the kernel sees every new inner panel of that step in one call.
-It receives broadcastable float arrays: ``u`` of shape (m, 1) and ``b`` of
-shape (m, 15) in the ``nonretarded`` and ``direct`` modes, both (m, 15) in
-``retarded`` mode, one row per inner panel.  It must return the values at
-the broadcast shape (m, 15), computed elementwise, so that a point's value
+It receives broadcastable float arrays: ``u`` of shape
+(m, 1) and ``b`` of shape (m, 15) in the ``nonretarded`` and ``direct``
+modes, both (m, 15) in ``retarded`` mode, and ``z`` of shape (m, 1), one row
+per inner panel; a float ``z`` is a batch of one.  It must return the values
+at the broadcast shape (m, 15), computed elementwise, so that a point's value
 does not depend on the other points of the batch.  ``b`` here is the vacuum
 axial wavenumber of the atom layer, so the change of variables is purely
 geometric and identical for every stack.
@@ -41,6 +45,7 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "IntegralResult",
+    "IntegralBatch",
     "MODES",
     "resolve_mode",
     "integrate_finite",
@@ -85,6 +90,10 @@ _WK = np.concatenate([_WK_HALF[:7], _WK_HALF[::-1]])
 _WG = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])  # weights for _XK[1::2]
 
 _EPS = float(np.finfo(float).eps)
+# rows of one nested batch: the panel tables grow with the rows, so a long
+# scan runs in chunks of this many; rows are independent, so the chunking
+# does not change any result
+_NESTED_ROWS = 64
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -95,6 +104,22 @@ def _require_finite(name: str, value: float) -> None:
 def _require_positive(name: str, value: float) -> None:
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def _as_rows(name: str, value, below: float = math.inf) -> np.ndarray:
+    """A float or 1-D array as a 1-D array, every entry finite, > 0 and < ``below``.
+
+    A bad entry of an array is named by its index.
+    """
+    rows = np.asarray(value, dtype=float)
+    if rows.ndim > 1:
+        raise ValueError(f"{name} must be a float or a 1-D array, got shape {rows.shape}")
+    bad = np.flatnonzero(~(np.isfinite(rows) & (rows > 0.0) & (rows < below)))
+    if bad.size:
+        rule = "> 0" if below == math.inf else f"in (0, {below})"
+        got = value if rows.ndim == 0 else f"{name}[{bad[0]}] = {rows.flat[bad[0]]}"
+        raise ValueError(f"{name} must be finite and {rule}, got {got}")
+    return rows.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -136,6 +161,39 @@ class IntegralResult:
     error: float
     evaluations: int
     converged: bool
+
+
+@dataclass(frozen=True, eq=False)
+class IntegralBatch:
+    """Results of one ``integrate_nested`` call on a 1-D array of z, one row per entry.
+
+    ``evaluations`` (the kernel points of the whole call) and ``converged``
+    (every row converged) summarize the call like an ``IntegralResult``;
+    ``batch[i]`` is the ``IntegralResult`` of row i.
+    """
+
+    values: np.ndarray
+    errors: np.ndarray
+    row_evaluations: np.ndarray
+    row_converged: np.ndarray
+
+    @property
+    def evaluations(self) -> int:
+        return int(self.row_evaluations.sum())
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.row_converged.all())
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    def __getitem__(self, i: int) -> IntegralResult:
+        return IntegralResult(float(self.values[i]), float(self.errors[i]),
+                              int(self.row_evaluations[i]), bool(self.row_converged[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def _require(res, what: str) -> float:
@@ -311,61 +369,86 @@ def integrate_semi_infinite(f, a: float = 0.0, *, spec: QuadratureSpec | None = 
     return _oned(_mapped(f, a, scale), spec, rel_tol)
 
 
-def _point_map(kernel, mode: str, b_scale: float, u_scale: float):
-    """Inner integrand of ``mode`` on [0, 1) for a column of outer nodes p."""
+def _point_map(kernel, mode: str, u_scale: float):
+    """Inner integrand of ``mode`` on [0, 1) for columns of outer nodes p, z and map scales."""
     if mode == "nonretarded":  # p = u, inner variable b on [u, inf)
-        def point_map(u, t):
-            return _mapped(lambda b: kernel(u, b), u, b_scale)(t)
+        def point_map(u, t, z, b_scale):
+            return _mapped(lambda b: kernel(u, b, z), u, b_scale)(t)
     elif mode == "direct":  # p = u, inner variable q on [0, inf)
-        def point_map(u, t):
+        def point_map(u, t, z, b_scale):
             def fq(q):
                 b = np.hypot(u, q)
-                return (q / b) * kernel(u, b)
+                return (q / b) * kernel(u, b, z)
             return _mapped(fq, 0.0, b_scale)(t)
     else:  # retarded: p = v, inner variable u on [0, inf)
-        def point_map(v, t):
-            return _mapped(lambda u: u * kernel(u, u * v), 0.0,
+        def point_map(v, t, z, b_scale):
+            return _mapped(lambda u: u * kernel(u, u * v, z), 0.0,
                            np.minimum(u_scale, b_scale / v))(t)
     return point_map
 
 
-def integrate_nested(kernel, *, z: float, spec: QuadratureSpec | None = None,
-                     u_scale: float = 1.0, mode: str | None = None) -> IntegralResult:
-    """Nested adaptive integral of F(u, b) over u >= 0, b >= u.
+def _nested_rows(kernel, mode: str, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
+    """(value, error, evaluations, converged) per entry of ``z``, all in ``mode``.
+
+    Each z is one row of the outer ``_lockstep``, with its own outer map and
+    inner map scale 0.5 / z; every inner integral of one outer step, over all
+    rows, is one inner ``_lockstep`` batch.
+    """
+    n = z.size
+    b_scale = 0.5 / z
+    point_map = _point_map(kernel, mode, u_scale)
+    if mode == "retarded":
+        outer_a, outer_scale = 1.0, np.ones(n)
+    else:
+        outer_a, outer_scale = 0.0, np.minimum(u_scale, b_scale)
+    evals = np.zeros(n, dtype=np.intp)
+    inner_ok = np.ones(n, dtype=bool)
+
+    def outer(rows, t):
+        nodes = (outer_a + outer_scale[rows, None] * t / (1.0 - t)).reshape(-1, 1)
+        owner = np.repeat(rows, t.shape[1])  # the row of each inner integral
+        z_col, scale_col = z[owner, None], b_scale[owner, None]
+        vals, errs, _, inner_evals, conv = _lockstep(
+            lambda r, s: point_map(nodes[r], s, z_col[r], scale_col[r]), nodes.shape[0],
+            spec.rel_tol_inner, spec.abs_tol, spec.max_subdivisions,
+        )
+        np.add.at(evals, owner, inner_evals)
+        inner_ok[owner[~conv]] = False
+        jac = outer_scale[rows, None] / (1.0 - t) ** 2
+        return vals.reshape(t.shape) * jac, errs.reshape(t.shape) * jac
+
+    val, err, aux, _, conv = _lockstep(
+        outer, n, spec.rel_tol_outer, spec.abs_tol, spec.max_subdivisions, with_aux=True
+    )
+    return val, err + aux, evals, conv & inner_ok
+
+
+def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
+                     u_scale: float = 1.0, mode: str | None = None):
+    """Nested adaptive integral of F(u, b, z) over u >= 0, b >= u, for each z.
 
     ``z`` is the decay length of the e^{-2 b z} factor carried by the kernel;
     it fixes the inner map scale and the default substitution mode.  The
     reported error adds the outer panel estimate and the integrated inner
     error estimates; ``converged`` requires every inner integral to have
-    converged as well.  Each outer step integrates both halves of its split
-    with one lockstep batch of 30 inner integrals.
+    converged as well.  A float ``z`` returns an ``IntegralResult``; a 1-D
+    array returns an ``IntegralBatch`` whose rows equal the float calls
+    exactly.
     """
     spec = spec or DEFAULT_SPEC
-    _require_positive("z", z)
-    mode = resolve_mode(mode if mode is not None else spec.mode, z)
-    if mode not in MODES:
+    zs = _as_rows("z", z)
+    mode = mode if mode is not None else spec.mode
+    if mode is not None and mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    b_scale = 0.5 / z
-    point_map = _point_map(kernel, mode, b_scale, u_scale)
-    if mode == "retarded":
-        outer_a, outer_scale = 1.0, 1.0
-    else:
-        outer_a, outer_scale = 0.0, min(u_scale, b_scale)
-    state = {"evals": 0, "ok": True}
-
-    def outer(rows, t):
-        nodes = (outer_a + outer_scale * t / (1.0 - t)).reshape(-1, 1)
-        vals, errs, _, evals, conv = _lockstep(
-            lambda r, s: point_map(nodes[r], s), nodes.shape[0],
-            spec.rel_tol_inner, spec.abs_tol, spec.max_subdivisions,
-        )
-        state["evals"] += int(evals.sum())
-        state["ok"] = state["ok"] and bool(conv.all())
-        jac = outer_scale / (1.0 - t) ** 2
-        return vals.reshape(t.shape) * jac, errs.reshape(t.shape) * jac
-
-    val, err, aux, _, conv = _lockstep(
-        outer, 1, spec.rel_tol_outer, spec.abs_tol, spec.max_subdivisions, with_aux=True
-    )
-    return IntegralResult(float(val[0]), float(err[0] + aux[0]), state["evals"],
-                          bool(conv[0]) and state["ok"])
+    groups: dict[str, list[int]] = {}  # substitution mode -> its rows
+    for i, zi in enumerate(zs.tolist()):
+        groups.setdefault(resolve_mode(mode, zi), []).append(i)
+    fields = (np.zeros(zs.size), np.zeros(zs.size), np.zeros(zs.size, dtype=np.intp),
+              np.ones(zs.size, dtype=bool))
+    for m, sel in groups.items():
+        for start in range(0, len(sel), _NESTED_ROWS):
+            rows = sel[start:start + _NESTED_ROWS]
+            for field, part in zip(fields, _nested_rows(kernel, m, zs[rows], spec, u_scale)):
+                field[rows] = part
+    batch = IntegralBatch(*fields)
+    return batch[0] if np.ndim(z) == 0 else batch

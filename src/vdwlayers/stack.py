@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .materials import Medium, PerfectMirror
+from .quadrature import _as_rows
 
 __all__ = [
     "Layer",
@@ -51,12 +52,14 @@ class LayerStack:
 
     ``atom_position`` is the distance from the atom layer's left boundary;
     for the leftmost layer (index 0, which has no left boundary) it is the
-    distance from its right boundary.
+    distance from its right boundary.  It may be a 1-D array of positions:
+    the reflection coefficients do not depend on where the atom sits in its
+    layer, so one stack serves a whole scan.
     """
 
     layers: tuple[Layer, ...]
     atom_layer: int
-    atom_position: float
+    atom_position: float | np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -74,12 +77,13 @@ class LayerStack:
         mat = layers[j].material
         if isinstance(mat, PerfectMirror) or not mat.is_vacuum:
             raise ValueError("the atom layer must be vacuum")
-        z = self.atom_position
-        if not z > 0.0:
-            raise ValueError(f"atom_position must be > 0, got {z}")
-        d_j = layers[j].thickness
-        if 0 < j < len(layers) - 1 and not z < d_j:
-            raise ValueError(f"atom_position {z} must lie inside the layer (thickness {d_j})")
+        interior = 0 < j < len(layers) - 1
+        zs = _as_rows("atom_position", self.atom_position,
+                      layers[j].thickness if interior else math.inf)
+        if np.ndim(self.atom_position):
+            zs = zs.copy()
+            zs.flags.writeable = False
+            object.__setattr__(self, "atom_position", zs)
 
     @property
     def n(self) -> int:

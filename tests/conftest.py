@@ -42,7 +42,7 @@ def halfspace_stack(mat, z):
 
 
 def brute_force_2d(kernel, z, n=2000, u_scale=1.0):
-    """Independent trapezoid oracle for int_0^inf du int_u^inf db F(u, b).
+    """Independent trapezoid oracle for int_0^inf du int_u^inf db F(u, b, z).
 
     Both semi-infinite directions are mapped onto the unit square by the same
     rational transform the adaptive engine uses; the trapezoid rule is applied
@@ -64,7 +64,7 @@ def brute_force_2d(kernel, z, n=2000, u_scale=1.0):
         b = u_col + sb * rr / (1.0 - rr)
         jb = sb / (1.0 - rr) ** 2
         with np.errstate(invalid="ignore"):
-            vals = kernel(np.broadcast_to(u_col, b.shape), b) * ju[lo:hi][:, None] * jb
+            vals = kernel(np.broadcast_to(u_col, b.shape), b, z) * ju[lo:hi][:, None] * jb
         f[lo:hi, :-1] = np.nan_to_num(vals, nan=0.0)  # only the measure-zero corner
     # np.trapz is gone in numpy 2.4; look it up only where trapezoid is missing (numpy < 2.0)
     trapz = np.trapezoid if hasattr(np, "trapezoid") else np.trapz

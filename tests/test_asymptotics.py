@@ -467,13 +467,19 @@ def test_locate_wall_rejects_nonconverged_refinement():
     # converged on the scan, then the golden-section refinement stops converging
     samples = 12
     calls = []
+    ndims = []
 
     def pot(z):
-        calls.append(z)
-        value = math.exp(-(math.log(z) - 0.3) ** 2)
-        return v.PotentialResult(value, 1e-12, value, 0.0, len(calls) <= samples, 15)
+        ndims.append(np.ndim(z))
+        results = []
+        for zi in np.atleast_1d(z).tolist():
+            calls.append(zi)
+            value = math.exp(-(math.log(zi) - 0.3) ** 2)
+            results.append(v.PotentialResult(value, 1e-12, value, 0.0, len(calls) <= samples, 15))
+        return results if np.ndim(z) else results[0]
 
     with pytest.raises(RuntimeError, match=r"z = [0-9.]+"):
         v.locate_wall(pot, z_lo=0.1, z_hi=10.0, samples=samples)
     assert len(calls) == samples + 1
+    assert ndims == [1, 0]  # the scan as one array call, then the first refinement
 

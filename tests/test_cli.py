@@ -195,6 +195,19 @@ def test_scan_plate_columns_match_library(tmp_path, kind):
         assert float(row["U_right"]) == res.right
 
 
+def test_thin_plate_scan_warns_outside_regime(tmp_path):
+    # n(0) d / z = 0.111 at z = 0.05; the warning comes from the process that runs main()
+    doc = scan_doc()
+    doc["geometry"] = {"kind": "thin-plate", "material": "plate", "thickness": 0.002}
+    doc["scan"] = {"z_min": 0.05, "z_max": 2.0, "points": 4}
+    with pytest.warns(UserWarning, match=r"outside its regime at 1 of 4 z: "
+                                         r"largest n\(0\) d / z = 0\.111 > 0\.1"):
+        code, out = run(tmp_path, "scan", doc, "--threads", "2")
+    assert code == 0
+    _, rows = read_rows(out / "scan_plate.csv")
+    assert len(rows) == 4
+
+
 def test_scan_mirror_geometry(tmp_path):
     doc = scan_doc()
     doc["geometry"] = {"kind": "mirror", "mirror": "conducting"}

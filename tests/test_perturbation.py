@@ -71,7 +71,7 @@ def test_first_order_thick_against_brute_force(atom):
     m = weak_material(chi_e=0.3, chi_m=0.3)
     z = 1.0
 
-    def kernel(u, b):
+    def kernel(u, b, z):
         chi_e = m.eps(u) - 1.0
         chi_m = m.mu(u) - 1.0
         we = b * b - u * u + u**4 / (2.0 * b * b)

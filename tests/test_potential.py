@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -276,3 +277,104 @@ def test_halfspace_rejects_non_finite_z(atom, z):
 def test_plate_rejects_infinite_thickness(atom):
     with pytest.raises(ValueError, match="thickness must be finite"):
         v.potential_plate(atom, fig2_material(), math.inf, 1.0)
+
+
+# ---------------------------------------------------------------- batches over z
+
+def bench_stack(z):
+    """The benchmark's 7-layer multilayer scene; the atom sits in the 6-wide vacuum gap."""
+    plate, film = fig2_material(), material(wpe=1.5, wte=1.2, ge=0.001)
+    return v.LayerStack(
+        (
+            v.Layer(plate, math.inf), v.Layer(v.VACUUM, 0.5), v.Layer(film, 0.2),
+            v.Layer(v.VACUUM, 6.0), v.Layer(film, 0.3), v.Layer(v.VACUUM, 1.0),
+            v.Layer(plate, math.inf),
+        ),
+        3, z,
+    )
+
+
+# every geometry as potential(atom, z); each wall's distance spans both automatic
+# substitution modes (nonretarded below z = 1, retarded from 1) over BATCH_Z
+GEOMETRIES = {
+    "halfspace": lambda atom, z: v.potential_halfspace(atom, fig2_material(), z),
+    "plate": lambda atom, z: v.potential_plate(atom, fig2_material(), 0.3, z),
+    "thin-plate": lambda atom, z: v.potential_thin_plate(atom, fig2_material(), 1e-3, z),
+    "two-plates": lambda atom, z: v.potential_two_plates(atom, fig2_material(), 5.0, z),
+    "two-plates-noreflect": lambda atom, z: v.potential_two_plates(
+        atom, fig2_material(), 5.0, z, multiple_reflections=False),
+    "multilayer": lambda atom, z: v.potential_multilayer(bench_stack(z), atom),
+    "mirror": lambda atom, z: v.potential_mirror(atom, z, "permeable"),
+    "mirror-halfspace": lambda atom, z: v.potential_halfspace(atom, v.CONDUCTING_MIRROR, z),
+}
+BATCH_Z = np.array([0.05, 0.4, 0.95, 1.0, 2.5, 4.6])
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_nested_batch_matches_pointwise(atom, geometry):
+    potential = GEOMETRIES[geometry]
+    batch = potential(atom, BATCH_Z)
+    assert isinstance(batch, list) and len(batch) == BATCH_Z.size
+    for z, row in zip(BATCH_Z.tolist(), batch):
+        point = potential(atom, z)
+        assert isinstance(point, v.PotentialResult) and isinstance(point.value, float)
+        assert row == point, (geometry, z)  # value, error, left, right, flags: exactly
+    assert potential(atom, np.array([])) == []
+
+
+def test_potential_batches_pass_the_kernel_point_probe(atom, monkeypatch):
+    # wrap integrate_nested and its kernel as the benchmark's traced run does:
+    # count np.broadcast(u, b).size per kernel call, then evaluate
+    # `points != res.evaluations` and `not res.converged` on the returned result
+    from vdwlayers import potential as module
+
+    nested = module.integrate_nested
+    seen = []
+
+    def probed(kernel, *args, **kwargs):
+        points = []
+
+        def traced(*kargs):
+            points.append(int(np.broadcast(*kargs[:2]).size))
+            return kernel(*kargs)
+
+        res = nested(traced, *args, **kwargs)
+        assert type(res.evaluations) is int and type(res.converged) is bool
+        if sum(points) != res.evaluations:
+            raise AssertionError(f"counted {sum(points)} points, reported {res.evaluations}")
+        seen.append((res.evaluations, not res.converged))
+        return res
+
+    monkeypatch.setattr(module, "integrate_nested", probed)
+    rows = v.potential_multilayer(bench_stack(np.array([0.5, 3.0, 5.5])), atom)
+    assert len(seen) == 2  # one call per wall, each over all three positions
+    assert sum(evals for evals, _ in seen) == sum(r.evaluations for r in rows)
+    assert not any(failed for _, failed in seen)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("geometry", ["halfspace", "thin-plate", "mirror", "multilayer"])
+def test_potentials_reject_bad_z_entry(atom, geometry, bad):
+    z = np.array([0.5, 1.0, bad, 2.0])
+    name = "atom_position" if geometry == "multilayer" else "z"
+    with pytest.raises(ValueError, match=rf"{name}\[2\].* {re.escape(str(bad))}"):
+        GEOMETRIES[geometry](atom, z)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0, 5.0])
+def test_two_plates_reject_bad_z_entry(atom, bad):
+    match = f"z must be finite and in (0, 5.0), got z[2] = {bad}"
+    with pytest.raises(ValueError, match="^" + re.escape(match) + "$"):
+        v.potential_two_plates(atom, fig2_material(), 5.0, np.array([0.5, 1.0, bad]))
+
+
+def test_thin_plate_regime_warning_once_per_batch(atom):
+    m = fig2_material()
+    d = 0.002
+    z = np.array([0.05, 0.5, 0.02, 5.0])  # n(0) d / z = 0.11, 0.011, 0.28, 0.0011
+    spec = v.QuadratureSpec(rel_tol_inner=1e-5, rel_tol_outer=1e-4)
+    with pytest.warns(UserWarning, match="outside its regime at 2 of 4 z") as record:
+        v.potential_thin_plate(atom, m, d, z, spec)
+    assert len(record) == 1
+    largest = v.static_summary(m).n0 * d / 0.02
+    assert f"largest n(0) d / z = {largest:.3g} > 0.1" in str(record[0].message)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import vdwlayers as v
+from vdwlayers import quadrature
 
 from conftest import adaptive_heap, brute_force_2d, fig2_material
 
@@ -130,7 +131,7 @@ def test_nested_exponential_all_modes():
     for z in (0.5, 1.0, 2.0):
         expected = 0.25 / (z * z)
         for mode in v.MODES:
-            res = v.integrate_nested(lambda u, b: np.exp(-2.0 * b * z), z=z, mode=mode)
+            res = v.integrate_nested(lambda u, b, z: np.exp(-2.0 * b * z), z=z, mode=mode)
             assert res.converged
             assert res.value == pytest.approx(expected, rel=1e-8), mode
 
@@ -139,7 +140,7 @@ def test_nested_matches_fixed_order_product_rule():
     # independent check with a 120-point Gauss-Legendre product rule on the
     # mapped square
     z = 1.0
-    kernel = lambda u, b: np.exp(-2.0 * b * z) * (b - u) / (1.0 + u * u)
+    kernel = lambda u, b, z: np.exp(-2.0 * b * z) * (b - u) / (1.0 + u * u)
     x, w = np.polynomial.legendre.leggauss(120)
     t = 0.5 * (x + 1.0)
     wt = 0.5 * w
@@ -150,19 +151,19 @@ def test_nested_matches_fixed_order_product_rule():
     for ui, jui, wi in zip(uu, ju, wt):
         bb = ui + sb * t / (1.0 - t)
         jb = sb / (1.0 - t) ** 2
-        total += wi * jui * float(np.sum(wt * jb * kernel(ui, bb)))
+        total += wi * jui * float(np.sum(wt * jb * kernel(ui, bb, z)))
     res = v.integrate_nested(kernel, z=z)
     assert res.value == pytest.approx(total, rel=1e-7)
 
 
 def test_nested_zero_kernel():
-    res = v.integrate_nested(lambda u, b: np.zeros_like(b + u), z=1.0)
+    res = v.integrate_nested(lambda u, b, z: np.zeros_like(b + u), z=1.0)
     assert res.value == 0.0
     assert res.converged
 
 
 def test_nested_error_includes_inner_channel():
-    res = v.integrate_nested(lambda u, b: np.exp(-2.0 * b), z=1.0)
+    res = v.integrate_nested(lambda u, b, z: np.exp(-2.0 * b), z=1.0)
     assert res.error > 0.0
     assert abs(res.value - 0.25) <= 10.0 * res.error
 
@@ -170,7 +171,7 @@ def test_nested_error_includes_inner_channel():
 def test_brute_force_oracle_closed_form():
     # the oracle itself: int_0^inf du int_u^inf db exp(-2bz) = 1/(4z^2)
     for z in (0.1, 1.0, 10.0):
-        oracle = brute_force_2d(lambda u, b: np.exp(-2.0 * b * z), z)
+        oracle = brute_force_2d(lambda u, b, z: np.exp(-2.0 * b * z), z)
         assert oracle == pytest.approx(1.0 / (4.0 * z * z), rel=1e-6)
 
 
@@ -179,7 +180,7 @@ def test_halfspace_integrand_against_brute_force(atom):
     m = fig2_material()
     z = 1.0
 
-    def kernel(u, b):
+    def kernel(u, b, z):
         e = m.eps(u)
         mu = m.mu(u)
         bm = np.sqrt(u * u * (e * mu - 1.0) + b * b)
@@ -345,16 +346,17 @@ def test_nested_evaluation_counts_pinned(atom, mode, counts):
 def test_nested_kernel_batch_shapes(mode):
     shapes = []
 
-    def kernel(u, b):
-        shapes.append((np.shape(u), np.shape(b)))
+    def kernel(u, b, z):
+        shapes.append((np.shape(u), np.shape(b), np.shape(z)))
         return np.exp(-2.0 * b) * np.ones_like(u)
 
     res = v.integrate_nested(kernel, z=1.0, mode=mode)
     assert res.converged
-    assert sum(np.broadcast_shapes(su, sb)[0] * 15 for su, sb in shapes) == res.evaluations
-    for su, sb in shapes:
+    assert sum(np.broadcast_shapes(su, sb)[0] * 15 for su, sb, _ in shapes) == res.evaluations
+    for su, sb, sz in shapes:
         assert sb[1] == 15 and su[0] == sb[0]
         assert su[1] == (15 if mode == "retarded" else 1)
+        assert sz == (sb[0], 1)
     assert res.evaluations / len(shapes) > 15
 
 
@@ -381,4 +383,67 @@ def test_oned_integrand_batch_shapes(kind):
 @pytest.mark.parametrize("z", [math.inf, math.nan, 0.0, -1.0])
 def test_nested_rejects_bad_z(z):
     with pytest.raises(ValueError, match="z must be finite and > 0"):
-        v.integrate_nested(lambda u, b: np.exp(-2.0 * b), z=z)
+        v.integrate_nested(lambda u, b, z: np.exp(-2.0 * b), z=z)
+
+
+@pytest.mark.parametrize("mode", [None, *v.MODES])
+def test_nested_batch_rows_equal_float_calls(mode):
+    def kernel(u, b, z):
+        return np.exp(-2.0 * b * z) * (b - u) / (1.0 + u * u)
+
+    zs = np.array([0.3, 0.99, 1.0, 3.0])  # both automatic modes
+    batch = v.integrate_nested(kernel, z=zs, mode=mode)
+    assert isinstance(batch, v.IntegralBatch) and len(batch) == zs.size
+    for z, row in zip(zs.tolist(), batch):
+        assert row == v.integrate_nested(kernel, z=z, mode=mode), (mode, z)
+    assert batch.evaluations == sum(row.evaluations for row in batch)
+    assert batch.converged is True
+
+
+def test_nested_long_batch_runs_in_chunks(monkeypatch):
+    monkeypatch.setattr(quadrature, "_NESTED_ROWS", 3)
+    seen = []
+
+    def kernel(u, b, z):
+        seen.append(np.unique(z).size)
+        return np.exp(-2.0 * b * z) * (b - u) / (1.0 + u * u)
+
+    zs = np.array([0.2, 0.3, 0.5, 0.7, 0.9, 1.5, 2.0, 3.0])  # 5 nonretarded, 3 retarded rows
+    batch = v.integrate_nested(kernel, z=zs)
+    assert max(seen) == 3  # no kernel call mixes more than one chunk
+    for z, row in zip(zs.tolist(), batch):
+        assert row == v.integrate_nested(kernel, z=z), z
+    assert batch.evaluations == sum(row.evaluations for row in batch)
+
+
+def test_nested_empty_z_batch():
+    def kernel(u, b, z):
+        raise AssertionError("an empty batch must not call the kernel")
+
+    res = v.integrate_nested(kernel, z=np.array([]))
+    assert len(res) == 0 and list(res) == []
+    assert res.evaluations == 0 and res.converged is True
+
+
+@pytest.mark.parametrize("z", [math.inf, math.nan, 0.0, -1.0])
+def test_nested_rejects_bad_z_entry(z):
+    zs = np.array([0.5, 2.0, z, 1.0])
+    with pytest.raises(ValueError, match=rf"z must be finite and > 0, got z\[2\] = {z}$"):
+        v.integrate_nested(lambda u, b, z: np.exp(-2.0 * b), z=zs)
+
+
+def test_nested_rejects_two_dimensional_z():
+    with pytest.raises(ValueError, match="z must be a float or a 1-D array"):
+        v.integrate_nested(lambda u, b, z: np.exp(-2.0 * b), z=np.ones((2, 2)))
+
+
+def test_nested_batch_flags_inner_failure_per_row():
+    # the z = 3 row oscillates too fast for its inner budget while its outer sum
+    # converges; only that row may report the failure
+    def kernel(u, b, z):
+        return np.exp(-2.0 * b * z) * np.where(z > 2.0, 1.0 + np.sin(40.0 * b * z), 1.0)
+
+    spec = v.QuadratureSpec(rel_tol_inner=1e-8, rel_tol_outer=1e-2, max_subdivisions=4)
+    batch = v.integrate_nested(kernel, z=np.array([0.5, 3.0]), spec=spec)
+    assert [row.converged for row in batch] == [True, False]
+    assert batch.converged is False

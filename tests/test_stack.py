@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,25 @@ def test_stack_validation():
         )
     with pytest.raises(ValueError):
         v.LayerStack((v.Layer(v.VACUUM, math.inf), v.Layer(v.VACUUM, math.inf)), 1, -1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, 2.0, math.inf])
+def test_stack_rejects_bad_position_entry(bad):
+    layers = (v.Layer(v.VACUUM, math.inf), v.Layer(v.VACUUM, 2.0), v.Layer(v.VACUUM, math.inf))
+    match = f"atom_position must be finite and in (0, 2.0), got atom_position[2] = {bad}"
+    with pytest.raises(ValueError, match="^" + re.escape(match) + "$"):
+        v.LayerStack(layers, 1, np.array([0.5, 1.0, bad, 1.5]))
+
+
+def test_stack_holds_an_array_of_positions():
+    layers = (v.Layer(v.VACUUM, math.inf), v.Layer(v.VACUUM, 2.0), v.Layer(v.VACUUM, math.inf))
+    z = np.array([0.5, 1.5])
+    stack = v.LayerStack(layers, 1, z)
+    z[0] = 9.0  # the stack keeps its own read-only copy
+    assert stack.atom_position.tolist() == [0.5, 1.5]
+    assert not stack.atom_position.flags.writeable
+    with pytest.raises(ValueError, match="1-D array"):
+        v.LayerStack(layers, 1, np.ones((2, 2)))
 
 
 # ---------------------------------------------------------------- reflection
@@ -214,8 +234,8 @@ B_GRID = U_GRID * np.array([1.01, 1.5, 4.0, 10.0])
 def test_halfspace_reflection_matches_fresnel_form(mat):
     r = v.reflection_coefficients(halfspace_stack(mat, 1.0), U_GRID, B_GRID)
     r_s, r_p = fresnel_oracle(mat, U_GRID, B_GRID)
-    assert r.r_s_minus == pytest.approx(r_s, rel=1e-12)
-    assert r.r_p_minus == pytest.approx(r_p, rel=1e-12)
+    assert r.r_s_minus == pytest.approx(r_s, rel=1e-12, abs=0)
+    assert r.r_p_minus == pytest.approx(r_p, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("mat", ORACLE_MATERIALS)
@@ -224,8 +244,8 @@ def test_plate_reflection_matches_tanh_form(mat, d):
     # b d runs from 1e-9 (d = 1e-6) to 3e3 (d = 100)
     r = v.reflection_coefficients(plate_stack(mat, d, 1.0), U_GRID, B_GRID)
     r_s, r_p = tanh_oracle(mat, d, U_GRID, B_GRID)
-    assert r.r_s_minus == pytest.approx(r_s, rel=1e-12)
-    assert r.r_p_minus == pytest.approx(r_p, rel=1e-12)
+    assert r.r_s_minus == pytest.approx(r_s, rel=1e-12, abs=0)
+    assert r.r_p_minus == pytest.approx(r_p, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------- duality
