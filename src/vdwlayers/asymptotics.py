@@ -27,7 +27,7 @@ from .potential import PotentialResult
 # integrate_finite is unused here but stays importable: perfbench's
 # quadrature.oned probe wraps asymptotics.integrate_finite.
 from .quadrature import (DEFAULT_SPEC, QuadratureSpec, _lockstep, _require,  # noqa: F401
-                         integrate_finite, integrate_semi_infinite)
+                         _require_positive, integrate_finite, integrate_semi_infinite)
 
 __all__ = [
     "NoWallError",
@@ -227,8 +227,7 @@ def thin_coefficients(atom: AtomModel, material: MaterialModel, thickness: float
     """D5, D4, D2 of an asymptotically thin plate; D5 is closed-form in the statics."""
     if isinstance(material, PerfectMirror):
         raise TypeError("thin-plate coefficients are undefined for a perfect mirror")
-    if not thickness > 0.0:
-        raise ValueError(f"thickness must be > 0, got {thickness}")
+    _require_positive("thickness", thickness)
     d = thickness
     alpha0 = atom.alpha0
     s = static_summary(material)
@@ -429,10 +428,11 @@ def thin_wall_height_bound(atom: AtomModel, material: MaterialModel) -> float:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_WALL_POSITION_REL_TOL = 1e-4  # golden-section bracket width relative to its midpoint
 
 
-def locate_wall(potential: Callable, z_lo: float = 1e-3, z_hi: float = 1e2, samples: int = 60,
-                position_rel_tol: float = 1e-4) -> WallEstimate | None:
+def locate_wall(potential: Callable, z_lo: float = 1e-3, z_hi: float = 1e2,
+                samples: int = 60) -> WallEstimate | None:
     """Find the positive maximum of a potential on a log-spaced scan, or None.
 
     ``potential`` maps a float z to a ``PotentialResult`` and a 1-D array of
@@ -444,6 +444,8 @@ def locate_wall(potential: Callable, z_lo: float = 1e-3, z_hi: float = 1e2, samp
     warning; a refinement potential that does not converge raises
     RuntimeError naming its z.
     """
+    if not z_hi > z_lo:
+        raise ValueError(f"z_hi must exceed z_lo, got z_lo={z_lo}, z_hi={z_hi}")
     zs = np.geomspace(z_lo, z_hi, samples)
     values: list[tuple[float, PotentialResult]] = []
     for z, res in zip(zs.tolist(), potential(zs)):
@@ -473,7 +475,7 @@ def locate_wall(potential: Callable, z_lo: float = 1e-3, z_hi: float = 1e2, samp
         d = a + _INVPHI * (b - a)
         fc = refined(c).value
         fd = refined(d).value
-        while (b - a) > position_rel_tol * 0.5 * (a + b):
+        while (b - a) > _WALL_POSITION_REL_TOL * 0.5 * (a + b):
             if fc >= fd:
                 b, d, fd = d, c, fc
                 c = b - _INVPHI * (b - a)

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 partial numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -78,13 +79,7 @@ def _write_sidecar(out_dir: Path, command: str, cfg: RunConfig, outputs: list[st
         "version": __version__,
         "config": cfg.raw,
         "outputs": sorted(outputs),
-        "quadrature": {
-            "rel_tol_inner": cfg.quadrature.rel_tol_inner,
-            "rel_tol_outer": cfg.quadrature.rel_tol_outer,
-            "abs_tol": cfg.quadrature.abs_tol,
-            "max_subdivisions": cfg.quadrature.max_subdivisions,
-            "mode": cfg.quadrature.mode,
-        },
+        "quadrature": dataclasses.asdict(cfg.quadrature),
     }
     (out_dir / f"{command}.meta.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
@@ -229,7 +224,6 @@ def cmd_wall(cfg: RunConfig, args) -> int:
     if geo is None or geo.kind not in ("halfspace", "plate", "thin-plate"):
         raise ConfigError("wall needs a halfspace, plate or thin-plate geometry")
     grid = cfg.wall
-    z_lo, z_hi, samples = (grid.lo, grid.hi, grid.points) if grid else (1e-3, 1e2, 60)
 
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -241,7 +235,7 @@ def cmd_wall(cfg: RunConfig, args) -> int:
         rows = []
         try:
             numeric = locate_wall(lambda z: _potential(cfg, name, z),
-                                  z_lo=z_lo, z_hi=z_hi, samples=samples)
+                                  z_lo=grid.lo, z_hi=grid.hi, samples=grid.points)
         except RuntimeError:
             numeric = None
             all_ok = False

@@ -61,6 +61,7 @@ from .materials import (
     Resonance,
     Transition,
 )
+from .asymptotics import locate_wall
 from .quadrature import MODES, QuadratureSpec
 from .stack import Layer, LayerStack
 
@@ -119,7 +120,7 @@ class RunConfig:
     coeffs: CoeffsSection | None
     border_kind: str | None
     border: GridSection | None
-    wall: GridSection | None
+    wall: GridSection
     check: CheckSection | None
     quadrature: QuadratureSpec
     label: str | None
@@ -378,16 +379,17 @@ def parse_config(doc: dict) -> RunConfig:
             border = _parse_grid({k: v for k, v in b.items() if k != "plate_kind"},
                                  "config.border", "eps_min", "eps_max", 30)
 
-        wall = None
-        if "wall" in doc:
-            w = _expect_mapping(doc["wall"], "config.wall")
-            _check_keys(w, "config.wall", (), ("z_min", "z_max", "samples"))
-            wall = GridSection(
-                lo=_number(w.get("z_min", 1e-3), "config.wall.z_min", positive=True),
-                hi=_number(w.get("z_max", 1e2), "config.wall.z_max", positive=True),
-                points=_integer(w.get("samples", 60), "config.wall.samples", minimum=4),
-                spacing="log",
-            )
+        w = _expect_mapping(doc.get("wall", {}), "config.wall")
+        _check_keys(w, "config.wall", (), ("z_min", "z_max", "samples"))
+        z_min, z_max, samples = locate_wall.__defaults__  # its scan grid is the default
+        wall = GridSection(
+            lo=_number(w.get("z_min", z_min), "config.wall.z_min", positive=True),
+            hi=_number(w.get("z_max", z_max), "config.wall.z_max", positive=True),
+            points=_integer(w.get("samples", samples), "config.wall.samples", minimum=4),
+            spacing="log",
+        )
+        if not wall.hi > wall.lo:
+            raise ConfigError("config.wall: z_max must exceed z_min")
 
         check = None
         if "check" in doc:
@@ -437,11 +439,6 @@ def with_overrides(cfg: RunConfig, rel_tol: float | None, mode: str | None) -> R
     if spec is cfg.quadrature:
         return cfg
     raw = dict(cfg.raw)
-    raw["quadrature"] = {
-        "rel_tol_inner": spec.rel_tol_inner,
-        "rel_tol_outer": spec.rel_tol_outer,
-        "abs_tol": spec.abs_tol,
-        "max_subdivisions": spec.max_subdivisions,
-        **({"mode": spec.mode} if spec.mode else {}),
-    }
+    # the parser rejects "mode": null, so an unset mode is left out
+    raw["quadrature"] = {k: v for k, v in dataclasses.asdict(spec).items() if v is not None}
     return dataclasses.replace(cfg, quadrature=spec, raw=raw)

@@ -12,6 +12,10 @@ Weight tables map a channel name to ``{k: coeff}`` meaning
 ``coeff * (u/b)^(2k)`` as written inside the braces of the corresponding
 expansion; the overall minus sign in front of each integral is applied by the
 evaluator.
+
+The expansion terms take ``z`` as a float (one ``ExpansionTerm``) or a 1-D
+array (a list equal entry by entry to the float calls), with one
+``integrate_nested`` call per channel over the whole array.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .materials import AtomModel, MaterialModel
-from .quadrature import QuadratureSpec, _require, integrate_nested, integrate_semi_infinite
+from .potential import _per_z, _u_scale
+from .quadrature import (QuadratureSpec, _as_rows, _require, _require_positive,
+                         integrate_nested, integrate_semi_infinite)
 from .stack import thin_layer_reflection
 
 __all__ = [
@@ -99,62 +105,52 @@ def _weight_times_u2(weight: dict[int, float], u, b):
     return out
 
 
+# (power of chi_e, power of chi_m) in each channel's susceptibility product
+_CHI_POWERS = {"chi_e": (1, 0), "chi_m": (0, 1), "chi_e2": (2, 0), "chi_m2": (0, 2),
+               "chi_em": (1, 1)}
+
+
 def _channel_kernel(atom, material, weight, chi_name, pref, b_power):
+    pe, pm = _CHI_POWERS[chi_name]
+
     def kernel(u, b, z):
-        chi_e = material.eps(u) - 1.0
-        chi_m = material.mu(u) - 1.0
-        chi = {
-            "chi_e": chi_e,
-            "chi_m": chi_m,
-            "chi_e2": chi_e * chi_e,
-            "chi_m2": chi_m * chi_m,
-            "chi_em": chi_e * chi_m,
-        }[chi_name]
+        chi = (material.eps(u) - 1.0) ** pe if pe else 1.0
+        if pm:
+            chi = chi * (material.mu(u) - 1.0) ** pm
         w = _weight_times_u2(weight, u, b)
         return pref * atom.alpha(u) * b**b_power * np.exp(-2.0 * b * z) * w * chi
 
     return kernel
 
 
-def _evaluate_term(order, geometry, atom, material, weights, pref, b_power, zdecay,
-                   spec) -> ExpansionTerm:
-    scale = min(
-        [t.frequency for t in atom.transitions] + list(material.resonance_frequencies() or [1.0])
-    )
-    channels: dict[str, float] = {}
-    error = 0.0
-    converged = True
-    for name, weight in weights.items():
-        if not weight:
-            channels[name] = 0.0
-            continue
-        kern = _channel_kernel(atom, material, weight, name, pref, b_power)
-        res = integrate_nested(kern, z=zdecay, spec=spec, u_scale=scale)
-        channels[name] = res.value
-        error += res.error
-        converged = converged and res.converged
-    return ExpansionTerm(
-        order=order,
-        geometry=geometry,
-        value=math.fsum(channels.values()),
-        channels=channels,
-        error=error,
-        converged=converged,
-    )
+def _evaluate_term(order, geometry, atom, material, weights, pref, b_power, z, spec,
+                   shift=0.0):
+    """The term at z (decay length z + shift): one ``integrate_nested`` call per channel."""
+    zdecay = _as_rows("z", z) + shift
+    scale = _u_scale(atom, material)
+    batches = {name: integrate_nested(_channel_kernel(atom, material, w, name, pref, b_power),
+                                      z=zdecay, spec=spec, u_scale=scale)
+               for name, w in weights.items() if w}
+    terms = []
+    for i in range(zdecay.size):
+        rows = {name: batch[i] for name, batch in batches.items()}
+        channels = {name: rows[name].value if name in rows else 0.0 for name in weights}
+        terms.append(ExpansionTerm(order, geometry, math.fsum(channels.values()), channels,
+                                   sum(r.error for r in rows.values()),
+                                   all(r.converged for r in rows.values())))
+    return _per_z(z, terms)
 
 
-def expansion_order1(geometry: str, atom: AtomModel, material: MaterialModel, z: float,
-                     d: float | None = None,
-                     spec: QuadratureSpec | None = None) -> ExpansionTerm:
+def expansion_order1(geometry: str, atom: AtomModel, material: MaterialModel, z,
+                     d: float | None = None, spec: QuadratureSpec | None = None):
     """First-order (in chi) potential contribution for a thick or thin plate.
 
     The term is defined for any susceptibility size; smallness only governs
-    how well it approximates the exact potential.
+    how well it approximates the exact potential.  ``z`` is a float or a 1-D
+    array (see the module docstring).
     """
     if geometry not in _GEOMETRIES1:
         raise ValueError(f"geometry must be one of {_GEOMETRIES1}, got {geometry!r}")
-    if not z > 0.0:
-        raise ValueError(f"z must be > 0, got {z}")
     if geometry == "thick":
         pref, b_power = -1.0 / (8.0 * math.pi**2), 0
     else:
@@ -165,18 +161,17 @@ def expansion_order1(geometry: str, atom: AtomModel, material: MaterialModel, z:
                           pref, b_power, z, spec)
 
 
-def expansion_order2(geometry: str, atom: AtomModel, material: MaterialModel, z: float,
+def expansion_order2(geometry: str, atom: AtomModel, material: MaterialModel, z,
                      d: float | None = None, s: float | None = None,
-                     spec: QuadratureSpec | None = None) -> ExpansionTerm:
+                     spec: QuadratureSpec | None = None):
     """Second-order potential contribution; the pair geometry carries the correlation term.
 
     The thin single-plate term has no chi_e*chi_m channel; the two-thin-plate
-    correlation term (front plate at z, back plate at z + s) does.
+    correlation term (front plate at z, back plate at z + s) does.  ``z`` is a
+    float or a 1-D array (see the module docstring).
     """
     if geometry not in _GEOMETRIES2:
         raise ValueError(f"geometry must be one of {_GEOMETRIES2}, got {geometry!r}")
-    if not z > 0.0:
-        raise ValueError(f"z must be > 0, got {z}")
     if geometry == "thick":
         return _evaluate_term(2, geometry, atom, material, SECOND_ORDER_THICK_WEIGHTS,
                               -1.0 / (8.0 * math.pi**2), 0, z, spec)
@@ -188,7 +183,7 @@ def expansion_order2(geometry: str, atom: AtomModel, material: MaterialModel, z:
     if s is None or not (s >= 0.0 and math.isfinite(s)):
         raise ValueError(f"two-thin-plates geometry needs a finite separation s >= 0, got {s}")
     return _evaluate_term(2, geometry, atom, material, SECOND_ORDER_PAIR_WEIGHTS,
-                          -d * d / (2.0 * math.pi**2), 2, z + s, spec)
+                          -d * d / (2.0 * math.pi**2), 2, z, spec, shift=s)
 
 
 def additivity_check(atom: AtomModel, material: MaterialModel, z: float,
@@ -202,18 +197,19 @@ def additivity_check(atom: AtomModel, material: MaterialModel, z: float,
     separation s, but the pair term P depends on them only through
     w = z' + s; Cauchy's formula for repeated integration folds it into
     int_z^inf (w - z) P(w) dw.  Every depth integral runs at
-    ``spec.rel_tol_outer``.  Residuals are relative to the thick-plate terms
+    ``spec.rel_tol_outer``, and each call of a depth integrand evaluates its
+    nodes as one array.  Residuals are relative to the thick-plate terms
     and are independent of the nominal unit thickness.
 
     Raises ``RuntimeError`` naming the term and z when a term or a depth
     integral does not converge.
     """
-    if not z > 0.0:
-        raise ValueError(f"z must be > 0, got {z}")
+    _require_positive("z", z)
 
     def stacked(what, term, weighted=False):
         def f(ws):
-            vals = np.array([_require(term(float(w)), f"the {what} at z={w}") for w in ws])
+            vals = np.array([_require(t, f"the {what} at z={w}")
+                             for t, w in zip(term(ws), ws.tolist())])
             return vals * (ws - z) if weighted else vals
 
         return _require(integrate_semi_infinite(f, z, spec=spec, scale=z),

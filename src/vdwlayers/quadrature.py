@@ -424,7 +424,7 @@ def _nested_rows(kernel, mode: str, z: np.ndarray, spec: QuadratureSpec, u_scale
 
 
 def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
-                     u_scale: float = 1.0, mode: str | None = None):
+                     u_scale: float = 1.0):
     """Nested adaptive integral of F(u, b, z) over u >= 0, b >= u, for each z.
 
     ``z`` is the decay length of the e^{-2 b z} factor carried by the kernel;
@@ -437,12 +437,9 @@ def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
     """
     spec = spec or DEFAULT_SPEC
     zs = _as_rows("z", z)
-    mode = mode if mode is not None else spec.mode
-    if mode is not None and mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     groups: dict[str, list[int]] = {}  # substitution mode -> its rows
     for i, zi in enumerate(zs.tolist()):
-        groups.setdefault(resolve_mode(mode, zi), []).append(i)
+        groups.setdefault(resolve_mode(spec.mode, zi), []).append(i)
     fields = (np.zeros(zs.size), np.zeros(zs.size), np.zeros(zs.size, dtype=np.intp),
               np.ones(zs.size, dtype=bool))
     for m, sel in groups.items():

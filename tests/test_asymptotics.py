@@ -113,6 +113,15 @@ def test_thin_coefficients_linear_in_thickness(atom):
     assert b.d2 == pytest.approx(2 * a.d2, rel=1e-9)
 
 
+@pytest.mark.parametrize("call", [
+    lambda atom, m: v.thin_coefficients(atom, m, math.inf),
+    lambda atom, m: v.wall_estimate("thin", atom, m, thickness=math.inf),
+], ids=["thin_coefficients", "wall_estimate"])
+def test_thin_rejects_infinite_thickness(atom, call):
+    with pytest.raises(ValueError, match="thickness must be finite and > 0, got inf"):
+        call(atom, fig2_material())
+
+
 def test_thin_border_closed_form_zero_locus(atom):
     for eps0 in (1.0, 1.5, 4.0, 30.0):
         mu0 = v.thin_border_mu(eps0)
@@ -461,6 +470,16 @@ def test_locate_wall_matches_short_distance_formula(atom):
     _, closed_thin = v.wall_estimate("thin", atom, m, thickness=d)
     assert wall_thin is not None
     assert wall_thin.z_max == pytest.approx(closed_thin.z_max, rel=0.15)
+
+
+@pytest.mark.parametrize("z_lo, z_hi", [(5.0, 0.2), (1.0, 1.0), (1.0, math.nan)])
+def test_locate_wall_rejects_reversed_grid(z_lo, z_hi):
+    # a descending grid would skip the golden-section refinement
+    def pot(z):
+        raise AssertionError("no potential runs before the grid is checked")
+
+    with pytest.raises(ValueError, match="z_hi must exceed z_lo"):
+        v.locate_wall(pot, z_lo=z_lo, z_hi=z_hi)
 
 
 def test_locate_wall_rejects_nonconverged_refinement():

@@ -371,6 +371,23 @@ def test_wall_with_estimates(tmp_path):
     )
 
 
+@pytest.mark.parametrize("grid", [
+    {"z_min": 5.0, "z_max": 0.2},
+    {"z_min": 1.0, "z_max": 1.0},
+    {"z_min": 500.0},  # above the default z_max
+])
+def test_wall_rejects_reversed_grid(tmp_path, capsys, grid):
+    doc = {
+        "atom": ATOM,
+        "materials": {"plate": PLATE},
+        "geometry": {"kind": "halfspace", "material": "plate"},
+        "wall": grid,
+    }
+    code, _ = run(tmp_path, "wall", doc)
+    assert code == 2
+    assert "config.wall: z_max must exceed z_min" in capsys.readouterr().err
+
+
 def test_check_command(tmp_path):
     doc = {
         "atom": ATOM,

@@ -149,7 +149,8 @@ def test_pair_term_depends_on_depth_plus_separation(atom):
 
 def test_additivity_check_cost_flat_in_z(atom, monkeypatch):
     # with the depth integrals at the spec's outer tolerance, their refinement
-    # no longer chases inner-quadrature noise, so the work does not jump with z
+    # no longer chases inner-quadrature noise, so the work does not jump with z;
+    # each depth integrand call evaluates all its nodes in one call per channel
     m = weak_material()
     spec = v.QuadratureSpec(rel_tol_outer=1e-3, rel_tol_inner=1e-4)
     calls = []
@@ -166,6 +167,36 @@ def test_additivity_check_cost_flat_in_z(atom, monkeypatch):
         v.additivity_check(atom, m, z, spec)
         counts.append(len(calls))
     assert len(set(counts)) == 1, counts
+    assert counts[2] == 12, counts  # z = 1: the 12 channels of the five terms, once each
+
+
+@pytest.mark.parametrize("order, geometry, kw", [
+    (1, "thick", {}),
+    (1, "thin", {"d": 0.5}),
+    (2, "thick", {}),
+    (2, "thin", {"d": 0.5}),
+    (2, "two-thin-plates", {"d": 0.5, "s": 0.25}),
+])
+def test_expansion_terms_of_an_array_equal_float_calls(atom, order, geometry, kw):
+    m = weak_material()
+    spec = v.QuadratureSpec(rel_tol_outer=1e-4, rel_tol_inner=1e-5)
+    term = v.expansion_order1 if order == 1 else v.expansion_order2
+    zs = np.array([0.4, 0.95, 1.0, 2.5])  # both automatic substitution modes
+    terms = term(geometry, atom, m, zs, spec=spec, **kw)
+    assert isinstance(terms, list) and len(terms) == zs.size
+    for z, t in zip(zs.tolist(), terms):
+        assert t == term(geometry, atom, m, z, spec=spec, **kw), z
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -0.25])
+@pytest.mark.parametrize("call", [
+    lambda atom, m, z: v.expansion_order1("thick", atom, m, z),
+    lambda atom, m, z: v.expansion_order2("two-thin-plates", atom, m, z, d=1.0, s=0.5),
+], ids=["order1-thick", "order2-pair"])
+def test_expansion_terms_name_a_bad_z_entry(atom, call, bad):
+    # the pair term checks z itself, not its decay length z + s
+    with pytest.raises(ValueError, match=rf"z must be finite and > 0, got z\[1\] = {bad}$"):
+        call(atom, weak_material(), np.array([1.0, bad, 2.0]))
 
 
 def test_additivity_check_rejects_nonconverged_terms(atom, monkeypatch):
@@ -180,10 +211,10 @@ def test_additivity_check_rejects_nonconverged_terms(atom, monkeypatch):
     order2 = perturbation.expansion_order2
 
     def pair_unconverged(geometry, *args, **kwargs):
-        term = order2(geometry, *args, **kwargs)
+        terms = order2(geometry, *args, **kwargs)  # the depth integrand passes an array
         if geometry == "two-thin-plates":
-            term = dataclasses.replace(term, converged=False)
-        return term
+            terms = [dataclasses.replace(t, converged=False) for t in terms]
+        return terms
 
     monkeypatch.setattr(perturbation, "expansion_order2", pair_unconverged)
     loose = v.QuadratureSpec(rel_tol_outer=1e-3, rel_tol_inner=1e-4)

@@ -131,7 +131,8 @@ def test_nested_exponential_all_modes():
     for z in (0.5, 1.0, 2.0):
         expected = 0.25 / (z * z)
         for mode in v.MODES:
-            res = v.integrate_nested(lambda u, b, z: np.exp(-2.0 * b * z), z=z, mode=mode)
+            res = v.integrate_nested(lambda u, b, z: np.exp(-2.0 * b * z), z=z,
+                                     spec=dataclasses.replace(v.DEFAULT_SPEC, mode=mode))
             assert res.converged
             assert res.value == pytest.approx(expected, rel=1e-8), mode
 
@@ -350,7 +351,7 @@ def test_nested_kernel_batch_shapes(mode):
         shapes.append((np.shape(u), np.shape(b), np.shape(z)))
         return np.exp(-2.0 * b) * np.ones_like(u)
 
-    res = v.integrate_nested(kernel, z=1.0, mode=mode)
+    res = v.integrate_nested(kernel, z=1.0, spec=dataclasses.replace(v.DEFAULT_SPEC, mode=mode))
     assert res.converged
     assert sum(np.broadcast_shapes(su, sb)[0] * 15 for su, sb, _ in shapes) == res.evaluations
     for su, sb, sz in shapes:
@@ -392,10 +393,11 @@ def test_nested_batch_rows_equal_float_calls(mode):
         return np.exp(-2.0 * b * z) * (b - u) / (1.0 + u * u)
 
     zs = np.array([0.3, 0.99, 1.0, 3.0])  # both automatic modes
-    batch = v.integrate_nested(kernel, z=zs, mode=mode)
+    spec = dataclasses.replace(v.DEFAULT_SPEC, mode=mode)
+    batch = v.integrate_nested(kernel, z=zs, spec=spec)
     assert isinstance(batch, v.IntegralBatch) and len(batch) == zs.size
     for z, row in zip(zs.tolist(), batch):
-        assert row == v.integrate_nested(kernel, z=z, mode=mode), (mode, z)
+        assert row == v.integrate_nested(kernel, z=z, spec=spec), (mode, z)
     assert batch.evaluations == sum(row.evaluations for row in batch)
     assert batch.converged is True
 
