@@ -26,7 +26,6 @@ from .quadrature import (
     integrate_finite,
     integrate_nested,
     integrate_semi_infinite,
-    resolve_mode,
 )
 from .stack import Layer, LayerStack, ReflectionSet, axial_wavenumber, duality_swap, \
     reflection_coefficients

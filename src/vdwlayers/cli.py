@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--rel-tol", type=float, default=None,
                         help="outer relative tolerance (inner is set 10x tighter)")
         sp.add_argument("--quad-mode", choices=list(MODES), default=None,
-                        help="force a substitution mode")
+                        help="run the nested engine in this substitution, not the b-node table")
         sp.add_argument("--threads", type=int, default=None,
                         help="accepted for compatibility; starts no workers")
         sp.add_argument("--format", choices=("csv", "json"), default="csv",

@@ -14,10 +14,14 @@ same kernel its linear-in-thickness coefficients, and a perfect-mirror
 half-space or plate takes the 1-D ``potential_mirror`` integral.  Every
 potential takes the atom position ``z`` as a float, returning one
 ``PotentialResult``, or as a 1-D array, returning a list with one result per
-entry that equals the float call exactly; each wall of an array is one
-``integrate_nested`` call.  For atoms in an interior layer the two wall
-terms are integrated separately, which makes the left/right split exact
-bookkeeping rather than an approximation.
+entry; each wall of an array is one ``integrate_nested`` call.  z enters the
+wall kernel only through e^{-2 b z}, so at the default spec one b-node table
+serves every entry of a wall: an entry and the float call agree within their
+reported errors rather than bit for bit, the same input gives the same
+bytes, and the table's kernel evaluations are split evenly over the entries.
+For atoms in an interior layer the two wall terms are integrated
+separately, which makes the left/right split exact bookkeeping rather than
+an approximation.
 Position-independent bulk terms are omitted throughout, so an all-vacuum
 scene gives exactly zero.
 """
@@ -113,7 +117,10 @@ def potential_mirror(atom: AtomModel, z, kind: str = "conducting",
 
 
 def _wall_kernel(atom: AtomModel, refl):
-    """Integrand of one wall at distance z; ``refl(u, b)`` gives its (r_s, r_p)."""
+    """Integrand of one wall at distance z; ``refl(u, b)`` gives its (r_s, r_p).
+
+    z enters only through e^{-2 b z}, the contract of the b-node table.
+    """
     def kernel(u, b, z):
         r_s, r_p = refl(u, b)
         bracket = u * u * r_s - (2.0 * b * b - u * u) * r_p

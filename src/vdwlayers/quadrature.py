@@ -8,25 +8,43 @@ knee of the integrand (the exponential decay length for the inner transverse
 integral, a characteristic resonance frequency for the outer one).
 
 ``integrate_nested`` evaluates integrals of a kernel F(u, b, z) over the region
-u >= 0, b >= u, in any of three equivalent parameterizations:
+u >= 0, b >= u, for a float ``z`` or for each entry of a 1-D array.  At the
+default spec (``QuadratureSpec.mode = None``) it integrates in the swapped
+order
+
+  table         int_0^inf db e^{-2 b z} G(b),  G(b) = int_0^b du F(u, b, 0)
+
+and one table of G on b-nodes serves every z of the call.  The kernel must
+then carry z only as F(u, b, z) = F(u, b, 0) e^{-2 b z}, as every wall and
+expansion kernel does; the table calls it at z = 0 (a float) with ``u`` of
+shape (m, 15) and ``b`` of shape (m, 1), one b node per row.  The entries
+share the table's panels: each entry's error adds its own outer and weighted
+inner estimates, the same input gives the same bytes, and an entry is not
+the float call bit for bit.  The table's kernel points are split evenly over
+the entries (``IntegralBatch.row_evaluations``), so they sum to the points
+the kernel received.
+
+An explicit ``QuadratureSpec.mode`` runs the nested engine in one of three
+equivalent parameterizations, kept as the table's cross-check:
 
   nonretarded   int_0^inf du int_u^inf db F(u, b, z)
   direct        int_0^inf du int_0^inf dq (q/b) F(u, b, z),  b = hypot(u, q)
   retarded      int_1^inf dv int_0^inf du u F(u, u v, z)
 
-``z`` is a float or a 1-D array; each entry is one integral, a row of the
-outer refinement.  Rows are grouped by substitution mode (a long array
-runs in chunks of ``_NESTED_ROWS`` rows), and all inner integrals of one
-outer refinement step, over every row of a chunk, are refined together as
-arrays, so the kernel sees every new inner panel of that step in one call.
-It receives broadcastable float arrays: ``u`` of shape
-(m, 1) and ``b`` of shape (m, 15) in the ``nonretarded`` and ``direct``
-modes, both (m, 15) in ``retarded`` mode, and ``z`` of shape (m, 1), one row
-per inner panel; a float ``z`` is a batch of one.  It must return the values
-at the broadcast shape (m, 15), computed elementwise, so that a point's value
-does not depend on the other points of the batch.  ``b`` here is the vacuum
-axial wavenumber of the atom layer, so the change of variables is purely
-geometric and identical for every stack.
+Each z is one row of the outer refinement (a long array runs in chunks of
+``_NESTED_ROWS`` rows), and all inner integrals of one outer refinement
+step, over every row of a chunk, are refined together as arrays, so the
+kernel sees every new inner panel of that step in one call.  It receives
+``u`` of shape (m, 1) and ``b`` of shape (m, 15) in the ``nonretarded`` and
+``direct`` modes, both (m, 15) in ``retarded`` mode, and ``z`` of shape
+(m, 1), one row per inner panel; rows are refined independently, so an
+entry of an array equals the float call exactly.
+
+In every case the kernel must return the values at the broadcast shape,
+computed elementwise, so that a point's value does not depend on the other
+points of the batch.  ``b`` is the vacuum axial wavenumber of the atom layer,
+so the change of variables is purely geometric and identical for every
+stack.
 
 The 1-D integrals (``integrate_finite``, ``integrate_semi_infinite``) are
 one-row batches of the same driver.  Their integrand gets a flat array of
@@ -47,7 +65,6 @@ __all__ = [
     "IntegralResult",
     "IntegralBatch",
     "MODES",
-    "resolve_mode",
     "integrate_finite",
     "integrate_semi_infinite",
     "integrate_nested",
@@ -90,9 +107,9 @@ _WK = np.concatenate([_WK_HALF[:7], _WK_HALF[::-1]])
 _WG = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])  # weights for _XK[1::2]
 
 _EPS = float(np.finfo(float).eps)
-# rows of one nested batch: the panel tables grow with the rows, so a long
-# scan runs in chunks of this many; rows are independent, so the chunking
-# does not change any result
+# rows of one nested batch (an explicit ``QuadratureSpec.mode``): the panel
+# tables grow with the rows, so a long scan runs in chunks of this many; rows
+# are independent, so the chunking does not change any result
 _NESTED_ROWS = 64
 
 
@@ -124,10 +141,11 @@ def _as_rows(name: str, value, below: float = math.inf) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances, subdivision budget and substitution mode.
+    """Tolerances, subdivision budget and engine of ``integrate_nested``.
 
-    ``mode = None`` selects the default policy: the (u, b) parameterization
-    for distances below one reduced length unit, the (u, v) one beyond.
+    ``mode = None`` selects the b-node table; a mode from ``MODES`` selects
+    the nested engine in that substitution.  ``max_subdivisions`` bounds the
+    splits of every adaptive integral and the outer panels of a table.
     """
 
     rel_tol_inner: float = 1e-8
@@ -169,7 +187,9 @@ class IntegralBatch:
 
     ``evaluations`` (the kernel points of the whole call) and ``converged``
     (every row converged) summarize the call like an ``IntegralResult``;
-    ``batch[i]`` is the ``IntegralResult`` of row i.
+    ``batch[i]`` is the ``IntegralResult`` of row i.  ``row_evaluations``
+    sums to ``evaluations``: a nested row counts its own points, and a
+    table's points are split evenly over its rows.
     """
 
     values: np.ndarray
@@ -203,16 +223,27 @@ def _require(res, what: str) -> float:
     return res.value
 
 
-def resolve_mode(mode: str | None, z: float) -> str:
-    if mode is not None:
-        return mode
-    return "nonretarded" if z < 1.0 else "retarded"
-
-
 def _rowdot(x, w):
     # einsum sums each row on its own, so a panel's estimate does not depend
     # on the other panels of the batch (a BLAS matrix-vector product can).
-    return np.einsum("ij,j->i", x, w)
+    return np.einsum("...j,j->...", x, w)
+
+
+def _estimate(fx, h):
+    """Kronrod value, QUADPACK error estimate and Kronrod integral of |f| per panel.
+
+    The 15 node values of a panel lie along the last axis of ``fx``; the
+    half-widths ``h`` broadcast against the other axes.
+    """
+    resk = h * _rowdot(fx, _WK)
+    resg = h * _rowdot(fx[..., 1::2], _WG)
+    resabs = h * _rowdot(np.abs(fx), _WK)
+    err = np.abs(resk - resg)
+    resasc = h * _rowdot(np.abs(fx - (resk / (2.0 * h))[..., None]), _WK)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((err != 0.0) & (resasc != 0.0), scaled, err)
+    return resk, np.maximum(err, 50.0 * _EPS * resabs), resabs
 
 
 def _eval_panels(f, rows, a, b, with_aux):
@@ -230,20 +261,23 @@ def _eval_panels(f, rows, a, b, with_aux):
         aux = h * _rowdot(gx, _WK)
     else:
         fx, aux = out, np.zeros_like(h)
-    resk = h * _rowdot(fx, _WK)
-    resg = h * _rowdot(fx[:, 1::2], _WG)
-    resabs = h * _rowdot(np.abs(fx), _WK)
-    err = np.abs(resk - resg)
-    resasc = h * _rowdot(np.abs(fx - (resk / (b - a))[:, None]), _WK)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((err != 0.0) & (resasc != 0.0), scaled, err)
-    err = np.maximum(err, 50.0 * _EPS * resabs)
+    resk, err, _ = _estimate(fx, h)
     return resk, err, aux
 
 
 # Fields of the per-integral panel table used by _lockstep.
 _LO, _HI, _VAL, _ERR, _AUX, _KEY = range(6)
+
+
+def _leaf_sums(field, split, used):
+    """``math.fsum`` of each row of ``field[:, :used]``.
+
+    Only the ``split`` rows hold more than column 0; the fsum of one panel and
+    zeros is that panel's value, with +0.0 for -0.0 as fsum gives.
+    """
+    out = field[:, 0] + 0.0
+    out[split] = [math.fsum(r) for r in field[split, :used].tolist()]
+    return out
 
 
 def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions, with_aux=False):
@@ -258,7 +292,8 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions, with_aux=False):
     leave the queue (key -inf), so ``argmax`` picks the panel that a heap
     ordered by (-err, creation) would pop.  A split panel's value, error and
     aux are zeroed, which leaves the final sums over the leaves alone.
-    Returns per-integral arrays (value, error, aux, evals, converged).
+    ``rel_tol`` is a float or one tolerance per integral.  Returns
+    per-integral arrays (value, error, aux, evals, converged).
     """
     if n == 0:  # e.g. a border whose points all sit at eps0 = 1
         empty = np.zeros(0)
@@ -310,8 +345,8 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions, with_aux=False):
         splits[idx] += 1
 
     used = 1 + 2 * splits.max()
-    value, error, aux = (np.array([math.fsum(r) for r in tab[field, :, :used].tolist()])
-                         for field in (_VAL, _ERR, _AUX))
+    split = np.flatnonzero(splits)
+    value, error, aux = (_leaf_sums(tab[field], split, used) for field in (_VAL, _ERR, _AUX))
     converged = error <= np.maximum(rel_tol * np.abs(value), abs_tol)
     return value, error, aux, 15 + 30 * splits, converged
 
@@ -423,29 +458,191 @@ def _nested_rows(kernel, mode: str, z: np.ndarray, spec: QuadratureSpec, u_scale
     return val, err + aux, evals, conv & inner_ok
 
 
+# Initial outer panels of a b-node table: one per e-fold of b over
+# [_TABLE_B_LO / max(z), _TABLE_B_HI / min(z)], where e^{-2 b z} G(b) of
+# every z holds its weight, plus the two tails out to b = 0 and b = inf.
+_TABLE_B_LO = 1e-2
+_TABLE_B_HI = 10.0
+# A node with 2 b min(z) above this has e^{-2 b z} < 1e-304 for every z; its
+# G(b) is not computed and counts as zero.
+_TABLE_MAX_DECAY = 700.0
+# z per block of the per-z panel sums, which bounds their temporaries
+_TABLE_Z_CHUNK = 128
+# Splits of one inner integral of a table.  Smooth G(b) needs about ten; a node
+# at a zero of G can never meet a relative tolerance, so the cap bounds its
+# cost, and its error estimate, however large, still counts in every row.
+_TABLE_INNER_SPLITS = 64
+# The inner tolerance of a panel whose weighted inner errors keep a row from
+# its tolerance is tightened once, by this factor.
+_TABLE_INNER_TIGHTEN = 1e-2
+
+
+def _greedy_cover(gain, excess):
+    """Panels to work on: per column, the fewest largest ``gain`` entries reaching ``excess``."""
+    order = np.argsort(-gain, axis=0, kind="stable")
+    covered = np.cumsum(np.take_along_axis(gain, order, axis=0), axis=0)
+    need = (covered < excess).sum(axis=0) + 1
+    pick = np.zeros(gain.shape[0], dtype=bool)
+    pick[order[np.arange(gain.shape[0])[:, None] < need]] = True
+    return pick
+
+
+def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
+    """(value, error, evaluations, converged) per entry of ``z`` from one b-node table.
+
+    U(z) = int_0^inf db e^{-2 b z} G(b) with G(b) = int_0^b du F(u, b, 0).
+    The outer variable x in (0, 1) maps to b = b_c x / (1 - x), which covers
+    the whole half-line, so no tail is cut off; its first panels are spaced
+    evenly in log b.  G at every node is one row of an inner ``_lockstep``
+    over t in [0, 1]: u = b t while b <= u_scale, and beyond it the rational
+    map u = c t / (1 - (1 - c / b) t), c = u_scale, which still ends at
+    u = b but puts half of the nodes below u of order u_scale, where the
+    material and atom resonances sit; it gets at most _TABLE_INNER_SPLITS
+    splits.
+
+    Each panel keeps, for every z, its Kronrod value, its QUADPACK estimate
+    and its inner errors weighted by e^{-2 b z}; a row's error is the sum of
+    both.  Each round works on every row still short of its tolerance: when
+    its outer estimate is more than half of it, the fewest panels whose
+    estimates cover the excess are split; when its inner errors are, the
+    fewest panels carrying them get their inner integrals redone once at
+    ``_TABLE_INNER_TIGHTEN`` times the tolerance.  A row that neither can
+    help (the rounding floor of its outer estimate, or inner errors already
+    tightened, at a sign change of U) stops steering and ends unconverged;
+    the panels never exceed ``spec.max_subdivisions``.
+    """
+    n = z.size
+    z_min = float(z.min())
+    s_lo = math.log(_TABLE_B_LO / float(z.max()))
+    s_hi = math.log(_TABLE_B_HI / z_min)
+    s_c = 0.5 * (s_lo + s_hi)
+    b_c = math.exp(s_c)
+    cuts = min(math.ceil(s_hi - s_lo) + 1, spec.max_subdivisions - 1)
+    s_cut = np.linspace(s_lo, s_hi, cuts) if cuts > 1 else np.full(cuts, s_c)
+    edges = np.concatenate([[0.0], 1.0 / (1.0 + np.exp(s_c - s_cut)), [1.0]])
+    evals = 0
+
+    def panels(lo, hi, tight):
+        """(value, outer estimate, weighted inner error, rounding floor) x panel x z."""
+        nonlocal evals
+        h = 0.5 * (hi - lo)
+        x = 0.5 * (lo + hi)[:, None] + h[:, None] * _XK
+        onemx = 1.0 - x
+        safe = np.where(onemx > 0.0, onemx, 1.0)
+        b = b_c * x / safe
+        busy = (onemx > 0.0) & (b > 0.0) & (2.0 * b * z_min <= _TABLE_MAX_DECAY)
+        bb = b[busy][:, None]
+        c = np.minimum(bb, u_scale)
+        bend = 1.0 - c / bb
+
+        def integrand(r, t):
+            d = 1.0 - bend[r] * t
+            return kernel(c[r] * t / d, bb[r], 0.0) * (c[r] / (d * d))
+
+        rel = np.where(tight, spec.rel_tol_inner * _TABLE_INNER_TIGHTEN, spec.rel_tol_inner)
+        g, g_err, _, inner_evals, _ = _lockstep(
+            integrand, bb.size, np.broadcast_to(rel[:, None], b.shape)[busy], spec.abs_tol,
+            min(spec.max_subdivisions, _TABLE_INNER_SPLITS))
+        evals += int(inner_evals.sum())
+        val_j, err_j = np.zeros_like(b), np.zeros_like(b)
+        jac = b_c / (safe[busy] * safe[busy])
+        val_j[busy], err_j[busy] = g * jac, g_err * jac
+        out = np.empty((4, lo.size, n))
+        for j in range(0, n, _TABLE_Z_CHUNK):  # bounds the (panel, z, node) temporaries
+            cols = slice(j, j + _TABLE_Z_CHUNK)
+            decay = np.exp(-2.0 * b[:, None, :] * z[cols, None])
+            out[0, :, cols], out[1, :, cols], resabs = _estimate(val_j[:, None, :] * decay,
+                                                                 h[:, None])
+            out[2, :, cols] = h[:, None] * _rowdot(err_j[:, None, :] * decay, _WK)
+            out[3, :, cols] = 50.0 * _EPS * resabs
+        return out
+
+    lo, hi = edges[:-1].copy(), edges[1:].copy()  # replaced in place below
+    tight = np.zeros(lo.size, dtype=bool)
+    sums = panels(lo, hi, tight)
+    while True:
+        _, outer, inner, floor = sums
+        tot_val, tot_outer, tot_inner, tot_floor = sums.sum(axis=1)
+        tol = np.maximum(spec.rel_tol_outer * np.abs(tot_val), spec.abs_tol)
+        short = tot_outer + tot_inner > tol
+        mid = 0.5 * (lo + hi)
+        splittable = (lo < mid) & (mid < hi)
+        split_rows = np.flatnonzero(short & (tot_outer > 0.5 * tol) & (tot_floor < 0.25 * tol))
+        redo_rows = np.flatnonzero(short & (tot_inner > 0.5 * tol))
+        split = np.zeros(lo.size, dtype=bool)
+        if split_rows.size and splittable.any():
+            gain = np.where(splittable[:, None], outer[:, split_rows] - floor[:, split_rows], 0.0)
+            split = _greedy_cover(gain, tot_outer[split_rows] - 0.25 * tol[split_rows]) & splittable
+            idx = np.flatnonzero(split)
+            room = spec.max_subdivisions - lo.size
+            if idx.size > room:  # the budget keeps the panels worst for some row
+                worst = (gain[idx] / tol[split_rows]).max(axis=1)
+                split[:] = False
+                split[idx[np.argsort(-worst, kind="stable")[:room]]] = True
+        redo = np.zeros(lo.size, dtype=bool)
+        if redo_rows.size and not tight.all():
+            gain = np.where(tight[:, None], 0.0, inner[:, redo_rows])
+            redo = _greedy_cover(gain, tot_inner[redo_rows] - 0.25 * tol[redo_rows]) & ~tight
+        if not (split.any() or redo.any()):
+            break
+        # a split panel's left half replaces it and its right half is appended;
+        # a redone panel is evaluated again in place
+        idx = np.flatnonzero(split | redo)
+        halves = split[idx]
+        new_lo = np.concatenate([lo[idx], mid[idx[halves]]])
+        new_hi = np.concatenate([np.where(halves, mid[idx], hi[idx]), hi[idx[halves]]])
+        new_tight = (tight | redo)[np.concatenate([idx, idx[halves]])]
+        new = panels(new_lo, new_hi, new_tight)
+        k = idx.size
+        lo[idx], hi[idx], tight[idx] = new_lo[:k], new_hi[:k], new_tight[:k]
+        sums[:, idx] = new[:, :k]
+        lo, hi, tight = (np.concatenate([a, c[k:]]) for a, c in
+                         ((lo, new_lo), (hi, new_hi), (tight, new_tight)))
+        sums = np.concatenate([sums, new[:, k:]], axis=1)
+
+    value, error = (np.array([math.fsum(col) for col in part.T.tolist()])
+                    for part in (sums[0], sums[1] + sums[2]))
+    converged = error <= np.maximum(spec.rel_tol_outer * np.abs(value), spec.abs_tol)
+    share, extra = divmod(evals, n)
+    row_evals = np.full(n, share, dtype=np.intp)
+    row_evals[:extra] += 1
+    return value, error, row_evals, converged
+
+
 def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
                      u_scale: float = 1.0):
-    """Nested adaptive integral of F(u, b, z) over u >= 0, b >= u, for each z.
+    """Adaptive integral of F(u, b, z) over u >= 0, b >= u, for each z.
 
-    ``z`` is the decay length of the e^{-2 b z} factor carried by the kernel;
-    it fixes the inner map scale and the default substitution mode.  The
-    reported error adds the outer panel estimate and the integrated inner
-    error estimates; ``converged`` requires every inner integral to have
-    converged as well.  A float ``z`` returns an ``IntegralResult``; a 1-D
-    array returns an ``IntegralBatch`` whose rows equal the float calls
-    exactly.
+    With ``spec.mode = None`` one b-node table (``_table_rows``) serves every
+    z.  The kernel must then satisfy F(u, b, z) = F(u, b, 0) e^{-2 b z}: the
+    table calls it at z = 0 and applies the factor per row itself.  Rows
+    share the table's panels, so a row of an array is not bit for bit the
+    float call; the same input always gives the same bytes, and each row's
+    reported error covers its own outer and weighted inner estimates.  The
+    kernel points of the table are split evenly over the rows (the first rows
+    take the remainder), so ``evaluations`` sums to the points the kernel got.
+
+    An explicit ``spec.mode`` runs the nested engine in that substitution,
+    with z as the decay length that sets each row's inner map scale; there
+    the reported error adds the outer panel
+    estimate and the integrated inner estimates, ``converged`` requires every
+    inner integral to have converged, and each row is refined on its own, so
+    a row of an array equals the float call exactly.
+
+    ``u_scale`` is the frequency scale of the kernel's resonances: the knee
+    of the table's inner map and the outer map scale of the nested engine.
+    A float ``z`` returns an ``IntegralResult``; a 1-D array returns an
+    ``IntegralBatch``.
     """
     spec = spec or DEFAULT_SPEC
     zs = _as_rows("z", z)
-    groups: dict[str, list[int]] = {}  # substitution mode -> its rows
-    for i, zi in enumerate(zs.tolist()):
-        groups.setdefault(resolve_mode(spec.mode, zi), []).append(i)
-    fields = (np.zeros(zs.size), np.zeros(zs.size), np.zeros(zs.size, dtype=np.intp),
-              np.ones(zs.size, dtype=bool))
-    for m, sel in groups.items():
-        for start in range(0, len(sel), _NESTED_ROWS):
-            rows = sel[start:start + _NESTED_ROWS]
-            for field, part in zip(fields, _nested_rows(kernel, m, zs[rows], spec, u_scale)):
-                field[rows] = part
+    if not zs.size:
+        fields = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool))
+    elif spec.mode is None:
+        fields = _table_rows(kernel, zs, spec, u_scale)
+    else:
+        chunks = (_nested_rows(kernel, spec.mode, zs[i:i + _NESTED_ROWS], spec, u_scale)
+                  for i in range(0, zs.size, _NESTED_ROWS))
+        fields = [np.concatenate(parts) for parts in zip(*chunks)]
     batch = IntegralBatch(*fields)
     return batch[0] if np.ndim(z) == 0 else batch

@@ -119,21 +119,27 @@ def axial_wavenumber(material, u, q):
 
 
 def _layer_values(material, u, b):
-    """(eps, mu, axial wavenumber) of one layer, from the vacuum axial wavenumber b."""
+    """(eps, mu, axial wavenumber, u^2 (eps mu - 1)) of one layer, from the vacuum b."""
     if material.is_vacuum:
-        return 1.0, 1.0, b
+        return 1.0, 1.0, b, 0.0
     e = material.eps(u)
     m = material.mu(u)
-    return e, m, np.sqrt(u * u * (e * m - 1.0) + b * b)
+    w = u * u * (e * m - 1.0)
+    return e, m, np.sqrt(w + b * b), w
 
 
-def _fresnel(resp_out, b_out, resp_in, b_in):
-    # Single-interface coefficient seen from the inner layer, for the response
-    # (mu for s, eps for p) and axial wavenumber on either side.  Swapping the
-    # sides negates it exactly.
-    p = resp_out * b_in
-    q = resp_in * b_out
-    return (p - q) / (p + q)
+def _fresnel(out, inn, k, b2):
+    # Single-interface coefficient seen from the inner layer, between layers
+    # with the _layer_values ``out`` and ``inn``, for the response k (1: mu,
+    # the s wave; 0: eps, the p wave); b2 is the vacuum b^2.  The numerator
+    # ro b_in - ri b_out cancels when u << b and the response is weak, so it
+    # is formed times the denominator from b_M^2 = w + b^2:
+    # b^2 (ro^2 - ri^2) + (ro^2 w_in - ri^2 w_out).  Swapping the sides
+    # negates it exactly.
+    ro, ri = out[k], inn[k]
+    ro2, ri2 = ro * ro, ri * ri
+    den = ro * inn[2] + ri * out[2]
+    return (b2 * (ro2 - ri2) + (ro2 * inn[3] - ri2 * out[3])) / (den * den)
 
 
 def _interface_step(rho, r_behind, fac, em1):
@@ -155,6 +161,7 @@ def _side_reflection(layers, seq, u, b):
         shape = np.broadcast(u, b).shape
         return np.zeros(shape), np.zeros(shape)
 
+    b2 = b * b
     # A perfect mirror hides everything beyond it: seed the walk right there.
     mirror_pos = next((pos for pos in range(len(seq) - 2, -1, -1)
                        if isinstance(layers[seq[pos]].material, PerfectMirror)), None)
@@ -166,18 +173,16 @@ def _side_reflection(layers, seq, u, b):
         r_s, r_p = np.full(shape, mirror.r_s), np.full(shape, mirror.r_p)
     else:
         first = 1
-        e0, m0, b0 = _layer_values(layers[seq[0]].material, u, b)
+        outer = _layer_values(layers[seq[0]].material, u, b)
         prev = _layer_values(layers[seq[1]].material, u, b)
-        r_s = _fresnel(m0, b0, prev[1], prev[2])
-        r_p = _fresnel(e0, b0, prev[0], prev[2])
+        r_s, r_p = _fresnel(outer, prev, 1, b2), _fresnel(outer, prev, 0, b2)
 
     for i in range(first + 1, len(seq)):
-        e_p, m_p, b_p = prev
         here = _layer_values(layers[seq[i]].material, u, b)
-        em1 = np.expm1(b_p * (-2.0 * layers[seq[i - 1]].thickness))
+        em1 = np.expm1(prev[2] * (-2.0 * layers[seq[i - 1]].thickness))
         fac = 1.0 + em1
-        r_s = _interface_step(_fresnel(m_p, b_p, here[1], here[2]), r_s, fac, em1)
-        r_p = _interface_step(_fresnel(e_p, b_p, here[0], here[2]), r_p, fac, em1)
+        r_s = _interface_step(_fresnel(prev, here, 1, b2), r_s, fac, em1)
+        r_p = _interface_step(_fresnel(prev, here, 0, b2), r_p, fac, em1)
         prev = here
     return r_s, r_p
 

@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 
@@ -31,6 +32,18 @@ def constant_material(eps0=1.0, mu0=1.0, knee=1e8):
     electric = [v.Resonance(knee * math.sqrt(eps0 - 1.0), knee)] if eps0 > 1.0 else []
     magnetic = [v.Resonance(knee * math.sqrt(mu0 - 1.0), knee)] if mu0 > 1.0 else []
     return v.MaterialModel(electric=electric, magnetic=magnetic)
+
+
+def tight_nested(z, spec=None):
+    """``spec`` at 100x tighter tolerances on the nested engine: the reference of a table row.
+
+    The substitution follows z as the nested engine's old default did: (u, b)
+    below one reduced length, (u, v) from there on.
+    """
+    spec = spec or v.DEFAULT_SPEC
+    return dataclasses.replace(spec, rel_tol_inner=spec.rel_tol_inner / 100.0,
+                               rel_tol_outer=spec.rel_tol_outer / 100.0,
+                               mode="nonretarded" if z < 1.0 else "retarded")
 
 
 def halfspace_stack(mat, z):

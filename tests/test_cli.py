@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vdwlayers as v
@@ -188,8 +189,10 @@ def test_scan_plate_columns_match_library(tmp_path, kind):
     cfg = parse_config(doc)
     potential = v.potential_plate if kind == "plate" else v.potential_thin_plate
     assert len(rows) == 4
-    for row in rows:
-        res = potential(cfg.atom, cfg.medium("plate"), 0.01, float(row["z_A"]), cfg.quadrature)
+    # the library called with the scan's array, as the CLI calls it: the same bytes
+    zs = np.array([float(row["z_A"]) for row in rows])
+    results = potential(cfg.atom, cfg.medium("plate"), 0.01, zs, cfg.quadrature)
+    for row, res in zip(rows, results):
         assert float(row["U"]) == res.value
         assert float(row["U_left"]) == res.left
         assert float(row["U_right"]) == res.right

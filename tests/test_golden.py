@@ -1,0 +1,80 @@
+"""Both integration engines and the reflection coefficients against mpmath references.
+
+``golden.json`` is written by ``scripts/golden_refs.py`` (mpmath, swapped
+integration order, at least 20 agreeing digits per value).
+"""
+
+import dataclasses
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import vdwlayers as v
+
+GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
+ATOM = v.AtomModel.two_level(GOLDEN["atom"]["frequency"], GOLDEN["atom"]["dipole_sq"])
+
+
+def _material(doc):
+    return v.MaterialModel(electric=[v.Resonance(*r) for r in doc["electric"]],
+                           magnetic=[v.Resonance(*r) for r in doc["magnetic"]])
+
+
+PLATE = _material(GOLDEN["plate"])
+
+
+def _potential(point, z, spec):
+    kind = point["geometry"]
+    if kind == "halfspace":
+        return v.potential_halfspace(ATOM, PLATE, z, spec)
+    if kind == "two-plates":
+        return v.potential_two_plates(ATOM, PLATE, point["separation"], z, spec)
+    if kind == "thin-plate":
+        return v.potential_thin_plate(ATOM, PLATE, point["thickness"], z, spec)
+    # the mirror as a layer runs the 2-D engines with r_s = -1, r_p = 1
+    stack = v.LayerStack((v.Layer(v.CONDUCTING_MIRROR, math.inf), v.Layer(v.VACUUM, math.inf)),
+                         1, z)
+    return v.potential_multilayer(stack, ATOM, spec)
+
+
+def _name(point):
+    return "-".join(f"{k}={x}" if k != "geometry" else x for k, x in point.items()
+                    if k not in ("value", "digits"))
+
+
+@pytest.mark.parametrize("mode", [None, *v.MODES])
+@pytest.mark.parametrize("point", GOLDEN["potentials"], ids=_name)
+def test_potential_within_its_error_of_the_golden_value(point, mode):
+    res = _potential(point, point["z"], dataclasses.replace(v.DEFAULT_SPEC, mode=mode))
+    assert res.converged
+    assert abs(res.value - float(point["value"])) <= res.error
+
+
+def test_table_rows_within_their_errors_of_the_golden_values():
+    # the three half-space points as one table, the way a scan computes them
+    points = [p for p in GOLDEN["potentials"] if p["geometry"] == "halfspace"]
+    rows = v.potential_halfspace(ATOM, PLATE, np.array([p["z"] for p in points]))
+    for point, res in zip(points, rows):
+        assert res.converged
+        assert abs(res.value - float(point["value"])) <= res.error, point["z"]
+
+
+def test_mirror_integral_within_its_error_of_the_golden_value():
+    (point,) = [p for p in GOLDEN["potentials"] if p["geometry"] == "conducting-mirror"]
+    res = v.potential_mirror(ATOM, point["z"])
+    assert abs(res.value - float(point["value"])) <= res.error
+
+
+@pytest.mark.parametrize("entry", GOLDEN["fresnel"],
+                         ids=lambda e: f"{e['material']}-b/u={e['b'] / e['u']:g}")
+def test_fresnel_coefficients_at_grazing_b(entry):
+    # u << b with a weak response in one polarization: the double-precision
+    # numerator cancels unless it is formed from b_M^2
+    material = _material(GOLDEN["materials"][entry["material"]])
+    stack = v.LayerStack((v.Layer(material, math.inf), v.Layer(v.VACUUM, math.inf)), 1, 1.0)
+    r = v.reflection_coefficients(stack, entry["u"], entry["b"])
+    assert r.r_s_minus == pytest.approx(float(entry["r_s"]), rel=1e-14, abs=0.0)
+    assert r.r_p_minus == pytest.approx(float(entry["r_p"]), rel=1e-14, abs=0.0)
