@@ -19,7 +19,6 @@ from .materials import (
 )
 from .quadrature import (
     DEFAULT_SPEC,
-    MODES,
     IntegralBatch,
     IntegralResult,
     QuadratureSpec,

@@ -14,6 +14,7 @@ single-resonance medium with weak electric response.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -442,8 +443,14 @@ def locate_wall(potential: Callable, z_lo: float = 1e-3, z_hi: float = 1e2,
     times its quadrature error estimate, so quadrature noise is never
     reported as a wall.  Scan points that do not converge are skipped with a
     warning; a refinement potential that does not converge raises
-    RuntimeError naming its z.
+    RuntimeError naming its z.  ``z_lo`` and ``z_hi`` must be finite and
+    > 0, and ``samples`` an integer >= 4, or ValueError is raised before any
+    potential is computed.
     """
+    _require_positive("z_lo", z_lo)
+    _require_positive("z_hi", z_hi)
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 4:
+        raise ValueError(f"samples must be an integer >= 4, got {samples!r}")
     if not z_hi > z_lo:
         raise ValueError(f"z_hi must exceed z_lo, got z_lo={z_lo}, z_hi={z_hi}")
     zs = np.geomspace(z_lo, z_hi, samples)

@@ -41,7 +41,6 @@ from .potential import (
     potential_thin_plate,
     potential_two_plates,
 )
-from .quadrature import MODES
 
 __all__ = ["main", "entry"]
 
@@ -328,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         sp.add_argument("--rel-tol", type=float, default=None,
                         help="outer relative tolerance (inner is set 10x tighter)")
-        sp.add_argument("--quad-mode", choices=list(MODES), default=None,
-                        help="run the nested engine in this substitution, not the b-node table")
         sp.add_argument("--threads", type=int, default=None,
                         help="accepted for compatibility; starts no workers")
         sp.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -341,7 +338,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        cfg = with_overrides(cfg, args.rel_tol, args.quad_mode)
+        cfg = with_overrides(cfg, args.rel_tol)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -32,14 +32,15 @@ reduced units):
       "wall":   {"z_min": 1e-3, "z_max": 1e2, "samples": 60},
       "check":  {"material": "name", "z": 1.0},
       "quadrature": {"rel_tol_inner": 1e-8, "rel_tol_outer": 1e-7,
-                     "abs_tol": 1e-30, "max_subdivisions": 2000,
-                     "mode": "direct" | "retarded" | "nonretarded"}
+                     "abs_tol": 1e-30, "max_subdivisions": 2000}
     }
 
 The name "vacuum" is predefined and reserved.  Each command requires its own
 section (scan additionally requires geometry; wall requires geometry and
-accepts an optional wall section).  A result sidecar (a JSON document with a
-"config" key) is itself accepted wherever a config is, enabling exact re-runs.
+accepts an optional wall section); border's eps_min must be at least 1.
+"quadrature" holds tolerances only: there is one engine and no key selects
+it.  A result sidecar (a JSON document with a "config" key) is itself
+accepted wherever a config is, enabling exact re-runs.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .materials import (
     Transition,
 )
 from .asymptotics import locate_wall
-from .quadrature import MODES, QuadratureSpec
+from .quadrature import QuadratureSpec
 from .stack import Layer, LayerStack
 
 __all__ = ["ConfigError", "Geometry", "RunConfig", "load_config", "parse_config"]
@@ -318,7 +319,7 @@ def _parse_grid(obj, path: str, lo_key: str, hi_key: str,
 def _parse_quadrature(obj, path: str) -> QuadratureSpec:
     obj = _expect_mapping(obj, path)
     _check_keys(obj, path, (), ("rel_tol_inner", "rel_tol_outer", "abs_tol",
-                                "max_subdivisions", "mode"))
+                                "max_subdivisions"))
     kw = {}
     if "rel_tol_inner" in obj:
         kw["rel_tol_inner"] = _number(obj["rel_tol_inner"], f"{path}.rel_tol_inner", positive=True)
@@ -328,8 +329,6 @@ def _parse_quadrature(obj, path: str) -> QuadratureSpec:
         kw["abs_tol"] = _number(obj["abs_tol"], f"{path}.abs_tol", positive=True)
     if "max_subdivisions" in obj:
         kw["max_subdivisions"] = _integer(obj["max_subdivisions"], f"{path}.max_subdivisions")
-    if "mode" in obj:
-        kw["mode"] = _string(obj["mode"], f"{path}.mode", MODES)
     return QuadratureSpec(**kw)
 
 
@@ -378,6 +377,8 @@ def parse_config(doc: dict) -> RunConfig:
                                   ("thick", "thin"))
             border = _parse_grid({k: v for k, v in b.items() if k != "plate_kind"},
                                  "config.border", "eps_min", "eps_max", 30)
+            if border.lo < 1.0:
+                raise ConfigError(f"config.border.eps_min: must be >= 1, got {border.lo}")
 
         w = _expect_mapping(doc.get("wall", {}), "config.wall")
         _check_keys(w, "config.wall", (), ("z_min", "z_max", "samples"))
@@ -427,18 +428,19 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(doc)
 
 
-def with_overrides(cfg: RunConfig, rel_tol: float | None, mode: str | None) -> RunConfig:
-    """Apply CLI quadrature overrides; flags beat config fields."""
-    spec = cfg.quadrature
-    if rel_tol is not None:
-        if not (rel_tol > 0 and math.isfinite(rel_tol)):
-            raise ConfigError(f"--rel-tol must be finite and > 0, got {rel_tol}")
-        spec = dataclasses.replace(spec, rel_tol_outer=rel_tol, rel_tol_inner=rel_tol / 10.0)
+def with_overrides(cfg: RunConfig, rel_tol: float | None, mode: None = None) -> RunConfig:
+    """Apply the CLI's ``--rel-tol``; the flag beats the config's tolerances.
+
+    ``mode`` is kept only because ``perfbench/run.py`` passes None in its
+    place; the library has one engine, so any other value is an error.
+    """
     if mode is not None:
-        spec = dataclasses.replace(spec, mode=mode)
-    if spec is cfg.quadrature:
+        raise ConfigError(f"there is no quadrature mode to select, got {mode!r}")
+    if rel_tol is None:
         return cfg
+    if not (rel_tol > 0 and math.isfinite(rel_tol)):
+        raise ConfigError(f"--rel-tol must be finite and > 0, got {rel_tol}")
+    spec = dataclasses.replace(cfg.quadrature, rel_tol_outer=rel_tol, rel_tol_inner=rel_tol / 10.0)
     raw = dict(cfg.raw)
-    # the parser rejects "mode": null, so an unset mode is left out
-    raw["quadrature"] = {k: v for k, v in dataclasses.asdict(spec).items() if v is not None}
+    raw["quadrature"] = dataclasses.asdict(spec)
     return dataclasses.replace(cfg, quadrature=spec, raw=raw)

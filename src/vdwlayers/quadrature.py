@@ -4,47 +4,28 @@ The engine is an embedded 7/15-point Gauss-Kronrod pair on panels refined by
 worst-first bisection with deterministic tie-breaking.  Semi-infinite
 intervals are first mapped to [0, 1) by the rational transform
 x = a + scale * t / (1 - t); the scale is chosen by the caller to sit at the
-knee of the integrand (the exponential decay length for the inner transverse
-integral, a characteristic resonance frequency for the outer one).
+knee of the integrand.
 
 ``integrate_nested`` evaluates integrals of a kernel F(u, b, z) over the region
-u >= 0, b >= u, for a float ``z`` or for each entry of a 1-D array.  At the
-default spec (``QuadratureSpec.mode = None``) it integrates in the swapped
-order
+u >= 0, b >= u, for a float ``z`` or for each entry of a 1-D array.  It
+integrates in the swapped order
 
-  table         int_0^inf db e^{-2 b z} G(b),  G(b) = int_0^b du F(u, b, 0)
+  int_0^inf db e^{-2 b z} G(b),  G(b) = int_0^b du F(u, b, 0)
 
 and one table of G on b-nodes serves every z of the call.  The kernel must
-then carry z only as F(u, b, z) = F(u, b, 0) e^{-2 b z}, as every wall and
+carry z only as F(u, b, z) = F(u, b, 0) e^{-2 b z}, as every wall and
 expansion kernel does; the table calls it at z = 0 (a float) with ``u`` of
-shape (m, 15) and ``b`` of shape (m, 1), one b node per row.  The entries
-share the table's panels: each entry's error adds its own outer and weighted
-inner estimates, the same input gives the same bytes, and an entry is not
-the float call bit for bit.  The table's kernel points are split evenly over
-the entries (``IntegralBatch.row_evaluations``), so they sum to the points
-the kernel received.
-
-An explicit ``QuadratureSpec.mode`` runs the nested engine in one of three
-equivalent parameterizations, kept as the table's cross-check:
-
-  nonretarded   int_0^inf du int_u^inf db F(u, b, z)
-  direct        int_0^inf du int_0^inf dq (q/b) F(u, b, z),  b = hypot(u, q)
-  retarded      int_1^inf dv int_0^inf du u F(u, u v, z)
-
-Each z is one row of the outer refinement (a long array runs in chunks of
-``_NESTED_ROWS`` rows), and all inner integrals of one outer refinement
-step, over every row of a chunk, are refined together as arrays, so the
-kernel sees every new inner panel of that step in one call.  It receives
-``u`` of shape (m, 1) and ``b`` of shape (m, 15) in the ``nonretarded`` and
-``direct`` modes, both (m, 15) in ``retarded`` mode, and ``z`` of shape
-(m, 1), one row per inner panel; rows are refined independently, so an
-entry of an array equals the float call exactly.
-
-In every case the kernel must return the values at the broadcast shape,
-computed elementwise, so that a point's value does not depend on the other
-points of the batch.  ``b`` is the vacuum axial wavenumber of the atom layer,
-so the change of variables is purely geometric and identical for every
-stack.
+shape (m, 15) and ``b`` of shape (m, 1), one b node per row, and it must
+return the values at the broadcast shape, computed elementwise, so that a
+point's value does not depend on the other points of the batch.  ``b`` is
+the vacuum axial wavenumber of the atom layer, so the change of variables is
+purely geometric and identical for every stack.  The entries share the
+table's panels: each entry's error adds its own outer and weighted inner
+estimates, the same input gives the same bytes, and an entry is not the
+float call bit for bit.  The table's kernel points are split evenly over the
+entries (``IntegralBatch.row_evaluations``), so they sum to the points the
+kernel received.  The tests check the table against a nested engine in three
+substitutions (``tests/conftest.py``), which integrates each z on its own.
 
 The 1-D integrals (``integrate_finite``, ``integrate_semi_infinite``) are
 one-row batches of the same driver.  Their integrand gets a flat array of
@@ -64,14 +45,11 @@ __all__ = [
     "QuadratureSpec",
     "IntegralResult",
     "IntegralBatch",
-    "MODES",
     "integrate_finite",
     "integrate_semi_infinite",
     "integrate_nested",
     "DEFAULT_SPEC",
 ]
-
-MODES = ("direct", "retarded", "nonretarded")
 
 # 15-point Kronrod extension of 7-point Gauss (QUADPACK dqk15 constants).
 _XK_HALF = np.array(
@@ -107,10 +85,6 @@ _WK = np.concatenate([_WK_HALF[:7], _WK_HALF[::-1]])
 _WG = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])  # weights for _XK[1::2]
 
 _EPS = float(np.finfo(float).eps)
-# rows of one nested batch (an explicit ``QuadratureSpec.mode``): the panel
-# tables grow with the rows, so a long scan runs in chunks of this many; rows
-# are independent, so the chunking does not change any result
-_NESTED_ROWS = 64
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -141,27 +115,25 @@ def _as_rows(name: str, value, below: float = math.inf) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances, subdivision budget and engine of ``integrate_nested``.
+    """Tolerances and subdivision budget of the adaptive integrals.
 
-    ``mode = None`` selects the b-node table; a mode from ``MODES`` selects
-    the nested engine in that substitution.  ``max_subdivisions`` bounds the
-    splits of every adaptive integral and the outer panels of a table.
+    ``max_subdivisions`` bounds the splits of every adaptive integral and the
+    outer panels of a b-node table.
     """
 
     rel_tol_inner: float = 1e-8
     rel_tol_outer: float = 1e-7
     abs_tol: float = 1e-30
     max_subdivisions: int = 2000
-    mode: str | None = None
 
     def __post_init__(self) -> None:
         for name in ("rel_tol_inner", "rel_tol_outer", "abs_tol"):
             _require_positive(name, getattr(self, name))
-        if not isinstance(self.max_subdivisions, numbers.Integral) or self.max_subdivisions < 1:
+        if (isinstance(self.max_subdivisions, bool)
+                or not isinstance(self.max_subdivisions, numbers.Integral)
+                or self.max_subdivisions < 1):
             raise ValueError(f"max_subdivisions must be an integer >= 1, "
                              f"got {self.max_subdivisions!r}")
-        if self.mode is not None and self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -188,8 +160,8 @@ class IntegralBatch:
     ``evaluations`` (the kernel points of the whole call) and ``converged``
     (every row converged) summarize the call like an ``IntegralResult``;
     ``batch[i]`` is the ``IntegralResult`` of row i.  ``row_evaluations``
-    sums to ``evaluations``: a nested row counts its own points, and a
-    table's points are split evenly over its rows.
+    sums to ``evaluations``: the table's points are split evenly over its
+    rows.
     """
 
     values: np.ndarray
@@ -285,8 +257,9 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions, with_aux=False):
 
     ``f(rows, t)`` returns the integrand of integral ``rows[i]`` at the nodes
     ``t[i]``, an (m, 15) array; with ``with_aux`` it returns a second array
-    that is integrated on the same panels without steering the refinement.
-    Each step, every integral that has not converged splits its own worst
+    that is integrated on the same panels without steering the refinement
+    (no library caller asks for it; the tests' nested engine integrates its
+    inner errors this way).  Each step, every integral that has not converged splits its own worst
     panel, and all new panels go to ``f`` in one call.  Panels are stored per
     integral in creation order, with their error as the queue key until they
     leave the queue (key -inf), so ``argmax`` picks the panel that a heap
@@ -402,60 +375,6 @@ def integrate_semi_infinite(f, a: float = 0.0, *, spec: QuadratureSpec | None = 
     _require_finite("a", a)
     _require_positive("scale", scale)
     return _oned(_mapped(f, a, scale), spec, rel_tol)
-
-
-def _point_map(kernel, mode: str, u_scale: float):
-    """Inner integrand of ``mode`` on [0, 1) for columns of outer nodes p, z and map scales."""
-    if mode == "nonretarded":  # p = u, inner variable b on [u, inf)
-        def point_map(u, t, z, b_scale):
-            return _mapped(lambda b: kernel(u, b, z), u, b_scale)(t)
-    elif mode == "direct":  # p = u, inner variable q on [0, inf)
-        def point_map(u, t, z, b_scale):
-            def fq(q):
-                b = np.hypot(u, q)
-                return (q / b) * kernel(u, b, z)
-            return _mapped(fq, 0.0, b_scale)(t)
-    else:  # retarded: p = v, inner variable u on [0, inf)
-        def point_map(v, t, z, b_scale):
-            return _mapped(lambda u: u * kernel(u, u * v, z), 0.0,
-                           np.minimum(u_scale, b_scale / v))(t)
-    return point_map
-
-
-def _nested_rows(kernel, mode: str, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
-    """(value, error, evaluations, converged) per entry of ``z``, all in ``mode``.
-
-    Each z is one row of the outer ``_lockstep``, with its own outer map and
-    inner map scale 0.5 / z; every inner integral of one outer step, over all
-    rows, is one inner ``_lockstep`` batch.
-    """
-    n = z.size
-    b_scale = 0.5 / z
-    point_map = _point_map(kernel, mode, u_scale)
-    if mode == "retarded":
-        outer_a, outer_scale = 1.0, np.ones(n)
-    else:
-        outer_a, outer_scale = 0.0, np.minimum(u_scale, b_scale)
-    evals = np.zeros(n, dtype=np.intp)
-    inner_ok = np.ones(n, dtype=bool)
-
-    def outer(rows, t):
-        nodes = (outer_a + outer_scale[rows, None] * t / (1.0 - t)).reshape(-1, 1)
-        owner = np.repeat(rows, t.shape[1])  # the row of each inner integral
-        z_col, scale_col = z[owner, None], b_scale[owner, None]
-        vals, errs, _, inner_evals, conv = _lockstep(
-            lambda r, s: point_map(nodes[r], s, z_col[r], scale_col[r]), nodes.shape[0],
-            spec.rel_tol_inner, spec.abs_tol, spec.max_subdivisions,
-        )
-        np.add.at(evals, owner, inner_evals)
-        inner_ok[owner[~conv]] = False
-        jac = outer_scale[rows, None] / (1.0 - t) ** 2
-        return vals.reshape(t.shape) * jac, errs.reshape(t.shape) * jac
-
-    val, err, aux, _, conv = _lockstep(
-        outer, n, spec.rel_tol_outer, spec.abs_tol, spec.max_subdivisions, with_aux=True
-    )
-    return val, err + aux, evals, conv & inner_ok
 
 
 # Initial outer panels of a b-node table: one per e-fold of b over
@@ -611,38 +530,26 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
 
 def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
                      u_scale: float = 1.0):
-    """Adaptive integral of F(u, b, z) over u >= 0, b >= u, for each z.
+    """Adaptive integral of F(u, b, z) over u >= 0, b >= u, for each z, from one b-node table.
 
-    With ``spec.mode = None`` one b-node table (``_table_rows``) serves every
-    z.  The kernel must then satisfy F(u, b, z) = F(u, b, 0) e^{-2 b z}: the
-    table calls it at z = 0 and applies the factor per row itself.  Rows
-    share the table's panels, so a row of an array is not bit for bit the
-    float call; the same input always gives the same bytes, and each row's
-    reported error covers its own outer and weighted inner estimates.  The
-    kernel points of the table are split evenly over the rows (the first rows
-    take the remainder), so ``evaluations`` sums to the points the kernel got.
+    ``_table_rows`` serves every z.  The kernel must satisfy F(u, b, z) =
+    F(u, b, 0) e^{-2 b z}: the table calls it at z = 0 and applies the factor
+    per row itself.  Rows share the table's panels, so a row of an array is
+    not bit for bit the float call; the same input always gives the same
+    bytes, and each row's reported error covers its own outer and weighted
+    inner estimates.  The kernel points of the table are split evenly over
+    the rows (the first rows take the remainder), so ``evaluations`` sums to
+    the points the kernel got.
 
-    An explicit ``spec.mode`` runs the nested engine in that substitution,
-    with z as the decay length that sets each row's inner map scale; there
-    the reported error adds the outer panel
-    estimate and the integrated inner estimates, ``converged`` requires every
-    inner integral to have converged, and each row is refined on its own, so
-    a row of an array equals the float call exactly.
-
-    ``u_scale`` is the frequency scale of the kernel's resonances: the knee
-    of the table's inner map and the outer map scale of the nested engine.
-    A float ``z`` returns an ``IntegralResult``; a 1-D array returns an
-    ``IntegralBatch``.
+    ``u_scale`` is the frequency scale of the kernel's resonances, the knee
+    of the table's inner map.  A float ``z`` returns an ``IntegralResult``;
+    a 1-D array returns an ``IntegralBatch``.
     """
     spec = spec or DEFAULT_SPEC
     zs = _as_rows("z", z)
     if not zs.size:
         fields = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool))
-    elif spec.mode is None:
-        fields = _table_rows(kernel, zs, spec, u_scale)
     else:
-        chunks = (_nested_rows(kernel, spec.mode, zs[i:i + _NESTED_ROWS], spec, u_scale)
-                  for i in range(0, zs.size, _NESTED_ROWS))
-        fields = [np.concatenate(parts) for parts in zip(*chunks)]
+        fields = _table_rows(kernel, zs, spec, u_scale)
     batch = IntegralBatch(*fields)
     return batch[0] if np.ndim(z) == 0 else batch

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import functools
 import heapq
 import math
 
@@ -6,7 +8,9 @@ import numpy as np
 import pytest
 
 import vdwlayers as v
-from vdwlayers.quadrature import _EPS, _WG, _WK, _XK
+from vdwlayers import perturbation, potential
+from vdwlayers.quadrature import (_EPS, _WG, _WK, _XK, QuadratureSpec, _as_rows, _lockstep,
+                                  _mapped)
 
 
 @pytest.fixture(scope="session")
@@ -34,16 +38,117 @@ def constant_material(eps0=1.0, mu0=1.0, knee=1e8):
     return v.MaterialModel(electric=electric, magnetic=magnetic)
 
 
-def tight_nested(z, spec=None):
-    """``spec`` at 100x tighter tolerances on the nested engine: the reference of a table row.
+# The three substitutions of the nested engine, each an exact change of variables:
+#   nonretarded   int_0^inf du int_u^inf db F(u, b, z)
+#   direct        int_0^inf du int_0^inf dq (q/b) F(u, b, z),  b = hypot(u, q)
+#   retarded      int_1^inf dv int_0^inf du u F(u, u v, z)
+NESTED_MODES = ("direct", "retarded", "nonretarded")
 
-    The substitution follows z as the nested engine's old default did: (u, b)
-    below one reduced length, (u, v) from there on.
+
+def _point_map(kernel, mode: str, u_scale: float):
+    """Inner integrand of ``mode`` on [0, 1) for columns of outer nodes p, z and map scales."""
+    if mode == "nonretarded":  # p = u, inner variable b on [u, inf)
+        def point_map(u, t, z, b_scale):
+            return _mapped(lambda b: kernel(u, b, z), u, b_scale)(t)
+    elif mode == "direct":  # p = u, inner variable q on [0, inf)
+        def point_map(u, t, z, b_scale):
+            def fq(q):
+                b = np.hypot(u, q)
+                return (q / b) * kernel(u, b, z)
+            return _mapped(fq, 0.0, b_scale)(t)
+    else:  # retarded: p = v, inner variable u on [0, inf)
+        def point_map(v, t, z, b_scale):
+            return _mapped(lambda u: u * kernel(u, u * v, z), 0.0,
+                           np.minimum(u_scale, b_scale / v))(t)
+    return point_map
+
+
+def _nested_rows(kernel, mode: str, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
+    """(value, error, evaluations, converged) per entry of ``z``, all in ``mode``.
+
+    Each z is one row of the outer ``_lockstep``, with its own outer map and
+    inner map scale 0.5 / z; every inner integral of one outer step, over all
+    rows, is one inner ``_lockstep`` batch.
+    """
+    n = z.size
+    b_scale = 0.5 / z
+    point_map = _point_map(kernel, mode, u_scale)
+    if mode == "retarded":
+        outer_a, outer_scale = 1.0, np.ones(n)
+    else:
+        outer_a, outer_scale = 0.0, np.minimum(u_scale, b_scale)
+    evals = np.zeros(n, dtype=np.intp)
+    inner_ok = np.ones(n, dtype=bool)
+
+    def outer(rows, t):
+        nodes = (outer_a + outer_scale[rows, None] * t / (1.0 - t)).reshape(-1, 1)
+        owner = np.repeat(rows, t.shape[1])  # the row of each inner integral
+        z_col, scale_col = z[owner, None], b_scale[owner, None]
+        vals, errs, _, inner_evals, conv = _lockstep(
+            lambda r, s: point_map(nodes[r], s, z_col[r], scale_col[r]), nodes.shape[0],
+            spec.rel_tol_inner, spec.abs_tol, spec.max_subdivisions,
+        )
+        np.add.at(evals, owner, inner_evals)
+        inner_ok[owner[~conv]] = False
+        jac = outer_scale[rows, None] / (1.0 - t) ** 2
+        return vals.reshape(t.shape) * jac, errs.reshape(t.shape) * jac
+
+    val, err, aux, _, conv = _lockstep(
+        outer, n, spec.rel_tol_outer, spec.abs_tol, spec.max_subdivisions, with_aux=True
+    )
+    return val, err + aux, evals, conv & inner_ok
+
+
+def nested_oracle(kernel, *, z, spec=None, u_scale=1.0, mode):
+    """``integrate_nested`` on the nested engine in substitution ``mode``: the table's oracle.
+
+    Each z is one row of the outer ``_lockstep``, refined on its own, so an
+    entry of an array equals the float call exactly, and z enters the kernel
+    freely (it also sets each row's inner map scale 0.5 / z).  All inner
+    integrals of one outer step, over every row, are refined together: the
+    kernel gets ``u`` of shape (m, 1) and ``b`` of shape (m, 15) in the
+    ``nonretarded`` and ``direct`` modes, both (m, 15) in ``retarded`` mode,
+    and ``z`` of shape (m, 1).  A row's error adds its outer panel estimate
+    and its integrated inner estimates; it converges only if every inner
+    integral did.  ``u_scale`` is the outer map scale.  A float ``z`` returns
+    an ``IntegralResult``, a 1-D array an ``IntegralBatch``.
+    """
+    zs = _as_rows("z", z)
+    batch = v.IntegralBatch(*_nested_rows(kernel, mode, zs, spec or v.DEFAULT_SPEC, u_scale))
+    return batch[0] if np.ndim(z) == 0 else batch
+
+
+def engine(mode):
+    """The library's ``integrate_nested`` for ``mode`` None, else ``nested_oracle`` in ``mode``."""
+    return v.integrate_nested if mode is None else functools.partial(nested_oracle, mode=mode)
+
+
+@contextlib.contextmanager
+def on_engine(mode):
+    """Inside the block, the potentials and expansion terms integrate on ``engine(mode)``."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (potential, perturbation):
+            mp.setattr(module, "integrate_nested", engine(mode))
+        yield
+
+
+def oracle_mode(z):
+    """The substitution of a reference at z: (u, b) below one reduced length, (u, v) above."""
+    return "nonretarded" if z < 1.0 else "retarded"
+
+
+@contextlib.contextmanager
+def tight_nested(z, spec=None):
+    """The reference of a table row at z: the nested oracle at 100x tighter tolerances.
+
+    Inside the block the potentials and expansion terms run on
+    ``nested_oracle`` in ``oracle_mode(z)``; the block gets ``spec`` (the
+    default spec if None) with both tolerances divided by 100.
     """
     spec = spec or v.DEFAULT_SPEC
-    return dataclasses.replace(spec, rel_tol_inner=spec.rel_tol_inner / 100.0,
-                               rel_tol_outer=spec.rel_tol_outer / 100.0,
-                               mode="nonretarded" if z < 1.0 else "retarded")
+    with on_engine(oracle_mode(z)):
+        yield dataclasses.replace(spec, rel_tol_inner=spec.rel_tol_inner / 100.0,
+                                  rel_tol_outer=spec.rel_tol_outer / 100.0)
 
 
 def halfspace_stack(mat, z):

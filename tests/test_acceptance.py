@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 PASS/FAIL lines.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +12,7 @@ from scipy.optimize import brentq
 
 import vdwlayers as v
 
-from conftest import constant_material, fig2_material, material
+from conftest import NESTED_MODES, constant_material, fig2_material, material, on_engine
 
 ATOM = v.AtomModel.two_level()
 WEAK_ELECTRIC = material(wpe=0.02, wte=1.03, wpm=2.0, wtm=1.0)
@@ -238,17 +237,16 @@ def test_criterion_13_monotonicity_suite():
 
 
 def test_criterion_14_substitution_mode_agreement():
-    # the b-node table (the default spec) and the three nested substitutions
+    # the library's b-node table and the three substitutions of the tests' nested oracle
     m = fig2_material(mu0=5.0)
     tol = 10.0 * v.DEFAULT_SPEC.rel_tol_outer
     worst = 0.0
     for z in (1e-3, 1.0, 1e2):
         table = v.potential_halfspace(ATOM, m, z).value
-        vals = [table] + [
-            v.potential_halfspace(ATOM, m, z,
-                                  dataclasses.replace(v.DEFAULT_SPEC, mode=mode)).value
-            for mode in v.MODES
-        ]
+        vals = [table]
+        for mode in NESTED_MODES:
+            with on_engine(mode):
+                vals.append(v.potential_halfspace(ATOM, m, z).value)
         spread = (max(vals) - min(vals)) / abs(table)
         worst = max(worst, spread)
     _report(14, "the table and three substitution modes agree within 10x the quadrature "

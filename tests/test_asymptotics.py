@@ -472,14 +472,28 @@ def test_locate_wall_matches_short_distance_formula(atom):
     assert wall_thin.z_max == pytest.approx(closed_thin.z_max, rel=0.15)
 
 
-@pytest.mark.parametrize("z_lo, z_hi", [(5.0, 0.2), (1.0, 1.0), (1.0, math.nan)])
-def test_locate_wall_rejects_reversed_grid(z_lo, z_hi):
-    # a descending grid would skip the golden-section refinement
+@pytest.mark.parametrize("grid, message", [
+    pytest.param({"z_lo": 5.0, "z_hi": 0.2}, "z_hi must exceed z_lo", id="5.0-0.2"),
+    pytest.param({"z_lo": 1.0, "z_hi": 1.0}, "z_hi must exceed z_lo", id="1.0-1.0"),
+    pytest.param({"z_lo": 1.0, "z_hi": math.nan}, "z_hi must be finite and > 0", id="1.0-nan"),
+    pytest.param({"z_lo": 0.0}, "z_lo must be finite and > 0", id="z_lo=0"),
+    pytest.param({"z_lo": -1.0}, "z_lo must be finite and > 0", id="z_lo=-1"),
+    pytest.param({"z_lo": math.inf}, "z_lo must be finite and > 0", id="z_lo=inf"),
+    pytest.param({"z_hi": math.inf}, "z_hi must be finite and > 0", id="z_hi=inf"),
+    pytest.param({"samples": 0}, "samples must be an integer >= 4", id="samples=0"),
+    pytest.param({"samples": 1}, "samples must be an integer >= 4", id="samples=1"),
+    pytest.param({"samples": 3}, "samples must be an integer >= 4", id="samples=3"),
+    pytest.param({"samples": 12.0}, "samples must be an integer >= 4", id="samples=12.0"),
+    pytest.param({"samples": True}, "samples must be an integer >= 4", id="samples=True"),
+])
+def test_locate_wall_rejects_reversed_grid(grid, message):
+    # a descending grid would skip the golden-section refinement; a bad end or
+    # sample count would end as "no wall" or as a numpy error
     def pot(z):
         raise AssertionError("no potential runs before the grid is checked")
 
-    with pytest.raises(ValueError, match="z_hi must exceed z_lo"):
-        v.locate_wall(pot, z_lo=z_lo, z_hi=z_hi)
+    with pytest.raises(ValueError, match=message):  # a RuntimeWarning first fails here too
+        v.locate_wall(pot, **grid)
 
 
 def test_locate_wall_rejects_nonconverged_refinement():

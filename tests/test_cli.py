@@ -250,21 +250,16 @@ def test_scan_flags_unconverged_rows(tmp_path):
     assert any(r["converged"] == "0" for r in rows)
 
 
-def test_quad_mode_flag_recorded_and_consistent(tmp_path):
-    doc = scan_doc()
-    cfg = write_config(tmp_path, doc)
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    assert main(["scan", "--config", str(cfg), "--out", str(out_a),
-                 "--quad-mode", "nonretarded"]) == 0
-    assert main(["scan", "--config", str(cfg), "--out", str(out_b),
-                 "--quad-mode", "direct"]) == 0
-    meta = json.loads((out_a / "scan.meta.json").read_text())
-    assert meta["quadrature"]["mode"] == "nonretarded"
-    _, rows_a = read_rows(out_a / "scan_plate.csv")
-    _, rows_b = read_rows(out_b / "scan_plate.csv")
-    for ra, rb in zip(rows_a, rows_b):
-        assert float(ra["U"]) == pytest.approx(float(rb["U"]), rel=1e-4)
+def test_quad_mode_flag_and_key_rejected(tmp_path, capsys):
+    # the library has one engine: neither the old flag nor the old key selects another
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "scan", scan_doc(), "--quad-mode", "direct")
+    assert exc.value.code == 2
+    assert "--quad-mode" in capsys.readouterr().err
+    code, out = run(tmp_path, "scan", scan_doc(quadrature={**FAST_QUAD, "mode": "direct"}))
+    assert code == 2
+    assert "config.quadrature: unknown key(s) ['mode']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scan_json_format(tmp_path):
@@ -389,6 +384,16 @@ def test_wall_rejects_reversed_grid(tmp_path, capsys, grid):
     code, _ = run(tmp_path, "wall", doc)
     assert code == 2
     assert "config.wall: z_max must exceed z_min" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps_min", [0.5, 0.0])
+def test_border_rejects_eps_min_below_one(tmp_path, capsys, eps_min):
+    doc = {"atom": ATOM, "materials": {},
+           "border": {"plate_kind": "thick", "eps_min": eps_min, "eps_max": 10}}
+    code, out = run(tmp_path, "border", doc)
+    assert code == 2
+    assert "config.border.eps_min" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_command(tmp_path):

@@ -1,10 +1,9 @@
-"""Both integration engines and the reflection coefficients against mpmath references.
+"""The b-node table, the nested oracle and the reflection coefficients against mpmath references.
 
 ``golden.json`` is written by ``scripts/golden_refs.py`` (mpmath, swapped
 integration order, at least 20 agreeing digits per value).
 """
 
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -13,6 +12,8 @@ import numpy as np
 import pytest
 
 import vdwlayers as v
+
+from conftest import NESTED_MODES, on_engine
 
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
 ATOM = v.AtomModel.two_level(GOLDEN["atom"]["frequency"], GOLDEN["atom"]["dipole_sq"])
@@ -45,10 +46,11 @@ def _name(point):
                     if k not in ("value", "digits"))
 
 
-@pytest.mark.parametrize("mode", [None, *v.MODES])
+@pytest.mark.parametrize("mode", [None, *NESTED_MODES])
 @pytest.mark.parametrize("point", GOLDEN["potentials"], ids=_name)
 def test_potential_within_its_error_of_the_golden_value(point, mode):
-    res = _potential(point, point["z"], dataclasses.replace(v.DEFAULT_SPEC, mode=mode))
+    with on_engine(mode):
+        res = _potential(point, point["z"], v.DEFAULT_SPEC)
     assert res.converged
     assert abs(res.value - float(point["value"])) <= res.error
 

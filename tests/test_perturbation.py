@@ -190,7 +190,8 @@ def test_expansion_terms_of_an_array_equal_float_calls(atom, order, geometry, kw
     assert term(geometry, atom, m, zs, spec=spec, **kw) == terms
     for z, t in zip(zs.tolist(), terms):
         point = term(geometry, atom, m, z, spec=spec, **kw)
-        ref = term(geometry, atom, m, z, spec=tight_nested(z, spec), **kw)
+        with tight_nested(z, spec) as tight:
+            ref = term(geometry, atom, m, z, spec=tight, **kw)
         for res in (t, point):
             assert res.converged, z
             assert abs(res.value - ref.value) <= res.error, z

@@ -325,7 +325,8 @@ def test_nested_batch_matches_pointwise(atom, geometry):
     for z, row in zip(BATCH_Z.tolist(), batch):
         point = potential(atom, z)
         assert isinstance(point, v.PotentialResult) and isinstance(point.value, float)
-        ref = potential(atom, z, tight_nested(z))
+        with tight_nested(z) as tight:
+            ref = potential(atom, z, tight)
         for res in (row, point):
             assert res.converged, (geometry, z)
             assert abs(res.value - ref.value) <= res.error, (geometry, z)

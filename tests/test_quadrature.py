@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,8 @@ import pytest
 import vdwlayers as v
 from vdwlayers import quadrature
 
-from conftest import adaptive_heap, brute_force_2d, fig2_material, material, tight_nested
+from conftest import (NESTED_MODES, adaptive_heap, brute_force_2d, engine, fig2_material, material,
+                      nested_oracle, on_engine, oracle_mode, tight_nested)
 
 
 def test_exponential_moment():
@@ -127,12 +127,11 @@ def test_error_estimates_are_honest():
 # ---------------------------------------------------------------- nested
 
 def test_nested_exponential_all_modes():
-    # int_0^inf du int_u^inf db e^{-2 b z} = 1/(4 z^2)
+    # int_0^inf du int_u^inf db e^{-2 b z} = 1/(4 z^2), on the table and each oracle mode
     for z in (0.5, 1.0, 2.0):
         expected = 0.25 / (z * z)
-        for mode in v.MODES:
-            res = v.integrate_nested(lambda u, b, z: np.exp(-2.0 * b * z), z=z,
-                                     spec=dataclasses.replace(v.DEFAULT_SPEC, mode=mode))
+        for mode in (None, *NESTED_MODES):
+            res = engine(mode)(lambda u, b, z: np.exp(-2.0 * b * z), z=z)
             assert res.converged
             assert res.value == pytest.approx(expected, rel=1e-8), mode
 
@@ -165,8 +164,7 @@ def test_nested_zero_kernel():
 
 def test_nested_error_includes_inner_channel():
     # the kernel ignores z, which only the nested engine allows
-    res = v.integrate_nested(lambda u, b, z: np.exp(-2.0 * b), z=1.0,
-                             spec=v.QuadratureSpec(mode="retarded"))
+    res = nested_oracle(lambda u, b, z: np.exp(-2.0 * b), z=1.0, mode="retarded")
     assert res.error > 0.0
     assert abs(res.value - 0.25) <= 10.0 * res.error
 
@@ -202,11 +200,10 @@ def test_substitution_invariance_halfspace(atom):
     m = fig2_material()
     tol = 10.0 * v.DEFAULT_SPEC.rel_tol_outer
     for z in (1e-3, 1.0, 1e2):
-        vals = [
-            v.potential_halfspace(atom, m, z,
-                                  dataclasses.replace(v.DEFAULT_SPEC, mode=mode)).value
-            for mode in v.MODES
-        ]
+        vals = []
+        for mode in NESTED_MODES:
+            with on_engine(mode):
+                vals.append(v.potential_halfspace(atom, m, z).value)
         ref = vals[0]
         for val in vals[1:]:
             assert val == pytest.approx(ref, rel=tol)
@@ -215,8 +212,8 @@ def test_substitution_invariance_halfspace(atom):
 def test_spec_validation():
     with pytest.raises(ValueError):
         v.QuadratureSpec(rel_tol_inner=0.0)
-    with pytest.raises(ValueError):
-        v.QuadratureSpec(mode="sideways")
+    with pytest.raises(ValueError, match="max_subdivisions must be an integer"):
+        v.QuadratureSpec(max_subdivisions=True)  # a bool is a numbers.Integral
 
 
 @pytest.mark.parametrize("field, value", [
@@ -331,15 +328,15 @@ def test_lockstep_empty_batch():
 ])
 def test_nested_evaluation_counts_pinned(atom, mode, counts):
     # the lockstep engine refines exactly the panels of the scalar worst-first heap
-    spec = dataclasses.replace(v.DEFAULT_SPEC, mode=mode)
     m = fig2_material()
     for z, expected in zip((0.01, 0.1, 1.0, 10.0), counts):
-        res = v.potential_halfspace(atom, m, z, spec)
+        with on_engine(mode):
+            res = v.potential_halfspace(atom, m, z)
         assert res.converged
         assert res.evaluations == expected, (mode, z)
 
 
-@pytest.mark.parametrize("mode", [None, *v.MODES])
+@pytest.mark.parametrize("mode", [None, *NESTED_MODES])
 def test_nested_kernel_batch_shapes(mode):
     shapes = []
 
@@ -347,11 +344,11 @@ def test_nested_kernel_batch_shapes(mode):
         shapes.append((np.shape(u), np.shape(b), np.shape(z)))
         return np.exp(-2.0 * b * z) * np.ones_like(u)
 
-    res = v.integrate_nested(kernel, z=1.0, spec=dataclasses.replace(v.DEFAULT_SPEC, mode=mode))
+    res = engine(mode)(kernel, z=1.0)
     assert res.converged
     assert sum(np.broadcast_shapes(su, sb)[0] * 15 for su, sb, _ in shapes) == res.evaluations
     for su, sb, sz in shapes:
-        if mode is None:  # the default spec runs the b-node table: one b per row, at z = 0
+        if mode is None:  # the library's b-node table: one b per row, at z = 0
             assert su[1] == 15 and sb == (su[0], 1) and sz == ()
         else:
             assert sb[1] == 15 and su[0] == sb[0]
@@ -386,47 +383,31 @@ def test_nested_rejects_bad_z(z):
         v.integrate_nested(lambda u, b, z: np.exp(-2.0 * b), z=z)
 
 
-@pytest.mark.parametrize("mode", [None, *v.MODES])
+@pytest.mark.parametrize("mode", [None, *NESTED_MODES])
 def test_nested_batch_rows_equal_float_calls(mode):
     def kernel(u, b, z):
         return np.exp(-2.0 * b * z) * (b - u) / (1.0 + u * u)
 
     zs = np.array([0.3, 0.99, 1.0, 3.0])
-    spec = dataclasses.replace(v.DEFAULT_SPEC, mode=mode)
-    batch = v.integrate_nested(kernel, z=zs, spec=spec)
+    integrate = engine(mode)
+    batch = integrate(kernel, z=zs)
     assert isinstance(batch, v.IntegralBatch) and len(batch) == zs.size
     for z, row in zip(zs.tolist(), batch):
-        point = v.integrate_nested(kernel, z=z, spec=spec)
+        point = integrate(kernel, z=z)
         if mode is None:
             # the rows share one table, so they only agree within their errors
             # with the float call and the tight nested engine
-            ref = v.integrate_nested(kernel, z=z, spec=tight_nested(z))
+            with tight_nested(z) as tight:
+                ref = nested_oracle(kernel, z=z, spec=tight, mode=oracle_mode(z))
             assert abs(row.value - ref.value) <= row.error, z
             assert abs(point.value - ref.value) <= point.error, z
         else:
             assert row == point, (mode, z)
-    again = v.integrate_nested(kernel, z=zs, spec=spec)
+    again = integrate(kernel, z=zs)
     assert again.values.tobytes() == batch.values.tobytes()
     assert again.errors.tobytes() == batch.errors.tobytes()
     assert batch.evaluations == sum(row.evaluations for row in batch)
     assert batch.converged is True
-
-
-def test_nested_long_batch_runs_in_chunks(monkeypatch):
-    monkeypatch.setattr(quadrature, "_NESTED_ROWS", 3)
-    seen = []
-
-    def kernel(u, b, z):
-        seen.append(np.unique(z).size)
-        return np.exp(-2.0 * b * z) * (b - u) / (1.0 + u * u)
-
-    spec = v.QuadratureSpec(mode="nonretarded")  # the table calls the kernel at z = 0 only
-    zs = np.array([0.2, 0.3, 0.5, 0.7, 0.9, 1.5, 2.0, 3.0])
-    batch = v.integrate_nested(kernel, z=zs, spec=spec)
-    assert max(seen) == 3  # no kernel call mixes more than one chunk
-    for z, row in zip(zs.tolist(), batch):
-        assert row == v.integrate_nested(kernel, z=z, spec=spec), z
-    assert batch.evaluations == sum(row.evaluations for row in batch)
 
 
 def test_nested_empty_z_batch():
@@ -456,9 +437,9 @@ def test_nested_batch_flags_inner_failure_per_row():
     def kernel(u, b, z):
         return np.exp(-2.0 * b * z) * np.where(z > 2.0, 1.0 + np.sin(40.0 * b * z), 1.0)
 
-    spec = v.QuadratureSpec(rel_tol_inner=1e-8, rel_tol_outer=1e-2, max_subdivisions=4,
-                            mode="nonretarded")  # z enters other than as e^{-2 b z}
-    batch = v.integrate_nested(kernel, z=np.array([0.5, 3.0]), spec=spec)
+    spec = v.QuadratureSpec(rel_tol_inner=1e-8, rel_tol_outer=1e-2, max_subdivisions=4)
+    # z enters other than as e^{-2 b z}, which only the nested engine allows
+    batch = nested_oracle(kernel, z=np.array([0.5, 3.0]), spec=spec, mode="nonretarded")
     assert [row.converged for row in batch] == [True, False]
     assert batch.converged is False
 
