@@ -428,8 +428,8 @@ def thin_wall_height_bound(atom: AtomModel, material: MaterialModel) -> float:
     )
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_WALL_POSITION_REL_TOL = 1e-4  # golden-section bracket width relative to its midpoint
+_WALL_POSITION_REL_TOL = 1e-4  # final wall bracket width relative to its midpoint
+_WALL_ROUND_POINTS = 65  # z per refinement round: 63 interior points and both bracket ends
 
 
 def locate_wall(potential: Callable, z_lo: float = 1e-3, z_hi: float = 1e2,
@@ -437,15 +437,21 @@ def locate_wall(potential: Callable, z_lo: float = 1e-3, z_hi: float = 1e2,
     """Find the positive maximum of a potential on a log-spaced scan, or None.
 
     ``potential`` maps a float z to a ``PotentialResult`` and a 1-D array of
-    z to a list of them, as the potentials of :mod:`vdwlayers.potential` do;
-    the scan is one array call.  Its maximum is refined by golden-section
-    search; a wall is declared only when the refined maximum exceeds ten
-    times its quadrature error estimate, so quadrature noise is never
-    reported as a wall.  Scan points that do not converge are skipped with a
-    warning; a refinement potential that does not converge raises
-    RuntimeError naming its z.  ``z_lo`` and ``z_hi`` must be finite and
-    > 0, and ``samples`` an integer >= 4, or ValueError is raised before any
-    potential is computed.
+    z to a list of them, as the potentials of :mod:`vdwlayers.potential` do.
+    The scan is one array call.  A maximum at the first or last converged
+    sample is an edge of the grid, not a wall, and gives None.  Otherwise the
+    bracket between the maximum's two neighbours is refined in rounds: each
+    round is one array call on a fixed number of log-spaced z across the
+    bracket, ends included, so one node table serves them all; the next
+    bracket is the neighbours of that round's largest value.  Rounds stop
+    once the bracket is at most 1e-4 times its midpoint.  The wall is the
+    best point of the last round, with the height that round computed.  A
+    wall is declared only when its height exceeds ten times its quadrature
+    error estimate, so quadrature noise is never reported as a wall.  Scan
+    points that do not converge are skipped with a warning; a round point
+    that does not converge raises RuntimeError naming its z.  ``z_lo`` and
+    ``z_hi`` must be finite and > 0, and ``samples`` an integer >= 4, or
+    ValueError is raised before any potential is computed.
     """
     _require_positive("z_lo", z_lo)
     _require_positive("z_hi", z_hi)
@@ -465,34 +471,19 @@ def locate_wall(potential: Callable, z_lo: float = 1e-3, z_hi: float = 1e2,
 
     idx = max(range(len(values)), key=lambda i: values[i][1].value)
     best_z, best = values[idx]
-    if best.value <= 0.0:
+    if best.value <= 0.0 or idx in (0, len(values) - 1):
         return None
 
-    def refined(z: float) -> PotentialResult:
-        res = potential(z)
-        if not res.converged:
-            raise RuntimeError(f"wall refinement: quadrature did not converge at z = {z:.6g}")
-        return res
-
-    lo = values[idx - 1][0] if idx > 0 else best_z
-    hi = values[idx + 1][0] if idx + 1 < len(values) else best_z
-    if lo < hi:
-        a, b = lo, hi
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc = refined(c).value
-        fd = refined(d).value
-        while (b - a) > _WALL_POSITION_REL_TOL * 0.5 * (a + b):
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _INVPHI * (b - a)
-                fc = refined(c).value
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INVPHI * (b - a)
-                fd = refined(d).value
-        best_z = 0.5 * (a + b)
-        best = refined(best_z)
+    lo, hi = values[idx - 1][0], values[idx + 1][0]
+    while hi - lo > _WALL_POSITION_REL_TOL * 0.5 * (lo + hi):
+        zs = np.geomspace(lo, hi, _WALL_ROUND_POINTS)
+        results = potential(zs)
+        for z, res in zip(zs.tolist(), results):
+            if not res.converged:
+                raise RuntimeError(f"wall refinement: quadrature did not converge at z = {z:.6g}")
+        k = max(range(zs.size), key=lambda i: results[i].value)
+        best_z, best = float(zs[k]), results[k]
+        lo, hi = float(zs[max(k - 1, 0)]), float(zs[min(k + 1, zs.size - 1)])
 
     if best.value <= 10.0 * abs(best.error):
         return None

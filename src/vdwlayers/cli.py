@@ -72,7 +72,8 @@ def _write_table(path: Path, columns: list[str], rows: list[tuple], fmt: str) ->
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_sidecar(out_dir: Path, command: str, cfg: RunConfig, outputs: list[str]) -> None:
+def _write_sidecar(out_dir: Path, command: str, cfg: RunConfig, outputs: list[str],
+                   error: str | None = None) -> None:
     doc = {
         "command": command,
         "version": __version__,
@@ -80,6 +81,8 @@ def _write_sidecar(out_dir: Path, command: str, cfg: RunConfig, outputs: list[st
         "outputs": sorted(outputs),
         "quadrature": dataclasses.asdict(cfg.quadrature),
     }
+    if error is not None:
+        doc["error"] = error
     (out_dir / f"{command}.meta.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
     )
@@ -232,14 +235,16 @@ def cmd_wall(cfg: RunConfig, args) -> int:
     for name in geo.materials:
         material = cfg.medium(name)
         rows = []
+        status = "no-wall"
         try:
             numeric = locate_wall(lambda z: _potential(cfg, name, z),
                                   z_lo=grid.lo, z_hi=grid.hi, samples=grid.points)
-        except RuntimeError:
-            numeric = None
+        except RuntimeError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            numeric, status = None, "failed"
             all_ok = False
         if numeric is None:
-            rows.append((name, "numeric-scan", None, None, None, "no-wall"))
+            rows.append((name, "numeric-scan", None, None, None, status))
         else:
             rows.append((name, numeric.method, numeric.z_max, numeric.u_max,
                          numeric.consistency, "ok"))
@@ -269,7 +274,13 @@ def cmd_check(cfg: RunConfig, args) -> int:
     material = cfg.medium(cfg.check.material)
     if isinstance(material, PerfectMirror):
         raise ConfigError("config.check.material: additivity check needs a dispersive material")
-    report = additivity_check(cfg.atom, material, cfg.check.z, cfg.quadrature)
+    out_dir = args.out
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        report = additivity_check(cfg.atom, material, cfg.check.z, cfg.quadrature)
+    except RuntimeError as exc:  # the sidecar names the failing term and z
+        _write_sidecar(out_dir, "check", cfg, [], error=str(exc))
+        raise
     doc = {
         "material": cfg.check.material,
         "z": report.z,
@@ -290,8 +301,6 @@ def cmd_check(cfg: RunConfig, args) -> int:
             "rel_tol_outer": cfg.quadrature.rel_tol_outer,
         },
     }
-    out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "check.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     _write_sidecar(out_dir, "check", cfg, ["check.json"])
     return 0

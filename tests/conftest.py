@@ -3,12 +3,14 @@ import dataclasses
 import functools
 import heapq
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import vdwlayers as v
 from vdwlayers import perturbation, potential
+from vdwlayers.asymptotics import _WALL_POSITION_REL_TOL
 from vdwlayers.quadrature import (_EPS, _WG, _WK, _XK, QuadratureSpec, _as_rows, _lockstep,
                                   _mapped)
 
@@ -245,3 +247,61 @@ def adaptive_heap(f, a, b, rel_tol, abs_tol, max_subdivisions):
     tot_err = math.fsum(p[5] for p in panels)
     converged = tot_err <= max(rel_tol * abs(tot_val), abs_tol)
     return tot_val, tot_err, evals, converged
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_wall(potential, z_lo=1e-3, z_hi=1e2, samples=60):
+    """Serial golden-section wall search: the oracle for the batched rounds of ``locate_wall``.
+
+    The same log-spaced scan as one array call, then golden-section search
+    with one float potential call per step between the maximum's neighbours
+    until the bracket is at most ``_WALL_POSITION_REL_TOL`` times its
+    midpoint, and a last call at the bracket's midpoint for the height.
+    Returns a ``WallEstimate`` or None, with the ten-times-the-error rule.
+    """
+    zs = np.geomspace(z_lo, z_hi, samples)
+    values = []
+    for z, res in zip(zs.tolist(), potential(zs)):
+        if not res.converged:
+            warnings.warn(f"skipping z = {z:.4g}: quadrature did not converge", stacklevel=2)
+            continue
+        values.append((z, res))
+    if not values:
+        raise RuntimeError("no scan point converged")
+
+    idx = max(range(len(values)), key=lambda i: values[i][1].value)
+    best_z, best = values[idx]
+    if best.value <= 0.0:
+        return None
+
+    def refined(z):
+        res = potential(z)
+        if not res.converged:
+            raise RuntimeError(f"wall refinement: quadrature did not converge at z = {z:.6g}")
+        return res
+
+    lo = values[idx - 1][0] if idx > 0 else best_z
+    hi = values[idx + 1][0] if idx + 1 < len(values) else best_z
+    if lo < hi:
+        a, b = lo, hi
+        c = b - _INVPHI * (b - a)
+        d = a + _INVPHI * (b - a)
+        fc = refined(c).value
+        fd = refined(d).value
+        while (b - a) > _WALL_POSITION_REL_TOL * 0.5 * (a + b):
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - _INVPHI * (b - a)
+                fc = refined(c).value
+            else:
+                a, c, fc = c, d, fd
+                d = a + _INVPHI * (b - a)
+                fd = refined(d).value
+        best_z = 0.5 * (a + b)
+        best = refined(best_z)
+
+    if best.value <= 10.0 * abs(best.error):
+        return None
+    return v.WallEstimate(best_z, best.value, "numeric-scan")

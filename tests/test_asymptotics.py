@@ -5,7 +5,8 @@ import pytest
 
 import vdwlayers as v
 
-from conftest import adaptive_heap, constant_material, fig2_material, material
+from conftest import adaptive_heap, constant_material, fig2_material, golden_section_wall, material
+from vdwlayers.asymptotics import _WALL_ROUND_POINTS
 
 
 WEAK_ELECTRIC = dict(wpe=0.02, wte=1.03, wpm=2.0, wtm=1.0)
@@ -487,7 +488,7 @@ def test_locate_wall_matches_short_distance_formula(atom):
     pytest.param({"samples": True}, "samples must be an integer >= 4", id="samples=True"),
 ])
 def test_locate_wall_rejects_reversed_grid(grid, message):
-    # a descending grid would skip the golden-section refinement; a bad end or
+    # a descending grid would skip the refinement rounds; a bad end or
     # sample count would end as "no wall" or as a numpy error
     def pot(z):
         raise AssertionError("no potential runs before the grid is checked")
@@ -497,7 +498,7 @@ def test_locate_wall_rejects_reversed_grid(grid, message):
 
 
 def test_locate_wall_rejects_nonconverged_refinement():
-    # converged on the scan, then the golden-section refinement stops converging
+    # converged on the scan, then one point of the first refinement round does not converge
     samples = 12
     calls = []
     ndims = []
@@ -508,11 +509,90 @@ def test_locate_wall_rejects_nonconverged_refinement():
         for zi in np.atleast_1d(z).tolist():
             calls.append(zi)
             value = math.exp(-(math.log(zi) - 0.3) ** 2)
-            results.append(v.PotentialResult(value, 1e-12, value, 0.0, len(calls) <= samples, 15))
+            ok = len(calls) != samples + 10
+            results.append(v.PotentialResult(value, 1e-12, value, 0.0, ok, 15))
         return results if np.ndim(z) else results[0]
 
-    with pytest.raises(RuntimeError, match=r"z = [0-9.]+"):
+    with pytest.raises(RuntimeError, match=r"z = [0-9.]+") as exc:
         v.locate_wall(pot, z_lo=0.1, z_hi=10.0, samples=samples)
-    assert len(calls) == samples + 1
-    assert ndims == [1, 0]  # the scan as one array call, then the first refinement
+    assert f"z = {calls[samples + 9]:.6g}" in str(exc.value)
+    assert len(calls) == samples + _WALL_ROUND_POINTS
+    assert ndims == [1, 1]  # the scan, then the first round, each one array call
 
+
+@pytest.mark.parametrize("rel_error, found", [(0.2, False), (0.05, True)])
+def test_locate_wall_needs_height_above_ten_errors(rel_error, found):
+    def pot(z):
+        results = []
+        for zi in np.atleast_1d(z).tolist():
+            value = math.exp(-(math.log(zi) - 0.3) ** 2)
+            results.append(v.PotentialResult(value, rel_error * value, value, 0.0, True, 15))
+        return results if np.ndim(z) else results[0]
+
+    wall = v.locate_wall(pot, z_lo=0.1, z_hi=10.0, samples=12)
+    assert (wall is not None) == found
+    if found:
+        assert wall.z_max == pytest.approx(math.exp(0.3), rel=1e-4)
+
+
+WALL_CASES = {
+    "fig2-mu5": lambda atom, z: v.potential_halfspace(atom, fig2_material(mu0=5.0), z),
+    "fig2-mu10": lambda atom, z: v.potential_halfspace(atom, fig2_material(mu0=10.0), z),
+    "weak-thick": lambda atom, z: v.potential_halfspace(atom, material(**WEAK_ELECTRIC), z),
+    "weak-thin": lambda atom, z: v.potential_thin_plate(atom, material(**WEAK_ELECTRIC), 1e-5, z),
+}
+
+
+def _recorded(pot):
+    """``pot`` with every result kept by z, and the dimension of each call's z."""
+    seen, ndims = {}, []
+
+    def wrapped(z):
+        ndims.append(np.ndim(z))
+        res = pot(z)
+        for zi, r in zip(np.atleast_1d(z).tolist(), res if np.ndim(z) else [res]):
+            seen[zi] = r
+        return res
+    return wrapped, seen, ndims
+
+
+@pytest.mark.parametrize("case", sorted(WALL_CASES))
+def test_locate_wall_matches_golden_section_oracle(atom, case):
+    batched, seen, _ = _recorded(lambda z: WALL_CASES[case](atom, z))
+    wall = v.locate_wall(batched, samples=40)
+    serial, seen_ref, _ = _recorded(lambda z: WALL_CASES[case](atom, z))
+    ref = golden_section_wall(serial, samples=40)
+    assert wall is not None and ref is not None
+    assert wall.z_max == pytest.approx(ref.z_max, rel=1e-4)
+    err = seen[wall.z_max].error + seen_ref[ref.z_max].error
+    assert abs(wall.u_max - ref.u_max) <= err
+
+
+@pytest.mark.parametrize("case", sorted(WALL_CASES))
+def test_locate_wall_rounds_are_array_calls(atom, case):
+    pot, _, ndims = _recorded(lambda z: WALL_CASES[case](atom, z))
+    wall = v.locate_wall(pot, samples=40)
+    assert wall is not None
+    assert 2 <= len(ndims) <= 4  # the scan and at most three rounds
+    assert ndims == [1] * len(ndims)
+    again = v.locate_wall(lambda z: WALL_CASES[case](atom, z), samples=40)
+    assert np.array([wall.z_max, wall.u_max]).tobytes() == \
+        np.array([again.z_max, again.u_max]).tobytes()
+
+
+def test_locate_wall_monotone_magnetic_returns_none(atom):
+    # no electric response: U is repulsive and falls monotonically, so the
+    # largest scan value sits at the grid's first point and is no wall
+    m = v.MaterialModel(electric=[], magnetic=[v.Resonance(2.0, 1.0, 0.001)])
+    pot, _, ndims = _recorded(lambda z: v.potential_halfspace(atom, m, z))
+    assert v.locate_wall(pot, samples=40) is None
+    assert ndims == [1]
+    with pytest.raises(v.NoWallError):
+        v.wall_estimate("thick", atom, m)
+
+
+def test_locate_wall_grid_above_the_wall_returns_none(atom):
+    # the fig2 wall is near z = 1.79; on [3, 50] U only falls
+    pot, _, ndims = _recorded(lambda z: v.potential_halfspace(atom, fig2_material(mu0=5.0), z))
+    assert v.locate_wall(pot, z_lo=3.0, z_hi=50.0, samples=40) is None
+    assert ndims == [1]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -369,6 +370,37 @@ def test_wall_with_estimates(tmp_path):
     )
 
 
+def test_wall_failed_search_is_not_no_wall(tmp_path, capsys):
+    # a refinement round that cannot converge is a numerical failure, not an absent wall
+    doc = {
+        "atom": ATOM,
+        "materials": {"plate": PLATE},
+        "geometry": {"kind": "halfspace", "material": "plate"},
+        "wall": {"z_min": 0.2, "z_max": 5.0, "samples": 12},
+        "quadrature": FAST_QUAD,
+    }
+    real = v.potential_halfspace
+    calls = []
+
+    def flaky(atom, material, z, spec):
+        calls.append(z)
+        results = real(atom, material, z, spec)
+        if len(calls) == 1:
+            return results
+        return [dataclasses.replace(r, converged=False) for r in results]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("vdwlayers.cli.potential_halfspace", flaky)
+        code, out = run(tmp_path, "wall", doc)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: wall refinement: quadrature did not converge at z = " in err
+    _, rows = read_rows(out / "wall_plate.csv")
+    numeric = [r for r in rows if r["method"] == "numeric-scan"]
+    assert numeric[0]["status"] == "failed"
+    assert (out / "wall.meta.json").exists()
+
+
 @pytest.mark.parametrize("grid", [
     {"z_min": 5.0, "z_max": 0.2},
     {"z_min": 1.0, "z_max": 1.0},
@@ -421,6 +453,10 @@ def test_check_nonconverged_exits_3(tmp_path, capsys):
     assert code == 3
     assert "first-order thick term at z=1.0" in capsys.readouterr().err
     assert not (out / "check.json").exists()
+    meta = json.loads((out / "check.meta.json").read_text())
+    assert "first-order thick term at z=1.0" in meta["error"]
+    assert meta["outputs"] == []
+    assert parse_config(meta) == parse_config(doc)  # the sidecar still replays as a config
 
 
 def test_module_entry_point_exits_nonzero_on_missing_config(tmp_path):
