@@ -14,7 +14,6 @@ from .materials import (
     Resonance,
     StaticSummary,
     Transition,
-    promote_near_mirror,
     static_summary,
 )
 from .quadrature import (

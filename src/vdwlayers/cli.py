@@ -35,7 +35,6 @@ from .materials import PerfectMirror
 from .perturbation import additivity_check
 from .potential import (
     potential_halfspace,
-    potential_mirror,
     potential_multilayer,
     potential_plate,
     potential_thin_plate,
@@ -109,7 +108,7 @@ def _potential(cfg: RunConfig, name: str, z):
     atom = cfg.atom
     spec = cfg.quadrature
     if geo.kind == "mirror":
-        return potential_mirror(atom, z, geo.mirror, spec)
+        return potential_halfspace(atom, PerfectMirror(geo.mirror), z, spec)
     if geo.kind == "multilayer":
         return potential_multilayer(cfg.build_stack(z), atom, spec)
     material = cfg.medium(name)
@@ -230,24 +229,28 @@ def cmd_wall(cfg: RunConfig, args) -> int:
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    all_ok = True
+    failures = []  # "<material>: <method>: <message>" per failure, for the sidecar
     ext = "csv" if args.format == "csv" else "json"
+
+    def failed(name, method, exc):
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        failures.append(f"{name}: {method}: {exc}")
+        return (name, method, None, None, None, "failed")
+
     for name in geo.materials:
         material = cfg.medium(name)
         rows = []
-        status = "no-wall"
         try:
             numeric = locate_wall(lambda z: _potential(cfg, name, z),
                                   z_lo=grid.lo, z_hi=grid.hi, samples=grid.points)
         except RuntimeError as exc:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            numeric, status = None, "failed"
-            all_ok = False
-        if numeric is None:
-            rows.append((name, "numeric-scan", None, None, None, status))
+            rows.append(failed(name, "numeric-scan", exc))
         else:
-            rows.append((name, numeric.method, numeric.z_max, numeric.u_max,
-                         numeric.consistency, "ok"))
+            if numeric is None:
+                rows.append((name, "numeric-scan", None, None, None, "no-wall"))
+            else:
+                rows.append((name, numeric.method, numeric.z_max, numeric.u_max,
+                             numeric.consistency, "ok"))
 
         if geo.kind in ("halfspace", "thin-plate") and not isinstance(material, PerfectMirror):
             kind = "thick" if geo.kind == "halfspace" else "thin"
@@ -256,16 +259,18 @@ def cmd_wall(cfg: RunConfig, args) -> int:
                                          cfg.quadrature):
                     rows.append((name, est.method, est.z_max, est.u_max,
                                  est.consistency, "ok"))
-            except NoWallError:
+            except NoWallError:  # a RuntimeError too: an absent wall, not a failure
                 rows.append((name, "coefficient-ratio", None, None, None, "no-wall"))
+            except RuntimeError as exc:
+                rows.append(failed(name, "coefficient-ratio", exc))
 
         fname = f"wall_{_safe_label(name)}.{ext}"
         _write_table(out_dir / fname,
                      ["material", "method", "z_max", "U_max", "consistency", "status"],
                      rows, args.format)
         outputs.append(fname)
-    _write_sidecar(out_dir, "wall", cfg, outputs)
-    return 0 if all_ok else 3
+    _write_sidecar(out_dir, "wall", cfg, outputs, error="\n".join(failures) or None)
+    return 3 if failures else 0
 
 
 def cmd_check(cfg: RunConfig, args) -> int:

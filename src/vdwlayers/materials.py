@@ -27,7 +27,6 @@ __all__ = [
     "StaticSummary",
     "VACUUM",
     "static_summary",
-    "promote_near_mirror",
 ]
 
 
@@ -229,21 +228,3 @@ def static_summary(material: MaterialModel) -> StaticSummary:
         chi_m0=mu0 - 1.0,
     )
 
-
-def promote_near_mirror(
-    material: Medium, threshold: float = 1e8, modest: float = 1e4
-) -> Medium:
-    """Replace a one-sidedly huge static response by the exact mirror flag.
-
-    Promotion only fires when exactly one of eps(0), mu(0) exceeds
-    ``threshold`` while the other stays below ``modest``; with both responses
-    huge the impedance stays finite and the mirror limit would be wrong.
-    """
-    if isinstance(material, PerfectMirror):
-        return material
-    s = static_summary(material)
-    if s.eps0 > threshold and s.mu0 < modest:
-        return CONDUCTING_MIRROR
-    if s.mu0 > threshold and s.eps0 < modest:
-        return PERMEABLE_MIRROR
-    return material

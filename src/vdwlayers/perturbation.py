@@ -15,10 +15,11 @@ evaluator.
 
 The expansion terms take ``z`` as a float (one ``ExpansionTerm``) or a 1-D
 array (a list with one term per entry), with one ``integrate_nested`` call
-per channel over the whole array.  The channel kernels carry z only as
-b^p e^{-2 b z}, so at the default spec one b-node table per channel serves
-every entry: an entry and the float call agree within their reported
-errors rather than bit for bit, and the same input gives the same bytes.
+per channel over the whole array.  A channel kernel is the z-free integrand
+b^p alpha w chi of (u, b); ``integrate_nested`` applies e^{-2 b z}, so one
+b-node table per channel serves every entry: an entry and the float call
+agree within their reported errors rather than bit for bit, and the same
+input gives the same bytes.
 """
 
 from __future__ import annotations
@@ -124,12 +125,12 @@ _CHI_POWERS = {"chi_e": (1, 0), "chi_m": (0, 1), "chi_e2": (2, 0), "chi_m2": (0,
 def _channel_kernel(atom, material, weight, chi_name, pref, b_power):
     pe, pm = _CHI_POWERS[chi_name]
 
-    def kernel(u, b, z):
+    def kernel(u, b):
         chi = (material.eps(u) - 1.0) ** pe if pe else 1.0
         if pm:
             chi = chi * (material.mu(u) - 1.0) ** pm
         w = _weight_times_u2(weight, u, b)
-        return pref * atom.alpha(u) * b**b_power * np.exp(-2.0 * b * z) * w * chi
+        return pref * atom.alpha(u) * b**b_power * w * chi
 
     return kernel
 

@@ -7,18 +7,21 @@ vacuum axial wavenumber b of
 
 summed over the walls on both sides of the atom, with geometry entering only
 through the reflection coefficients: ``_wall_kernel`` is the one place that
-forms this integrand.  Half-space, plate and two-plate scenes are built as a
-``LayerStack`` and evaluated by ``potential_multilayer``, whose coefficients
-come from ``reflection_coefficients(stack, u, b)``; the thin plate feeds the
-same kernel its linear-in-thickness coefficients, and a perfect-mirror
-half-space or plate takes the 1-D ``potential_mirror`` integral.  Every
-potential takes the atom position ``z`` as a float, returning one
+forms this integrand, without its factor e^{-2 b z}, which the b-node table
+of ``integrate_nested`` applies.  Half-space, plate and two-plate scenes are
+built as a ``LayerStack`` and evaluated by ``potential_multilayer``, whose
+coefficients come from ``reflection_coefficients(stack, u, b)``; a perfect
+mirror is a layer like any other (r_s = -+1, r_p = +-1), and every medium,
+however large its response, takes this one path.  The thin plate feeds the
+same kernel its linear-in-thickness coefficients.  ``potential_mirror`` is
+the closed 1-D form of the perfect-mirror half-space, kept as an oracle.
+Every potential takes the atom position ``z`` as a float, returning one
 ``PotentialResult``, or as a 1-D array, returning a list with one result per
-entry; each wall of an array is one ``integrate_nested`` call.  z enters the
-wall kernel only through e^{-2 b z}, so at the default spec one b-node table
-serves every entry of a wall: an entry and the float call agree within their
-reported errors rather than bit for bit, the same input gives the same
-bytes, and the table's kernel evaluations are split evenly over the entries.
+entry; each wall of an array is one ``integrate_nested`` call, and one
+b-node table serves every entry of a wall: an entry and the float call
+agree within their reported errors rather than bit for bit, the same input
+gives the same bytes, and the table's kernel evaluations are split evenly
+over the entries.
 For atoms in an interior layer the two wall terms are integrated
 separately, which makes the left/right split exact bookkeeping rather than
 an approximation.
@@ -41,7 +44,6 @@ from .materials import (
     MaterialModel,
     Medium,
     PerfectMirror,
-    promote_near_mirror,
     static_summary,
 )
 from .quadrature import (IntegralResult, QuadratureSpec, _as_rows, _require_positive,
@@ -95,7 +97,9 @@ def potential_mirror(atom: AtomModel, z, kind: str = "conducting",
     """Potential in front of a perfectly reflecting plate, as a single 1-D integral.
 
     ``kind="conducting"`` gives the attractive Casimir-Polder result;
-    ``kind="permeable"`` its exact sign flip.
+    ``kind="permeable"`` its exact sign flip.  The closed form of
+    ``potential_halfspace(atom, PerfectMirror(kind), z)``, which runs the
+    b-node table; the tests use it as that path's oracle.
     """
     zs = _as_rows("z", z)
     if kind not in ("conducting", "permeable"):
@@ -117,14 +121,15 @@ def potential_mirror(atom: AtomModel, z, kind: str = "conducting",
 
 
 def _wall_kernel(atom: AtomModel, refl):
-    """Integrand of one wall at distance z; ``refl(u, b)`` gives its (r_s, r_p).
+    """Integrand G(u, b) of one wall; ``refl(u, b)`` gives its (r_s, r_p).
 
-    z enters only through e^{-2 b z}, the contract of the b-node table.
+    The wall's distance z enters only as e^{-2 b z}, which ``integrate_nested``
+    applies.
     """
-    def kernel(u, b, z):
+    def kernel(u, b):
         r_s, r_p = refl(u, b)
         bracket = u * u * r_s - (2.0 * b * b - u * u) * r_p
-        return _PREF * atom.alpha(u) * np.exp(-2.0 * b * z) * bracket
+        return _PREF * atom.alpha(u) * bracket
 
     return kernel
 
@@ -156,10 +161,7 @@ def potential_halfspace(atom: AtomModel, material: Medium, z,
                         spec: QuadratureSpec | None = None):
     """Potential in front of a semi-infinite magnetodielectric half-space."""
     _as_rows("z", z)  # an error names z; LayerStack would name it atom_position
-    mat = promote_near_mirror(material)
-    if isinstance(mat, PerfectMirror):
-        return potential_mirror(atom, z, mat.kind, spec)
-    stack = LayerStack((Layer(mat, math.inf), Layer(VACUUM, math.inf)), 1, z)
+    stack = LayerStack((Layer(material, math.inf), Layer(VACUUM, math.inf)), 1, z)
     return potential_multilayer(stack, atom, spec)
 
 
@@ -168,11 +170,8 @@ def potential_plate(atom: AtomModel, material: Medium, thickness: float, z,
     """Potential in front of a plate of finite thickness."""
     _as_rows("z", z)  # an error names z; LayerStack would name it atom_position
     _require_positive("thickness", thickness)
-    mat = promote_near_mirror(material)
-    if isinstance(mat, PerfectMirror):
-        return potential_mirror(atom, z, mat.kind, spec)  # fully reflecting at any thickness
     stack = LayerStack(
-        (Layer(VACUUM, math.inf), Layer(mat, thickness), Layer(VACUUM, math.inf)), 2, z
+        (Layer(VACUUM, math.inf), Layer(material, thickness), Layer(VACUUM, math.inf)), 2, z
     )
     return potential_multilayer(stack, atom, spec)
 
@@ -215,13 +214,12 @@ def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z
     """
     _require_positive("separation", separation)
     zs = _as_rows("z", z, separation)
-    mat = promote_near_mirror(material)
     if not multiple_reflections:
-        near = potential_halfspace(atom, mat, zs, spec)
-        far = potential_halfspace(atom, mat, separation - zs, spec)
+        near = potential_halfspace(atom, material, zs, spec)
+        far = potential_halfspace(atom, material, separation - zs, spec)
         return _per_z(z, [_wall_sum(a, b) for a, b in zip(near, far)])
     stack = LayerStack(
-        (Layer(mat, math.inf), Layer(VACUUM, separation), Layer(mat, math.inf)), 1, z
+        (Layer(material, math.inf), Layer(VACUUM, separation), Layer(material, math.inf)), 1, z
     )
     return potential_multilayer(stack, atom, spec)
 

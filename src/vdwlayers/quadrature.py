@@ -6,18 +6,18 @@ intervals are first mapped to [0, 1) by the rational transform
 x = a + scale * t / (1 - t); the scale is chosen by the caller to sit at the
 knee of the integrand.
 
-``integrate_nested`` evaluates integrals of a kernel F(u, b, z) over the region
-u >= 0, b >= u, for a float ``z`` or for each entry of a 1-D array.  It
-integrates in the swapped order
+``integrate_nested`` evaluates the integral of e^{-2 b z} kernel(u, b) over
+the region u >= 0, b >= u, for a float ``z`` or for each entry of a 1-D
+array.  It integrates in the swapped order
 
-  int_0^inf db e^{-2 b z} G(b),  G(b) = int_0^b du F(u, b, 0)
+  int_0^inf db e^{-2 b z} G(b),  G(b) = int_0^b du kernel(u, b)
 
-and one table of G on b-nodes serves every z of the call.  The kernel must
-carry z only as F(u, b, z) = F(u, b, 0) e^{-2 b z}, as every wall and
-expansion kernel does; the table calls it at z = 0 (a float) with ``u`` of
-shape (m, 15) and ``b`` of shape (m, 1), one b node per row, and it must
-return the values at the broadcast shape, computed elementwise, so that a
-point's value does not depend on the other points of the batch.  ``b`` is
+and one table of G on b-nodes serves every z of the call.  The kernel never
+sees z: the engine alone applies e^{-2 b z}, so a kernel cannot depend on z
+in any other way.  The table calls it with ``u`` of shape (m, 15) and ``b``
+of shape (m, 1), one b node per row, and it must return the values at the
+broadcast shape, computed elementwise, so that a point's value does not
+depend on the other points of the batch.  ``b`` is
 the vacuum axial wavenumber of the atom layer, so the change of variables is
 purely geometric and identical for every stack.  The entries share the
 table's panels: each entry's error adds its own outer and weighted inner
@@ -409,7 +409,7 @@ def _greedy_cover(gain, excess):
 def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
     """(value, error, evaluations, converged) per entry of ``z`` from one b-node table.
 
-    U(z) = int_0^inf db e^{-2 b z} G(b) with G(b) = int_0^b du F(u, b, 0).
+    U(z) = int_0^inf db e^{-2 b z} G(b) with G(b) = int_0^b du kernel(u, b).
     The outer variable x in (0, 1) maps to b = b_c x / (1 - x), which covers
     the whole half-line, so no tail is cut off; its first panels are spaced
     evenly in log b.  G at every node is one row of an inner ``_lockstep``
@@ -456,7 +456,7 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
 
         def integrand(r, t):
             d = 1.0 - bend[r] * t
-            return kernel(c[r] * t / d, bb[r], 0.0) * (c[r] / (d * d))
+            return kernel(c[r] * t / d, bb[r]) * (c[r] / (d * d))
 
         rel = np.where(tight, spec.rel_tol_inner * _TABLE_INNER_TIGHTEN, spec.rel_tol_inner)
         g, g_err, _, inner_evals, _ = _lockstep(
@@ -530,14 +530,13 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
 
 def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
                      u_scale: float = 1.0):
-    """Adaptive integral of F(u, b, z) over u >= 0, b >= u, for each z, from one b-node table.
+    """Integral of e^{-2 b z} kernel(u, b) over u >= 0, b >= u, for each z, from one table.
 
-    ``_table_rows`` serves every z.  The kernel must satisfy F(u, b, z) =
-    F(u, b, 0) e^{-2 b z}: the table calls it at z = 0 and applies the factor
-    per row itself.  Rows share the table's panels, so a row of an array is
-    not bit for bit the float call; the same input always gives the same
-    bytes, and each row's reported error covers its own outer and weighted
-    inner estimates.  The kernel points of the table are split evenly over
+    ``_table_rows`` serves every z.  The kernel takes (u, b) only; the table
+    applies e^{-2 b z} per row itself.  Rows share the table's panels, so a
+    row of an array is not bit for bit the float call; the same input always
+    gives the same bytes, and each row's reported error covers its own outer
+    and weighted inner estimates.  The kernel points of the table are split evenly over
     the rows (the first rows take the remainder), so ``evaluations`` sums to
     the points the kernel got.
 

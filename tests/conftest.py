@@ -101,22 +101,30 @@ def _nested_rows(kernel, mode: str, z: np.ndarray, spec: QuadratureSpec, u_scale
     return val, err + aux, evals, conv & inner_ok
 
 
+def decayed(kernel):
+    """F(u, b, z) = kernel(u, b) e^{-2 b z}: the integrand ``integrate_nested`` integrates."""
+    return lambda u, b, z: kernel(u, b) * np.exp(-2.0 * b * z)
+
+
 def nested_oracle(kernel, *, z, spec=None, u_scale=1.0, mode):
     """``integrate_nested`` on the nested engine in substitution ``mode``: the table's oracle.
 
-    Each z is one row of the outer ``_lockstep``, refined on its own, so an
-    entry of an array equals the float call exactly, and z enters the kernel
-    freely (it also sets each row's inner map scale 0.5 / z).  All inner
-    integrals of one outer step, over every row, are refined together: the
-    kernel gets ``u`` of shape (m, 1) and ``b`` of shape (m, 15) in the
-    ``nonretarded`` and ``direct`` modes, both (m, 15) in ``retarded`` mode,
-    and ``z`` of shape (m, 1).  A row's error adds its outer panel estimate
-    and its integrated inner estimates; it converges only if every inner
+    The kernel takes (u, b), as the table's does; the oracle integrates
+    F = kernel(u, b) e^{-2 b z} (``decayed``), and a test whose F depends on
+    z in another way passes it to ``_nested_rows`` directly.  Each z is one
+    row of the outer ``_lockstep``, refined on its own, so an entry of an
+    array equals the float call exactly (z also sets each row's inner map
+    scale 0.5 / z).  All inner integrals of one outer step, over every row,
+    are refined together: the kernel gets ``u`` of shape (m, 1) and ``b`` of
+    shape (m, 15) in the ``nonretarded`` and ``direct`` modes, both (m, 15)
+    in ``retarded`` mode.  A row's error adds its outer panel estimate and
+    its integrated inner estimates; it converges only if every inner
     integral did.  ``u_scale`` is the outer map scale.  A float ``z`` returns
     an ``IntegralResult``, a 1-D array an ``IntegralBatch``.
     """
     zs = _as_rows("z", z)
-    batch = v.IntegralBatch(*_nested_rows(kernel, mode, zs, spec or v.DEFAULT_SPEC, u_scale))
+    rows = _nested_rows(decayed(kernel), mode, zs, spec or v.DEFAULT_SPEC, u_scale)
+    batch = v.IntegralBatch(*rows)
     return batch[0] if np.ndim(z) == 0 else batch
 
 
@@ -162,7 +170,7 @@ def halfspace_stack(mat, z):
 
 
 def brute_force_2d(kernel, z, n=2000, u_scale=1.0):
-    """Independent trapezoid oracle for int_0^inf du int_u^inf db F(u, b, z).
+    """Independent trapezoid oracle for int_0^inf du int_u^inf db kernel(u, b) e^{-2 b z}.
 
     Both semi-infinite directions are mapped onto the unit square by the same
     rational transform the adaptive engine uses; the trapezoid rule is applied
@@ -173,6 +181,7 @@ def brute_force_2d(kernel, z, n=2000, u_scale=1.0):
     t = np.linspace(0.0, 1.0, n + 1)
     r = np.linspace(0.0, 1.0, n + 1)
     f = np.zeros((n + 1, n + 1))
+    integrand = decayed(kernel)
     tt = t[:-1]
     uu = su * tt / (1.0 - tt)
     ju = su / (1.0 - tt) ** 2
@@ -184,7 +193,7 @@ def brute_force_2d(kernel, z, n=2000, u_scale=1.0):
         b = u_col + sb * rr / (1.0 - rr)
         jb = sb / (1.0 - rr) ** 2
         with np.errstate(invalid="ignore"):
-            vals = kernel(np.broadcast_to(u_col, b.shape), b, z) * ju[lo:hi][:, None] * jb
+            vals = integrand(np.broadcast_to(u_col, b.shape), b, z) * ju[lo:hi][:, None] * jb
         f[lo:hi, :-1] = np.nan_to_num(vals, nan=0.0)  # only the measure-zero corner
     # np.trapz is gone in numpy 2.4; look it up only where trapezoid is missing (numpy < 2.0)
     trapz = np.trapezoid if hasattr(np, "trapezoid") else np.trapz

@@ -219,6 +219,10 @@ def test_scan_mirror_geometry(tmp_path):
     assert code == 0
     _, rows = read_rows(out / "scan_mirror-conducting.csv")
     assert all(float(r["U"]) < 0.0 for r in rows)
+    # the mirror runs the b-node table as a half-space; the closed form checks it
+    for r in rows:
+        ref = v.potential_mirror(v.AtomModel.two_level(), float(r["z_A"])).value
+        assert abs(float(r["U"]) - ref) <= float(r["err"])
 
 
 def test_scan_multilayer_geometry(tmp_path):
@@ -398,7 +402,46 @@ def test_wall_failed_search_is_not_no_wall(tmp_path, capsys):
     _, rows = read_rows(out / "wall_plate.csv")
     numeric = [r for r in rows if r["method"] == "numeric-scan"]
     assert numeric[0]["status"] == "failed"
-    assert (out / "wall.meta.json").exists()
+    # the sidecar names the material, the method and the z that failed
+    error = json.loads((out / "wall.meta.json").read_text())["error"]
+    assert error == "plate: numeric-scan: " + err.strip().removeprefix("numerical failure: ")
+
+
+def test_wall_coefficient_failure_keeps_the_other_materials(tmp_path, capsys):
+    # one material's coefficient integrals fail: its row says so, the other
+    # material's file is still written, and the run exits 3
+    doc = {
+        "atom": ATOM,
+        "materials": {"bad": PLATE, "good": WEAK},
+        "geometry": {"kind": "halfspace", "material": ["bad", "good"]},
+        "wall": {"z_min": 0.2, "z_max": 5.0, "samples": 8},
+        "quadrature": FAST_QUAD,
+    }
+    real = v.wall_estimate
+    bad = v.MaterialModel(
+        electric=[v.Resonance(**r) for r in PLATE["electric"]],
+        magnetic=[v.Resonance(**r) for r in PLATE["magnetic"]])
+
+    def flaky(kind, atom, material, *args):
+        if material == bad:
+            raise RuntimeError("quadrature for C3 did not converge (error estimate 1e-3)")
+        return real(kind, atom, material, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("vdwlayers.cli.wall_estimate", flaky)
+        code, out = run(tmp_path, "wall", doc)
+    assert code == 3
+    assert "numerical failure: quadrature for C3 did not converge" in capsys.readouterr().err
+    _, rows = read_rows(out / "wall_bad.csv")
+    assert [(r["method"], r["status"]) for r in rows if r["method"] != "numeric-scan"] == [
+        ("coefficient-ratio", "failed")]
+    _, rows = read_rows(out / "wall_good.csv")
+    assert all(r["status"] != "failed" for r in rows)
+    assert any(r["method"] == "coefficient-ratio" for r in rows)
+    meta = json.loads((out / "wall.meta.json").read_text())
+    assert meta["outputs"] == ["wall_bad.csv", "wall_good.csv"]
+    assert meta["error"] == ("bad: coefficient-ratio: quadrature for C3 did not converge "
+                             "(error estimate 1e-3)")
 
 
 @pytest.mark.parametrize("grid", [

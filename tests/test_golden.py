@@ -35,10 +35,8 @@ def _potential(point, z, spec):
         return v.potential_two_plates(ATOM, PLATE, point["separation"], z, spec)
     if kind == "thin-plate":
         return v.potential_thin_plate(ATOM, PLATE, point["thickness"], z, spec)
-    # the mirror as a layer runs the 2-D engines with r_s = -1, r_p = 1
-    stack = v.LayerStack((v.Layer(v.CONDUCTING_MIRROR, math.inf), v.Layer(v.VACUUM, math.inf)),
-                         1, z)
-    return v.potential_multilayer(stack, ATOM, spec)
+    # the mirror half-space runs the 2-D engines with r_s = -1, r_p = 1
+    return v.potential_halfspace(ATOM, v.CONDUCTING_MIRROR, z, spec)
 
 
 def _name(point):

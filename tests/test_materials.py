@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import vdwlayers as v
 
-from conftest import constant_material, fig2_material, material
+from conftest import fig2_material, material
 
 
 def test_vacuum_response_is_unity():
@@ -117,15 +117,6 @@ def test_duality_swap_material():
     assert sw.eps(0.7) == m.mu(0.7)
     assert sw.mu(0.7) == m.eps(0.7)
     assert sw.swapped() == m
-
-
-def test_promote_near_mirror():
-    assert v.promote_near_mirror(constant_material(eps0=1e12)) == v.CONDUCTING_MIRROR
-    assert v.promote_near_mirror(constant_material(mu0=1e12)) == v.PERMEABLE_MIRROR
-    plain = fig2_material()
-    assert v.promote_near_mirror(plain) is plain
-    both = constant_material(eps0=1e9, mu0=1e10)  # finite impedance: not a mirror
-    assert v.promote_near_mirror(both) is both
 
 
 resonances = st.builds(

@@ -71,15 +71,12 @@ def test_first_order_thick_against_brute_force(atom):
     m = weak_material(chi_e=0.3, chi_m=0.3)
     z = 1.0
 
-    def kernel(u, b, z):
+    def kernel(u, b):
         chi_e = m.eps(u) - 1.0
         chi_m = m.mu(u) - 1.0
         we = b * b - u * u + u**4 / (2.0 * b * b)
         wm = u * u - u**4 / (2.0 * b * b)
-        return (
-            -1.0 / (8.0 * math.pi**2)
-            * atom.alpha(u) * np.exp(-2.0 * b * z) * (we * chi_e - wm * chi_m)
-        )
+        return -1.0 / (8.0 * math.pi**2) * atom.alpha(u) * (we * chi_e - wm * chi_m)
 
     oracle = brute_force_2d(kernel, z)
     term = v.expansion_order1("thick", atom, m, z)

@@ -83,14 +83,74 @@ def test_halfspace_matches_brute_oracle(atom):
 
 
 def test_near_mirror_halfspace_converges_to_mirror(atom):
+    # a huge eps(0) takes the ordinary path; its gap to the conducting mirror
+    # closes as 1.25 / sqrt(eps(0)) at z = 50, down to rounding
     z = 50.0
     mirror = v.potential_mirror(atom, z)
-    # honest numerical path, just below the promotion threshold
-    near = v.potential_halfspace(atom, constant_material(eps0=9e7), z)
-    assert near.value == pytest.approx(mirror.value, rel=1e-3)
-    # far above the threshold the mirror path is taken exactly
-    promoted = v.potential_halfspace(atom, constant_material(eps0=1e12), z)
-    assert promoted.value == mirror.value
+    for eps0 in (9e7, 1e12, 1e16):
+        near = v.potential_halfspace(atom, constant_material(eps0=eps0), z)
+        assert near.converged
+        gap = (near.value - mirror.value) / abs(mirror.value)
+        assert gap * math.sqrt(eps0) == pytest.approx(1.25, rel=1e-3), eps0
+    far = v.potential_halfspace(atom, constant_material(eps0=1e40), z)
+    assert far.value == pytest.approx(mirror.value, rel=1e-13)
+
+
+MIRROR_Z = np.geomspace(1e-3, 1e2, 11)
+
+
+@pytest.mark.parametrize("kind", ["conducting", "permeable"])
+@pytest.mark.parametrize("geometry", ["halfspace", "plate"])
+def test_mirror_layer_rows_within_their_errors_of_the_closed_form(atom, kind, geometry):
+    # a mirror is an ordinary layer on the b-node table; a plate of it reflects
+    # fully at any thickness
+    mirror = v.PerfectMirror(kind)
+    if geometry == "halfspace":
+        rows = v.potential_halfspace(atom, mirror, MIRROR_Z)
+    else:
+        rows = v.potential_plate(atom, mirror, 0.3, MIRROR_Z)
+    for z, row, ref in zip(MIRROR_Z.tolist(), rows, v.potential_mirror(atom, MIRROR_Z, kind)):
+        assert row.converged, z
+        assert abs(row.value - ref.value) <= row.error, z
+
+
+def test_permeable_mirror_halfspace_is_exact_sign_flip(atom):
+    # acceptance criterion 3 on the table: the kernel negates point by point
+    att = v.potential_halfspace(atom, v.CONDUCTING_MIRROR, MIRROR_Z)
+    rep = v.potential_halfspace(atom, v.PERMEABLE_MIRROR, MIRROR_Z)
+    assert [r.value for r in rep] == [-a.value for a in att]
+    for z in MIRROR_Z.tolist():
+        assert (v.potential_halfspace(atom, v.PERMEABLE_MIRROR, z).value
+                == -v.potential_halfspace(atom, v.CONDUCTING_MIRROR, z).value), z
+
+
+def test_no_jump_across_a_huge_permeability(atom):
+    # mu(0) near 1e8 is an ordinary medium: no swap to the mirror above it
+    below, above = (v.potential_halfspace(atom, constant_material(mu0=mu0), 1e-3)
+                    for mu0 in (0.99e8, 1.01e8))
+    assert below.converged and above.converged
+    assert above.value == pytest.approx(below.value, rel=1e-2)
+
+
+@pytest.mark.parametrize("response", [{"eps0": 1e12}, {"mu0": 1e12}, {"eps0": 1e40}])
+def test_huge_response_halfspace_equals_multilayer(atom, response):
+    m = constant_material(**response)
+    zs = np.array([1e-3, 0.5, 50.0])
+    rows = v.potential_halfspace(atom, m, zs)
+    assert rows == v.potential_multilayer(halfspace_stack(m, zs), atom)
+    assert all(r.converged for r in rows)
+
+
+@pytest.mark.parametrize("response", [{"eps0": 1e150}, {"mu0": 1e150}])
+def test_overflowing_response_is_flagged_not_converged(atom, response):
+    # the reflection walk overflows at small z; the rows must say so
+    m = constant_material(**response)
+    zs = np.geomspace(1e-3, 10.0, 5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = v.potential_halfspace(atom, m, zs)
+        point = v.potential_halfspace(atom, m, 1e-3)
+    assert not point.converged
+    assert not any(r.converged for r in rows)
 
 
 def test_sign_dichotomy(atom):

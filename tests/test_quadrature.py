@@ -6,8 +6,9 @@ import pytest
 import vdwlayers as v
 from vdwlayers import quadrature
 
-from conftest import (NESTED_MODES, adaptive_heap, brute_force_2d, engine, fig2_material, material,
-                      nested_oracle, on_engine, oracle_mode, tight_nested)
+from conftest import (NESTED_MODES, _nested_rows, adaptive_heap, brute_force_2d, engine,
+                      fig2_material, material, nested_oracle, on_engine, oracle_mode,
+                      tight_nested)
 
 
 def test_exponential_moment():
@@ -131,7 +132,7 @@ def test_nested_exponential_all_modes():
     for z in (0.5, 1.0, 2.0):
         expected = 0.25 / (z * z)
         for mode in (None, *NESTED_MODES):
-            res = engine(mode)(lambda u, b, z: np.exp(-2.0 * b * z), z=z)
+            res = engine(mode)(lambda u, b: np.ones_like(u + b), z=z)
             assert res.converged
             assert res.value == pytest.approx(expected, rel=1e-8), mode
 
@@ -140,7 +141,7 @@ def test_nested_matches_fixed_order_product_rule():
     # independent check with a 120-point Gauss-Legendre product rule on the
     # mapped square
     z = 1.0
-    kernel = lambda u, b, z: np.exp(-2.0 * b * z) * (b - u) / (1.0 + u * u)
+    kernel = lambda u, b: (b - u) / (1.0 + u * u)
     x, w = np.polynomial.legendre.leggauss(120)
     t = 0.5 * (x + 1.0)
     wt = 0.5 * w
@@ -151,28 +152,29 @@ def test_nested_matches_fixed_order_product_rule():
     for ui, jui, wi in zip(uu, ju, wt):
         bb = ui + sb * t / (1.0 - t)
         jb = sb / (1.0 - t) ** 2
-        total += wi * jui * float(np.sum(wt * jb * kernel(ui, bb, z)))
+        total += wi * jui * float(np.sum(wt * jb * kernel(ui, bb) * np.exp(-2.0 * bb * z)))
     res = v.integrate_nested(kernel, z=z)
     assert res.value == pytest.approx(total, rel=1e-7)
 
 
 def test_nested_zero_kernel():
-    res = v.integrate_nested(lambda u, b, z: np.zeros_like(b + u), z=1.0)
+    res = v.integrate_nested(lambda u, b: np.zeros_like(b + u), z=1.0)
     assert res.value == 0.0
     assert res.converged
 
 
 def test_nested_error_includes_inner_channel():
-    # the kernel ignores z, which only the nested engine allows
-    res = nested_oracle(lambda u, b, z: np.exp(-2.0 * b), z=1.0, mode="retarded")
-    assert res.error > 0.0
-    assert abs(res.value - 0.25) <= 10.0 * res.error
+    # F ignores z, which no table kernel can express: it goes to the engine directly
+    value, error, _, _ = _nested_rows(lambda u, b, z: np.exp(-2.0 * b), "retarded",
+                                      np.array([1.0]), v.DEFAULT_SPEC, 1.0)
+    assert error[0] > 0.0
+    assert abs(value[0] - 0.25) <= 10.0 * error[0]
 
 
 def test_brute_force_oracle_closed_form():
     # the oracle itself: int_0^inf du int_u^inf db exp(-2bz) = 1/(4z^2)
     for z in (0.1, 1.0, 10.0):
-        oracle = brute_force_2d(lambda u, b, z: np.exp(-2.0 * b * z), z)
+        oracle = brute_force_2d(lambda u, b: np.ones_like(u + b), z)
         assert oracle == pytest.approx(1.0 / (4.0 * z * z), rel=1e-6)
 
 
@@ -181,14 +183,14 @@ def test_halfspace_integrand_against_brute_force(atom):
     m = fig2_material()
     z = 1.0
 
-    def kernel(u, b, z):
+    def kernel(u, b):
         e = m.eps(u)
         mu = m.mu(u)
         bm = np.sqrt(u * u * (e * mu - 1.0) + b * b)
         rs = (mu * b - bm) / (mu * b + bm)
         rp = (e * b - bm) / (e * b + bm)
         pref = 1.0 / (8.0 * math.pi**2)
-        return pref * atom.alpha(u) * np.exp(-2.0 * b * z) * (u * u * rs - (2 * b * b - u * u) * rp)
+        return pref * atom.alpha(u) * (u * u * rs - (2 * b * b - u * u) * rp)
 
     oracle = brute_force_2d(kernel, z)
     res = v.integrate_nested(kernel, z=z)
@@ -340,20 +342,19 @@ def test_nested_evaluation_counts_pinned(atom, mode, counts):
 def test_nested_kernel_batch_shapes(mode):
     shapes = []
 
-    def kernel(u, b, z):
-        shapes.append((np.shape(u), np.shape(b), np.shape(z)))
-        return np.exp(-2.0 * b * z) * np.ones_like(u)
+    def kernel(u, b):
+        shapes.append((np.shape(u), np.shape(b)))
+        return np.ones_like(u)
 
     res = engine(mode)(kernel, z=1.0)
     assert res.converged
-    assert sum(np.broadcast_shapes(su, sb)[0] * 15 for su, sb, _ in shapes) == res.evaluations
-    for su, sb, sz in shapes:
-        if mode is None:  # the library's b-node table: one b per row, at z = 0
-            assert su[1] == 15 and sb == (su[0], 1) and sz == ()
+    assert sum(np.broadcast_shapes(su, sb)[0] * 15 for su, sb in shapes) == res.evaluations
+    for su, sb in shapes:
+        if mode is None:  # the library's b-node table: one b per row
+            assert su[1] == 15 and sb == (su[0], 1)
         else:
             assert sb[1] == 15 and su[0] == sb[0]
             assert su[1] == (15 if mode == "retarded" else 1)
-            assert sz == (sb[0], 1)
     assert res.evaluations / len(shapes) > 15
 
 
@@ -380,13 +381,13 @@ def test_oned_integrand_batch_shapes(kind):
 @pytest.mark.parametrize("z", [math.inf, math.nan, 0.0, -1.0])
 def test_nested_rejects_bad_z(z):
     with pytest.raises(ValueError, match="z must be finite and > 0"):
-        v.integrate_nested(lambda u, b, z: np.exp(-2.0 * b), z=z)
+        v.integrate_nested(lambda u, b: np.ones_like(u + b), z=z)
 
 
 @pytest.mark.parametrize("mode", [None, *NESTED_MODES])
 def test_nested_batch_rows_equal_float_calls(mode):
-    def kernel(u, b, z):
-        return np.exp(-2.0 * b * z) * (b - u) / (1.0 + u * u)
+    def kernel(u, b):
+        return (b - u) / (1.0 + u * u)
 
     zs = np.array([0.3, 0.99, 1.0, 3.0])
     integrate = engine(mode)
@@ -411,7 +412,7 @@ def test_nested_batch_rows_equal_float_calls(mode):
 
 
 def test_nested_empty_z_batch():
-    def kernel(u, b, z):
+    def kernel(u, b):
         raise AssertionError("an empty batch must not call the kernel")
 
     res = v.integrate_nested(kernel, z=np.array([]))
@@ -423,12 +424,12 @@ def test_nested_empty_z_batch():
 def test_nested_rejects_bad_z_entry(z):
     zs = np.array([0.5, 2.0, z, 1.0])
     with pytest.raises(ValueError, match=rf"z must be finite and > 0, got z\[2\] = {z}$"):
-        v.integrate_nested(lambda u, b, z: np.exp(-2.0 * b), z=zs)
+        v.integrate_nested(lambda u, b: np.ones_like(u + b), z=zs)
 
 
 def test_nested_rejects_two_dimensional_z():
     with pytest.raises(ValueError, match="z must be a float or a 1-D array"):
-        v.integrate_nested(lambda u, b, z: np.exp(-2.0 * b), z=np.ones((2, 2)))
+        v.integrate_nested(lambda u, b: np.ones_like(u + b), z=np.ones((2, 2)))
 
 
 def test_nested_batch_flags_inner_failure_per_row():
@@ -438,10 +439,10 @@ def test_nested_batch_flags_inner_failure_per_row():
         return np.exp(-2.0 * b * z) * np.where(z > 2.0, 1.0 + np.sin(40.0 * b * z), 1.0)
 
     spec = v.QuadratureSpec(rel_tol_inner=1e-8, rel_tol_outer=1e-2, max_subdivisions=4)
-    # z enters other than as e^{-2 b z}, which only the nested engine allows
-    batch = nested_oracle(kernel, z=np.array([0.5, 3.0]), spec=spec, mode="nonretarded")
-    assert [row.converged for row in batch] == [True, False]
-    assert batch.converged is False
+    # z enters other than as e^{-2 b z}, which no table kernel can express: F goes
+    # to the nested engine directly
+    *_, converged = _nested_rows(kernel, "nonretarded", np.array([0.5, 3.0]), spec, 1.0)
+    assert converged.tolist() == [True, False]
 
 
 def test_table_error_includes_inner_channel(monkeypatch):
@@ -456,7 +457,7 @@ def test_table_error_includes_inner_channel(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_lockstep", sloppy)
     zs = np.array([0.5, 1.0, 2.0])
-    batch = v.integrate_nested(lambda u, b, z: np.exp(-2.0 * b * z) * np.cos(u), z=zs)
+    batch = v.integrate_nested(lambda u, b: np.cos(u), z=zs)
     exact = 1.0 / (1.0 + 4.0 * zs**2)
     assert np.all(np.abs(batch.values - exact) <= batch.errors)
     assert np.all(batch.errors >= 0.005 * exact)
