@@ -135,10 +135,17 @@ def _fresnel(out, inn, k, b2):
     # ro b_in - ri b_out cancels when u << b and the response is weak, so it
     # is formed times the denominator from b_M^2 = w + b^2:
     # b^2 (ro^2 - ri^2) + (ro^2 w_in - ri^2 w_out).  Swapping the sides
-    # negates it exactly.
+    # negates it exactly.  No numerator term exceeds den^2 (b_M >= b), so
+    # only den can overflow: for a huge response (eps or mu ~ 1e150) both
+    # responses are scaled by the power of two of the larger one, which
+    # leaves the ratio exact.
     ro, ri = out[k], inn[k]
-    ro2, ri2 = ro * ro, ri * ri
     den = ro * inn[2] + ri * out[2]
+    if np.max(den) > 2.0 ** 500:
+        e = np.frexp(np.maximum(ro, ri))[1]
+        ro, ri = np.ldexp(ro, -e), np.ldexp(ri, -e)
+        den = ro * inn[2] + ri * out[2]
+    ro2, ri2 = ro * ro, ri * ri
     return (b2 * (ro2 - ri2) + (ro2 * inn[3] - ri2 * out[3])) / (den * den)
 
 

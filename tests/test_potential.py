@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -141,9 +142,25 @@ def test_huge_response_halfspace_equals_multilayer(atom, response):
     assert all(r.converged for r in rows)
 
 
-@pytest.mark.parametrize("response", [{"eps0": 1e150}, {"mu0": 1e150}])
+@pytest.mark.parametrize("response", ["eps0", "mu0"])
+def test_huge_response_halfspace_reaches_the_mirror(atom, response):
+    # eps(0) or mu(0) = 1e150 squares past the double range in the Fresnel
+    # coefficient unless it is scaled; the rows must reach the mirror exactly
+    mirror = v.CONDUCTING_MIRROR if response == "eps0" else v.PERMEABLE_MIRROR
+    m = constant_material(**{response: 1e150})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = v.potential_halfspace(atom, m, MIRROR_Z)
+    ref = v.potential_halfspace(atom, mirror, MIRROR_Z)
+    assert all(r.converged for r in rows)
+    for r, a, z in zip(rows, ref, MIRROR_Z.tolist()):
+        assert r.value == pytest.approx(a.value, rel=1e-13), z
+
+
+@pytest.mark.parametrize("response", [{"eps0": 1e160, "mu0": 1e160},
+                                      {"eps0": 1e150, "mu0": 1e150}])
 def test_overflowing_response_is_flagged_not_converged(atom, response):
-    # the reflection walk overflows at small z; the rows must say so
+    # u^2 eps mu leaves the double range at small z; the rows must say so
     m = constant_material(**response)
     zs = np.geomspace(1e-3, 10.0, 5)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -165,10 +165,11 @@ def test_nested_zero_kernel():
 
 def test_nested_error_includes_inner_channel():
     # F ignores z, which no table kernel can express: it goes to the engine directly
-    value, error, _, _ = _nested_rows(lambda u, b, z: np.exp(-2.0 * b), "retarded",
-                                      np.array([1.0]), v.DEFAULT_SPEC, 1.0)
-    assert error[0] > 0.0
-    assert abs(value[0] - 0.25) <= 10.0 * error[0]
+    rows = _nested_rows(lambda u, b, z: np.exp(-2.0 * b), "retarded",
+                        np.array([1.0]), v.DEFAULT_SPEC, 1.0)
+    res = v.IntegralBatch(*rows)[0]
+    assert res.error > 0.0
+    assert abs(res.value - 0.25) <= 10.0 * res.error
 
 
 def test_brute_force_oracle_closed_form():
@@ -441,8 +442,9 @@ def test_nested_batch_flags_inner_failure_per_row():
     spec = v.QuadratureSpec(rel_tol_inner=1e-8, rel_tol_outer=1e-2, max_subdivisions=4)
     # z enters other than as e^{-2 b z}, which no table kernel can express: F goes
     # to the nested engine directly
-    *_, converged = _nested_rows(kernel, "nonretarded", np.array([0.5, 3.0]), spec, 1.0)
-    assert converged.tolist() == [True, False]
+    batch = v.IntegralBatch(*_nested_rows(kernel, "nonretarded", np.array([0.5, 3.0]), spec, 1.0))
+    assert [row.converged for row in batch] == [True, False]
+    assert batch.converged is False
 
 
 def test_table_error_includes_inner_channel(monkeypatch):
