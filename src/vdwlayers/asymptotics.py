@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.optimize.elementwise import find_root
 
 from .materials import AtomModel, MaterialModel, Medium, PerfectMirror, static_summary
 from .potential import PotentialResult
@@ -220,6 +218,7 @@ def _strong_bracket(z: float) -> float:
 
 def strong_limit_impedance_root() -> float:
     """Static impedance sqrt(mu0/eps0) at which the strong-limit C4 changes sign."""
+    from scipy.optimize import brentq  # deferred: it is 3/4 of a cold `import vdwlayers`
     return float(brentq(_strong_bracket, 1.0, 10.0, xtol=1e-12, rtol=8.9e-16))
 
 
@@ -301,6 +300,7 @@ def border_curve(plate_kind: str, eps0_values: Sequence[float],
     solve = ~at_one & ~(f_hi > 0.0)
     mu = np.ones_like(eps)
     if solve.any():
+        from scipy.optimize.elementwise import find_root  # deferred, as brentq above
         # in x = log mu0, on [0, log hi]
         eps_s = eps[solve]
         res = find_root(lambda x, e: f(e, np.exp(x)), (np.zeros_like(eps_s), np.log(hi[solve])),

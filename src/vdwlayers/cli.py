@@ -19,6 +19,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -72,7 +73,7 @@ def _write_table(path: Path, columns: list[str], rows: list[tuple], fmt: str) ->
 
 
 def _write_sidecar(out_dir: Path, command: str, cfg: RunConfig, outputs: list[str],
-                   error: str | None = None) -> None:
+                   error: str | None = None, warned: list[str] = ()) -> None:
     doc = {
         "command": command,
         "version": __version__,
@@ -82,6 +83,8 @@ def _write_sidecar(out_dir: Path, command: str, cfg: RunConfig, outputs: list[st
     }
     if error is not None:
         doc["error"] = error
+    if warned:
+        doc["warnings"] = warned
     (out_dir / f"{command}.meta.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
     )
@@ -150,10 +153,16 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
+    warned = []  # "<series>: <message>" per warning, for the sidecar
     all_ok = True
     ext = "csv" if args.format == "csv" else "json"
     for name in series:
-        results = _potential(cfg, name, zs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # the sidecar keeps warnings the caller filters out
+            results = _potential(cfg, name, zs)
+        for w in caught:  # re-emitted through the caller's filters
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            warned.append(f"{name}: {w.message}")
         noreflect = [None] * zs.size
         if two_plates:
             noreflect = [r.value for r in potential_two_plates(
@@ -170,7 +179,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         fname = f"scan_{_safe_label(name)}.{ext}"
         _write_table(out_dir / fname, columns, rows, args.format)
         outputs.append(fname)
-    _write_sidecar(out_dir, "scan", cfg, outputs)
+    _write_sidecar(out_dir, "scan", cfg, outputs, warned=warned)
     return 0 if all_ok else 3
 
 
@@ -179,17 +188,24 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
     if section is None:
         raise ConfigError("coeffs needs a coeffs section")
     rows = []
+    failures = []  # "<material>: <message>" per failure, for the sidecar
     for name in section.materials:
         material = cfg.medium(name)
-        thick = thick_coefficients(cfg.atom, material, cfg.quadrature)
-        if isinstance(material, PerfectMirror):
-            rows.append((name, thick.c4, thick.c3, thick.c1,
-                         None, None, None, section.thickness, thick.method, "undefined"))
-        else:
-            thin = thin_coefficients(cfg.atom, material, section.thickness, cfg.quadrature)
-            rows.append((name, thick.c4, thick.c3, thick.c1,
-                         thin.d5, thin.d4, thin.d2, section.thickness,
-                         thick.method, thin.method))
+        try:
+            thick = thick_coefficients(cfg.atom, material, cfg.quadrature)
+            if isinstance(material, PerfectMirror):
+                rows.append((name, thick.c4, thick.c3, thick.c1,
+                             None, None, None, section.thickness, thick.method, "undefined"))
+            else:
+                thin = thin_coefficients(cfg.atom, material, section.thickness, cfg.quadrature)
+                rows.append((name, thick.c4, thick.c3, thick.c1,
+                             thin.d5, thin.d4, thin.d2, section.thickness,
+                             thick.method, thin.method))
+        except RuntimeError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            failures.append(f"{name}: {exc}")
+            rows.append((name, None, None, None, None, None, None, section.thickness,
+                         "failed", "failed"))
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = "csv" if args.format == "csv" else "json"
@@ -198,8 +214,8 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
                  ["material", "c4", "c3", "c1", "d5", "d4", "d2", "thickness",
                   "thick_method", "thin_method"],
                  rows, args.format)
-    _write_sidecar(out_dir, "coeffs", cfg, [fname])
-    return 0
+    _write_sidecar(out_dir, "coeffs", cfg, [fname], error="\n".join(failures) or None)
+    return 3 if failures else 0
 
 
 def cmd_border(cfg: RunConfig, args) -> int:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,18 @@ def test_thin_plate_scan_warns_outside_regime(tmp_path):
     assert code == 0
     _, rows = read_rows(out / "scan_plate.csv")
     assert len(rows) == 4
+    # the sidecar keeps the warning, also when the caller ignores warnings,
+    # and still replays the data byte for byte
+    sidecar = out / "scan.meta.json"
+    expected = ["plate: thin-plate linearization used outside its regime at 1 of 4 z: "
+                "largest n(0) d / z = 0.111 > 0.1"]
+    assert json.loads(sidecar.read_text())["warnings"] == expected
+    rerun = tmp_path / "rerun"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["scan", "--config", str(sidecar), "--out", str(rerun)]) == 0
+    assert (rerun / "scan_plate.csv").read_bytes() == (out / "scan_plate.csv").read_bytes()
+    assert json.loads((rerun / "scan.meta.json").read_text())["warnings"] == expected
 
 
 def test_scan_mirror_geometry(tmp_path):
@@ -294,6 +307,39 @@ def test_coeffs_command(tmp_path):
         -3.0 * alpha0 / (32.0 * math.pi**2), rel=1e-12
     )
     assert by_name["wall"]["thin_method"] == "undefined"
+
+
+def test_coeffs_failure_keeps_the_other_materials(tmp_path, capsys):
+    # one material's integrals fail: its row says so, the other material's row
+    # is still written, the sidecar names the failure, and the run exits 3
+    doc = {
+        "atom": ATOM,
+        "materials": {"bad": PLATE, "good": WEAK},
+        "coeffs": {"materials": ["bad", "good"], "thickness": 1.0},
+    }
+    real = v.thick_coefficients
+    bad = v.MaterialModel(
+        electric=[v.Resonance(**r) for r in PLATE["electric"]],
+        magnetic=[v.Resonance(**r) for r in PLATE["magnetic"]])
+
+    def flaky(atom, material, *args):
+        if material == bad:
+            raise RuntimeError("quadrature for C3 did not converge (error estimate 1e-3)")
+        return real(atom, material, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("vdwlayers.cli.thick_coefficients", flaky)
+        code, out = run(tmp_path, "coeffs", doc)
+    assert code == 3
+    assert "numerical failure: quadrature for C3 did not converge" in capsys.readouterr().err
+    _, rows = read_rows(out / "coeffs.csv")
+    assert [r["material"] for r in rows] == ["bad", "good"]
+    assert all(rows[0][c] == "nan" for c in ("c4", "c3", "c1", "d5", "d4", "d2"))
+    assert (rows[0]["thick_method"], rows[0]["thin_method"]) == ("failed", "failed")
+    assert all(math.isfinite(float(rows[1][c])) for c in ("c4", "c3", "c1", "d5", "d4", "d2"))
+    meta = json.loads((out / "coeffs.meta.json").read_text())
+    assert meta["outputs"] == ["coeffs.csv"]
+    assert meta["error"] == "bad: quadrature for C3 did not converge (error estimate 1e-3)"
 
 
 def test_border_thin_command(tmp_path):
@@ -513,6 +559,62 @@ def test_module_entry_point_exits_nonzero_on_missing_config(tmp_path):
     )
     assert proc.returncode == 2
     assert "cannot read config" in proc.stderr
+
+
+COLD_START = """
+import json, sys
+import vdwlayers
+from vdwlayers import cli
+from vdwlayers.config import load_config
+
+runs = json.loads(sys.argv[1])
+load_config(runs[0][1])
+codes = [cli.main([command, "--config", path, "--out", out, "--rel-tol", "1e-3"])
+         for command, path, out in runs[:-1]]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+command, path, out = runs[-1]
+thick = cli.main([command, "--config", path, "--out", out])
+print(json.dumps({"codes": codes, "scipy": scipy, "thick": thick,
+                  "root_finder": "scipy.optimize.elementwise" in sys.modules}))
+"""
+
+
+def test_cold_start_commands_never_import_scipy(tmp_path):
+    # a fresh process, because this one has scipy loaded by other tests: every
+    # command but a thick border runs on numpy alone, and the thick border
+    # still imports its root finder on first use
+    multilayer = {"kind": "multilayer", "atom_layer": 1, "layers": [
+        {"material": "plate", "thickness": "inf"}, {"material": "vacuum", "thickness": 5.0},
+        {"material": "plate", "thickness": 0.5}, {"material": "vacuum", "thickness": "inf"}]}
+    docs = {
+        "scan": scan_doc(scan={"z_min": 0.5, "z_max": 2.0, "points": 3}),
+        "scan-multilayer": scan_doc(geometry=multilayer,
+                                    scan={"z_min": 1.0, "z_max": 4.0, "points": 3}),
+        "wall": {"atom": ATOM, "materials": {"weak": WEAK},
+                 "geometry": {"kind": "halfspace", "material": "weak"},
+                 "wall": {"z_min": 1e-3, "z_max": 1.0, "samples": 8}},
+        "coeffs": {"atom": ATOM, "materials": {"plate": PLATE},
+                   "coeffs": {"materials": ["plate"], "thickness": 1.0}},
+        "check": {"atom": ATOM, "materials": {"weak": WEAK},
+                  "check": {"material": "weak", "z": 1.0}},
+        "border": {"atom": ATOM, "materials": {},
+                   "border": {"plate_kind": "thin", "eps_min": 1.0, "eps_max": 4.0,
+                              "points": 3}},
+        "border-thick": {"atom": ATOM, "materials": {},
+                         "border": {"plate_kind": "thick", "eps_min": 2.0, "eps_max": 4.0,
+                                    "points": 2}},
+    }
+    runs = [(name.split("-")[0], str(write_config(tmp_path, doc, f"{name}.json")),
+             str(tmp_path / name)) for name, doc in docs.items()]
+    src = str(Path(v.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report == {"codes": [0] * (len(runs) - 1), "scipy": [], "thick": 0,
+                      "root_finder": True}
+    assert (tmp_path / "border-thick" / "border_thick.csv").exists()
 
 
 def test_cli_version():
