@@ -14,6 +14,17 @@ fewer than 20 agree.  The file also holds single-interface reflection
 coefficients at u << b, where the double-precision Fresnel numerator
 cancels.
 
+It also holds the static long-distance bracket
+
+    B(eps0, mu0) = int_0^1 [(2 - t^2)(eps0 - h)/(eps0 + h) - t^2 (mu0 - h)/(mu0 + h)] dt,
+
+h = sqrt(1 + a t^2), a = eps0 mu0 - 1 (C4 = -3 alpha(0) B / (64 pi^2)), at
+points on both sides of the library's closed-form/fixed-rule switch, and
+the thick attraction/repulsion border mu0(eps0), the root of B in mu0.
+These are computed at 40 and at 46 working digits (tanh-sinh in
+t = sinh(phi)/sqrt(a), split every quarter unit of phi; the root by
+mpmath's findroot) and recorded to 40 digits.
+
 Usage: python scripts/golden_refs.py [out.json]   (about twenty minutes on one core)
 """
 
@@ -42,6 +53,13 @@ FRESNEL = [
     {"material": name, "u": 0.5, "b": 0.5 * ratio}
     for name in ("electric", "magnetic") for ratio in (100.0, 1000.0)
 ]
+# (eps0, mu0): the fig2 plate, the a -> 0 edges, the closed form's bounds
+# (a = 0.05, eps0 mu0 = 2e7 at ratio 5) and far past them (eps0 mu0 = 3e8)
+STATIC_BRACKETS = [
+    (1.53, 5.0), (2.0, 3.0), (1.001, 1.001), (1.000001, 1.0), (1.0, 1.05), (1.05, 1.0),
+    (100.0, 1e4), (1e3, 3e5), (1.0, 1e6), (1e3, 1e6), (2e3, 1e4), (1e4, 3e4),
+]
+BORDER_EPS = [1.0124, 10.0, 100.0, 1000.0]
 
 
 def _response(resonances, u):
@@ -116,6 +134,28 @@ def potential(point) -> mp.mpf:
     return mp.quad(f, [mp.mpf(0)] + scales + [mp.inf])
 
 
+def static_bracket(eps0, mu0) -> mp.mpf:
+    """B(eps0, mu0) in t = sinh(phi)/sqrt(a), where h = cosh(phi)."""
+    e, m = mp.mpf(eps0), mp.mpf(mu0)
+    a = e * m - 1
+    if a == 0:
+        return mp.mpf(0)
+    root_a = mp.sqrt(a)
+
+    def f(phi):
+        t2, h = mp.sinh(phi) ** 2 / a, mp.cosh(phi)
+        return ((2 - t2) * (e - h) / (e + h) - t2 * (m - h) / (m + h)) * h / root_a
+
+    top = mp.asinh(root_a)
+    cuts = [mp.mpf(k) / 4 for k in range(int(4 * top) + 1)]
+    return mp.quad(f, cuts + [top] if cuts[-1] < top else cuts)
+
+
+def border_mu(eps0, start) -> mp.mpf:
+    """The thick border mu0(eps0), from a double-precision estimate."""
+    return mp.findroot(lambda mu: static_bracket(eps0, mu), mp.mpf(start))
+
+
 def fresnel(entry):
     material = {"electric": ELECTRIC, "magnetic": MAGNETIC}[entry["material"]]
     return _halfspace_r(material, mp.mpf(entry["u"]), mp.mpf(entry["b"]))
@@ -127,13 +167,13 @@ def _agreeing_digits(a, b) -> int:
     return int(mp.floor(-mp.log10(abs(a - b) / abs(b))))
 
 
-def _twice(compute):
-    """(value, agreeing digits) from runs at 30 and at 36 working digits."""
+def _twice(compute, dps=(30, 36)):
+    """(value, agreeing digits) from runs at two working precisions."""
     runs = []
-    for dps in (30, 36):
-        with mp.workdps(dps):
+    for d in dps:
+        with mp.workdps(d):
             runs.append(compute())
-    with mp.workdps(36):
+    with mp.workdps(dps[1]):
         if isinstance(runs[0], tuple):
             digits = min(_agreeing_digits(a, b) for a, b in zip(*runs))
         else:
@@ -151,6 +191,8 @@ def main(out: Path) -> None:
         "materials": {"electric": ELECTRIC, "magnetic": MAGNETIC},
         "potentials": [],
         "fresnel": [],
+        "static_brackets": [],
+        "borders": [],
     }
     for point in POINTS:
         value, digits = _twice(lambda: potential(point))
@@ -160,6 +202,15 @@ def main(out: Path) -> None:
         (r_s, r_p), digits = _twice(lambda: fresnel(entry))
         doc["fresnel"].append({**entry, "r_s": mp.nstr(r_s, 25), "r_p": mp.nstr(r_p, 25),
                                "digits": digits})
+    for eps0, mu0 in STATIC_BRACKETS:
+        value, digits = _twice(lambda: static_bracket(eps0, mu0), (40, 46))
+        doc["static_brackets"].append({"eps0": eps0, "mu0": mu0, "value": mp.nstr(value, 40),
+                                       "digits": digits})
+    for eps0 in BORDER_EPS:
+        # the weak-limit slope below eps0 = 2, the strong-limit ratio above
+        start = 1 + 23 / 7 * (eps0 - 1) if eps0 < 2 else 5.11 * eps0
+        mu0, digits = _twice(lambda: border_mu(eps0, start), (40, 46))
+        doc["borders"].append({"eps0": eps0, "mu0": mp.nstr(mu0, 40), "digits": digits})
     out.write_text(json.dumps(doc, indent=1) + "\n")
 
 

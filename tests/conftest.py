@@ -314,3 +314,34 @@ def golden_section_wall(potential, z_lo=1e-3, z_hi=1e2, samples=60):
     if best.value <= 10.0 * abs(best.error):
         return None
     return v.WallEstimate(best_z, best.value, "numeric-scan")
+
+
+def c4_bracket_integral(eps0, mu0, spec=None):
+    """The static C4 bracket as one adaptive lockstep batch: the oracle for ``_c4_bracket``.
+
+    One integral per entry of the equal-length 1-D arrays ``eps0`` and
+    ``mu0``, all refined together by ``quadrature._lockstep`` at rel 1e-10
+    and an absolute floor of max(spec.abs_tol, 1e-14), on t in [0, 1] where
+    the integrand is bounded and smooth.  A row that does not converge
+    raises RuntimeError naming its eps0 and mu0.
+    """
+    eps0 = np.asarray(eps0, dtype=float)
+    mu0 = np.asarray(mu0, dtype=float)
+    em = eps0 * mu0 - 1.0
+
+    def g(rows, t):
+        e, m = eps0[rows, None], mu0[rows, None]
+        h = np.sqrt(1.0 + em[rows, None] * t * t)
+        return (2.0 - t * t) * (e - h) / (e + h) - t * t * (m - h) / (m + h)
+
+    # the integrand is O(1)-bounded, so an absolute floor is meaningful here;
+    # near the attraction/repulsion border the integral itself crosses zero
+    base = spec or v.DEFAULT_SPEC
+    value, error, _, _, converged = _lockstep(g, eps0.size, 1e-10, max(base.abs_tol, 1e-14),
+                                              base.max_subdivisions)
+    if not converged.all():
+        i = int(np.flatnonzero(~converged)[0])
+        raise RuntimeError(f"quadrature for the long-distance coefficient at "
+                           f"eps0={float(eps0[i])!r}, mu0={float(mu0[i])!r} did not converge "
+                           f"(error estimate {error[i]:.3e})")
+    return value

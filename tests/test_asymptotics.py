@@ -5,7 +5,8 @@ import pytest
 
 import vdwlayers as v
 
-from conftest import adaptive_heap, constant_material, fig2_material, golden_section_wall, material
+from conftest import (c4_bracket_integral, constant_material, fig2_material, golden_section_wall,
+                      material)
 from vdwlayers.asymptotics import _WALL_ROUND_POINTS
 
 
@@ -181,27 +182,12 @@ def test_border_thick_monotone(atom):
     assert mus[0] < mus[1] < mus[2]
 
 
-def _c4_bracket_scalar(eps0, mu0, spec=None):
-    """The static C4 v-integral as one scalar adaptive integral (the border oracle)."""
-    em = eps0 * mu0 - 1.0
-
-    def g(t):
-        h = np.sqrt(1.0 + em * t * t)
-        return (2.0 - t * t) * (eps0 - h) / (eps0 + h) - t * t * (mu0 - h) / (mu0 + h)
-
-    base = spec or v.DEFAULT_SPEC
-    value, _, _, converged = adaptive_heap(g, 0.0, 1.0, 1e-10, max(base.abs_tol, 1e-14),
-                                           base.max_subdivisions)
-    assert converged
-    return value
-
-
 def brentq_border(eps0, spec=None, mu_ceiling=1e6):
-    """The thick border point by a scalar bracket-and-brentq search, one point at a time."""
+    """The thick border point by the lockstep oracle and brentq, one point at a time."""
     from scipy.optimize import brentq
 
     def f(mu0):
-        return _c4_bracket_scalar(eps0, mu0, spec)
+        return float(c4_bracket_integral([eps0], [mu0], spec)[0])
 
     if abs(f(1.0)) < 1e-13:
         return 1.0
@@ -212,7 +198,7 @@ def brentq_border(eps0, spec=None, mu_ceiling=1e6):
         f_hi = f(hi)
     if f_hi > 0.0:
         return None
-    return float(brentq(f, 1.0, hi, xtol=1e-12, rtol=1e-12))
+    return float(brentq(f, 1.0, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps))
 
 
 BORDER_EPS = np.geomspace(1.0, 1000.0, 40).tolist() + [1.0001, 1.0]
@@ -224,7 +210,7 @@ def test_border_thick_matches_brentq_oracle():
     for p in points:
         ref = brentq_border(p.eps0)
         assert p.mu0 is not None and p.method == "root-find"
-        assert p.mu0 == pytest.approx(ref, rel=1e-10, abs=0.0), p.eps0
+        assert p.mu0 == pytest.approx(ref, rel=1e-12, abs=0.0), p.eps0
 
 
 def test_border_thick_batch_equals_pointwise():
@@ -247,12 +233,12 @@ def test_border_rounds_are_batches(monkeypatch):
     """Bracket growth runs in rounds over every growing point; no-root points get None."""
     sizes = []
 
-    def fake(eps0, mu0, spec=None):  # root at mu0 = 1e4 * eps0, zero at eps0 = 1
+    def fake(eps0, mu0):  # root at mu0 = 1e4 * eps0, zero at eps0 = 1
         eps0, mu0 = np.asarray(eps0), np.asarray(mu0)
         sizes.append(eps0.size)
         return (eps0 - 1.0) * (1.0 - mu0 / (1e4 * eps0))
 
-    monkeypatch.setattr(v.asymptotics, "_c4_bracket_integral", fake)
+    monkeypatch.setattr(v.asymptotics, "_c4_bracket", fake)
     points = v.border_curve("thick", [2.0, 1.0, 3.0])
     # f(1) for all, then hi = 1e2, 1e3, 1e4, 1e5 for the two growing points
     assert sizes[:5] == [3, 2, 2, 2, 2]
@@ -264,10 +250,10 @@ def test_border_rounds_are_batches(monkeypatch):
 
 
 def test_border_failed_root_search_names_its_point(monkeypatch):
-    def no_sign_change(eps0, mu0, spec=None):
+    def no_sign_change(eps0, mu0):
         return -np.ones_like(np.asarray(mu0, dtype=float))
 
-    monkeypatch.setattr(v.asymptotics, "_c4_bracket_integral", no_sign_change)
+    monkeypatch.setattr(v.asymptotics, "_c4_bracket", no_sign_change)
     with pytest.raises(RuntimeError, match=r"eps0=2\.5"):
         v.border_curve("thick", [2.5])
 
@@ -286,15 +272,15 @@ def test_border_rejects_bad_input_before_integrating(monkeypatch, kind, eps, cei
     def no_integral(*args, **kwargs):
         raise AssertionError("an integral ran before the input was validated")
 
-    monkeypatch.setattr(v.asymptotics, "_lockstep", no_integral)
+    monkeypatch.setattr(v.asymptotics, "_c4_bracket", no_integral)
     with pytest.raises(ValueError, match=name):
         v.border_curve(kind, eps, mu_ceiling=ceiling)
 
 
-def test_border_nonconverged_integral_names_its_point():
-    spec = v.QuadratureSpec(max_subdivisions=1)
-    with pytest.raises(RuntimeError, match=r"eps0=2\.0, mu0=\d"):
-        v.border_curve("thick", [1.0, 2.0], spec)
+def test_border_root_search_at_its_step_cap_names_its_point(monkeypatch):
+    monkeypatch.setattr(v.asymptotics, "_ROOT_MAX_STEPS", 3)
+    with pytest.raises(RuntimeError, match=r"eps0=2\.0 did not converge in 3 steps"):
+        v.border_curve("thick", [1.0, 2.0])
 
 
 def test_c4_matches_scalar_integral(atom):
@@ -302,8 +288,40 @@ def test_c4_matches_scalar_integral(atom):
         m = constant_material(eps0, mu0)
         c4 = v.thick_coefficients(atom, m).c4
         s = v.static_summary(m)
-        ref = -(3.0 * atom.alpha0 / (64.0 * math.pi**2)) * _c4_bracket_scalar(s.eps0, s.mu0)
+        ref = -(3.0 * atom.alpha0 / (64.0 * math.pi**2)) * c4_bracket_integral([s.eps0], [s.mu0])[0]
         assert c4 == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+# (eps0, mu0) on both sides of each bound of the closed form's domain
+# (0.05 <= eps0 mu0 - 1 <= 1e8, ratio of the two responses <= 8)
+SWITCH_POINTS = [(1.0, 1.05), (1.05, 1.0), (1.024, 1.025), (1.03, 1.02), (1.0, 8.0), (8.0, 1.0),
+                 (1.0, 8.1), (8.1, 1.0), (3e3, 2.4e4), (2.4e4, 3e3), (3.5e3, 2.8e4),
+                 (1e4, 1e4), (1.5, 5.0), (300.0, 1500.0)]
+
+
+@pytest.mark.parametrize("eps0, mu0", SWITCH_POINTS)
+def test_c4_bracket_closed_form_and_rule_agree_at_the_switch(eps0, mu0):
+    e, m = np.array([eps0]), np.array([mu0])
+    a = (e - 1.0) + (m - 1.0) + (e - 1.0) * (m - 1.0)
+    closed = v.asymptotics._c4_bracket_closed(e, m, a)[0]
+    rule = v.asymptotics._c4_bracket_rule(e, m, a)[0]
+    assert abs(closed - rule) <= 1e-13
+    assert v.asymptotics._c4_bracket(e, m)[0] in (closed, rule)
+
+
+def test_c4_bracket_edges_are_exact_and_finite():
+    eps0 = np.array([1.0, 1.0, 1.5, 1.0, 1.0, 1.0 + 1e-15, 1e3])
+    mu0 = np.array([1.0, 1.5, 1.0, 1e6, 1.0 + 1e-15, 1.0, 1e6])
+    value = v.asymptotics._c4_bracket(eps0, mu0)  # RuntimeWarnings are errors here
+    assert value[0] == 0.0
+    assert np.isfinite(value).all()
+    assert np.all(np.sign(value[1:]) == [-1, 1, -1, -1, 1, -1])
+    ref = c4_bracket_integral(eps0[1:], mu0[1:])
+    assert value[1:] == pytest.approx(ref, rel=1e-10, abs=1e-14)
+    (point,) = v.border_curve("thick", [1.0], mu_ceiling=1.0)
+    assert point.mu0 == 1.0
+    with pytest.raises(ValueError, match=r"overflows at eps0=1e\+160, mu0=1e\+160"):
+        v.asymptotics._c4_bracket([2.0, 1e160], [2.0, 1e160])
 
 
 # ---------------------------------------------------------------- monotonicity

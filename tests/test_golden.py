@@ -1,4 +1,5 @@
-"""The b-node table, the nested oracle and the reflection coefficients against mpmath references.
+"""The b-node table, the nested oracle, the reflection coefficients, the static C4 bracket and
+the thick border against mpmath references.
 
 ``golden.json`` is written by ``scripts/golden_refs.py`` (mpmath, swapped
 integration order, at least 20 agreeing digits per value).
@@ -78,3 +79,16 @@ def test_fresnel_coefficients_at_grazing_b(entry):
     r = v.reflection_coefficients(stack, entry["u"], entry["b"])
     assert r.r_s_minus == pytest.approx(float(entry["r_s"]), rel=1e-14, abs=0.0)
     assert r.r_p_minus == pytest.approx(float(entry["r_p"]), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("entry", GOLDEN["static_brackets"],
+                         ids=lambda e: f"eps0={e['eps0']:g}-mu0={e['mu0']:g}")
+def test_static_bracket_within_1e13_of_the_golden_value(entry):
+    value = v.asymptotics._c4_bracket([entry["eps0"]], [entry["mu0"]])[0]
+    assert abs(value - float(entry["value"])) <= 1e-13
+
+
+@pytest.mark.parametrize("entry", GOLDEN["borders"], ids=lambda e: f"eps0={e['eps0']:g}")
+def test_thick_border_within_1e12_of_the_golden_root(entry):
+    (point,) = v.border_curve("thick", [entry["eps0"]])
+    assert point.mu0 == pytest.approx(float(entry["mu0"]), rel=1e-12, abs=0.0)

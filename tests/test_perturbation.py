@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,16 +44,86 @@ def test_thick_second_order_channel_symmetry():
     assert diff == {-1: -0.5}
 
 
-def test_pair_and_thin_weights_reassemble_thick():
-    # stacking identity at the weight level: thin + pair == thick per channel
-    for name in ("chi_e2", "chi_m2", "chi_em"):
-        thin = SECOND_ORDER_THIN_WEIGHTS[name]
-        pair = SECOND_ORDER_PAIR_WEIGHTS[name]
-        thick = SECOND_ORDER_THICK_WEIGHTS[name]
-        for k in set(thin) | set(pair) | set(thick):
-            assert thin.get(k, 0.0) + pair.get(k, 0.0) == pytest.approx(
-                thick.get(k, 0.0), abs=1e-15
-            )
+def _kernel_prefactors(monkeypatch, atom):
+    """{(order, geometry): (prefactor, power of b, weights)} each expansion term hands its kernels.
+
+    Thin plates have d = 1, the pair s = 0; nothing is integrated.
+    """
+    seen = {}
+
+    def spy(order, geometry, atom, material, weights, pref, b_power, *args, **kwargs):
+        seen[order, geometry] = (Fraction(pref), b_power, weights)
+
+    monkeypatch.setattr(perturbation, "_evaluate_term", spy)
+    m = weak_material()
+    for geometry in ("thick", "thin"):
+        v.expansion_order1(geometry, atom, m, 1.0, d=1.0)
+    for geometry in ("thick", "thin", "two-thin-plates"):
+        v.expansion_order2(geometry, atom, m, 1.0, d=1.0, s=0.0)
+    return seen
+
+
+# first order of the half-space wall bracket u^2 r_s - (2 b^2 - u^2) r_p, over b^2, in
+# T = (u/b)^2: r_p = chi_e/2 - T (chi_e + chi_m)/4 and r_s = chi_m/2 - T (chi_e + chi_m)/4,
+# so the bracket is -chi_e (1 - T + T^2/2) + chi_m (T - T^2/2); {power of T: coefficient}
+FRESNEL_FIRST_ORDER = {"chi_e": {0: Fraction(-1), 1: Fraction(1), 2: Fraction(-1, 2)},
+                       "chi_m": {1: Fraction(1), 2: Fraction(-1, 2)}}
+
+
+def _weight_identity_failures(tables, prefs):
+    """Each exact identity the weight tables break, as (identity, channel, k); [] if none.
+
+    A weight c_k multiplies u^2 (u/b)^(2k) = b^2 T^(k + 1).  Integrating a
+    thin kernel over depth multiplies it by 1/(2b), a pair kernel over both
+    depths by 1/(4 b^2); each must then give the thick kernel.
+    """
+    first, thick2, thin2, pair2 = ({ch: {k: Fraction(c) for k, c in w.items()}
+                                    for ch, w in t.items()} for t in tables)
+    (p1, n1, _), (q1, m1, _) = prefs[1, "thick"], prefs[1, "thin"]
+    (p2, n2, _), (q2, m2, _), (r2, l2, _) = (prefs[2, "thick"], prefs[2, "thin"],
+                                             prefs[2, "two-thin-plates"])
+    failures = []
+    if not (p1 == -1.0 / (8.0 * math.pi**2) and q1 / 2 == p1 and m1 - 1 == n1):
+        failures.append(("first-order prefactors", None, None))
+    if not (q2 / 2 == p2 and r2 / 4 == p2 and m2 - 1 == n2 and l2 - 2 == n2):
+        failures.append(("second-order prefactors", None, None))
+    for ch, fresnel in FRESNEL_FIRST_ORDER.items():  # thick pref -1/(8 pi^2) flips the sign
+        for k in set(first[ch]) | {j - 1 for j in fresnel}:
+            if first[ch].get(k, 0) != -fresnel.get(k + 1, 0):
+                failures.append(("first order = Fresnel expansion", ch, k))
+    for ch in thick2.keys() | thin2.keys() | pair2.keys():
+        thick, thin, pair = thick2.get(ch, {}), thin2.get(ch, {}), pair2.get(ch, {})
+        for k in set(thick) | set(thin) | set(pair):
+            if thin.get(k, 0) + pair.get(k, 0) != thick.get(k, 0):
+                failures.append(("thin + pair = thick", ch, k))
+    return failures
+
+
+WEIGHT_TABLES = (FIRST_ORDER_WEIGHTS, SECOND_ORDER_THICK_WEIGHTS, SECOND_ORDER_THIN_WEIGHTS,
+                 SECOND_ORDER_PAIR_WEIGHTS)
+
+
+def test_pair_and_thin_weights_reassemble_thick(atom, monkeypatch):
+    # the additivity identities at the weight level, exactly: the thin first-order
+    # kernel over depth is the thick one, and thin + pair == thick per channel
+    prefs = _kernel_prefactors(monkeypatch, atom)
+    used = [prefs[key][2] for key in ((1, "thick"), (1, "thin"), (2, "thick"), (2, "thin"),
+                                      (2, "two-thin-plates"))]
+    assert all(u is t for u, t in zip(used, (FIRST_ORDER_WEIGHTS, *WEIGHT_TABLES)))
+    assert _weight_identity_failures(WEIGHT_TABLES, prefs) == []
+
+
+def test_changing_any_single_weight_breaks_an_identity(atom, monkeypatch):
+    prefs = _kernel_prefactors(monkeypatch, atom)
+    changed = 0
+    for i, table in enumerate(WEIGHT_TABLES):
+        for ch, weight in table.items():
+            for k in weight:
+                tables = list(WEIGHT_TABLES)
+                tables[i] = {**table, ch: {**weight, k: weight[k] + 0.25}}
+                assert _weight_identity_failures(tables, prefs), (i, ch, k)
+                changed += 1
+    assert changed == 28  # every weight of the four tables
 
 
 # ---------------------------------------------------------------- values
