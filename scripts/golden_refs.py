@@ -10,9 +10,12 @@ with the closed-form reflection coefficients of each geometry.  Each value
 is computed twice, at 30 and at 36 working digits with tanh-sinh
 quadrature split at the resonances and at the decay lengths; the digits on
 which the two runs agree are recorded with it, and the script fails if
-fewer than 20 agree.  The file also holds single-interface reflection
-coefficients at u << b, where the double-precision Fresnel numerator
-cancels.
+fewer than 20 agree.  The mirror points are the conducting and the
+permeable perfect mirror.  The file also holds the short-distance
+coefficient integrals C3 and C1 (thick) and D4 and D2 (thin) of the plate,
+each a 1-D integral in u taken the same way, and single-interface
+reflection coefficients at u << b, where the double-precision Fresnel
+numerator cancels.
 
 It also holds the static long-distance bracket
 
@@ -48,7 +51,11 @@ POINTS = [
     {"geometry": "two-plates", "separation": 5.0, "z": 1.5},
     {"geometry": "thin-plate", "thickness": 0.001, "z": 0.5},
     {"geometry": "conducting-mirror", "z": 1.0},
+    {"geometry": "permeable-mirror", "z": 1.0},
 ]
+# the short-distance coefficient integrals of the fig2 plate; the thin ones are
+# linear in the thickness and recorded at thickness 1
+COEFFICIENTS = ("c3", "c1", "d4", "d2")
 FRESNEL = [
     {"material": name, "u": 0.5, "b": 0.5 * ratio}
     for name in ("electric", "magnetic") for ratio in (100.0, 1000.0)
@@ -112,6 +119,8 @@ def _kernel(point):
         return cavity, [z, s - z]
     if kind == "conducting-mirror":
         return (lambda u, b: bracket(-1, 1, u, b)), [z]
+    if kind == "permeable-mirror":
+        return (lambda u, b: bracket(1, -1, u, b)), [z]
     raise ValueError(kind)
 
 
@@ -132,6 +141,37 @@ def potential(point) -> mp.mpf:
 
     scales = sorted({x / w for w in walls for x in (mp.mpf("0.1"), 1, 10)} | set(knees))
     return mp.quad(f, [mp.mpf(0)] + scales + [mp.inf])
+
+
+def _chi(resonances, u):
+    """The susceptibility response - 1, formed without cancellation at large u."""
+    return sum(mp.mpf(wp) ** 2 / (mp.mpf(wt) ** 2 + u * u + mp.mpf(g) * u)
+               for wp, wt, g in resonances)
+
+
+def coefficient(name) -> mp.mpf:
+    """C3, C1 (thick) or D4, D2 (thin, thickness 1) of the plate: one u-integral each.
+
+    The integrands are written in the susceptibilities, whose tails decay as
+    1/u^2; beyond u = 4 they are integrated in s = 1/u.
+    """
+    def f(u):
+        ce, cm = _chi(PLATE["electric"], u), _chi(PLATE["magnetic"], u)
+        e, m = 1 + ce, 1 + cm
+        cem = ce + cm + ce * cm  # e m - 1
+        a = _alpha(u)
+        if name == "c3":
+            return a * ce / (2 + ce) / (16 * mp.pi ** 2)
+        if name == "c1":
+            return u * u * a * (ce / (2 + ce) + cm / (2 + cm)
+                                + 2 * e * cem / (e + 1) ** 2) / (16 * mp.pi ** 2)
+        if name == "d4":
+            return 3 * a * ce * (2 + ce) / e / (64 * mp.pi ** 2)
+        return u * u * a * (ce * (2 + ce) / e + cm * (2 + cm) / m
+                            + 2 * cem / e) / (64 * mp.pi ** 2)
+
+    head = mp.quad(f, [mp.mpf(0), mp.mpf("0.25"), mp.mpf(1), mp.mpf(4)])
+    return head + mp.quad(lambda s: f(1 / s) / (s * s), [mp.mpf(0), mp.mpf("0.25")])
 
 
 def static_bracket(eps0, mu0) -> mp.mpf:
@@ -190,6 +230,7 @@ def main(out: Path) -> None:
         "plate": PLATE,
         "materials": {"electric": ELECTRIC, "magnetic": MAGNETIC},
         "potentials": [],
+        "coefficients": [],
         "fresnel": [],
         "static_brackets": [],
         "borders": [],
@@ -198,6 +239,10 @@ def main(out: Path) -> None:
         value, digits = _twice(lambda: potential(point))
         doc["potentials"].append({**point, "value": mp.nstr(value, 25), "digits": digits})
         print(point, doc["potentials"][-1]["value"], digits, flush=True)
+    for name in COEFFICIENTS:
+        value, digits = _twice(lambda: coefficient(name))
+        doc["coefficients"].append({"name": name, "value": mp.nstr(value, 25),
+                                    "digits": digits})
     for entry in FRESNEL:
         (r_s, r_p), digits = _twice(lambda: fresnel(entry))
         doc["fresnel"].append({**entry, "r_s": mp.nstr(r_s, 25), "r_p": mp.nstr(r_p, 25),

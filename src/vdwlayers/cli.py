@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -72,11 +73,27 @@ def _write_table(path: Path, columns: list[str], rows: list[tuple], fmt: str) ->
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+@functools.cache
+def _library_versions() -> dict:
+    """Python, numpy and scipy versions, read without importing scipy; None if absent."""
+    import platform
+    from importlib import metadata  # slow to import and to query: once per process
+
+    versions = {"python": platform.python_version()}
+    for name in ("numpy", "scipy"):
+        try:
+            versions[name] = metadata.version(name)
+        except metadata.PackageNotFoundError:
+            versions[name] = None
+    return versions
+
+
 def _write_sidecar(out_dir: Path, command: str, cfg: RunConfig, outputs: list[str],
                    error: str | None = None, warned: list[str] = ()) -> None:
     doc = {
         "command": command,
         "version": __version__,
+        "versions": _library_versions(),
         "config": cfg.raw,
         "outputs": sorted(outputs),
         "quadrature": dataclasses.asdict(cfg.quadrature),

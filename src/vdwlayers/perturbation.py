@@ -14,12 +14,11 @@ expansion; the overall minus sign in front of each integral is applied by the
 evaluator.
 
 The expansion terms take ``z`` as a float (one ``ExpansionTerm``) or a 1-D
-array (a list with one term per entry), with one ``integrate_nested`` call
-per channel over the whole array.  A channel kernel is the z-free integrand
-b^p alpha w chi of (u, b); ``integrate_nested`` applies e^{-2 b z}, so one
-b-node table per channel serves every entry: an entry and the float call
-agree within their reported errors rather than bit for bit, and the same
-input gives the same bytes.
+array (a list with one term per entry), each term one ``integrate_nested``
+call over the whole array.  A channel is the z-free integrand
+b^p alpha w chi of (u, b), and a term's kernel returns all its channels from
+one evaluation of alpha, eps and mu, so one b-node table serves every
+channel and every entry.
 """
 
 from __future__ import annotations
@@ -122,34 +121,35 @@ _CHI_POWERS = {"chi_e": (1, 0), "chi_m": (0, 1), "chi_e2": (2, 0), "chi_m2": (0,
                "chi_em": (1, 1)}
 
 
-def _channel_kernel(atom, material, weight, chi_name, pref, b_power):
-    pe, pm = _CHI_POWERS[chi_name]
+def _term_kernel(atom, material, weights, pref, b_power):
+    """The channels b^p alpha w chi of (u, b) in the order of ``weights``, on a leading axis."""
+    powers = [_CHI_POWERS[name] for name in weights]
 
     def kernel(u, b):
-        chi = (material.eps(u) - 1.0) ** pe if pe else 1.0
-        if pm:
-            chi = chi * (material.mu(u) - 1.0) ** pm
-        w = _weight_times_u2(weight, u, b)
-        return pref * atom.alpha(u) * b**b_power * w * chi
+        chi_e = material.eps(u) - 1.0
+        chi_m = material.mu(u) - 1.0
+        e_pow, m_pow = (1.0, chi_e, chi_e * chi_e), (1.0, chi_m, chi_m * chi_m)
+        common = pref * atom.alpha(u) * b**b_power
+        return np.stack([common * _weight_times_u2(w, u, b) * e_pow[pe] * m_pow[pm]
+                         for w, (pe, pm) in zip(weights.values(), powers)])
 
     return kernel
 
 
 def _evaluate_term(order, geometry, atom, material, weights, pref, b_power, z, spec,
                    shift=0.0):
-    """The term at z (decay length z + shift): one ``integrate_nested`` call per channel."""
+    """The term at z (decay length z + shift): its channels as one ``integrate_nested`` call."""
     zdecay = _as_rows("z", z) + shift
-    scale = _u_scale(atom, material)
-    batches = {name: integrate_nested(_channel_kernel(atom, material, w, name, pref, b_power),
-                                      z=zdecay, spec=spec, u_scale=scale)
-               for name, w in weights.items() if w}
+    active = {name: w for name, w in weights.items() if w}
+    batch = integrate_nested(_term_kernel(atom, material, active, pref, b_power),
+                             z=np.broadcast_to(zdecay, (len(active), zdecay.size)), spec=spec,
+                             u_scale=_u_scale(atom, material))
     terms = []
-    for i in range(zdecay.size):
-        rows = {name: batch[i] for name, batch in batches.items()}
-        channels = {name: rows[name].value if name in rows else 0.0 for name in weights}
+    for i in range(zdecay.size):  # the empty channels are exact zeros
+        channels = dict.fromkeys(weights, 0.0) | dict(zip(active, batch.values[:, i].tolist()))
         terms.append(ExpansionTerm(order, geometry, math.fsum(channels.values()), channels,
-                                   sum(r.error for r in rows.values()),
-                                   all(r.converged for r in rows.values())))
+                                   sum(batch.errors[:, i].tolist()),
+                                   bool(batch.row_converged[:, i].all())))
     return _per_z(z, terms)
 
 

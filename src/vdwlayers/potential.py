@@ -7,26 +7,19 @@ vacuum axial wavenumber b of
 
 summed over the walls on both sides of the atom, with geometry entering only
 through the reflection coefficients: ``_wall_kernel`` is the one place that
-forms this integrand, without its factor e^{-2 b z}, which the b-node table
-of ``integrate_nested`` applies.  Half-space, plate and two-plate scenes are
-built as a ``LayerStack`` and evaluated by ``potential_multilayer``, whose
-coefficients come from ``reflection_coefficients(stack, u, b)``; a perfect
-mirror is a layer like any other (r_s = -+1, r_p = +-1), and every medium,
-however large its response, takes this one path.  The thin plate feeds the
-same kernel its linear-in-thickness coefficients.  ``potential_mirror`` is
-the closed 1-D form of the perfect-mirror half-space, kept as an oracle.
-Every potential takes the atom position ``z`` as a float, returning one
-``PotentialResult``, or as a 1-D array, returning a list with one result per
-entry; each wall of an array is one ``integrate_nested`` call, and one
-b-node table serves every entry of a wall: an entry and the float call
-agree within their reported errors rather than bit for bit, the same input
-gives the same bytes, and the table's kernel evaluations are split evenly
-over the entries.
-For atoms in an interior layer the two wall terms are integrated
-separately, which makes the left/right split exact bookkeeping rather than
-an approximation.
-Position-independent bulk terms are omitted throughout, so an all-vacuum
-scene gives exactly zero.
+forms this integrand, without its factor e^{-2 b z}, which ``integrate_nested``
+applies.  Half-space, plate and two-plate scenes are ``LayerStack``s
+evaluated by ``potential_multilayer``; a perfect mirror is a layer like any
+other (r_s = -+1, r_p = +-1), and every medium, however large its response,
+takes this one path.  The thin plate feeds the same kernel its
+linear-in-thickness coefficients; ``potential_mirror``, the closed 1-D form
+of the perfect-mirror half-space, is kept as an oracle.  Every potential
+takes ``z`` as a float (one ``PotentialResult``) or a 1-D array (a list, one
+result per entry) and is one ``integrate_nested`` call: one b-node table
+serves every entry and, for an atom in an interior layer, both walls, as two
+channels formed from one ``reflection_coefficients`` call, so the left/right
+split is exact bookkeeping.  Position-independent bulk terms are omitted
+throughout, so an all-vacuum scene gives exactly zero.
 """
 
 from __future__ import annotations
@@ -121,11 +114,7 @@ def potential_mirror(atom: AtomModel, z, kind: str = "conducting",
 
 
 def _wall_kernel(atom: AtomModel, refl):
-    """Integrand G(u, b) of one wall; ``refl(u, b)`` gives its (r_s, r_p).
-
-    The wall's distance z enters only as e^{-2 b z}, which ``integrate_nested``
-    applies.
-    """
+    """The z-free wall integrand of (u, b); ``refl(u, b)`` gives the walls' (r_s, r_p)."""
     def kernel(u, b):
         r_s, r_p = refl(u, b)
         bracket = u * u * r_s - (2.0 * b * b - u * u) * r_p
@@ -134,27 +123,11 @@ def _wall_kernel(atom: AtomModel, refl):
     return kernel
 
 
-def _stack_refl(stack: LayerStack, side: str):
-    """Cavity-resummed reflection r/D of the sub-stack on one side of the atom."""
-    def refl(u, b):
-        r = reflection_coefficients(stack, u, b)
-        if side == "left":
-            return r.r_s_minus / r.d_s, r.r_p_minus / r.d_p
-        return r.r_s_plus / r.d_s, r.r_p_plus / r.d_p
-
-    return refl
-
-
 def _wall_sum(left, right) -> PotentialResult:
     """Potential of the left and right wall terms (integral or potential results)."""
-    return PotentialResult(
-        left.value + right.value,
-        left.error + right.error,
-        left.value,
-        right.value,
-        left.converged and right.converged,
-        left.evaluations + right.evaluations,
-    )
+    return PotentialResult(left.value + right.value, left.error + right.error, left.value,
+                           right.value, left.converged and right.converged,
+                           left.evaluations + right.evaluations)
 
 
 def potential_halfspace(atom: AtomModel, material: Medium, z,
@@ -214,10 +187,9 @@ def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z
     """
     _require_positive("separation", separation)
     zs = _as_rows("z", z, separation)
-    if not multiple_reflections:
-        near = potential_halfspace(atom, material, zs, spec)
-        far = potential_halfspace(atom, material, separation - zs, spec)
-        return _per_z(z, [_wall_sum(a, b) for a, b in zip(near, far)])
+    if not multiple_reflections:  # both walls' distances as the rows of one table
+        rows = potential_halfspace(atom, material, np.concatenate([zs, separation - zs]), spec)
+        return _per_z(z, [_wall_sum(a, b) for a, b in zip(rows[:zs.size], rows[zs.size:])])
     stack = LayerStack(
         (Layer(material, math.inf), Layer(VACUUM, separation), Layer(material, math.inf)), 1, z
     )
@@ -229,31 +201,32 @@ def potential_multilayer(stack: LayerStack, atom: AtomModel,
     """Potential of an atom inside an arbitrary planar multilayer stack.
 
     The atom layer must be vacuum.  For an interior atom layer the result is
-    the exact sum of a left-wall and a right-wall term; for an atom in an
-    outer layer only the inward-facing term exists.  A 1-D array
-    ``stack.atom_position`` gives one result per entry, each wall integrated
-    over all entries in one ``integrate_nested`` call.
+    the exact sum of a left-wall and a right-wall term, two channels of one
+    table; for an atom in an outer layer only the inward-facing term exists.
+    A 1-D array ``stack.atom_position`` gives one result per entry.
     """
     j = stack.atom_layer
-    n = stack.n
     u_scale = _u_scale(atom, *(layer.material for layer in stack.layers))
     position = np.atleast_1d(np.asarray(stack.atom_position, dtype=float))  # checked by LayerStack
 
-    z_left = z_right = None
-    if j == 0:
-        z_right = position
-    elif j == n:
-        z_left = position
-    else:
-        z_left = position
-        z_right = stack.layers[j].thickness - position
+    if 0 < j < stack.n:  # both walls, two channels of one table
+        z = np.stack([position, stack.layers[j].thickness - position])
 
+        def walls(r):
+            return np.stack([r.r_s_minus, r.r_s_plus]), np.stack([r.r_p_minus, r.r_p_plus])
+    else:  # the one inward-facing wall
+        z = position
+
+        def walls(r):
+            return (r.r_s_plus, r.r_p_plus) if j == 0 else (r.r_s_minus, r.r_p_minus)
+
+    def refl(u, b):
+        """Cavity-resummed r/D of the walls the atom sees."""
+        r = reflection_coefficients(stack, u, b)
+        r_s, r_p = walls(r)
+        return r_s / r.d_s, r_p / r.d_p
+
+    batch = integrate_nested(_wall_kernel(atom, refl), z=z, spec=spec, u_scale=u_scale)
     zero = [IntegralResult(0.0, 0.0, 0, True)] * position.size
-    left = right = zero
-    if z_left is not None:
-        left = integrate_nested(_wall_kernel(atom, _stack_refl(stack, "left")),
-                                z=z_left, spec=spec, u_scale=u_scale)
-    if z_right is not None:
-        right = integrate_nested(_wall_kernel(atom, _stack_refl(stack, "right")),
-                                 z=z_right, spec=spec, u_scale=u_scale)
+    left, right = batch if z.ndim == 2 else (zero, batch) if j == 0 else (batch, zero)
     return _per_z(stack.atom_position, [_wall_sum(a, b) for a, b in zip(left, right)])

@@ -6,31 +6,24 @@ intervals are first mapped to [0, 1) by the rational transform
 x = a + scale * t / (1 - t); the scale is chosen by the caller to sit at the
 knee of the integrand.
 
-``integrate_nested`` evaluates the integral of e^{-2 b z} kernel(u, b) over
-the region u >= 0, b >= u, for a float ``z`` or for each entry of a 1-D
-array.  It integrates in the swapped order
-
-  int_0^inf db e^{-2 b z} G(b),  G(b) = int_0^b du kernel(u, b)
-
-and one table of G on b-nodes serves every z of the call.  The kernel never
-sees z: the engine alone applies e^{-2 b z}, so a kernel cannot depend on z
-in any other way.  The table calls it with ``u`` of shape (m, 15) and ``b``
-of shape (m, 1), one b node per row, and it must return the values at the
-broadcast shape, computed elementwise, so that a point's value does not
-depend on the other points of the batch.  ``b`` is
-the vacuum axial wavenumber of the atom layer, so the change of variables is
-purely geometric and identical for every stack.  The entries share the
-table's panels: each entry's error adds its own outer and weighted inner
-estimates, the same input gives the same bytes, and an entry is not the
-float call bit for bit.  The table's kernel points are split evenly over the
-entries (``IntegralBatch.row_evaluations``), so they sum to the points the
-kernel received.  The tests check the table against a nested engine in three
-substitutions (``tests/conftest.py``), which integrates each z on its own.
+``integrate_nested`` integrates e^{-2 b z} kernel(u, b) over u >= 0, b >= u
+in the swapped order int_0^inf db e^{-2 b z} G(b), G(b) = int_0^b du
+kernel(u, b): one table of G on b-nodes serves every channel and every z of
+the call, and only the engine applies e^{-2 b z}.  The table calls the
+kernel with ``u`` of shape (m, 15) and ``b`` of shape (m, 1), one b node per
+row, and it must return the values at the broadcast shape (after a leading
+axis of k channels), computed elementwise, so that a point's value does not
+depend on the rest of the batch.  ``b`` is the vacuum axial wavenumber of
+the atom layer, so the change of variables is identical for every stack.
+The rows, one per (channel, z), share the table's panels: each row's error
+adds its own outer and weighted inner estimates, the same input gives the
+same bytes, and a row is not the float call bit for bit.  The tests check
+the table against a nested engine in three substitutions
+(``tests/conftest.py``) that integrates each z and each channel on its own.
 
 The 1-D integrals (``integrate_finite``, ``integrate_semi_infinite``) are
-one-row batches of the same driver.  Their integrand gets a flat array of
-the 15 nodes of every new panel (15 on the first call, 30 after) and must
-return its values elementwise.
+one-row batches of the same driver; their integrand gets a flat array of
+the 15 nodes of every new panel and must return its values elementwise.
 """
 
 from __future__ import annotations
@@ -155,13 +148,12 @@ class IntegralResult:
 
 @dataclass(frozen=True, eq=False)
 class IntegralBatch:
-    """Results of one ``integrate_nested`` call on a 1-D array of z, one row per entry.
+    """Results of one ``integrate_nested`` call, one row per entry of its 1-D or 2-D z.
 
-    ``evaluations`` (the kernel points of the whole call) and ``converged``
-    (every row converged) summarize the call like an ``IntegralResult``;
-    ``batch[i]`` is the ``IntegralResult`` of row i.  ``row_evaluations``
-    sums to ``evaluations``: the table's points are split evenly over its
-    rows.
+    ``evaluations`` (the kernel points of the call, the sum of
+    ``row_evaluations``) and ``converged`` (every row's) summarize it like
+    an ``IntegralResult``.  ``batch[i]`` is row i's ``IntegralResult`` in a
+    1-D batch, and the 1-D batch of channel i in a 2-D one.
     """
 
     values: np.ndarray
@@ -177,15 +169,15 @@ class IntegralBatch:
     def converged(self) -> bool:
         return bool(self.row_converged.all())
 
-    def __len__(self) -> int:
-        return self.values.size
+    def __len__(self) -> int:  # iteration runs on __getitem__ until IndexError
+        return len(self.values)
 
-    def __getitem__(self, i: int) -> IntegralResult:
+    def __getitem__(self, i: int):
+        if self.values.ndim == 2:
+            return IntegralBatch(self.values[i], self.errors[i], self.row_evaluations[i],
+                                 self.row_converged[i])
         return IntegralResult(float(self.values[i]), float(self.errors[i]),
                               int(self.row_evaluations[i]), bool(self.row_converged[i]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 def _require(res, what: str) -> float:
@@ -218,76 +210,83 @@ def _estimate(fx, h):
     return resk, np.maximum(err, 50.0 * _EPS * resabs), resabs
 
 
-def _eval_panels(f, rows, a, b, with_aux):
-    """Kronrod value and QUADPACK error estimate of m panels at once.
-
-    Panel i is [a[i], b[i]] of integral rows[i]; ``f`` returns float arrays
-    of the shape of the (m, 15) nodes ``t``.
-    """
-    c = 0.5 * (a + b)
+def _eval_panels(f, rows, a, b):
+    """Kronrod values and QUADPACK errors, (m,) or (k, m), of panels [a[i], b[i]] of rows[i]."""
     h = 0.5 * (b - a)
-    t = c[:, None] + h[:, None] * _XK
-    out = f(rows, t)
-    if with_aux:
-        fx, gx = out
-        aux = h * _rowdot(gx, _WK)
-    else:
-        fx, aux = out, np.zeros_like(h)
-    resk, err, _ = _estimate(fx, h)
-    return resk, err, aux
+    resk, err, _ = _estimate(f(rows, (0.5 * (a + b))[:, None] + h[:, None] * _XK), h)
+    return resk, err
 
 
-# Fields of the per-integral panel table used by _lockstep.
-_LO, _HI, _VAL, _ERR, _AUX, _KEY = range(6)
+# Fields of the per-integral panel table used by _lockstep; the k channel
+# values follow _KEY, then the k channel errors.
+_LO, _HI, _KEY, _VAL = range(4)
 
 
 def _leaf_sums(field, split, used):
-    """``math.fsum`` of each row of ``field[:, :used]``.
-
-    Only the ``split`` rows hold more than column 0; the fsum of one panel and
-    zeros is that panel's value, with +0.0 for -0.0 as fsum gives.
-    """
+    """``math.fsum`` of each row of ``field[:, :used]``; only the ``split`` rows hold
+    more than column 0 (one panel and zeros fsum to it, with +0.0 for -0.0)."""
     out = field[:, 0] + 0.0
     out[split] = [math.fsum(r) for r in field[split, :used].tolist()]
     return out
 
 
-def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions, with_aux=False):
+def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions):
     """Worst-first panel bisection over [0, 1] for n integrals, refined in lockstep.
 
     ``f(rows, t)`` returns the integrand of integral ``rows[i]`` at the nodes
-    ``t[i]``, an (m, 15) array; with ``with_aux`` it returns a second array
-    that is integrated on the same panels without steering the refinement
-    (no library caller asks for it; the tests' nested engine integrates its
-    inner errors this way).  Each step, every integral that has not converged splits its own worst
-    panel, and all new panels go to ``f`` in one call.  Panels are stored per
-    integral in creation order, with their error as the queue key until they
-    leave the queue (key -inf), so ``argmax`` picks the panel that a heap
-    ordered by (-err, creation) would pop.  A split panel's value, error and
-    aux are zeroed, which leaves the final sums over the leaves alone.
-    ``rel_tol`` is a float or one tolerance per integral.  Returns
-    per-integral arrays (value, error, aux, evals, converged).
+    ``t[i]``, an (m, 15) array, or k channels of it on a leading axis.
+    ``rel_tol`` broadcasts to (k, n); a channel whose tolerance is inf never
+    binds.  Each step, every integral with a channel above max(rel_tol
+    |value|, abs_tol) splits its worst panel (largest error, or with k
+    channels largest error over tolerance), and all new panels go to ``f``
+    in one call.  Panels are stored per integral in creation order, with a
+    queue key that is -inf once they leave the queue, so ``argmax`` picks
+    what a heap ordered by (-key, creation) would pop; a split panel's
+    values and errors are zeroed.  Returns (value, error, channel_converged,
+    evals, converged), the first three (n,) for a 2-D ``f``, else (k, n).
     """
     if n == 0:  # e.g. a border whose points all sit at eps0 = 1
-        empty = np.zeros(0)
-        return empty, empty, empty, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool)
+        return (np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.intp),
+                np.zeros(0, dtype=bool))
     rows = np.arange(n)
+    v, e = _eval_panels(f, rows, np.zeros(n), np.ones(n))
+    single = v.ndim == 1  # then f stays 2-D: _estimate is faster on it
+    v, e = v.reshape(-1, n), e.reshape(-1, n)
+    k = v.shape[0]
+    err_ = _VAL + k  # first error field
+    rel = np.broadcast_to(rel_tol, (k, n))
+    never = np.isinf(rel) if np.isinf(rel).any() else None  # else no np.where per step
+    rel = rel if never is None else np.where(never, 0.0, rel)
+
+    def tolerance(value):
+        tol = np.maximum(rel * np.abs(value), abs_tol)
+        return tol if never is None else np.where(never, np.inf, tol)
+
+    def key(err):  # one channel queues on its error; k on 0, steering on err / tol
+        return err[0] if k == 1 else np.zeros(err.shape[1])
+
     cap = 8
-    tab = np.zeros((6, n, cap))
+    tab = np.zeros((_VAL + 2 * k, n, cap))
     tab[_KEY] = -np.inf
-    v, e, x = _eval_panels(f, rows, np.zeros(n), np.ones(n), with_aux)
     tab[_HI, :, 0] = 1.0
-    tab[_VAL, :, 0], tab[_ERR, :, 0], tab[_AUX, :, 0], tab[_KEY, :, 0] = v, e, x, e
+    tab[_KEY, :, 0] = key(e)
+    tab[_VAL:err_, :, 0], tab[err_:, :, 0] = v, e
     splits = np.zeros(n, dtype=np.intp)  # integral i uses columns [0, 1 + 2 * splits[i])
-    tot_val, tot_err = v, e
+    tot_val, tot_err = v, e  # updated through row views: a 2-D fancy update costs more
+    val_rows, err_rows = list(v), list(e)
     live = np.ones(n, dtype=bool)
     while True:
-        live &= (tot_err > np.maximum(rel_tol * np.abs(tot_val), abs_tol)) \
-            & (splits < max_subdivisions)
+        tol = tolerance(tot_val)
+        over = tot_err > tol
+        live &= (over[0] if k == 1 else over.any(axis=0)) & (splits < max_subdivisions)
         idx = np.flatnonzero(live)
         if not idx.size:
             break
-        col = np.argmax(tab[_KEY, idx, :1 + 2 * splits.max()], axis=1)
+        used = 1 + 2 * splits.max()
+        score = tab[_KEY, idx, :used]
+        if k > 1:
+            score = score + (tab[err_:, idx, :used] / tol[:, idx, None]).max(axis=0)
+        col = np.argmax(score, axis=1)
         queued = tab[_KEY, idx, col] > -np.inf
         if not queued.all():
             live[idx[~queued]] = False  # queue exhausted
@@ -301,27 +300,33 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions, with_aux=False):
             if not idx.size:
                 continue
         if 2 * splits[idx].max() + 3 > cap:  # copy in place: no concatenate temporary
-            grown = np.zeros((6, n, 2 * cap))
+            grown = np.zeros((_VAL + 2 * k, n, 2 * cap))
             grown[_KEY, :, cap:] = -np.inf
             grown[:, :, :cap] = tab
             tab = grown
             cap *= 2
-        k = idx.size
+        m = idx.size
         rows2 = np.concatenate([idx, idx])
         lo2, hi2 = np.concatenate([pa, mid]), np.concatenate([mid, pb])
-        v, e, x = _eval_panels(f, rows2, lo2, hi2, with_aux)
-        tot_val[idx] += v[:k] + v[k:] - tab[_VAL, idx, col]
-        tot_err[idx] += e[:k] + e[k:] - tab[_ERR, idx, col]
-        tab[_VAL:_KEY, idx, col] = 0.0
+        v, e = _eval_panels(f, rows2, lo2, hi2)
+        v, e = v.reshape(k, 2 * m), e.reshape(k, 2 * m)
+        for c in range(k):
+            val_rows[c][idx] += v[c, :m] + v[c, m:] - tab[_VAL + c, idx, col]
+            err_rows[c][idx] += e[c, :m] + e[c, m:] - tab[err_ + c, idx, col]
+        tab[_VAL:, idx, col] = 0.0
         new = 1 + 2 * splits[idx]
-        tab[:, rows2, np.concatenate([new, new + 1])] = (lo2, hi2, v, e, x, e)
+        tab[:, rows2, np.concatenate([new, new + 1])] = np.concatenate(([lo2, hi2, key(e)], v, e))
         splits[idx] += 1
 
     used = 1 + 2 * splits.max()
     split = np.flatnonzero(splits)
-    value, error, aux = (_leaf_sums(tab[field], split, used) for field in (_VAL, _ERR, _AUX))
-    converged = error <= np.maximum(rel_tol * np.abs(value), abs_tol)
-    return value, error, aux, 15 + 30 * splits, converged
+    value, error = (np.array([_leaf_sums(field, split, used) for field in tab[fields]])
+                    for fields in (slice(_VAL, err_), slice(err_, None)))
+    channel_converged = error <= tolerance(value)
+    converged = channel_converged.all(axis=0)
+    if single:
+        value, error, channel_converged = value[0], error[0], channel_converged[0]
+    return value, error, channel_converged, 15 + 30 * splits, converged
 
 
 def _oned(g, spec: QuadratureSpec | None, rel_tol: float | None) -> IntegralResult:
@@ -407,30 +412,28 @@ def _greedy_cover(gain, excess):
 
 
 def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
-    """(value, error, evaluations, converged) per entry of ``z`` from one b-node table.
+    """(value, error, evaluations, converged), each (k, n), from one b-node table.
 
-    U(z) = int_0^inf db e^{-2 b z} G(b) with G(b) = int_0^b du kernel(u, b).
-    The outer variable x in (0, 1) maps to b = b_c x / (1 - x), which covers
-    the whole half-line, so no tail is cut off; its first panels are spaced
-    evenly in log b.  G at every node is one row of an inner ``_lockstep``
-    over t in [0, 1]: u = b t while b <= u_scale, and beyond it the rational
-    map u = c t / (1 - (1 - c / b) t), c = u_scale, which still ends at
+    Row (c, i) is int_0^inf db e^{-2 b z[c, i]} G(b), G(b) = int_0^b du
+    kernel(u, b)[c] (a one-channel kernel may omit the channel axis).  The
+    outer x in (0, 1) maps to b = b_c x / (1 - x), the whole half-line, with
+    first panels even in log b.  The channels of G at a node are one row of
+    an inner ``_lockstep`` over t in [0, 1], steered by the worst channel,
+    of at most _TABLE_INNER_SPLITS splits: u = b t while b <= u_scale, and
+    beyond it u = c t / (1 - (1 - c / b) t), c = u_scale, which still ends at
     u = b but puts half of the nodes below u of order u_scale, where the
-    material and atom resonances sit; it gets at most _TABLE_INNER_SPLITS
-    splits.
+    material and atom resonances sit.
 
-    Each panel keeps, for every z, its Kronrod value, its QUADPACK estimate
-    and its inner errors weighted by e^{-2 b z}; a row's error is the sum of
-    both.  Each round works on every row still short of its tolerance: when
-    its outer estimate is more than half of it, the fewest panels whose
-    estimates cover the excess are split; when its inner errors are, the
-    fewest panels carrying them get their inner integrals redone once at
-    ``_TABLE_INNER_TIGHTEN`` times the tolerance.  A row that neither can
-    help (the rounding floor of its outer estimate, or inner errors already
-    tightened, at a sign change of U) stops steering and ends unconverged;
-    the panels never exceed ``spec.max_subdivisions``.
+    A row's error adds its panels' QUADPACK estimates and their inner errors
+    weighted by e^{-2 b z}.  Each round, a row short of its tolerance splits
+    the fewest panels whose estimates cover its excess, when they are more
+    than half of it, and redoes once the inner integrals of the fewest panels
+    carrying its inner errors at ``_TABLE_INNER_TIGHTEN`` times the
+    tolerance, when those are.  A row that neither can help (at a sign
+    change of U) stops steering and ends unconverged; the panels never
+    exceed ``spec.max_subdivisions``.
     """
-    n = z.size
+    k, n = z.shape
     z_min = float(z.min())
     s_lo = math.log(_TABLE_B_LO / float(z.max()))
     s_hi = math.log(_TABLE_B_HI / z_min)
@@ -442,7 +445,7 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
     evals = 0
 
     def panels(lo, hi, tight):
-        """(value, outer estimate, weighted inner error, rounding floor) x panel x z."""
+        """(value, outer estimate, weighted inner error, rounding floor) x panel x row."""
         nonlocal evals
         h = 0.5 * (hi - lo)
         x = 0.5 * (lo + hi)[:, None] + h[:, None] * _XK
@@ -454,26 +457,28 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
         c = np.minimum(bb, u_scale)
         bend = 1.0 - c / bb
 
-        def integrand(r, t):
+        def integrand(r, t):  # one channel stays 2-D, k get a leading axis
             d = 1.0 - bend[r] * t
-            return kernel(c[r] * t / d, bb[r]) * (c[r] / (d * d))
+            vals = kernel(c[r] * t / d, bb[r]) * (c[r] / (d * d))
+            return vals.reshape(t.shape if k == 1 else (k,) + t.shape)
 
         rel = np.where(tight, spec.rel_tol_inner * _TABLE_INNER_TIGHTEN, spec.rel_tol_inner)
         g, g_err, _, inner_evals, _ = _lockstep(
             integrand, bb.size, np.broadcast_to(rel[:, None], b.shape)[busy], spec.abs_tol,
             min(spec.max_subdivisions, _TABLE_INNER_SPLITS))
         evals += int(inner_evals.sum())
-        val_j, err_j = np.zeros_like(b), np.zeros_like(b)
+        val_j, err_j = np.zeros((k,) + b.shape), np.zeros((k,) + b.shape)
         jac = b_c / (safe[busy] * safe[busy])
-        val_j[busy], err_j[busy] = g * jac, g_err * jac
-        out = np.empty((4, lo.size, n))
-        for j in range(0, n, _TABLE_Z_CHUNK):  # bounds the (panel, z, node) temporaries
-            cols = slice(j, j + _TABLE_Z_CHUNK)
-            decay = np.exp(-2.0 * b[:, None, :] * z[cols, None])
-            out[0, :, cols], out[1, :, cols], resabs = _estimate(val_j[:, None, :] * decay,
-                                                                 h[:, None])
-            out[2, :, cols] = h[:, None] * _rowdot(err_j[:, None, :] * decay, _WK)
-            out[3, :, cols] = 50.0 * _EPS * resabs
+        val_j[:, busy], err_j[:, busy] = g * jac, g_err * jac
+        out = np.empty((4, lo.size, k * n))
+        for ch in range(k):
+            for j in range(0, n, _TABLE_Z_CHUNK):  # bounds the (panel, z, node) temporaries
+                cols = slice(ch * n + j, ch * n + min(j + _TABLE_Z_CHUNK, n))
+                decay = np.exp(-2.0 * b[:, None, :] * z[ch, j:j + _TABLE_Z_CHUNK, None])
+                out[0, :, cols], out[1, :, cols], resabs = _estimate(
+                    val_j[ch, :, None, :] * decay, h[:, None])
+                out[2, :, cols] = h[:, None] * _rowdot(err_j[ch, :, None, :] * decay, _WK)
+                out[3, :, cols] = 50.0 * _EPS * resabs
         return out
 
     lo, hi = edges[:-1].copy(), edges[1:].copy()  # replaced in place below
@@ -512,43 +517,48 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
         new_hi = np.concatenate([np.where(halves, mid[idx], hi[idx]), hi[idx[halves]]])
         new_tight = (tight | redo)[np.concatenate([idx, idx[halves]])]
         new = panels(new_lo, new_hi, new_tight)
-        k = idx.size
-        lo[idx], hi[idx], tight[idx] = new_lo[:k], new_hi[:k], new_tight[:k]
-        sums[:, idx] = new[:, :k]
-        lo, hi, tight = (np.concatenate([a, c[k:]]) for a, c in
+        m = idx.size
+        lo[idx], hi[idx], tight[idx] = new_lo[:m], new_hi[:m], new_tight[:m]
+        sums[:, idx] = new[:, :m]
+        lo, hi, tight = (np.concatenate([a, c[m:]]) for a, c in
                          ((lo, new_lo), (hi, new_hi), (tight, new_tight)))
-        sums = np.concatenate([sums, new[:, k:]], axis=1)
+        sums = np.concatenate([sums, new[:, m:]], axis=1)
 
     value, error = (np.array([math.fsum(col) for col in part.T.tolist()])
                     for part in (sums[0], sums[1] + sums[2]))
     converged = error <= np.maximum(spec.rel_tol_outer * np.abs(value), spec.abs_tol)
-    share, extra = divmod(evals, n)
-    row_evals = np.full(n, share, dtype=np.intp)
+    share, extra = divmod(evals, k * n)
+    row_evals = np.full(k * n, share, dtype=np.intp)
     row_evals[:extra] += 1
-    return value, error, row_evals, converged
+    return tuple(field.reshape(k, n) for field in (value, error, row_evals, converged))
 
 
 def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
                      u_scale: float = 1.0):
     """Integral of e^{-2 b z} kernel(u, b) over u >= 0, b >= u, for each z, from one table.
 
-    ``_table_rows`` serves every z.  The kernel takes (u, b) only; the table
-    applies e^{-2 b z} per row itself.  Rows share the table's panels, so a
-    row of an array is not bit for bit the float call; the same input always
-    gives the same bytes, and each row's reported error covers its own outer
-    and weighted inner estimates.  The kernel points of the table are split evenly over
-    the rows (the first rows take the remainder), so ``evaluations`` sums to
-    the points the kernel got.
-
+    A float ``z`` returns an ``IntegralResult``, a 1-D array an
+    ``IntegralBatch``.  A 2-D ``z`` of shape (k, n) is k channels: the kernel
+    returns shape (k, *broadcast), channel c is integrated at ``z[c]``, and
+    entry c of the 2-D ``IntegralBatch`` returned is channel c's.  The
+    table's kernel points, each counted once however many channels it
+    carries, are split evenly over the rows (the first rows take the
+    remainder), so ``evaluations`` sums to the points the kernel got.
     ``u_scale`` is the frequency scale of the kernel's resonances, the knee
-    of the table's inner map.  A float ``z`` returns an ``IntegralResult``;
-    a 1-D array returns an ``IntegralBatch``.
+    of the table's inner map.
     """
     spec = spec or DEFAULT_SPEC
-    zs = _as_rows("z", z)
-    if not zs.size:
-        fields = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool))
+    shape = np.shape(z)
+    if len(shape) > 2:
+        raise ValueError(f"z must be a float, a 1-D or a 2-D array, got shape {shape}")
+    if len(shape) == 2:  # a bad entry is named by its flat index
+        zs = _as_rows("z", np.reshape(z, -1)).reshape(shape)
     else:
-        fields = _table_rows(kernel, zs, spec, u_scale)
+        zs = _as_rows("z", z)[None]
+    fields = _table_rows(kernel, zs, spec, u_scale) if zs.size else (
+        np.zeros(zs.shape), np.zeros(zs.shape), np.zeros(zs.shape, dtype=np.intp),
+        np.zeros(zs.shape, dtype=bool))
+    if len(shape) < 2:
+        fields = (field[0] for field in fields)
     batch = IntegralBatch(*fields)
-    return batch[0] if np.ndim(z) == 0 else batch
+    return batch[0] if not shape else batch

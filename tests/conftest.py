@@ -70,7 +70,9 @@ def _nested_rows(kernel, mode: str, z: np.ndarray, spec: QuadratureSpec, u_scale
 
     Each z is one row of the outer ``_lockstep``, with its own outer map and
     inner map scale 0.5 / z; every inner integral of one outer step, over all
-    rows, is one inner ``_lockstep`` batch.
+    rows, is one inner ``_lockstep`` batch.  The outer integrand has two
+    channels: the inner values, which steer, and the inner errors, whose
+    tolerance never binds, integrated on the same panels.
     """
     n = z.size
     b_scale = 0.5 / z
@@ -93,10 +95,11 @@ def _nested_rows(kernel, mode: str, z: np.ndarray, spec: QuadratureSpec, u_scale
         np.add.at(evals, owner, inner_evals)
         inner_ok[owner[~conv]] = False
         jac = outer_scale[rows, None] / (1.0 - t) ** 2
-        return vals.reshape(t.shape) * jac, errs.reshape(t.shape) * jac
+        return np.stack([vals.reshape(t.shape) * jac, errs.reshape(t.shape) * jac])
 
-    val, err, aux, _, conv = _lockstep(
-        outer, n, spec.rel_tol_outer, spec.abs_tol, spec.max_subdivisions, with_aux=True
+    (val, aux), (err, _), _, _, conv = _lockstep(
+        outer, n, np.array([[spec.rel_tol_outer], [math.inf]]), spec.abs_tol,
+        spec.max_subdivisions,
     )
     return val, err + aux, evals, conv & inner_ok
 
@@ -120,8 +123,15 @@ def nested_oracle(kernel, *, z, spec=None, u_scale=1.0, mode):
     in ``retarded`` mode.  A row's error adds its outer panel estimate and
     its integrated inner estimates; it converges only if every inner
     integral did.  ``u_scale`` is the outer map scale.  A float ``z`` returns
-    an ``IntegralResult``, a 1-D array an ``IntegralBatch``.
+    an ``IntegralResult``, a 1-D array an ``IntegralBatch``; a 2-D ``z`` of k
+    channels, as ``integrate_nested`` takes it, runs each channel on its own
+    and returns a 2-D ``IntegralBatch``.
     """
+    if np.ndim(z) == 2:  # channel c at the positions z[c], each integrated alone
+        channels = [nested_oracle(lambda u, b, c=c: kernel(u, b)[c], z=zc, spec=spec,
+                                  u_scale=u_scale, mode=mode) for c, zc in enumerate(z)]
+        return v.IntegralBatch(*(np.stack([getattr(ch, field.name) for ch in channels])
+                                 for field in dataclasses.fields(v.IntegralBatch)))
     zs = _as_rows("z", z)
     rows = _nested_rows(decayed(kernel), mode, zs, spec or v.DEFAULT_SPEC, u_scale)
     batch = v.IntegralBatch(*rows)

@@ -148,6 +148,32 @@ def test_sidecar_round_trip(tmp_path):
     assert (out2 / "scan_plate.csv").read_bytes() == first
 
 
+def test_sidecar_records_library_versions(tmp_path, monkeypatch):
+    import importlib.metadata
+    import platform
+
+    from vdwlayers import cli
+
+    code, out = run(tmp_path, "scan", scan_doc())
+    assert code == 0
+    versions = json.loads((out / "scan.meta.json").read_text())["versions"]
+    assert versions == {"python": platform.python_version(), "numpy": np.__version__,
+                        "scipy": importlib.metadata.version("scipy")}
+
+    def missing(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    # without scipy installed the entry is null
+    monkeypatch.setattr(importlib.metadata, "version", missing)
+    cli._library_versions.cache_clear()
+    try:
+        code, out = run(tmp_path, "scan", scan_doc())
+    finally:
+        cli._library_versions.cache_clear()
+    assert code == 0
+    assert json.loads((out / "scan.meta.json").read_text())["versions"]["scipy"] is None
+
+
 def test_scan_series_sign_pattern(tmp_path):
     # growing wall with mu(0): the mu0=1 series stays attractive, mu0=5 does not
     materials = {

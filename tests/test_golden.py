@@ -1,5 +1,5 @@
-"""The b-node table, the nested oracle, the reflection coefficients, the static C4 bracket and
-the thick border against mpmath references.
+"""The b-node table, the nested oracle, the coefficient integrals, the reflection coefficients,
+the static C4 bracket and the thick border against mpmath references.
 
 ``golden.json`` is written by ``scripts/golden_refs.py`` (mpmath, swapped
 integration order, at least 20 agreeing digits per value).
@@ -36,8 +36,9 @@ def _potential(point, z, spec):
         return v.potential_two_plates(ATOM, PLATE, point["separation"], z, spec)
     if kind == "thin-plate":
         return v.potential_thin_plate(ATOM, PLATE, point["thickness"], z, spec)
-    # the mirror half-space runs the 2-D engines with r_s = -1, r_p = 1
-    return v.potential_halfspace(ATOM, v.CONDUCTING_MIRROR, z, spec)
+    # a mirror half-space runs the 2-D engines with r_s = -+1, r_p = +-1
+    mirror = v.CONDUCTING_MIRROR if kind == "conducting-mirror" else v.PERMEABLE_MIRROR
+    return v.potential_halfspace(ATOM, mirror, z, spec)
 
 
 def _name(point):
@@ -67,6 +68,33 @@ def test_mirror_integral_within_its_error_of_the_golden_value():
     (point,) = [p for p in GOLDEN["potentials"] if p["geometry"] == "conducting-mirror"]
     res = v.potential_mirror(ATOM, point["z"])
     assert abs(res.value - float(point["value"])) <= res.error
+
+
+def test_permeable_mirror_integral_within_its_error_of_the_golden_value():
+    (point,) = [p for p in GOLDEN["potentials"] if p["geometry"] == "permeable-mirror"]
+    res = v.potential_mirror(ATOM, point["z"], "permeable")
+    assert abs(res.value - float(point["value"])) <= res.error
+
+
+@pytest.mark.parametrize("entry", GOLDEN["coefficients"], ids=lambda e: e["name"])
+def test_coefficient_integral_within_its_error_of_the_golden_value(entry, monkeypatch):
+    # the coefficients are bare floats: record the 1-D integral behind each, in
+    # the order c3, c1 (thick) and d4, d2 (thin), and scale its error alike
+    integrals = []
+    semi_infinite = v.asymptotics.integrate_semi_infinite
+
+    def recording(*args, **kwargs):
+        integrals.append(semi_infinite(*args, **kwargs))
+        return integrals[-1]
+
+    monkeypatch.setattr(v.asymptotics, "integrate_semi_infinite", recording)
+    thick = v.thick_coefficients(ATOM, PLATE)
+    thin = v.thin_coefficients(ATOM, PLATE, 1.0)
+    names = ("c3", "c1", "d4", "d2")
+    res = dict(zip(names, integrals))[entry["name"]]
+    value = getattr(thick if entry["name"].startswith("c") else thin, entry["name"])
+    assert res.converged
+    assert abs(value - float(entry["value"])) <= abs(value / res.value) * res.error
 
 
 @pytest.mark.parametrize("entry", GOLDEN["fresnel"],

@@ -218,7 +218,7 @@ def test_pair_term_depends_on_depth_plus_separation(atom):
 def test_additivity_check_cost_flat_in_z(atom, monkeypatch):
     # with the depth integrals at the spec's outer tolerance, their refinement
     # no longer chases inner-quadrature noise, so the work does not jump with z;
-    # each depth integrand call evaluates all its nodes in one call per channel
+    # each depth integrand call evaluates all its nodes and channels in one call
     m = weak_material()
     spec = v.QuadratureSpec(rel_tol_outer=1e-3, rel_tol_inner=1e-4)
     calls = []
@@ -235,7 +235,7 @@ def test_additivity_check_cost_flat_in_z(atom, monkeypatch):
         v.additivity_check(atom, m, z, spec)
         counts.append(len(calls))
     assert len(set(counts)) == 1, counts
-    assert counts[2] == 12, counts  # z = 1: the 12 channels of the five terms, once each
+    assert counts[2] == 5, counts  # z = 1: the five terms, each with all its channels, once
 
 
 @pytest.mark.parametrize("order, geometry, kw", [

@@ -5,10 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vdwlayers as v
 
-from conftest import constant_material, fig2_material, halfspace_stack, material, tight_nested
+from conftest import (constant_material, fig2_material, halfspace_stack, material,
+                      nested_oracle, oracle_mode, tight_nested)
 
 
 def plate_stack(mat, d, z):
@@ -436,7 +439,7 @@ def test_potential_batches_pass_the_kernel_point_probe(atom, monkeypatch):
 
     monkeypatch.setattr(module, "integrate_nested", probed)
     rows = v.potential_multilayer(bench_stack(np.array([0.5, 3.0, 5.5])), atom)
-    assert len(seen) == 2  # one call per wall, each over all three positions
+    assert len(seen) == 1  # one call: both walls' channels over all three positions
     assert sum(evals for evals, _ in seen) == sum(r.evaluations for r in rows)
     assert not any(failed for _, failed in seen)
 
@@ -467,3 +470,62 @@ def test_thin_plate_regime_warning_once_per_batch(atom):
     assert len(record) == 1
     largest = v.static_summary(m).n0 * d / 0.02
     assert f"largest n(0) d / z = {largest:.3g} > 0.1" in str(record[0].message)
+
+
+# ---------------------------------------------------------------- interior atoms, drawn
+
+_RESONANCE = st.builds(v.Resonance, st.floats(0.05, 3.0), st.floats(0.2, 3.0),
+                       st.floats(1e-3, 0.5))
+_MEDIUM = st.builds(lambda e, m: v.MaterialModel(electric=[e], magnetic=[m]),
+                    _RESONANCE, _RESONANCE)
+_DISTANCE = st.floats(-3.0, 2.0).map(lambda x: 10.0**x)  # log-uniform over [1e-3, 1e2]
+
+
+@st.composite
+def interior_atoms(draw):
+    """A 3- to 5-layer stack of single-resonance media, the atom in an interior vacuum gap."""
+    layers = draw(st.integers(3, 5))
+    j = draw(st.integers(1, layers - 2))
+    z_left, z_right = draw(_DISTANCE), draw(_DISTANCE)
+    stack = []
+    for i in range(layers):
+        if i == j:
+            stack.append(v.Layer(v.VACUUM, z_left + z_right))
+        elif i in (0, layers - 1):
+            stack.append(v.Layer(draw(_MEDIUM), math.inf))
+        else:
+            stack.append(v.Layer(draw(_MEDIUM), draw(st.floats(0.01, 10.0))))
+    return v.LayerStack(tuple(stack), j, z_left)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(interior_atoms())
+def test_interior_atom_walls_within_their_errors_of_the_oracle(atom, stack):
+    # both walls are channels of one table; each converged channel row lies
+    # within its error of the nested oracle, run on that wall alone
+    from vdwlayers import potential as module
+
+    calls = []
+
+    def recording(kernel, **kwargs):
+        calls.append((kernel, kwargs, v.integrate_nested(kernel, **kwargs)))
+        return calls[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "integrate_nested", recording)
+        res = v.potential_multilayer(stack, atom)
+    ((kernel, kwargs, batch),) = calls
+    assert kwargs["z"].shape == (2, 1)
+    assert (res.left, res.right) == (batch[0][0].value, batch[1][0].value)
+    assert res.value == res.left + res.right
+    assert batch.row_evaluations.sum() == res.evaluations == batch.evaluations
+    spec = dataclasses.replace(v.DEFAULT_SPEC, rel_tol_inner=v.DEFAULT_SPEC.rel_tol_inner / 100,
+                               rel_tol_outer=v.DEFAULT_SPEC.rel_tol_outer / 100)
+    for c, (z,) in enumerate(kwargs["z"].tolist()):
+        row = batch[c][0]
+        if not row.converged:
+            continue
+        ref = nested_oracle(lambda u, b: kernel(u, b)[c], z=z, spec=spec,
+                            u_scale=kwargs["u_scale"], mode=oracle_mode(z))
+        assert ref.converged, (c, z)
+        assert abs(row.value - ref.value) <= row.error, (c, z, row, ref)

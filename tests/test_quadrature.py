@@ -301,16 +301,37 @@ def test_lockstep_matches_scalar_rows(rel_tol, max_subdivisions):
     assert val[3] == 0.0 and conv[3]
 
 
-def test_lockstep_aux_channel_rides_along():
+def test_lockstep_channels_share_one_node_set():
+    # a smooth channel and a sharp Lorentzian peak at t = 0.3, each with its own
+    # tolerance; one call of f evaluates both on the same nodes
     from vdwlayers.quadrature import _lockstep
 
-    def f(rows, t):
-        return np.exp(-t), 2.0 * np.exp(-t)
+    width = 1e-3
+    seen = []
 
-    val, err, aux, evals, conv = _lockstep(f, 1, 1e-10, 1e-30, 2000, with_aux=True)
-    assert conv[0]
-    assert val[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
-    assert aux[0] == pytest.approx(2.0 * val[0], rel=1e-12)
+    def f(rows, t):
+        seen.append(t.size)
+        return np.stack([np.exp(-t), width / ((t - 0.3) ** 2 + width**2)])
+
+    rel = np.array([[1e-12], [1e-8]])
+    val, err, chan_ok, evals, conv = _lockstep(f, 1, rel, 1e-30, 2000)
+    exact = [1.0 - math.exp(-1.0), math.atan(0.7 / width) + math.atan(0.3 / width)]
+    assert val.shape == err.shape == chan_ok.shape == (2, 1)
+    assert conv[0] and chan_ok.all()
+    for c in range(2):
+        assert err[c, 0] <= rel[c, 0] * abs(val[c, 0])
+        assert abs(val[c, 0] - exact[c]) <= err[c, 0]
+    assert sum(seen) == evals[0]
+    # each channel alone: the peak needs the joint run's nodes, the smooth
+    # channel far fewer, and the peak steers as it does alone
+    smooth = _lockstep(lambda r, t: f(r, t)[0], 1, 1e-12, 1e-30, 2000)
+    peak = _lockstep(lambda r, t: f(r, t)[1], 1, 1e-8, 1e-30, 2000)
+    assert smooth[3][0] < peak[3][0] == evals[0]
+    assert val[1, 0] == peak[0][0] and err[1, 0] == peak[1][0]
+    # a channel whose tolerance is inf rides along without steering
+    both = _lockstep(f, 1, np.array([[np.inf], [1e-8]]), 1e-30, 2000)
+    assert both[3][0] == peak[3][0] and both[0][1, 0] == peak[0][0]
+    assert abs(both[0][0, 0] - exact[0]) <= 1e-12
 
 
 def test_lockstep_empty_batch():
@@ -319,7 +340,7 @@ def test_lockstep_empty_batch():
     def f(rows, t):
         raise AssertionError("an empty batch must not call the integrand")
 
-    out = _lockstep(f, 0, 1e-10, 1e-30, 2000, with_aux=True)
+    out = _lockstep(f, 0, 1e-10, 1e-30, 2000)
     assert [a.shape for a in out] == [(0,)] * 5
     assert out[4].dtype == bool
 
@@ -428,9 +449,10 @@ def test_nested_rejects_bad_z_entry(z):
         v.integrate_nested(lambda u, b: np.ones_like(u + b), z=zs)
 
 
-def test_nested_rejects_two_dimensional_z():
-    with pytest.raises(ValueError, match="z must be a float or a 1-D array"):
-        v.integrate_nested(lambda u, b: np.ones_like(u + b), z=np.ones((2, 2)))
+def test_nested_rejects_z_beyond_two_dimensions():
+    # a 2-D z is k channels on one table; three axes have no meaning
+    with pytest.raises(ValueError, match="z must be a float, a 1-D or a 2-D array"):
+        v.integrate_nested(lambda u, b: np.ones_like(u + b), z=np.ones((2, 2, 2)))
 
 
 def test_nested_batch_flags_inner_failure_per_row():
