@@ -20,6 +20,7 @@ from .quadrature import (
     DEFAULT_SPEC,
     IntegralBatch,
     IntegralResult,
+    NodeTable,
     QuadratureSpec,
     integrate_finite,
     integrate_nested,

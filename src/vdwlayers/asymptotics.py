@@ -601,7 +601,10 @@ def locate_wall(potential: Callable, z_lo: float = 1e-3, z_hi: float = 1e2,
     bracket between the maximum's two neighbours is refined in rounds: each
     round is one array call on a fixed number of log-spaced z across the
     bracket, ends included, so one node table serves them all; the next
-    bracket is the neighbours of that round's largest value.  Rounds stop
+    bracket is the neighbours of that round's largest value.  A potential
+    that keeps one ``NodeTable`` across its calls makes the rounds almost
+    free: G(b) does not depend on z, so the scan's nodes serve every round,
+    which computes only the panels its rows still need.  Rounds stop
     once the bracket is at most 1e-4 times its midpoint.  The wall is the
     best point of the last round, with the height that round computed.  A
     wall is declared only when its height exceeds ten times its quadrature

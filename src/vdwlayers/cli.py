@@ -42,6 +42,7 @@ from .potential import (
     potential_thin_plate,
     potential_two_plates,
 )
+from .quadrature import NodeTable
 
 __all__ = ["main", "entry"]
 
@@ -89,7 +90,8 @@ def _library_versions() -> dict:
 
 
 def _write_sidecar(out_dir: Path, command: str, cfg: RunConfig, outputs: list[str],
-                   error: str | None = None, warned: list[str] = ()) -> None:
+                   error: str | None = None, warned: list[str] = (),
+                   diagnostics: dict | None = None) -> None:
     doc = {
         "command": command,
         "version": __version__,
@@ -102,6 +104,8 @@ def _write_sidecar(out_dir: Path, command: str, cfg: RunConfig, outputs: list[st
         doc["error"] = error
     if warned:
         doc["warnings"] = warned
+    if diagnostics is not None:
+        doc["diagnostics"] = diagnostics
     (out_dir / f"{command}.meta.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
     )
@@ -122,22 +126,26 @@ def _scan_series(cfg: RunConfig) -> list[str]:
     return list(geo.materials)
 
 
-def _potential(cfg: RunConfig, name: str, z):
-    """Potential at z (a float, or a 1-D array giving a list) for the series ``name``."""
+def _potential(cfg: RunConfig, name: str, z, table: NodeTable | None = None):
+    """Potential at z (a float, or a 1-D array giving a list) for the series ``name``.
+
+    ``table`` is the series' ``NodeTable``, kept across calls; the
+    two-plates geometry takes none.
+    """
     geo = cfg.geometry
     atom = cfg.atom
     spec = cfg.quadrature
     if geo.kind == "mirror":
-        return potential_halfspace(atom, PerfectMirror(geo.mirror), z, spec)
+        return potential_halfspace(atom, PerfectMirror(geo.mirror), z, spec, table=table)
     if geo.kind == "multilayer":
-        return potential_multilayer(cfg.build_stack(z), atom, spec)
+        return potential_multilayer(cfg.build_stack(z), atom, spec, table=table)
     material = cfg.medium(name)
     if geo.kind == "halfspace":
-        return potential_halfspace(atom, material, z, spec)
+        return potential_halfspace(atom, material, z, spec, table=table)
     if geo.kind == "plate":
-        return potential_plate(atom, material, geo.thickness, z, spec)
+        return potential_plate(atom, material, geo.thickness, z, spec, table=table)
     if geo.kind == "thin-plate":
-        return potential_thin_plate(atom, material, geo.thickness, z, spec)
+        return potential_thin_plate(atom, material, geo.thickness, z, spec, table=table)
     return potential_two_plates(atom, material, geo.separation, z, spec)
 
 
@@ -263,6 +271,7 @@ def cmd_wall(cfg: RunConfig, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     failures = []  # "<material>: <method>: <message>" per failure, for the sidecar
+    diagnostics = {}  # per material: kernel points of the scan and of each round
     ext = "csv" if args.format == "csv" else "json"
 
     def failed(name, method, exc):
@@ -273,9 +282,16 @@ def cmd_wall(cfg: RunConfig, args) -> int:
     for name in geo.materials:
         material = cfg.medium(name)
         rows = []
+        table = NodeTable()  # the scan's b nodes serve every round
+        points = []  # kernel points of each array call: the scan, then the rounds
+
+        def potential(z):
+            results = _potential(cfg, name, z, table=table)
+            points.append(sum(r.evaluations for r in results))
+            return results
+
         try:
-            numeric = locate_wall(lambda z: _potential(cfg, name, z),
-                                  z_lo=grid.lo, z_hi=grid.hi, samples=grid.points)
+            numeric = locate_wall(potential, z_lo=grid.lo, z_hi=grid.hi, samples=grid.points)
         except RuntimeError as exc:
             rows.append(failed(name, "numeric-scan", exc))
         else:
@@ -284,6 +300,8 @@ def cmd_wall(cfg: RunConfig, args) -> int:
             else:
                 rows.append((name, numeric.method, numeric.z_max, numeric.u_max,
                              numeric.consistency, "ok"))
+        diagnostics[name] = {"scan_kernel_points": points[0] if points else None,
+                             "round_kernel_points": points[1:]}
 
         if geo.kind in ("halfspace", "thin-plate") and not isinstance(material, PerfectMirror):
             kind = "thick" if geo.kind == "halfspace" else "thin"
@@ -302,7 +320,8 @@ def cmd_wall(cfg: RunConfig, args) -> int:
                      ["material", "method", "z_max", "U_max", "consistency", "status"],
                      rows, args.format)
         outputs.append(fname)
-    _write_sidecar(out_dir, "wall", cfg, outputs, error="\n".join(failures) or None)
+    _write_sidecar(out_dir, "wall", cfg, outputs, error="\n".join(failures) or None,
+                   diagnostics=diagnostics)
     return 3 if failures else 0
 
 

@@ -39,8 +39,8 @@ from .materials import (
     PerfectMirror,
     static_summary,
 )
-from .quadrature import (IntegralResult, QuadratureSpec, _as_rows, _require_positive,
-                         integrate_nested, integrate_semi_infinite)
+from .quadrature import (IntegralResult, NodeTable, QuadratureSpec, _as_rows,
+                         _require_positive, integrate_nested, integrate_semi_infinite)
 from .stack import Layer, LayerStack, reflection_coefficients, thin_layer_reflection
 
 __all__ = [
@@ -123,6 +123,12 @@ def _wall_kernel(atom: AtomModel, refl):
     return kernel
 
 
+def _nested(kernel, z, spec, u_scale, table: NodeTable | None):
+    """``integrate_nested``, given ``table`` only when there is one (a test engine takes none)."""
+    kept = {} if table is None else {"table": table}
+    return integrate_nested(kernel, z=z, spec=spec, u_scale=u_scale, **kept)
+
+
 def _wall_sum(left, right) -> PotentialResult:
     """Potential of the left and right wall terms (integral or potential results)."""
     return PotentialResult(left.value + right.value, left.error + right.error, left.value,
@@ -131,26 +137,27 @@ def _wall_sum(left, right) -> PotentialResult:
 
 
 def potential_halfspace(atom: AtomModel, material: Medium, z,
-                        spec: QuadratureSpec | None = None):
+                        spec: QuadratureSpec | None = None, *, table: NodeTable | None = None):
     """Potential in front of a semi-infinite magnetodielectric half-space."""
     _as_rows("z", z)  # an error names z; LayerStack would name it atom_position
     stack = LayerStack((Layer(material, math.inf), Layer(VACUUM, math.inf)), 1, z)
-    return potential_multilayer(stack, atom, spec)
+    return potential_multilayer(stack, atom, spec, table=table)
 
 
 def potential_plate(atom: AtomModel, material: Medium, thickness: float, z,
-                    spec: QuadratureSpec | None = None):
+                    spec: QuadratureSpec | None = None, *, table: NodeTable | None = None):
     """Potential in front of a plate of finite thickness."""
     _as_rows("z", z)  # an error names z; LayerStack would name it atom_position
     _require_positive("thickness", thickness)
     stack = LayerStack(
         (Layer(VACUUM, math.inf), Layer(material, thickness), Layer(VACUUM, math.inf)), 2, z
     )
-    return potential_multilayer(stack, atom, spec)
+    return potential_multilayer(stack, atom, spec, table=table)
 
 
 def potential_thin_plate(atom: AtomModel, material: MaterialModel, thickness: float, z,
-                         spec: QuadratureSpec | None = None):
+                         spec: QuadratureSpec | None = None, *,
+                         table: NodeTable | None = None):
     """Thin-plate potential, exactly linear in the thickness.
 
     Valid for n(0) * thickness << z; one warning per call (not an error)
@@ -169,8 +176,7 @@ def potential_thin_plate(atom: AtomModel, material: MaterialModel, thickness: fl
             stacklevel=2,
         )
     refl = partial(thin_layer_reflection, material, thickness)
-    batch = integrate_nested(_wall_kernel(atom, refl), z=zs, spec=spec,
-                             u_scale=_u_scale(atom, material))
+    batch = _nested(_wall_kernel(atom, refl), zs, spec, _u_scale(atom, material), table)
     return _per_z(z, [PotentialResult(r.value, r.error, r.value, 0.0, r.converged, r.evaluations)
                       for r in batch])
 
@@ -197,13 +203,18 @@ def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z
 
 
 def potential_multilayer(stack: LayerStack, atom: AtomModel,
-                         spec: QuadratureSpec | None = None):
+                         spec: QuadratureSpec | None = None, *,
+                         table: NodeTable | None = None):
     """Potential of an atom inside an arbitrary planar multilayer stack.
 
     The atom layer must be vacuum.  For an interior atom layer the result is
     the exact sum of a left-wall and a right-wall term, two channels of one
     table; for an atom in an outer layer only the inward-facing term exists.
     A 1-D array ``stack.atom_position`` gives one result per entry.
+    ``table``, a ``NodeTable`` kept by the caller for one stack and atom,
+    lets later calls at other positions reuse the nodes of earlier ones
+    (the kernel does not depend on the atom position); the half-space,
+    plate and thin-plate potentials take and pass it the same way.
     """
     j = stack.atom_layer
     u_scale = _u_scale(atom, *(layer.material for layer in stack.layers))
@@ -226,7 +237,7 @@ def potential_multilayer(stack: LayerStack, atom: AtomModel,
         r_s, r_p = walls(r)
         return r_s / r.d_s, r_p / r.d_p
 
-    batch = integrate_nested(_wall_kernel(atom, refl), z=z, spec=spec, u_scale=u_scale)
+    batch = _nested(_wall_kernel(atom, refl), z, spec, u_scale, table)
     zero = [IntegralResult(0.0, 0.0, 0, True)] * position.size
     left, right = batch if z.ndim == 2 else (zero, batch) if j == 0 else (batch, zero)
     return _per_z(stack.atom_position, [_wall_sum(a, b) for a, b in zip(left, right)])

@@ -9,7 +9,8 @@ knee of the integrand.
 ``integrate_nested`` integrates e^{-2 b z} kernel(u, b) over u >= 0, b >= u
 in the swapped order int_0^inf db e^{-2 b z} G(b), G(b) = int_0^b du
 kernel(u, b): one table of G on b-nodes serves every channel and every z of
-the call, and only the engine applies e^{-2 b z}.  The table calls the
+the call, and of later calls given the same ``NodeTable``, and only the
+engine applies e^{-2 b z}.  The table calls the
 kernel with ``u`` of shape (m, 15) and ``b`` of shape (m, 1), one b node per
 row, and it must return the values at the broadcast shape (after a leading
 axis of k channels), computed elementwise, so that a point's value does not
@@ -41,6 +42,7 @@ __all__ = [
     "integrate_finite",
     "integrate_semi_infinite",
     "integrate_nested",
+    "NodeTable",
     "DEFAULT_SPEC",
 ]
 
@@ -411,7 +413,42 @@ def _greedy_cover(gain, excess):
     return pick
 
 
-def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
+@dataclass(eq=False)
+class NodeTable:
+    """A b-node table that its caller keeps across ``integrate_nested`` calls.
+
+    A new table is empty.  The first call given it fills it: the outer
+    panels (``lo``, ``hi`` in x, and ``tight``, whether a panel's inner
+    integrals ran at the tightened tolerance), the map's ``b_c``, at each
+    node G and its inner error, both times the map's jacobian (``nodes``,
+    shape (2, k, panel, 15)), and whether the node was computed (``done``).
+    A later call with the same table forms its rows on these nodes, computes
+    only the nodes and panels it adds, and leaves the grown table for the
+    next.  The table belongs to one kernel, which the engine cannot check:
+    using it with another kernel is the caller's error.  Using it with
+    another ``spec``, ``u_scale`` or channel count raises ValueError.
+    """
+
+    spec: QuadratureSpec | None = None
+    u_scale: float | None = None
+    channels: int | None = None
+    b_c: float | None = None
+    lo: np.ndarray | None = None
+    hi: np.ndarray | None = None
+    tight: np.ndarray | None = None
+    nodes: np.ndarray | None = None
+    done: np.ndarray | None = None
+
+    def _require_match(self, spec: QuadratureSpec, u_scale: float, channels: int) -> None:
+        for name, theirs, ours in (("spec", self.spec, spec), ("u_scale", self.u_scale, u_scale),
+                                   ("channel count", self.channels, channels)):
+            if theirs != ours:
+                raise ValueError(f"this NodeTable was filled with {name} {theirs!r}, "
+                                 f"not {ours!r}")
+
+
+def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
+                table: NodeTable | None = None):
     """(value, error, evaluations, converged), each (k, n), from one b-node table.
 
     Row (c, i) is int_0^inf db e^{-2 b z[c, i]} G(b), G(b) = int_0^b du
@@ -431,28 +468,47 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
     carrying its inner errors at ``_TABLE_INNER_TIGHTEN`` times the
     tolerance, when those are.  A row that neither can help (at a sign
     change of U) stops steering and ends unconverged; the panels never
-    exceed ``spec.max_subdivisions``.
+    exceed ``spec.max_subdivisions``.  A filled ``table`` gives the first
+    panels, its b_c and its nodes (a node it lacks is computed), and the
+    table ends holding this call's panels and nodes; ``evaluations`` counts
+    this call's kernel points only.
     """
     k, n = z.shape
     z_min = float(z.min())
-    s_lo = math.log(_TABLE_B_LO / float(z.max()))
-    s_hi = math.log(_TABLE_B_HI / z_min)
-    s_c = 0.5 * (s_lo + s_hi)
-    b_c = math.exp(s_c)
-    cuts = min(math.ceil(s_hi - s_lo) + 1, spec.max_subdivisions - 1)
-    s_cut = np.linspace(s_lo, s_hi, cuts) if cuts > 1 else np.full(cuts, s_c)
-    edges = np.concatenate([[0.0], 1.0 / (1.0 + np.exp(s_c - s_cut)), [1.0]])
+    if table is not None and table.spec is not None:
+        table._require_match(spec, u_scale, k)
+        b_c = table.b_c
+        lo, hi, tight, nodes, done = (a.copy() for a in (
+            table.lo, table.hi, table.tight, table.nodes, table.done))
+    else:
+        s_lo = math.log(_TABLE_B_LO / float(z.max()))
+        s_hi = math.log(_TABLE_B_HI / z_min)
+        s_c = 0.5 * (s_lo + s_hi)
+        b_c = math.exp(s_c)
+        cuts = min(math.ceil(s_hi - s_lo) + 1, spec.max_subdivisions - 1)
+        s_cut = np.linspace(s_lo, s_hi, cuts) if cuts > 1 else np.full(cuts, s_c)
+        edges = np.concatenate([[0.0], 1.0 / (1.0 + np.exp(s_c - s_cut)), [1.0]])
+        lo, hi = edges[:-1].copy(), edges[1:].copy()  # replaced in place below
+        tight = np.zeros(lo.size, dtype=bool)
+        nodes = np.zeros((2, k, lo.size, _XK.size))
+        done = np.zeros(nodes.shape[2:], dtype=bool)
     evals = 0
 
-    def panels(lo, hi, tight):
-        """(value, outer estimate, weighted inner error, rounding floor) x panel x row."""
+    def panels(lo, hi, tight, nodes, done):
+        """(value, outer estimate, weighted inner error, rounding floor) x panel x row.
+
+        The nodes that these rows need and ``done`` lacks are computed into
+        ``nodes`` (G and its inner error, times the jacobian) and marked in
+        ``done``, in place.
+        """
         nonlocal evals
         h = 0.5 * (hi - lo)
         x = 0.5 * (lo + hi)[:, None] + h[:, None] * _XK
         onemx = 1.0 - x
         safe = np.where(onemx > 0.0, onemx, 1.0)
         b = b_c * x / safe
-        busy = (onemx > 0.0) & (b > 0.0) & (2.0 * b * z_min <= _TABLE_MAX_DECAY)
+        needed = (onemx > 0.0) & (b > 0.0) & (2.0 * b * z_min <= _TABLE_MAX_DECAY)
+        busy = needed & ~done
         bb = b[busy][:, None]
         c = np.minimum(bb, u_scale)
         bend = 1.0 - c / bb
@@ -462,14 +518,18 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
             vals = kernel(c[r] * t / d, bb[r]) * (c[r] / (d * d))
             return vals.reshape(t.shape if k == 1 else (k,) + t.shape)
 
-        rel = np.where(tight, spec.rel_tol_inner * _TABLE_INNER_TIGHTEN, spec.rel_tol_inner)
-        g, g_err, _, inner_evals, _ = _lockstep(
-            integrand, bb.size, np.broadcast_to(rel[:, None], b.shape)[busy], spec.abs_tol,
-            min(spec.max_subdivisions, _TABLE_INNER_SPLITS))
-        evals += int(inner_evals.sum())
-        val_j, err_j = np.zeros((k,) + b.shape), np.zeros((k,) + b.shape)
-        jac = b_c / (safe[busy] * safe[busy])
-        val_j[:, busy], err_j[:, busy] = g * jac, g_err * jac
+        if bb.size:
+            rel = np.where(tight, spec.rel_tol_inner * _TABLE_INNER_TIGHTEN, spec.rel_tol_inner)
+            g, g_err, _, inner_evals, _ = _lockstep(
+                integrand, bb.size, np.broadcast_to(rel[:, None], b.shape)[busy], spec.abs_tol,
+                min(spec.max_subdivisions, _TABLE_INNER_SPLITS))
+            evals += int(inner_evals.sum())
+            jac = b_c / (safe[busy] * safe[busy])
+            nodes[0][:, busy], nodes[1][:, busy] = g * jac, g_err * jac
+            done |= busy
+        if (done & ~needed).any():  # an earlier call's node decayed here counts as zero
+            nodes = np.where(needed, nodes, 0.0)
+        val_j, err_j = nodes
         out = np.empty((4, lo.size, k * n))
         for ch in range(k):
             for j in range(0, n, _TABLE_Z_CHUNK):  # bounds the (panel, z, node) temporaries
@@ -481,9 +541,7 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
                 out[3, :, cols] = 50.0 * _EPS * resabs
         return out
 
-    lo, hi = edges[:-1].copy(), edges[1:].copy()  # replaced in place below
-    tight = np.zeros(lo.size, dtype=bool)
-    sums = panels(lo, hi, tight)
+    sums = panels(lo, hi, tight, nodes, done)
     while True:
         _, outer, inner, floor = sums
         tot_val, tot_outer, tot_inner, tot_floor = sums.sum(axis=1)
@@ -516,14 +574,20 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
         new_lo = np.concatenate([lo[idx], mid[idx[halves]]])
         new_hi = np.concatenate([np.where(halves, mid[idx], hi[idx]), hi[idx[halves]]])
         new_tight = (tight | redo)[np.concatenate([idx, idx[halves]])]
-        new = panels(new_lo, new_hi, new_tight)
+        new_nodes = np.zeros((2, k, new_lo.size, _XK.size))
+        new_done = np.zeros(new_nodes.shape[2:], dtype=bool)
+        new = panels(new_lo, new_hi, new_tight, new_nodes, new_done)
         m = idx.size
         lo[idx], hi[idx], tight[idx] = new_lo[:m], new_hi[:m], new_tight[:m]
-        sums[:, idx] = new[:, :m]
-        lo, hi, tight = (np.concatenate([a, c[m:]]) for a, c in
-                         ((lo, new_lo), (hi, new_hi), (tight, new_tight)))
+        nodes[:, :, idx], done[idx], sums[:, idx] = new_nodes[:, :, :m], new_done[:m], new[:, :m]
+        lo, hi, tight, done = (np.concatenate([a, c[m:]]) for a, c in
+                               ((lo, new_lo), (hi, new_hi), (tight, new_tight), (done, new_done)))
+        nodes = np.concatenate([nodes, new_nodes[:, :, m:]], axis=2)
         sums = np.concatenate([sums, new[:, m:]], axis=1)
 
+    if table is not None:
+        table.spec, table.u_scale, table.channels, table.b_c = spec, u_scale, k, b_c
+        table.lo, table.hi, table.tight, table.nodes, table.done = lo, hi, tight, nodes, done
     value, error = (np.array([math.fsum(col) for col in part.T.tolist()])
                     for part in (sums[0], sums[1] + sums[2]))
     converged = error <= np.maximum(spec.rel_tol_outer * np.abs(value), spec.abs_tol)
@@ -534,7 +598,7 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
 
 
 def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
-                     u_scale: float = 1.0):
+                     u_scale: float = 1.0, table: NodeTable | None = None):
     """Integral of e^{-2 b z} kernel(u, b) over u >= 0, b >= u, for each z, from one table.
 
     A float ``z`` returns an ``IntegralResult``, a 1-D array an
@@ -546,6 +610,13 @@ def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
     remainder), so ``evaluations`` sums to the points the kernel got.
     ``u_scale`` is the frequency scale of the kernel's resonances, the knee
     of the table's inner map.
+
+    Without ``table``, or with an empty ``NodeTable``, the call builds its
+    table from nothing, and an empty ``table`` keeps it.  With a filled one,
+    the rows are first formed on its nodes (G does not depend on z), and only
+    the nodes and panels the rows still need cost kernel points, so
+    ``evaluations`` counts this call's points alone.  The rows then agree
+    with a table-free call within their errors, not bit for bit.
     """
     spec = spec or DEFAULT_SPEC
     shape = np.shape(z)
@@ -555,7 +626,7 @@ def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
         zs = _as_rows("z", np.reshape(z, -1)).reshape(shape)
     else:
         zs = _as_rows("z", z)[None]
-    fields = _table_rows(kernel, zs, spec, u_scale) if zs.size else (
+    fields = _table_rows(kernel, zs, spec, u_scale, table) if zs.size else (
         np.zeros(zs.shape), np.zeros(zs.shape), np.zeros(zs.shape, dtype=np.intp),
         np.zeros(zs.shape, dtype=bool))
     if len(shape) < 2:

@@ -553,11 +553,15 @@ def test_locate_wall_needs_height_above_ten_errors(rel_error, found):
         assert wall.z_max == pytest.approx(math.exp(0.3), rel=1e-4)
 
 
-WALL_CASES = {
-    "fig2-mu5": lambda atom, z: v.potential_halfspace(atom, fig2_material(mu0=5.0), z),
-    "fig2-mu10": lambda atom, z: v.potential_halfspace(atom, fig2_material(mu0=10.0), z),
-    "weak-thick": lambda atom, z: v.potential_halfspace(atom, material(**WEAK_ELECTRIC), z),
-    "weak-thin": lambda atom, z: v.potential_thin_plate(atom, material(**WEAK_ELECTRIC), 1e-5, z),
+WALL_CASES = {  # each takes an optional NodeTable
+    "fig2-mu5": lambda atom, z, table=None: v.potential_halfspace(
+        atom, fig2_material(mu0=5.0), z, table=table),
+    "fig2-mu10": lambda atom, z, table=None: v.potential_halfspace(
+        atom, fig2_material(mu0=10.0), z, table=table),
+    "weak-thick": lambda atom, z, table=None: v.potential_halfspace(
+        atom, material(**WEAK_ELECTRIC), z, table=table),
+    "weak-thin": lambda atom, z, table=None: v.potential_thin_plate(
+        atom, material(**WEAK_ELECTRIC), 1e-5, z, table=table),
 }
 
 
@@ -614,3 +618,47 @@ def test_locate_wall_grid_above_the_wall_returns_none(atom):
     pot, _, ndims = _recorded(lambda z: v.potential_halfspace(atom, fig2_material(mu0=5.0), z))
     assert v.locate_wall(pot, z_lo=3.0, z_hi=50.0, samples=40) is None
     assert ndims == [1]
+
+
+def _counted(pot):
+    """``pot`` with the kernel points of each call appended to a list, which is returned too."""
+    points = []
+
+    def counted(z):
+        rows = pot(z)
+        points.append(sum(r.evaluations for r in rows))
+        return rows
+    return counted, points
+
+
+@pytest.mark.parametrize("case", sorted(WALL_CASES))
+def test_locate_wall_rounds_reuse_the_scan_table(atom, case):
+    # G(b) does not depend on z, so the scan's table serves every round: the
+    # rounds together cost less than one table-free round, and the wall is the
+    # table-free one
+    table = v.NodeTable()
+    kept, seen, _ = _recorded(lambda z: WALL_CASES[case](atom, z, table))
+    kept, points = _counted(kept)
+    free, free_points = _counted(lambda z: WALL_CASES[case](atom, z))
+    wall, ref = v.locate_wall(kept, samples=40), v.locate_wall(free, samples=40)
+    assert wall is not None and ref is not None
+    assert len(points) == len(free_points) >= 2
+    assert points[0] == free_points[0] and sum(points[1:]) < free_points[1]
+    assert wall.z_max == ref.z_max
+    assert abs(wall.u_max - ref.u_max) <= seen[wall.z_max].error
+
+
+@pytest.mark.parametrize("mu0", [5.0, 10.0])
+def test_locate_wall_rounds_are_free_on_the_fig2_table(atom, mu0):
+    # on the grid of the benchmark's wall step the scan's nodes already meet
+    # every round's tolerance: no round computes a kernel point
+    m = fig2_material(mu0=mu0)
+    table = v.NodeTable()
+    kept, seen, _ = _recorded(lambda z: v.potential_halfspace(atom, m, z, table=table))
+    kept, points = _counted(kept)
+    wall = v.locate_wall(kept, z_lo=0.2, z_hi=5.0, samples=12)
+    ref = v.locate_wall(lambda z: v.potential_halfspace(atom, m, z), z_lo=0.2, z_hi=5.0,
+                        samples=12)
+    assert points[0] > 0 and points[1:] == [0, 0, 0]
+    assert wall.z_max == ref.z_max
+    assert abs(wall.u_max - ref.u_max) <= seen[wall.z_max].error

@@ -446,6 +446,30 @@ def test_wall_with_estimates(tmp_path):
     )
 
 
+def test_wall_sidecar_counts_kernel_points_of_scan_and_rounds(tmp_path):
+    # the search keeps one b-node table per material: on the fig2 plate the
+    # scan's nodes serve all three rounds, which compute no kernel point
+    doc = {
+        "atom": ATOM,
+        "materials": {"plate": PLATE},
+        "geometry": {"kind": "halfspace", "material": "plate"},
+        "wall": {"z_min": 0.2, "z_max": 5.0, "samples": 12},
+    }
+    code, out = run(tmp_path, "wall", doc)
+    assert code == 0
+    meta = json.loads((out / "wall.meta.json").read_text())
+    points = meta["diagnostics"]["plate"]
+    assert points["round_kernel_points"] == [0, 0, 0]
+    scan = v.potential_halfspace(v.AtomModel.two_level(), parse_config(doc).medium("plate"),
+                                 np.geomspace(0.2, 5.0, 12))
+    assert points["scan_kernel_points"] == sum(r.evaluations for r in scan) > 0
+    # the sidecar still replays as a config, to the same bytes
+    rerun = tmp_path / "rerun"
+    assert main(["wall", "--config", str(out / "wall.meta.json"), "--out", str(rerun)]) == 0
+    for name in ("wall_plate.csv", "wall.meta.json"):
+        assert (rerun / name).read_bytes() == (out / name).read_bytes()
+
+
 def test_wall_failed_search_is_not_no_wall(tmp_path, capsys):
     # a refinement round that cannot converge is a numerical failure, not an absent wall
     doc = {
@@ -458,9 +482,9 @@ def test_wall_failed_search_is_not_no_wall(tmp_path, capsys):
     real = v.potential_halfspace
     calls = []
 
-    def flaky(atom, material, z, spec):
+    def flaky(atom, material, z, spec, *, table):
         calls.append(z)
-        results = real(atom, material, z, spec)
+        results = real(atom, material, z, spec, table=table)
         if len(calls) == 1:
             return results
         return [dataclasses.replace(r, converged=False) for r in results]

@@ -529,3 +529,60 @@ def test_interior_atom_walls_within_their_errors_of_the_oracle(atom, stack):
                             u_scale=kwargs["u_scale"], mode=oracle_mode(z))
         assert ref.converged, (c, z)
         assert abs(row.value - ref.value) <= row.error, (c, z, row, ref)
+
+
+@st.composite
+def outer_atoms(draw):
+    """A 2- to 4-layer stack of single-resonance media, the atom in an outer vacuum layer.
+
+    Also draws the atom positions of a first call and of a later call.
+    """
+    layers = draw(st.integers(2, 4))
+    j = draw(st.sampled_from([0, layers - 1]))
+    stack = []
+    for i in range(layers):
+        if i == j:
+            stack.append(v.Layer(v.VACUUM, math.inf))
+        elif i in (0, layers - 1):
+            stack.append(v.Layer(draw(_MEDIUM), math.inf))
+        else:
+            stack.append(v.Layer(draw(_MEDIUM), draw(st.floats(0.01, 10.0))))
+    first = np.array(draw(st.lists(_DISTANCE, min_size=2, max_size=3)))
+    later = np.array(draw(st.lists(_DISTANCE, min_size=1, max_size=2)))
+    return tuple(stack), j, first, later
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(outer_atoms())
+def test_outer_atom_rows_within_their_errors_of_the_oracle(atom, drawn):
+    # one wall is one channel of a table; the rows of a first call, and of a
+    # later call that reuses its table at fresh positions, each lie within
+    # their errors of the nested oracle
+    from vdwlayers import potential as module
+
+    layers, j, first, later = drawn
+    calls = []
+
+    def recording(kernel, **kwargs):
+        calls.append((kernel, kwargs, v.integrate_nested(kernel, **kwargs)))
+        return calls[-1][2]
+
+    table = v.NodeTable()
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "integrate_nested", recording)
+        for zs in (first, later):
+            results.append(v.potential_multilayer(v.LayerStack(layers, j, zs), atom, table=table))
+    spec = dataclasses.replace(v.DEFAULT_SPEC, rel_tol_inner=v.DEFAULT_SPEC.rel_tol_inner / 100,
+                               rel_tol_outer=v.DEFAULT_SPEC.rel_tol_outer / 100)
+    assert len(calls) == 2
+    for (kernel, kwargs, batch), rows in zip(calls, results):
+        assert kwargs["z"].ndim == 1 and kwargs["table"] is table
+        for z, row, res in zip(kwargs["z"].tolist(), batch, rows):
+            assert (res.right if j == 0 else res.left) == res.value == row.value
+            if not row.converged:
+                continue
+            ref = nested_oracle(kernel, z=z, spec=spec, u_scale=kwargs["u_scale"],
+                                mode=oracle_mode(z))
+            assert ref.converged, (j, z)
+            assert abs(row.value - ref.value) <= row.error, (j, z, row, ref)

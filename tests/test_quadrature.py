@@ -6,9 +6,9 @@ import pytest
 import vdwlayers as v
 from vdwlayers import quadrature
 
-from conftest import (NESTED_MODES, _nested_rows, adaptive_heap, brute_force_2d, engine,
-                      fig2_material, material, nested_oracle, on_engine, oracle_mode,
-                      tight_nested)
+from conftest import (NESTED_MODES, _nested_rows, adaptive_heap, brute_force_2d,
+                      constant_material, engine, fig2_material, material, nested_oracle,
+                      on_engine, oracle_mode, tight_nested)
 
 
 def test_exponential_moment():
@@ -520,3 +520,126 @@ def test_table_flags_the_sign_change_row_alone_within_budget(atom, monkeypatch):
     assert len(widths[0]) == 20
     assert set().union(*widths[1:]) <= set(widths[0])
     assert not all(r.converged for r in rows)
+
+
+# ---------------------------------------------------------------- a kept b-node table
+
+def _counting(calls):
+    """``integrate_nested`` that appends, per call, the points the kernel got, the
+    evaluations reported and the set of b nodes the kernel got."""
+    def counting(kernel, **kwargs):
+        points, nodes = [0], set()
+
+        def counted(u, b):
+            points[0] += np.broadcast(u, b).size
+            nodes.update(np.ravel(b).tolist())
+            return kernel(u, b)
+
+        batch = v.integrate_nested(counted, **kwargs)
+        calls.append((points[0], batch.evaluations, nodes))
+        return batch
+    return counting
+
+
+def test_empty_table_call_is_the_table_free_call():
+    def kernel(u, b):
+        return (b - u) / (1.0 + u * u)
+
+    zs = np.array([0.3, 1.0, 3.0])
+    table = v.NodeTable()
+    kept = v.integrate_nested(kernel, z=zs, table=table)
+    free = v.integrate_nested(kernel, z=zs)
+    for field in ("values", "errors", "row_evaluations", "row_converged"):
+        assert getattr(kept, field).tobytes() == getattr(free, field).tobytes(), field
+    assert table.nodes.shape == (2, 1, table.lo.size, 15) and table.done.any()
+
+
+def test_table_serves_z_beyond_the_range_that_filled_it(atom):
+    # the first call skips every node with 2 b z_min > 700 (z_min = 5); a second
+    # call below that z_min and above its z_max computes them, converges, counts
+    # only its own kernel points and lies within its errors of the tight oracle
+    from vdwlayers import potential as module
+
+    m = fig2_material()
+    table = v.NodeTable()
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "integrate_nested", _counting(calls))
+        v.potential_halfspace(atom, m, np.array([5.0, 10.0]), table=table)
+
+        def nodes():
+            h = 0.5 * (table.hi - table.lo)
+            x = 0.5 * (table.lo + table.hi)[:, None] + h[:, None] * quadrature._XK
+            inside = x < 1.0
+            return np.where(inside, table.b_c * x / np.where(inside, 1.0 - x, 1.0), np.inf)
+
+        skipped = 2.0 * nodes() * 5.0 > 700.0
+        assert skipped.any() and not table.done[skipped].any()
+        wanted = set(nodes()[skipped & (2.0 * nodes() * 0.01 <= 700.0)].tolist())
+        zs = np.array([0.01, 0.3, 50.0])
+        rows = v.potential_halfspace(atom, m, zs, table=table)
+    assert wanted and wanted <= calls[1][2]  # each skipped node the second call needs
+    assert table.done[2.0 * nodes() * 0.01 <= 700.0].all()
+    assert [points for points, _, _ in calls] == [evals for _, evals, _ in calls]
+    assert calls[1][0] == sum(r.evaluations for r in rows) > 0
+    for z, row in zip(zs.tolist(), rows):
+        assert row.converged, z
+        with tight_nested(z) as tight:
+            ref = v.potential_halfspace(atom, m, z, tight)
+        assert ref.converged
+        assert abs(row.value - ref.value) <= row.error, z
+
+
+def test_table_nodes_decayed_for_a_later_call_count_as_zero(atom):
+    # at z = 1e-3 the reflection of this medium overflows at large b and those
+    # nodes hold NaN; at z >= 1 they are decayed (2 b z > 700) and count as
+    # zero, as in a table-free call, which converges
+    m = constant_material(eps0=1e150, mu0=1e150)
+    table = v.NodeTable()
+    zs = np.array([1.0, 10.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = v.potential_halfspace(atom, m, np.array([1e-3]), table=table)
+        rows = v.potential_halfspace(atom, m, zs, table=table)
+        free = v.potential_halfspace(atom, m, zs)
+    assert not first[0].converged and np.isnan(table.nodes).any()
+    for row, ref in zip(rows, free):
+        assert row.converged and ref.converged
+        assert abs(row.value - ref.value) <= row.error + ref.error
+
+
+def test_table_rejects_another_spec_u_scale_or_channel_count():
+    def kernel(u, b):
+        return np.cos(u)
+
+    table = v.NodeTable()
+    v.integrate_nested(kernel, z=np.array([0.5, 1.0]), table=table)
+    kept = [a.tobytes() for a in (table.lo, table.nodes, table.done)]
+    with pytest.raises(ValueError, match="filled with spec"):
+        v.integrate_nested(kernel, z=1.0, spec=v.QuadratureSpec(rel_tol_outer=1e-6),
+                           table=table)
+    with pytest.raises(ValueError, match="filled with u_scale 1.0, not 2.0"):
+        v.integrate_nested(kernel, z=1.0, u_scale=2.0, table=table)
+    with pytest.raises(ValueError, match="filled with channel count 1, not 2"):
+        v.integrate_nested(lambda u, b: np.stack([np.cos(u)] * 2), z=np.ones((2, 1)),
+                           table=table)
+    assert [a.tobytes() for a in (table.lo, table.nodes, table.done)] == kept
+    # the default spec given by value is the same spec
+    res = v.integrate_nested(kernel, z=1.0, spec=v.QuadratureSpec(), table=table)
+    assert res.converged and abs(res.value - 1.0 / 5.0) <= res.error
+
+
+def test_table_call_sequence_repeats_bytes(atom):
+    m = fig2_material()
+
+    def sequence():
+        table = v.NodeTable()
+        rows = [r for z in (np.geomspace(0.2, 5.0, 12), np.geomspace(1.5, 2.1, 65),
+                            np.array([0.01, 50.0]), 0.7)
+                for r in np.atleast_1d(v.potential_halfspace(atom, m, z, table=table))]
+        return np.array([[r.value, r.error, r.evaluations] for r in rows]), table
+
+    (first, one), (second, two) = sequence(), sequence()
+    assert first.tobytes() == second.tobytes()
+    for field in ("lo", "hi", "tight", "nodes", "done"):
+        assert getattr(one, field).tobytes() == getattr(two, field).tobytes(), field
+    assert (one.b_c, one.u_scale, one.channels) == (two.b_c, two.u_scale, two.channels)
