@@ -604,7 +604,8 @@ def locate_wall(potential: Callable, z_lo: float = 1e-3, z_hi: float = 1e2,
     bracket is the neighbours of that round's largest value.  A potential
     that keeps one ``NodeTable`` across its calls makes the rounds almost
     free: G(b) does not depend on z, so the scan's nodes serve every round,
-    which computes only the panels its rows still need.  Rounds stop
+    which computes only the panels its rows still need (and a node again
+    where the scan's rows set its inner accuracy too loose).  Rounds stop
     once the bracket is at most 1e-4 times its midpoint.  The wall is the
     best point of the last round, with the height that round computed.  A
     wall is declared only when its height exceeds ten times its quadrature

@@ -179,6 +179,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     warned = []  # "<series>: <message>" per warning, for the sidecar
+    diagnostics = {}  # per series: the kernel points of its potentials
     all_ok = True
     ext = "csv" if args.format == "csv" else "json"
     for name in series:
@@ -188,6 +189,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         for w in caught:  # re-emitted through the caller's filters
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
             warned.append(f"{name}: {w.message}")
+        diagnostics[name] = {"kernel_points": sum(r.evaluations for r in results)}
         noreflect = [None] * zs.size
         if two_plates:
             noreflect = [r.value for r in potential_two_plates(
@@ -204,7 +206,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         fname = f"scan_{_safe_label(name)}.{ext}"
         _write_table(out_dir / fname, columns, rows, args.format)
         outputs.append(fname)
-    _write_sidecar(out_dir, "scan", cfg, outputs, warned=warned)
+    _write_sidecar(out_dir, "scan", cfg, outputs, warned=warned, diagnostics=diagnostics)
     return 0 if all_ok else 3
 
 

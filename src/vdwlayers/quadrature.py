@@ -18,7 +18,11 @@ depend on the rest of the batch.  ``b`` is the vacuum axial wavenumber of
 the atom layer, so the change of variables is identical for every stack.
 The rows, one per (channel, z), share the table's panels: each row's error
 adds its own outer and weighted inner estimates, the same input gives the
-same bytes, and a row is not the float call bit for bit.  The tests check
+same bytes, and a row is not the float call bit for bit.  A node's inner
+integral stops at max(rel_tol_inner |G|, a), where the floor a is a share
+theta / N of the least tolerance over the rows divided by the node's weight
+in that row, so floors add at most theta times a row's tolerance to its
+error: a node that no row can see is not refined.  The tests check
 the table against a nested engine in three substitutions
 (``tests/conftest.py``) that integrates each z and each channel on its own.
 
@@ -238,13 +242,15 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions):
     ``f(rows, t)`` returns the integrand of integral ``rows[i]`` at the nodes
     ``t[i]``, an (m, 15) array, or k channels of it on a leading axis.
     ``rel_tol`` broadcasts to (k, n); a channel whose tolerance is inf never
-    binds.  Each step, every integral with a channel above max(rel_tol
-    |value|, abs_tol) splits its worst panel (largest error, or with k
-    channels largest error over tolerance), and all new panels go to ``f``
-    in one call.  Panels are stored per integral in creation order, with a
-    queue key that is -inf once they leave the queue, so ``argmax`` picks
-    what a heap ordered by (-key, creation) would pop; a split panel's
-    values and errors are zeroed.  Returns (value, error, channel_converged,
+    binds.  ``abs_tol`` is a float, or a function that maps the first (k, n)
+    estimates, of one panel each, to the absolute tolerances.  Each step,
+    every integral with a channel above max(rel_tol |value|, abs_tol) splits
+    its worst panel (largest error, or with k channels largest error over
+    tolerance), and all new panels go to ``f`` in one call.  Panels are
+    stored per integral in creation order, with a queue key that is -inf
+    once they leave the queue, so ``argmax`` picks what a heap ordered by
+    (-key, creation) would pop; a split panel's values and errors are
+    zeroed.  Returns (value, error, channel_converged,
     evals, converged), the first three (n,) for a 2-D ``f``, else (k, n).
     """
     if n == 0:  # e.g. a border whose points all sit at eps0 = 1
@@ -254,6 +260,8 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions):
     v, e = _eval_panels(f, rows, np.zeros(n), np.ones(n))
     single = v.ndim == 1  # then f stays 2-D: _estimate is faster on it
     v, e = v.reshape(-1, n), e.reshape(-1, n)
+    if callable(abs_tol):
+        abs_tol = abs_tol(v)
     k = v.shape[0]
     err_ = _VAL + k  # first error field
     rel = np.broadcast_to(rel_tol, (k, n))
@@ -401,6 +409,9 @@ _TABLE_INNER_SPLITS = 64
 # The inner tolerance of a panel whose weighted inner errors keep a row from
 # its tolerance is tightened once, by this factor.
 _TABLE_INNER_TIGHTEN = 1e-2
+# The share of a row's tolerance that the absolute floors of the inner
+# integrals may take, split evenly over the nodes of the call.
+_TABLE_INNER_FLOOR = 0.02
 
 
 def _greedy_cover(gain, excess):
@@ -424,9 +435,13 @@ class NodeTable:
     shape (2, k, panel, 15)), and whether the node was computed (``done``).
     A later call with the same table forms its rows on these nodes, computes
     only the nodes and panels it adds, and leaves the grown table for the
-    next.  The table belongs to one kernel, which the engine cannot check:
-    using it with another kernel is the caller's error.  Using it with
-    another ``spec``, ``u_scale`` or channel count raises ValueError.
+    next.  G's value at a node does not depend on z, but its inner accuracy
+    does: it is set by the rows of the call that computed it (the floors of
+    ``_table_rows``), and a later row that weighs the node more redoes its
+    panel at the tightened tolerance.  The table belongs to one kernel,
+    which the engine cannot check: using it with another kernel is the
+    caller's error.  Using it with another ``spec``, ``u_scale`` or channel
+    count raises ValueError.
     """
 
     spec: QuadratureSpec | None = None
@@ -461,6 +476,20 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
     u = b but puts half of the nodes below u of order u_scale, where the
     material and atom resonances sit.
 
+    Node j's inner integral in channel c stops at max(rel_tol_inner |G|,
+    a_cj), a_cj = theta / N min_i tau_ci / W_cij, where W_cij = h w_j jac_j
+    e^{-2 b_j z_ci} is the node's weight in row (c, i), tau_ci =
+    max(rel_tol_outer |V_ci|, abs_tol) that row's tolerance from the rows
+    V of the table's nodes (the stored ones, and the new ones at their first
+    estimate), N the nodes the call needs and theta ``_TABLE_INNER_FLOOR``.
+    The floors thus add at most theta tau_ci to row (c, i), whose error still
+    adds every weighted inner error.  A row or weight that is not finite,
+    and a tightened panel, give the floor ``spec.abs_tol``.  Floored nodes
+    are refined where their integrand carries weight, so their samples may
+    never reach u ~ b; one more inner row integrates the largest new node
+    on the map u = b t, whose first points do, and a kernel that is not
+    finite there makes that node NaN, which flags its rows.
+
     A row's error adds its panels' QUADPACK estimates and their inner errors
     weighted by e^{-2 b z}.  Each round, a row short of its tolerance splits
     the fewest panels whose estimates cover its excess, when they are more
@@ -471,7 +500,9 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
     exceed ``spec.max_subdivisions``.  A filled ``table`` gives the first
     panels, its b_c and its nodes (a node it lacks is computed), and the
     table ends holding this call's panels and nodes; ``evaluations`` counts
-    this call's kernel points only.
+    this call's kernel points only.  A stored node floored for an earlier
+    call's rows carries its inner error into these rows, and the redo path
+    computes it again where that error keeps a row from its tolerance.
     """
     k, n = z.shape
     z_min = float(z.min())
@@ -494,38 +525,76 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
         done = np.zeros(nodes.shape[2:], dtype=bool)
     evals = 0
 
-    def panels(lo, hi, tight, nodes, done):
-        """(value, outer estimate, weighted inner error, rounding floor) x panel x row.
-
-        The nodes that these rows need and ``done`` lacks are computed into
-        ``nodes`` (G and its inner error, times the jacobian) and marked in
-        ``done``, in place.
-        """
-        nonlocal evals
+    def geometry(lo, hi):
+        """Half-widths, 1 - x at the nodes x (1 where x rounds to 1), b, and the nodes needed."""
         h = 0.5 * (hi - lo)
         x = 0.5 * (lo + hi)[:, None] + h[:, None] * _XK
         onemx = 1.0 - x
         safe = np.where(onemx > 0.0, onemx, 1.0)
         b = b_c * x / safe
-        needed = (onemx > 0.0) & (b > 0.0) & (2.0 * b * z_min <= _TABLE_MAX_DECAY)
+        return h, safe, b, (onemx > 0.0) & (b > 0.0) & (2.0 * b * z_min <= _TABLE_MAX_DECAY)
+
+    def panels(lo, hi, tight, nodes, done, rest_val, rest_needed):
+        """(value, outer estimate, weighted inner error, rounding floor) x panel x row.
+
+        The nodes that these rows need and ``done`` lacks are computed into
+        ``nodes`` (G and its inner error, times the jacobian) and marked in
+        ``done``, in place.  ``rest_val`` (k, n) and ``rest_needed`` are the
+        row values and the needed node count of the table's other panels;
+        with these panels' nodes they set the floors of the new inner
+        integrals.
+        """
+        nonlocal evals
+        h, safe, b, needed = geometry(lo, hi)
         busy = needed & ~done
-        bb = b[busy][:, None]
-        c = np.minimum(bb, u_scale)
-        bend = 1.0 - c / bb
+        if busy.any():
+            # one inner row more: the largest new node on the map u = b t, whose
+            # first points reach u ~ b, where a floored node's refinement may
+            # never go; a kernel that is not finite there makes that node NaN
+            bb = b[busy]
+            top = int(np.argmax(bb))
+            bb = np.append(bb, bb[top])[:, None]
+            c = np.minimum(bb, u_scale)
+            c[-1] = bb[-1]
+            bend = 1.0 - c / bb
 
-        def integrand(r, t):  # one channel stays 2-D, k get a leading axis
-            d = 1.0 - bend[r] * t
-            vals = kernel(c[r] * t / d, bb[r]) * (c[r] / (d * d))
-            return vals.reshape(t.shape if k == 1 else (k,) + t.shape)
+            def integrand(r, t):  # one channel stays 2-D, k get a leading axis
+                d = 1.0 - bend[r] * t
+                vals = kernel(c[r] * t / d, bb[r]) * (c[r] / (d * d))
+                return vals.reshape(t.shape if k == 1 else (k,) + t.shape)
 
-        if bb.size:
-            rel = np.where(tight, spec.rel_tol_inner * _TABLE_INNER_TIGHTEN, spec.rel_tol_inner)
-            g, g_err, _, inner_evals, _ = _lockstep(
-                integrand, bb.size, np.broadcast_to(rel[:, None], b.shape)[busy], spec.abs_tol,
-                min(spec.max_subdivisions, _TABLE_INNER_SPLITS))
-            evals += int(inner_evals.sum())
+            hw = h[:, None] * _WK
             jac = b_c / (safe[busy] * safe[busy])
-            nodes[0][:, busy], nodes[1][:, busy] = g * jac, g_err * jac
+            log_share = (math.log(_TABLE_INNER_FLOOR / (rest_needed + needed.sum()))
+                         - np.log(hw[busy] * jac))
+            unfloored = np.broadcast_to(tight[:, None], b.shape)[busy]  # a tightened panel
+
+            def floors(first):
+                """theta / N of the least tol / weight over the rows, from the first estimates."""
+                val = np.where(done, nodes[0], 0.0)
+                val[:, busy] = first[:, :-1] * jac
+                val = (val * hw)[:, needed]
+                lowest = np.full((k, bb.size - 1), np.inf)  # least log(tol) + 2 b z
+                for j in range(0, n, _TABLE_Z_CHUNK):  # bounds the (channel, z, node) temporaries
+                    zj = z[:, j:j + _TABLE_Z_CHUNK, None]
+                    row = rest_val[:, j:j + _TABLE_Z_CHUNK] + np.einsum(
+                        "cij,cj->ci", np.exp(-2.0 * b[needed] * zj), val)
+                    log_tol = np.log(np.maximum(spec.rel_tol_outer * np.abs(row), spec.abs_tol))
+                    lowest = np.minimum(lowest, (log_tol[:, :, None] + 2.0 * bb[:-1, 0] * zj)
+                                        .min(axis=1))
+                floor = np.exp(np.minimum(lowest + log_share, _TABLE_MAX_DECAY))  # finite
+                floor = np.where(np.isfinite(lowest) & ~unfloored,
+                                 np.maximum(floor, spec.abs_tol), spec.abs_tol)
+                return np.append(floor, np.full((k, 1), spec.abs_tol), axis=1)
+
+            rel = np.where(tight, spec.rel_tol_inner * _TABLE_INNER_TIGHTEN, spec.rel_tol_inner)
+            rel = np.append(np.broadcast_to(rel[:, None], b.shape)[busy], np.inf)  # the probe
+            g, g_err, _, inner_evals, _ = _lockstep(
+                integrand, bb.size, rel, floors, min(spec.max_subdivisions, _TABLE_INNER_SPLITS))
+            evals += int(inner_evals.sum())
+            g, probe = g[..., :-1], g[..., -1]
+            g[..., top] = np.where(np.isfinite(probe), g[..., top], np.nan)
+            nodes[0][:, busy], nodes[1][:, busy] = g * jac, g_err[..., :-1] * jac
             done |= busy
         if (done & ~needed).any():  # an earlier call's node decayed here counts as zero
             nodes = np.where(needed, nodes, 0.0)
@@ -541,7 +610,7 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
                 out[3, :, cols] = 50.0 * _EPS * resabs
         return out
 
-    sums = panels(lo, hi, tight, nodes, done)
+    sums = panels(lo, hi, tight, nodes, done, np.zeros((k, n)), 0)
     while True:
         _, outer, inner, floor = sums
         tot_val, tot_outer, tot_inner, tot_floor = sums.sum(axis=1)
@@ -570,13 +639,17 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
         # a split panel's left half replaces it and its right half is appended;
         # a redone panel is evaluated again in place
         idx = np.flatnonzero(split | redo)
+        rest = np.ones(lo.size, dtype=bool)
+        rest[idx] = False
         halves = split[idx]
         new_lo = np.concatenate([lo[idx], mid[idx[halves]]])
         new_hi = np.concatenate([np.where(halves, mid[idx], hi[idx]), hi[idx[halves]]])
         new_tight = (tight | redo)[np.concatenate([idx, idx[halves]])]
         new_nodes = np.zeros((2, k, new_lo.size, _XK.size))
         new_done = np.zeros(new_nodes.shape[2:], dtype=bool)
-        new = panels(new_lo, new_hi, new_tight, new_nodes, new_done)
+        new = panels(new_lo, new_hi, new_tight, new_nodes, new_done,
+                     sums[0, rest].sum(axis=0).reshape(k, n),
+                     int(geometry(lo[rest], hi[rest])[-1].sum()))
         m = idx.size
         lo[idx], hi[idx], tight[idx] = new_lo[:m], new_hi[:m], new_tight[:m]
         nodes[:, :, idx], done[idx], sums[:, idx] = new_nodes[:, :, :m], new_done[:m], new[:, :m]
@@ -613,10 +686,12 @@ def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
 
     Without ``table``, or with an empty ``NodeTable``, the call builds its
     table from nothing, and an empty ``table`` keeps it.  With a filled one,
-    the rows are first formed on its nodes (G does not depend on z), and only
-    the nodes and panels the rows still need cost kernel points, so
-    ``evaluations`` counts this call's points alone.  The rows then agree
-    with a table-free call within their errors, not bit for bit.
+    the rows are first formed on its nodes (G's value does not depend on z;
+    its inner accuracy, set by the rows of the call that computed it, is
+    tightened where these rows need more), and only the nodes and panels
+    the rows still need cost kernel points, so ``evaluations`` counts this
+    call's points alone.  The rows then agree with a table-free call within
+    their errors, not bit for bit.
     """
     spec = spec or DEFAULT_SPEC
     shape = np.shape(z)

@@ -171,6 +171,66 @@ def tight_nested(z, spec=None):
                                   rel_tol_outer=spec.rel_tol_outer / 100.0)
 
 
+@contextlib.contextmanager
+def recorded_nested(module):
+    """Inside the block, each ``integrate_nested`` call of ``module`` is recorded.
+
+    The list yielded gets one dict per call: its ``kernel``, its keyword
+    arguments ``kwargs``, the ``batch`` it returned, and the ``calls`` and
+    ``points`` the kernel got.
+    """
+    records = []
+
+    def recording(kernel, **kwargs):
+        record = {"kernel": kernel, "kwargs": kwargs, "calls": 0, "points": 0}
+
+        def counted(u, b):
+            record["calls"] += 1
+            record["points"] += np.broadcast(u, b).size
+            return kernel(u, b)
+
+        record["batch"] = v.integrate_nested(counted, **kwargs)
+        records.append(record)
+        return record["batch"]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "integrate_nested", recording)
+        yield records
+
+
+def assert_rows_within_errors_of_the_oracle(record, spec=None):
+    """Every row of a recorded 2-D call lies within its and the oracle's errors of it.
+
+    Each (channel, z) runs alone on ``nested_oracle`` at 100x tighter
+    tolerances than ``spec`` (the default spec if None), in
+    ``oracle_mode(z)``.  The oracle's error counts too: far out (z ~ 200)
+    its retarded substitution is the less accurate of the two.
+    """
+    spec = spec or v.DEFAULT_SPEC
+    tight = dataclasses.replace(spec, rel_tol_inner=spec.rel_tol_inner / 100.0,
+                                rel_tol_outer=spec.rel_tol_outer / 100.0)
+    kernel, kwargs, batch = record["kernel"], record["kwargs"], record["batch"]
+    for c, zc in enumerate(np.asarray(kwargs["z"]).tolist()):
+        for i, z in enumerate(zc):
+            row = batch[c][i]
+            ref = nested_oracle(lambda u, b: kernel(u, b)[c], z=z, spec=tight,
+                                u_scale=kwargs["u_scale"], mode=oracle_mode(z))
+            assert row.converged and ref.converged, (c, z)
+            assert abs(row.value - ref.value) <= row.error + ref.error, (c, z, row, ref)
+
+
+# The interior-atom stack of the benchmark's multilayer-scan workload: fig2
+# plates (mu(0) = 5) outside two films, the atom in the 6.0 vacuum gap
+MULTILAYER_SCAN_Z = np.linspace(0.5, 5.5, 5)
+
+
+def multilayer_scan_stack(z=MULTILAYER_SCAN_Z):
+    plate, film = fig2_material(mu0=5.0), material(wpe=1.5, wte=1.2, ge=0.001)
+    layers = ((plate, math.inf), (v.VACUUM, 0.5), (film, 0.2), (v.VACUUM, 6.0), (film, 0.3),
+              (v.VACUUM, 1.0), (plate, math.inf))
+    return v.LayerStack(tuple(v.Layer(m, d) for m, d in layers), 3, z)
+
+
 def halfspace_stack(mat, z):
     return v.LayerStack(
         layers=(v.Layer(mat, math.inf), v.Layer(v.VACUUM, math.inf)),

@@ -143,9 +143,16 @@ def test_sidecar_round_trip(tmp_path):
     meta = json.loads(sidecar.read_text())
     assert meta["command"] == "scan"
     assert meta["outputs"] == ["scan_plate.csv"]
+    # the kernel points of each series' potentials, as the wall sidecar counts them
+    cfg = parse_config(doc)
+    scan = v.potential_halfspace(cfg.atom, cfg.medium("plate"), cfg.scan.values(),
+                                 v.QuadratureSpec(**meta["quadrature"]))
+    assert meta["diagnostics"] == {"plate": {"kernel_points": sum(r.evaluations for r in scan)}}
+    assert meta["diagnostics"]["plate"]["kernel_points"] > 0
     out2 = tmp_path / "rerun"
     assert main(["scan", "--config", str(sidecar), "--out", str(out2)]) == 0
     assert (out2 / "scan_plate.csv").read_bytes() == first
+    assert (out2 / "scan.meta.json").read_bytes() == sidecar.read_bytes()
 
 
 def test_sidecar_records_library_versions(tmp_path, monkeypatch):

@@ -14,7 +14,8 @@ from vdwlayers.perturbation import (
     SECOND_ORDER_THIN_WEIGHTS,
 )
 
-from conftest import brute_force_2d, material, tight_nested
+from conftest import (assert_rows_within_errors_of_the_oracle, brute_force_2d, material,
+                      recorded_nested, tight_nested)
 
 
 def weak_material(chi_e=1e-3, chi_m=1e-3):
@@ -236,6 +237,35 @@ def test_additivity_check_cost_flat_in_z(atom, monkeypatch):
         counts.append(len(calls))
     assert len(set(counts)) == 1, counts
     assert counts[2] == 5, counts  # z = 1: the five terms, each with all its channels, once
+
+
+def _check_records(atom):
+    """The recorded ``integrate_nested`` calls of the benchmark's check: weak plate, z = 1."""
+    spec = v.QuadratureSpec(rel_tol_outer=1e-3, rel_tol_inner=1e-4)
+    with recorded_nested(perturbation) as records:
+        v.additivity_check(atom, weak_material(), 1.0, spec)
+    return records, spec
+
+
+def test_additivity_check_kernel_counts_pinned(atom):
+    # kernel calls and points do not depend on the machine: ceilings on the
+    # check guard the cost of its five tables
+    records, _ = _check_records(atom)
+    calls = sum(r["calls"] for r in records)
+    points = sum(r["points"] for r in records)
+    assert points == sum(r["batch"].evaluations for r in records)
+    assert (calls, points) <= (9, 15930), (calls, points)
+
+
+def test_additivity_check_terms_within_their_errors_of_the_oracle(atom):
+    # the thick terms at z = 1 and the thin and pair terms at the depth nodes
+    # of the first depth step: each row, whose table floored the inner
+    # integrals of the nodes it barely weighs, lies within its and the
+    # oracle's errors of the oracle run on it alone
+    records, spec = _check_records(atom)
+    assert [np.shape(r["kwargs"]["z"])[1] for r in records] == [1, 15, 1, 15, 15]
+    for record in records:
+        assert_rows_within_errors_of_the_oracle(record, spec)
 
 
 @pytest.mark.parametrize("order, geometry, kw", [

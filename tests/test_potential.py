@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import vdwlayers as v
 
-from conftest import (constant_material, fig2_material, halfspace_stack, material,
-                      nested_oracle, oracle_mode, tight_nested)
+from conftest import (assert_rows_within_errors_of_the_oracle, constant_material,
+                      fig2_material, halfspace_stack, material, multilayer_scan_stack,
+                      nested_oracle, oracle_mode, recorded_nested, tight_nested)
 
 
 def plate_stack(mat, d, z):
@@ -529,6 +530,32 @@ def test_interior_atom_walls_within_their_errors_of_the_oracle(atom, stack):
                             u_scale=kwargs["u_scale"], mode=oracle_mode(z))
         assert ref.converged, (c, z)
         assert abs(row.value - ref.value) <= row.error, (c, z, row, ref)
+
+
+def test_multilayer_scan_rows_within_their_errors_of_the_oracle(atom):
+    # the benchmark's interior-atom stack: both walls at its five positions are
+    # channels of one table, whose inner floors follow each node's weight in
+    # these rows; each row lies within its and the oracle's errors of the
+    # oracle run on it alone
+    from vdwlayers import potential as module
+
+    with recorded_nested(module) as records:
+        v.potential_multilayer(multilayer_scan_stack(), atom)
+    (record,) = records
+    assert np.shape(record["kwargs"]["z"]) == (2, 5)
+    assert_rows_within_errors_of_the_oracle(record)
+
+
+def test_multilayer_scan_kernel_counts_pinned(atom):
+    # kernel calls and points do not depend on the machine: ceilings on the
+    # benchmark's stack guard the table's cost
+    from vdwlayers import potential as module
+
+    with recorded_nested(module) as records:
+        v.potential_multilayer(multilayer_scan_stack(), atom)
+    (record,) = records
+    assert record["points"] == record["batch"].evaluations
+    assert (record["calls"], record["points"]) <= (3, 6645), record
 
 
 @st.composite

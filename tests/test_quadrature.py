@@ -607,6 +607,54 @@ def test_table_nodes_decayed_for_a_later_call_count_as_zero(atom):
         assert abs(row.value - ref.value) <= row.error + ref.error
 
 
+def test_table_nodes_floored_for_far_rows_are_computed_again_for_near_ones(atom):
+    # rows at z in [2, 5] barely weigh the nodes at b >= 1, so their inner
+    # integrals stop at floors far above rel_tol_inner |G|; rows at z in
+    # [0.01, 0.05] weigh them e^4 times more or beyond, and none of those
+    # nodes is kept at its floor: the second call computes them again, and
+    # its rows lie within their errors of the tight oracle
+    m = fig2_material()
+    table = v.NodeTable()
+
+    def loose():
+        """b of the computed nodes at b >= 1 whose inner error exceeds rel_tol_inner |G|."""
+        h = 0.5 * (table.hi - table.lo)
+        x = 0.5 * (table.lo + table.hi)[:, None] + h[:, None] * quadrature._XK
+        b = table.b_c * x / np.where(x < 1.0, 1.0 - x, 1.0)
+        val, err = table.nodes[:, 0]
+        return set(b[table.done & (b >= 1.0)
+                     & (err > v.DEFAULT_SPEC.rel_tol_inner * np.abs(val))].tolist())
+
+    v.potential_halfspace(atom, m, np.linspace(2.0, 5.0, 4), table=table)
+    floored = loose()
+    zs = np.geomspace(0.01, 0.05, 3)
+    rows = v.potential_halfspace(atom, m, zs, table=table)
+    assert floored and not floored & loose()
+    assert sum(r.evaluations for r in rows) > 0
+    for z, row in zip(zs.tolist(), rows):
+        with tight_nested(z) as tight:
+            ref = v.potential_halfspace(atom, m, z, tight)
+        assert row.converged and ref.converged, z
+        assert abs(row.value - ref.value) <= row.error, z
+
+
+def test_table_tightened_panels_serve_every_later_z(atom):
+    # a redone panel cannot be redone again, so its nodes take no floor: a
+    # kept table asked at ever smaller z still converges each time, and the
+    # last rows lie within their errors of the tight oracle
+    m = material(wpe=0.02, wte=1.03, wpm=2.0, wtm=1.0)
+    table = v.NodeTable()
+    for zs in (np.array([5.0, 6.5]), np.array([0.5, 0.65]), np.array([0.05, 0.065])):
+        rows = v.potential_halfspace(atom, m, zs, table=table)
+        assert all(r.converged for r in rows), zs
+    assert table.tight.any()
+    for z, row in zip(zs.tolist(), rows):
+        with tight_nested(z) as tight:
+            ref = v.potential_halfspace(atom, m, z, tight)
+        assert ref.converged
+        assert abs(row.value - ref.value) <= row.error, z
+
+
 def test_table_rejects_another_spec_u_scale_or_channel_count():
     def kernel(u, b):
         return np.cos(u)
