@@ -46,6 +46,7 @@ from .asymptotics import (
     WallEstimate,
     border_curve,
     locate_wall,
+    plate_coefficients,
     strong_limit_impedance_root,
     thick_c4_limits,
     thick_coefficients,

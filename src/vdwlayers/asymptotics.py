@@ -37,6 +37,7 @@ __all__ = [
     "BorderPoint",
     "WallEstimate",
     "thick_coefficients",
+    "plate_coefficients",
     "thick_c4_limits",
     "strong_limit_impedance_root",
     "thin_coefficients",
@@ -245,42 +246,83 @@ def thick_coefficients(atom: AtomModel, material: Medium,
                        spec: QuadratureSpec | None = None) -> ThickCoeffs:
     """C4, C3, C1 of a semi-infinite plate; C4 from the static bracket, C3 and C1 integrals.
 
-    For a perfect mirror C4 and C3 take their closed limits while C1 diverges
-    (no magnetic cutoff) and is reported as inf.
+    C3 and C1 are the two channels of one 1-D integral (see
+    ``plate_coefficients``).  For a perfect mirror C4 and C3 take their
+    closed limits while C1 diverges (no magnetic cutoff) and is reported as
+    inf.
     """
-    alpha0 = atom.alpha0
+    return plate_coefficients(atom, material, None, spec)[0]
+
+
+# The short-distance integrands of C3, C1, D4 and D2 (in that channel order)
+# from u, alpha(u), eps(u) and mu(u), and what a non-converged channel is called
+_SHORT_DISTANCE = (
+    (lambda u, a, e, m: a * (e - 1.0) / (e + 1.0), "short-distance 1/z^3 coefficient"),
+    (lambda u, a, e, m: u * u * a * ((e - 1.0) / (e + 1.0) + (m - 1.0) / (m + 1.0)
+                                     + 2.0 * e * (e * m - 1.0) / (e + 1.0) ** 2),
+     "short-distance 1/z coefficient"),
+    (lambda u, a, e, m: a * (e * e - 1.0) / e, "thin 1/z^4 coefficient"),
+    (lambda u, a, e, m: u * u * a * ((e * e - 1.0) / e + (m * m - 1.0) / m
+                                     + 2.0 * (e * m - 1.0) / e),
+     "thin 1/z^2 coefficient"),
+)
+
+
+def plate_coefficients(atom: AtomModel, material: Medium, thickness: float | None = None,
+                       spec: QuadratureSpec | None = None, *,
+                       thick: bool = True) -> tuple[ThickCoeffs | None, ThinCoeffs | None]:
+    """(ThickCoeffs, ThinCoeffs) of a material from one multi-channel 1-D integral.
+
+    The thick coefficients come unless ``thick`` is False, the thin ones
+    (of a plate ``thickness`` thick) when ``thickness`` is given; a part not
+    asked for is None.  Their short-distance integrals (C3 and C1, D4 and
+    D2) are the channels of one ``integrate_semi_infinite`` call on the
+    ``_char_scale`` map, which evaluates alpha(u), eps(u) and mu(u) once per
+    node, so each channel meets its own tolerance on the shared nodes.  A
+    channel that does not converge raises the RuntimeError naming its
+    coefficient, the first in the order C3, C1, D4, D2.  C4 and D5 are
+    closed forms in the statics.  A perfect mirror has the thick limits of
+    ``thick_coefficients`` and no thin part.
+    """
     if isinstance(material, PerfectMirror):
+        if not thick:
+            raise TypeError("thin-plate coefficients are undefined for a perfect mirror")
+        alpha0 = atom.alpha0
         if material.kind == "conducting":
             c4 = -3.0 * alpha0 / (32.0 * _PI2)
             c3 = atom.dipole_sq_total / (48.0 * math.pi)
         else:
             c4 = 3.0 * alpha0 / (32.0 * _PI2)
             c3 = 0.0
-        return ThickCoeffs(c4=c4, c3=c3, c1=math.inf, method="mirror-limit")
+        return ThickCoeffs(c4=c4, c3=c3, c1=math.inf, method="mirror-limit"), None
+    if thickness is not None:
+        _require_positive("thickness", thickness)
+    elif not thick:
+        raise ValueError("thin-plate coefficients need a thickness")
+    channels = ((_SHORT_DISTANCE[:2] if thick else ())
+                + (_SHORT_DISTANCE[2:] if thickness is not None else ()))
 
+    def integrand(u):
+        a, e, m = atom.alpha(u), material.eps(u), material.mu(u)
+        return np.stack([f(u, a, e, m) for f, _ in channels])
+
+    batch = integrate_semi_infinite(integrand, 0.0, spec=spec,
+                                    scale=_char_scale(atom, material))
+    integrals = [_require(res, what) for res, (_, what) in zip(batch, channels)]
     s = static_summary(material)
-    c4 = -(3.0 * alpha0 / (64.0 * _PI2)) * float(_c4_bracket([s.eps0], [s.mu0])[0])
-
-    scale = _char_scale(atom, material)
-
-    def f3(u):
-        e = material.eps(u)
-        return atom.alpha(u) * (e - 1.0) / (e + 1.0)
-
-    def f1(u):
-        e = material.eps(u)
-        m = material.mu(u)
-        return (
-            u * u * atom.alpha(u)
-            * ((e - 1.0) / (e + 1.0) + (m - 1.0) / (m + 1.0)
-               + 2.0 * e * (e * m - 1.0) / (e + 1.0) ** 2)
+    out_thick = out_thin = None
+    if thick:
+        c4 = -(3.0 * atom.alpha0 / (64.0 * _PI2)) * float(_c4_bracket([s.eps0], [s.mu0])[0])
+        out_thick = ThickCoeffs(c4=c4, c3=integrals[0] / (16.0 * _PI2),
+                                c1=integrals[1] / (16.0 * _PI2))
+    if thickness is not None:
+        d = thickness
+        d5 = -(atom.alpha0 * d / (160.0 * _PI2)) * (
+            (14.0 * s.eps0**2 - 9.0) / s.eps0 - (6.0 * s.mu0**2 - 1.0) / s.mu0
         )
-
-    c3 = _require(integrate_semi_infinite(f3, 0.0, spec=spec, scale=scale),
-                  "short-distance 1/z^3 coefficient") / (16.0 * _PI2)
-    c1 = _require(integrate_semi_infinite(f1, 0.0, spec=spec, scale=scale),
-                  "short-distance 1/z coefficient") / (16.0 * _PI2)
-    return ThickCoeffs(c4=c4, c3=c3, c1=c1)
+        out_thin = ThinCoeffs(d5=d5, d4=3.0 * d * integrals[-2] / (64.0 * _PI2),
+                              d2=d * integrals[-1] / (64.0 * _PI2), thickness=d)
+    return out_thick, out_thin
 
 
 def thick_c4_limits(eps0: float, mu0: float, alpha0: float) -> C4Limits:
@@ -376,36 +418,12 @@ def _bracketed_root(f, x1, x2, f1, f2, xatol: float):
 
 def thin_coefficients(atom: AtomModel, material: MaterialModel, thickness: float,
                       spec: QuadratureSpec | None = None) -> ThinCoeffs:
-    """D5, D4, D2 of an asymptotically thin plate; D5 is closed-form in the statics."""
-    if isinstance(material, PerfectMirror):
-        raise TypeError("thin-plate coefficients are undefined for a perfect mirror")
-    _require_positive("thickness", thickness)
-    d = thickness
-    alpha0 = atom.alpha0
-    s = static_summary(material)
-    d5 = -(alpha0 * d / (160.0 * _PI2)) * (
-        (14.0 * s.eps0**2 - 9.0) / s.eps0 - (6.0 * s.mu0**2 - 1.0) / s.mu0
-    )
+    """D5, D4, D2 of an asymptotically thin plate; D5 is closed-form in the statics.
 
-    scale = _char_scale(atom, material)
-
-    def f4(u):
-        e = material.eps(u)
-        return atom.alpha(u) * (e * e - 1.0) / e
-
-    def f2(u):
-        e = material.eps(u)
-        m = material.mu(u)
-        return (
-            u * u * atom.alpha(u)
-            * ((e * e - 1.0) / e + (m * m - 1.0) / m + 2.0 * (e * m - 1.0) / e)
-        )
-
-    d4 = 3.0 * d * _require(integrate_semi_infinite(f4, 0.0, spec=spec, scale=scale),
-                            "thin 1/z^4 coefficient") / (64.0 * _PI2)
-    d2 = d * _require(integrate_semi_infinite(f2, 0.0, spec=spec, scale=scale),
-                      "thin 1/z^2 coefficient") / (64.0 * _PI2)
-    return ThinCoeffs(d5=d5, d4=d4, d2=d2, thickness=d)
+    D4 and D2 are the two channels of one 1-D integral (see
+    ``plate_coefficients``).
+    """
+    return plate_coefficients(atom, material, thickness, spec, thick=False)[1]
 
 
 def thin_border_mu(eps0: float) -> float:

@@ -18,21 +18,24 @@ import dataclasses
 import functools
 import json
 import math
-import re
 import sys
 import warnings
 from pathlib import Path
 
 from . import __version__
-from .asymptotics import (
+# thick_coefficients and thin_coefficients are unused here but stay importable:
+# perfbench's asymptotics.coeffs probe wraps cli.thick_coefficients and
+# cli.thin_coefficients.
+from .asymptotics import (  # noqa: F401
     NoWallError,
     locate_wall,
     border_curve,
+    plate_coefficients,
     thick_coefficients,
     thin_coefficients,
     wall_estimate,
 )
-from .config import ConfigError, RunConfig, load_config, with_overrides
+from .config import ConfigError, RunConfig, _safe_label, load_config, with_overrides
 from .materials import PerfectMirror
 from .perturbation import additivity_check
 from .potential import (
@@ -59,19 +62,30 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _safe_label(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
+# A CSV cell's text by its exact type; any other type (numpy scalars) goes
+# through _fmt, which gives the same text for these
+_CSV_CELL = {
+    float: "{:.17g}".format,
+    int: str,
+    str: str,
+    bool: lambda c: "1" if c else "0",
+    type(None): lambda c: "nan",
+}
+
+
+def _json_cell(c):
+    """A float that is not finite as the text the CSV writes ("inf", "-inf", "nan")."""
+    return c if not isinstance(c, float) or math.isfinite(c) else f"{c:.17g}"
 
 
 def _write_table(path: Path, columns: list[str], rows: list[tuple], fmt: str) -> None:
     if fmt == "csv":
         lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(c) for c in row) for row in rows)
+        lines.extend(",".join(_CSV_CELL.get(type(c), _fmt)(c) for c in row) for row in rows)
         path.write_text("\n".join(lines) + "\n")
-    else:
-        doc = {"columns": columns, "rows": [[None if c is None else c for c in row]
-                                            for row in rows]}
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    else:  # strict JSON: no bare Infinity or NaN
+        doc = {"columns": columns, "rows": [[_json_cell(c) for c in row] for row in rows]}
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 @functools.cache
@@ -217,22 +231,19 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
     rows = []
     failures = []  # "<material>: <message>" per failure, for the sidecar
     for name in section.materials:
-        material = cfg.medium(name)
         try:
-            thick = thick_coefficients(cfg.atom, material, cfg.quadrature)
-            if isinstance(material, PerfectMirror):
-                rows.append((name, thick.c4, thick.c3, thick.c1,
-                             None, None, None, section.thickness, thick.method, "undefined"))
-            else:
-                thin = thin_coefficients(cfg.atom, material, section.thickness, cfg.quadrature)
-                rows.append((name, thick.c4, thick.c3, thick.c1,
-                             thin.d5, thin.d4, thin.d2, section.thickness,
-                             thick.method, thin.method))
+            thick, thin = plate_coefficients(cfg.atom, cfg.medium(name), section.thickness,
+                                             cfg.quadrature)
         except RuntimeError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             failures.append(f"{name}: {exc}")
             rows.append((name, None, None, None, None, None, None, section.thickness,
                          "failed", "failed"))
+        else:
+            thin_row = ((None, None, None) if thin is None  # a perfect mirror
+                        else (thin.d5, thin.d4, thin.d2))
+            rows.append((name, thick.c4, thick.c3, thick.c1, *thin_row, section.thickness,
+                         thick.method, "undefined" if thin is None else thin.method))
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = "csv" if args.format == "csv" else "json"
@@ -381,6 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "multilayers (reduced units).",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    common = argparse.ArgumentParser(add_help=False)  # every command's options, added once
+    common.add_argument("--config", required=True, type=Path, help="JSON config (or sidecar)")
+    common.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+    common.add_argument("--rel-tol", type=float, default=None,
+                        help="outer relative tolerance (inner is set 10x tighter)")
+    common.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility; starts no workers")
+    common.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="data file format")
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
         "scan": "potential vs atom position for the configured geometry",
@@ -390,15 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check": "first- and second-order additivity identity report",
     }
     for name, help_text in helps.items():
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", required=True, type=Path, help="JSON config (or sidecar)")
-        sp.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        sp.add_argument("--rel-tol", type=float, default=None,
-                        help="outer relative tolerance (inner is set 10x tighter)")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; starts no workers")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="data file format")
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 

@@ -38,6 +38,9 @@ reduced units):
 The name "vacuum" is predefined and reserved.  Each command requires its own
 section (scan additionally requires geometry; wall requires geometry and
 accepts an optional wall section); border's eps_min must be at least 1.
+The names of a geometry's material list must give distinct series file
+labels (each run of characters outside A-Za-z0-9_.- becomes "_"), since
+scan and wall name each series' files after its label.
 "quadrature" holds tolerances only: there is one engine and no key selects
 it.  A result sidecar (a JSON document with a "config" key) is itself
 accepted wherever a config is, enabling exact re-runs.
@@ -48,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,6 +144,11 @@ class RunConfig:
             raise ConfigError("geometry.kind must be 'multilayer' to build a stack")
         layers = tuple(Layer(self.medium(nm), th) for nm, th in geo.layers)
         return LayerStack(layers=layers, atom_layer=geo.atom_layer, atom_position=atom_position)
+
+
+def _safe_label(label: str) -> str:
+    """A material name as it appears in the names of the files of its series."""
+    return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
 
 
 def _expect_mapping(obj, path: str) -> dict:
@@ -251,9 +260,15 @@ def _parse_geometry(obj, path: str, materials: dict[str, Medium]) -> Geometry:
         names = [val] if isinstance(val, str) else val
         if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
             raise ConfigError(f"{path}.{key}: expected a material name or list of names")
+        labels = {}  # series file label -> the name that gives it
         for n in names:
             if n not in materials:
                 raise ConfigError(f"{path}.{key}: unknown material {n!r}")
+            label = _safe_label(n)
+            if label in labels:
+                raise ConfigError(f"{path}.{key}: {labels[label]!r} and {n!r} would write "
+                                  f"the same files (series label {label!r})")
+            labels[label] = n
         return tuple(names)
 
     if kind == "mirror":

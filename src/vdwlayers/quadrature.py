@@ -28,7 +28,11 @@ the table against a nested engine in three substitutions
 
 The 1-D integrals (``integrate_finite``, ``integrate_semi_infinite``) are
 one-row batches of the same driver; their integrand gets a flat array of
-the 15 nodes of every new panel and must return its values elementwise.
+the 15 nodes of every new panel and must return its values elementwise,
+either flat (one channel, an ``IntegralResult``) or with k channels on a
+leading axis.  The k channels share one node set, the driver steers on the
+worst channel's error over its tolerance, and the call returns a k-row
+``IntegralBatch`` with each channel's own value, error and convergence.
 """
 
 from __future__ import annotations
@@ -154,7 +158,8 @@ class IntegralResult:
 
 @dataclass(frozen=True, eq=False)
 class IntegralBatch:
-    """Results of one ``integrate_nested`` call, one row per entry of its 1-D or 2-D z.
+    """Results of one ``integrate_nested`` call, one row per entry of its 1-D or 2-D z,
+    or of one k-channel 1-D integral, one row per channel.
 
     ``evaluations`` (the kernel points of the call, the sum of
     ``row_evaluations``) and ``converged`` (every row's) summarize it like
@@ -339,24 +344,50 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions):
     return value, error, channel_converged, 15 + 30 * splits, converged
 
 
-def _oned(g, spec: QuadratureSpec | None, rel_tol: float | None) -> IntegralResult:
-    """The integral of ``g`` over [0, 1] as a one-row ``_lockstep``; ``g`` gets flat nodes."""
+def _shares(total: int, rows: int) -> np.ndarray:
+    """``total`` points split evenly over ``rows`` rows, the first rows taking the remainder."""
+    share, extra = divmod(total, rows)
+    out = np.full(rows, share, dtype=np.intp)
+    out[:extra] += 1
+    return out
+
+
+def _oned(g, spec: QuadratureSpec | None,
+          rel_tol: float | None) -> IntegralResult | IntegralBatch:
+    """The integral of ``g`` over [0, 1] as a one-row ``_lockstep``; ``g`` gets flat nodes.
+
+    A flat ``g`` gives an ``IntegralResult``.  A ``g`` that returns k
+    channels on a leading axis gives a k-row ``IntegralBatch``: the channels
+    share the panels, the worst channel (error over tolerance) picks the
+    panel to split, each row has its own value, error and convergence, and
+    the points are split evenly over the rows, so ``evaluations`` is the
+    points ``g`` got.
+    """
     spec = spec or DEFAULT_SPEC
     rel = rel_tol if rel_tol is not None else spec.rel_tol_outer
     _require_positive("rel_tol", rel)
-    val, err, _, evals, conv = _lockstep(
-        lambda rows, t: np.asarray(g(t.ravel()), dtype=float).reshape(t.shape),
-        1, rel, spec.abs_tol, spec.max_subdivisions,
-    )
-    return IntegralResult(float(val[0]), float(err[0]), int(evals[0]), bool(conv[0]))
+
+    def f(rows, t):
+        vals = np.asarray(g(t.ravel()), dtype=float)
+        return vals.reshape(t.shape if vals.ndim < 2 else vals.shape[:1] + t.shape)
+
+    val, err, channel_conv, evals, conv = _lockstep(f, 1, rel, spec.abs_tol,
+                                                    spec.max_subdivisions)
+    if val.ndim == 1:
+        return IntegralResult(float(val[0]), float(err[0]), int(evals[0]), bool(conv[0]))
+    return IntegralBatch(val[:, 0], err[:, 0], _shares(int(evals[0]), val.shape[0]),
+                         channel_conv[:, 0])
 
 
 def integrate_finite(f, a: float, b: float, *, spec: QuadratureSpec | None = None,
-                     rel_tol: float | None = None) -> IntegralResult:
+                     rel_tol: float | None = None) -> IntegralResult | IntegralBatch:
     """Adaptive integral of a vectorized integrand over the finite [a, b].
 
     The interval is mapped to [0, 1] by x = a + (b - a) t, so b < a gives the
-    negated integral over [b, a] and b == a gives zero.
+    negated integral over [b, a] and b == a gives zero.  ``f`` gets a flat
+    array of nodes; it returns the values there (an ``IntegralResult``) or
+    k channels of them on a leading axis (a k-row ``IntegralBatch``, see
+    ``integrate_semi_infinite``).
     """
     _require_finite("a", a)
     _require_finite("b", b)
@@ -380,12 +411,21 @@ def _mapped(f, a, scale):
 
 
 def integrate_semi_infinite(f, a: float = 0.0, *, spec: QuadratureSpec | None = None,
-                            scale: float = 1.0, rel_tol: float | None = None) -> IntegralResult:
+                            scale: float = 1.0,
+                            rel_tol: float | None = None) -> IntegralResult | IntegralBatch:
     """Adaptive integral of a vectorized, decaying integrand over [a, infinity).
 
     ``scale`` positions the quadrature nodes: half of them land below
     a + scale.  Exponential or power-law decay (1/x^2 or faster) is handled
     by the rational map; slower tails will not converge.
+
+    ``f`` gets a flat array of nodes.  Returning the values there gives an
+    ``IntegralResult``.  Returning k channels on a leading axis, shape
+    (k, nodes), gives a k-row ``IntegralBatch``: the channels share one node
+    set, refinement steers on the worst channel (error over tolerance), and
+    ``batch[c]`` is channel c's value, error and convergence, each at the
+    call's tolerances.  The points are split evenly over the channels, so
+    ``evaluations`` is the points ``f`` got.
     """
     _require_finite("a", a)
     _require_positive("scale", scale)
@@ -664,10 +704,8 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
     value, error = (np.array([math.fsum(col) for col in part.T.tolist()])
                     for part in (sums[0], sums[1] + sums[2]))
     converged = error <= np.maximum(spec.rel_tol_outer * np.abs(value), spec.abs_tol)
-    share, extra = divmod(evals, k * n)
-    row_evals = np.full(k * n, share, dtype=np.intp)
-    row_evals[:extra] += 1
-    return tuple(field.reshape(k, n) for field in (value, error, row_evals, converged))
+    return tuple(field.reshape(k, n)
+                 for field in (value, error, _shares(evals, k * n), converged))
 
 
 def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,

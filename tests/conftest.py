@@ -171,6 +171,20 @@ def tight_nested(z, spec=None):
                                   rel_tol_outer=spec.rel_tol_outer / 100.0)
 
 
+@pytest.fixture
+def oned_calls(monkeypatch):
+    """The result of each ``asymptotics.integrate_semi_infinite`` call of the test, in order."""
+    calls = []
+    semi_infinite = v.asymptotics.integrate_semi_infinite
+
+    def recording(*args, **kwargs):
+        calls.append(semi_infinite(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(v.asymptotics, "integrate_semi_infinite", recording)
+    return calls
+
+
 @contextlib.contextmanager
 def recorded_nested(module):
     """Inside the block, each ``integrate_nested`` call of ``module`` is recorded.

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,37 @@ def test_thin_coefficients_linear_in_thickness(atom):
 def test_thin_rejects_infinite_thickness(atom, call):
     with pytest.raises(ValueError, match="thickness must be finite and > 0, got inf"):
         call(atom, fig2_material())
+
+
+def test_plate_coefficients_agree_with_the_two_channel_calls(atom, oned_calls):
+    # C3, C1, D4 and D2 from one four-channel call, each within the tolerances
+    # of the two-channel calls of thick_coefficients and thin_coefficients
+    m = fig2_material()
+    thick, thin = v.plate_coefficients(atom, m, 0.5)
+    ref_thick, ref_thin = v.thick_coefficients(atom, m), v.thin_coefficients(atom, m, 0.5)
+    assert [len(c) for c in oned_calls] == [4, 2, 2]
+    assert (thick.c4, thin.d5, thin.thickness) == (ref_thick.c4, ref_thin.d5, 0.5)
+    for key, ours, ref in (("c3", thick, ref_thick), ("c1", thick, ref_thick),
+                           ("d4", thin, ref_thin), ("d2", thin, ref_thin)):
+        assert getattr(ours, key) == pytest.approx(getattr(ref, key), rel=3e-7), key
+    assert v.plate_coefficients(atom, m)[1] is None
+    assert v.plate_coefficients(atom, m, 0.5, thick=False)[0] is None
+    assert v.plate_coefficients(atom, v.CONDUCTING_MIRROR, 0.5) == (
+        v.thick_coefficients(atom, v.CONDUCTING_MIRROR), None)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda atom, m, spec: v.thick_coefficients(atom, m, spec), "short-distance 1/z coefficient"),
+    (lambda atom, m, spec: v.thin_coefficients(atom, m, 1.0, spec), "thin 1/z^2 coefficient"),
+    (lambda atom, m, spec: v.plate_coefficients(atom, m, 1.0, spec),
+     "short-distance 1/z coefficient"),
+], ids=["thick", "thin", "plate"])
+def test_nonconverged_coefficient_channel_is_named(atom, call, what):
+    # no electric response: the C3 and D4 channels are zero and converge, the
+    # magnetic channels cannot meet 1e-14 in one split
+    spec = v.QuadratureSpec(rel_tol_inner=1e-14, rel_tol_outer=1e-14, max_subdivisions=1)
+    with pytest.raises(RuntimeError, match=f"quadrature for {re.escape(what)} did not converge"):
+        call(atom, material(wpm=2.0, wtm=1.0, gm=0.001), spec)
 
 
 def test_thin_border_closed_form_zero_locus(atom):

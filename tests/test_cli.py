@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import vdwlayers as v
+from vdwlayers import cli
 from vdwlayers.cli import main
 from vdwlayers.config import parse_config
 
@@ -321,6 +322,94 @@ def test_scan_json_format(tmp_path):
     assert len(doc["rows"]) == 4
 
 
+def _strict_json(path):
+    def no_constant(token):
+        raise ValueError(f"{path.name}: bare {token} is not JSON")
+    return json.loads(path.read_text(), parse_constant=no_constant)
+
+
+def test_write_table_csv_cells_match_the_per_cell_formatter(tmp_path):
+    rows = [
+        (1.5, -0.0, math.inf, -math.inf, math.nan, 0.1, 1e-300, 3, -7, True, False),
+        (None, "a b", "", np.float64(0.1), np.float64(-math.inf), np.int64(7), np.bool_(True),
+         np.float32(0.1), 2**70, 5e-324),
+    ]
+    columns = ["c"] * len(rows[0])
+    path = tmp_path / "t.csv"
+    cli._write_table(path, columns, rows, "csv")
+    oracle = [",".join(columns)] + [",".join(cli._fmt(c) for c in row) for row in rows]
+    assert path.read_text() == "\n".join(oracle) + "\n"
+
+
+def test_write_table_json_is_strict(tmp_path):
+    path = tmp_path / "t.json"
+    cli._write_table(path, ["a", "b", "c", "d", "e"],
+                     [(math.inf, -math.inf, math.nan, None, 0.25), ("x", 1, True, 1e-300, -0.0)],
+                     "json")
+    doc = _strict_json(path)
+    assert doc["rows"] == [["inf", "-inf", "nan", None, 0.25], ["x", 1, True, 1e-300, -0.0]]
+
+
+def test_coeffs_json_with_a_conducting_mirror_is_strict(tmp_path):
+    doc = {
+        "atom": ATOM,
+        "materials": {"plate": PLATE, "wall": {"mirror": "conducting"}},
+        "coeffs": {"materials": ["plate", "wall"], "thickness": 1.0},
+    }
+    code, out = run(tmp_path, "coeffs", doc, "--format", "json")
+    assert code == 0
+    table = _strict_json(out / "coeffs.json")
+    rows = {r[0]: dict(zip(table["columns"], r)) for r in table["rows"]}
+    assert rows["wall"]["c1"] == "inf"
+    assert (rows["wall"]["d5"], rows["wall"]["thin_method"]) == (None, "undefined")
+    assert all(isinstance(rows["plate"][c], float) for c in ("c4", "c3", "c1", "d5", "d4", "d2"))
+
+
+@pytest.mark.parametrize("command", ["scan", "wall"])
+@pytest.mark.parametrize("names", [["a b", "a_b"], ["m", "m"]], ids=["same-label", "same-name"])
+def test_series_that_would_share_files_are_rejected(tmp_path, capsys, command, names):
+    doc = {
+        "atom": ATOM,
+        "materials": {n: PLATE for n in names},
+        "geometry": {"kind": "halfspace", "material": names},
+        "scan": {"z_min": 0.5, "z_max": 2.0, "points": 3},
+        "wall": {"z_min": 1e-3, "z_max": 1.0, "samples": 8},
+        "quadrature": FAST_QUAD,
+    }
+    code, out = run(tmp_path, command, doc)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config.geometry.material: {names[0]!r} and {names[1]!r} would write the same files" \
+        in err
+    assert not out.exists()
+
+
+def test_coeffs_makes_one_oned_integral_per_material(tmp_path, oned_calls):
+    doc = {
+        "atom": ATOM,
+        "materials": {"plate": PLATE, "weak": WEAK},
+        "coeffs": {"materials": ["plate", "weak"], "thickness": 1.0},
+    }
+    code, _ = run(tmp_path, "coeffs", doc)
+    assert code == 0
+    assert [len(c) for c in oned_calls] == [4, 4]
+
+
+def test_wall_makes_one_oned_integral_per_halfspace_material(tmp_path, oned_calls):
+    doc = {
+        "atom": ATOM,
+        "materials": {"plate": PLATE, "weak": {
+            "electric": [{"plasma": 0.02, "transverse": 1.03}],
+            "magnetic": [{"plasma": 2.0, "transverse": 1.0}]}},
+        "geometry": {"kind": "halfspace", "material": ["plate", "weak"]},
+        "wall": {"z_min": 1e-3, "z_max": 1.0, "samples": 8},
+        "quadrature": FAST_QUAD,
+    }
+    code, _ = run(tmp_path, "wall", doc)
+    assert code == 0
+    assert [len(c) for c in oned_calls] == [2, 2]
+
+
 # ---------------------------------------------------------------- coeffs / border / wall / check
 
 def test_coeffs_command(tmp_path):
@@ -350,7 +439,7 @@ def test_coeffs_failure_keeps_the_other_materials(tmp_path, capsys):
         "materials": {"bad": PLATE, "good": WEAK},
         "coeffs": {"materials": ["bad", "good"], "thickness": 1.0},
     }
-    real = v.thick_coefficients
+    real = v.plate_coefficients
     bad = v.MaterialModel(
         electric=[v.Resonance(**r) for r in PLATE["electric"]],
         magnetic=[v.Resonance(**r) for r in PLATE["magnetic"]])
@@ -361,7 +450,7 @@ def test_coeffs_failure_keeps_the_other_materials(tmp_path, capsys):
         return real(atom, material, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("vdwlayers.cli.thick_coefficients", flaky)
+        mp.setattr("vdwlayers.cli.plate_coefficients", flaky)
         code, out = run(tmp_path, "coeffs", doc)
     assert code == 3
     assert "numerical failure: quadrature for C3 did not converge" in capsys.readouterr().err

@@ -400,6 +400,63 @@ def test_oned_integrand_batch_shapes(kind):
     assert all(s == (30,) for s in shapes[1:])
 
 
+def _integrate_1d(kind, f, **kwargs):
+    if kind == "finite":
+        return v.integrate_finite(f, 0.0, 10.0, **kwargs)
+    return v.integrate_semi_infinite(f, 0.0, scale=1.0, **kwargs)
+
+
+_ONED_CHANNELS = (
+    lambda x: np.exp(-x) * np.cos(3.0 * x),
+    lambda x: x * np.exp(-2.0 * x),
+    lambda x: 1.0 / (1.0 + x * x) ** 2,
+)
+
+
+@pytest.mark.parametrize("kind", ["finite", "semi-infinite"])
+def test_oned_channels_each_within_their_error_of_their_own_integral(kind):
+    points = []
+
+    def f(x):
+        points.append(x.size)
+        return np.stack([g(x) for g in _ONED_CHANNELS])
+
+    batch = _integrate_1d(kind, f, rel_tol=1e-9)
+    assert isinstance(batch, v.IntegralBatch) and len(batch) == len(_ONED_CHANNELS)
+    assert batch.converged
+    assert batch.evaluations == sum(points)  # the probe contract: points the integrand got
+    for g, res in zip(_ONED_CHANNELS, batch):
+        ref = _integrate_1d(kind, g, rel_tol=1e-11)
+        assert ref.converged
+        assert res.error <= 1e-9 * abs(res.value)
+        assert abs(res.value - ref.value) <= res.error
+
+
+@pytest.mark.parametrize("kind", ["finite", "semi-infinite"])
+def test_oned_one_channel_axis_is_the_flat_result_as_one_row(kind):
+    g = _ONED_CHANNELS[0]
+    flat = _integrate_1d(kind, g)
+    assert isinstance(flat, v.IntegralResult)
+    batch = _integrate_1d(kind, lambda x: g(x)[None])
+    assert isinstance(batch, v.IntegralBatch) and len(batch) == 1
+    assert batch[0] == flat
+
+
+@pytest.mark.parametrize("kind", ["finite", "semi-infinite"])
+def test_oned_flags_the_failing_channel_alone(kind):
+    # a jump at an irrational point never meets 1e-9 in 10 splits; the smooth
+    # channel (constant in the semi-infinite map's t) does on the same nodes
+    spec = v.QuadratureSpec(rel_tol_outer=1e-9, max_subdivisions=10)
+
+    def smooth(x):
+        return 1.0 / (1.0 + x) ** 2
+
+    batch = _integrate_1d(kind, lambda x: np.stack([smooth(x), (x < 1.0 / math.pi) + 0.0]), spec=spec)
+    assert batch.row_converged.tolist() == [True, False]
+    assert not batch.converged
+    assert abs(batch[0].value - _integrate_1d(kind, smooth, rel_tol=1e-11).value) <= batch[0].error
+
+
 @pytest.mark.parametrize("z", [math.inf, math.nan, 0.0, -1.0])
 def test_nested_rejects_bad_z(z):
     with pytest.raises(ValueError, match="z must be finite and > 0"):
