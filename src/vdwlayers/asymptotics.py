@@ -98,13 +98,17 @@ class WallEstimate:
     """Location and height of the repulsive potential wall.
 
     ``consistency`` is z_max times the highest matter resonance frequency;
-    the short-distance estimates assume it is << 1.
+    the short-distance estimates assume it is << 1.  A numeric wall
+    (``locate_wall``) also carries its position error ``z_err`` and the
+    certified force F = -dU/dz at ``z_max``; the estimates carry neither.
     """
 
     z_max: float
     u_max: float
     method: str
     consistency: float | None = None
+    z_err: float | None = None
+    force: float | None = None
 
 
 # The static bracket B(eps0, mu0) = int_0^1 [(2 - t^2)(eps0 - h)/(eps0 + h)
@@ -604,34 +608,48 @@ def thin_wall_height_bound(atom: AtomModel, material: MaterialModel) -> float:
     )
 
 
-_WALL_POSITION_REL_TOL = 1e-4  # final wall bracket width relative to its midpoint
-_WALL_ROUND_POINTS = 65  # z per refinement round: 63 interior points and both bracket ends
+# The default scan grid of locate_wall, which the config's wall section takes too
+_WALL_Z_LO = 1e-3
+_WALL_Z_HI = 1e2
+_WALL_SAMPLES = 60
+# Root tolerance in log z of the table's force: far below the position error
+# err(F) / |F'| that the certifying call reports at the default tolerances
+_WALL_ROOT_TOL = 1e-12
+# Log-spaced z at which one force call samples the bracket around the scan's
+# maximum; a narrow first bracket saves root steps, each a force call too
+_WALL_ROOT_GRID = 33
+# The rows of the certifying call, by power: U, F = -dU/dz and F' = d^2U/dz^2
+_WALL_ROWS = ("U", "F", "F'")
 
 
-def locate_wall(potential: Callable, z_lo: float = 1e-3, z_hi: float = 1e2,
-                samples: int = 60) -> WallEstimate | None:
-    """Find the positive maximum of a potential on a log-spaced scan, or None.
+def locate_wall(potential: Callable, z_lo: float = _WALL_Z_LO, z_hi: float = _WALL_Z_HI,
+                samples: int = _WALL_SAMPLES, *, force: Callable) -> WallEstimate | None:
+    """Find the positive maximum of a potential as a zero of its force, or None.
 
-    ``potential`` maps a float z to a ``PotentialResult`` and a 1-D array of
-    z to a list of them, as the potentials of :mod:`vdwlayers.potential` do.
-    The scan is one array call.  A maximum at the first or last converged
-    sample is an edge of the grid, not a wall, and gives None.  Otherwise the
-    bracket between the maximum's two neighbours is refined in rounds: each
-    round is one array call on a fixed number of log-spaced z across the
-    bracket, ends included, so one node table serves them all; the next
-    bracket is the neighbours of that round's largest value.  A potential
-    that keeps one ``NodeTable`` across its calls makes the rounds almost
-    free: G(b) does not depend on z, so the scan's nodes serve every round,
-    which computes only the panels its rows still need (and a node again
-    where the scan's rows set its inner accuracy too loose).  Rounds stop
-    once the bracket is at most 1e-4 times its midpoint.  The wall is the
-    best point of the last round, with the height that round computed.  A
-    wall is declared only when its height exceeds ten times its quadrature
-    error estimate, so quadrature noise is never reported as a wall.  Scan
-    points that do not converge are skipped with a warning; a round point
-    that does not converge raises RuntimeError naming its z.  ``z_lo`` and
-    ``z_hi`` must be finite and > 0, and ``samples`` an integer >= 4, or
-    ValueError is raised before any potential is computed.
+    ``potential(z, power=0)`` maps a 1-D array of z to a list of
+    ``PotentialResult``, of (-d/dz)^p U for integers ``power`` p (one, or
+    one per z), as the potentials of :mod:`vdwlayers.potential` do;
+    ``force(z)`` maps a 1-D array of z to the force F = -dU/dz, without an
+    error, as ``NodeTable.sums(z, power=1)`` does on the table that
+    ``potential`` keeps.  The scan is one array call.  A maximum at the
+    first or last converged sample is an edge of the grid, not a wall, and
+    gives None.  Otherwise the wall is the root of F between the maximum's
+    two neighbours: one ``force`` call on ``_WALL_ROOT_GRID`` log-spaced z
+    there brackets it where F first turns from - to +, and
+    ``_bracketed_root`` finds it in log z on ``force`` alone, so a
+    potential that keeps its table computes no kernel point there.  One
+    certifying call at the root then computes the rows U, F and F' =
+    d^2U/dz^2 (powers 0, 1, 2), each to its own tolerance (see
+    ``integrate_nested``).  The wall's height is that U, its ``force`` that
+    F, and its ``z_err`` (err(F) + |F|) / |F'|, the distance to the true
+    root to first order.  A wall is declared only when its height exceeds
+    ten times its quadrature error estimate, so quadrature noise is never
+    reported as a wall.  Scan points that do not converge are skipped with
+    a warning; a certifying row that does not converge, a force without
+    that sign change and a root search that does not converge raise
+    RuntimeError naming z.  ``z_lo`` and ``z_hi`` must be finite and > 0,
+    and ``samples`` an integer >= 4, or ValueError is raised before any
+    potential is computed.
     """
     _require_positive("z_lo", z_lo)
     _require_positive("z_hi", z_hi)
@@ -650,21 +668,32 @@ def locate_wall(potential: Callable, z_lo: float = 1e-3, z_hi: float = 1e2,
         raise RuntimeError("no scan point converged")
 
     idx = max(range(len(values)), key=lambda i: values[i][1].value)
-    best_z, best = values[idx]
-    if best.value <= 0.0 or idx in (0, len(values) - 1):
+    if values[idx][1].value <= 0.0 or idx in (0, len(values) - 1):
         return None
 
     lo, hi = values[idx - 1][0], values[idx + 1][0]
-    while hi - lo > _WALL_POSITION_REL_TOL * 0.5 * (lo + hi):
-        zs = np.geomspace(lo, hi, _WALL_ROUND_POINTS)
-        results = potential(zs)
-        for z, res in zip(zs.tolist(), results):
-            if not res.converged:
-                raise RuntimeError(f"wall refinement: quadrature did not converge at z = {z:.6g}")
-        k = max(range(zs.size), key=lambda i: results[i].value)
-        best_z, best = float(zs[k]), results[k]
-        lo, hi = float(zs[max(k - 1, 0)]), float(zs[min(k + 1, zs.size - 1)])
+    grid = np.linspace(math.log(lo), math.log(hi), _WALL_ROOT_GRID)
+    f = np.asarray(force(np.exp(grid)), dtype=float)
+    turns = np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0))
+    if not turns.size:
+        raise RuntimeError(f"wall search: the force does not turn from - to + on "
+                           f"z = {lo:.6g} .. {hi:.6g}")
+    i = int(turns[0])
+    x, converged = _bracketed_root(lambda rows, x: np.asarray(force(np.exp(x)), dtype=float),
+                                   grid[i:i + 1], grid[i + 1:i + 2], f[i:i + 1], f[i + 1:i + 2],
+                                   _WALL_ROOT_TOL)
+    root = float(np.exp(x[0]))
+    if not converged[0]:
+        raise RuntimeError(f"wall search: the root of the force near z = {root:.6g} did not "
+                           f"converge in {_ROOT_MAX_STEPS} steps")
 
-    if best.value <= 10.0 * abs(best.error):
+    rows = potential(np.full(len(_WALL_ROWS), root), power=np.arange(len(_WALL_ROWS)))
+    for name, res in zip(_WALL_ROWS, rows):
+        if not res.converged:
+            raise RuntimeError(f"wall refinement: quadrature did not converge at z = {root:.6g} "
+                               f"in the {name} row")
+    height, f_root, curvature = rows
+    if height.value <= 10.0 * abs(height.error):
         return None
-    return WallEstimate(best_z, best.value, "numeric-scan")
+    z_err = (f_root.error + abs(f_root.value)) / abs(curvature.value)
+    return WallEstimate(root, height.value, "numeric-scan", z_err=z_err, force=f_root.value)

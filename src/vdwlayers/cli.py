@@ -140,27 +140,29 @@ def _scan_series(cfg: RunConfig) -> list[str]:
     return list(geo.materials)
 
 
-def _potential(cfg: RunConfig, name: str, z, table: NodeTable | None = None):
+def _potential(cfg: RunConfig, name: str, z, table: NodeTable | None = None, power=0):
     """Potential at z (a float, or a 1-D array giving a list) for the series ``name``.
 
     ``table`` is the series' ``NodeTable``, kept across calls; the
-    two-plates geometry takes none.
+    two-plates geometry takes none.  ``power`` p asks for (-d/dz)^p of it.
     """
     geo = cfg.geometry
     atom = cfg.atom
     spec = cfg.quadrature
     if geo.kind == "mirror":
-        return potential_halfspace(atom, PerfectMirror(geo.mirror), z, spec, table=table)
+        return potential_halfspace(atom, PerfectMirror(geo.mirror), z, spec, table=table,
+                                   power=power)
     if geo.kind == "multilayer":
-        return potential_multilayer(cfg.build_stack(z), atom, spec, table=table)
+        return potential_multilayer(cfg.build_stack(z), atom, spec, table=table, power=power)
     material = cfg.medium(name)
     if geo.kind == "halfspace":
-        return potential_halfspace(atom, material, z, spec, table=table)
+        return potential_halfspace(atom, material, z, spec, table=table, power=power)
     if geo.kind == "plate":
-        return potential_plate(atom, material, geo.thickness, z, spec, table=table)
+        return potential_plate(atom, material, geo.thickness, z, spec, table=table, power=power)
     if geo.kind == "thin-plate":
-        return potential_thin_plate(atom, material, geo.thickness, z, spec, table=table)
-    return potential_two_plates(atom, material, geo.separation, z, spec)
+        return potential_thin_plate(atom, material, geo.thickness, z, spec, table=table,
+                                    power=power)
+    return potential_two_plates(atom, material, geo.separation, z, spec, power=power)
 
 
 def _validate_scan_geometry(cfg: RunConfig) -> None:
@@ -284,53 +286,59 @@ def cmd_wall(cfg: RunConfig, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     failures = []  # "<material>: <method>: <message>" per failure, for the sidecar
-    diagnostics = {}  # per material: kernel points of the scan and of each round
+    diagnostics = {}  # per material: kernel points of the scan and the certifying call
     ext = "csv" if args.format == "csv" else "json"
 
     def failed(name, method, exc):
         print(f"numerical failure: {exc}", file=sys.stderr)
         failures.append(f"{name}: {method}: {exc}")
-        return (name, method, None, None, None, "failed")
+        return (name, method, None, None, None, None, "failed")
 
     for name in geo.materials:
         material = cfg.medium(name)
         rows = []
-        table = NodeTable()  # the scan's b nodes serve every round
-        points = []  # kernel points of each array call: the scan, then the rounds
+        # one table: the scan fills it, the force's root is read from its nodes,
+        # and the certifying call at the root computes only what its rows add
+        table = NodeTable()
+        points = []  # kernel points of each potential call: the scan, then the certifying one
 
-        def potential(z):
-            results = _potential(cfg, name, z, table=table)
+        def potential(z, power=0):
+            results = _potential(cfg, name, z, table=table, power=power)
             points.append(sum(r.evaluations for r in results))
             return results
 
-        try:
-            numeric = locate_wall(potential, z_lo=grid.lo, z_hi=grid.hi, samples=grid.points)
+        numeric = None
+        try:  # the geometries of wall have one wall: the table's one channel is the force
+            numeric = locate_wall(potential, z_lo=grid.lo, z_hi=grid.hi, samples=grid.points,
+                                  force=functools.partial(table.sums, power=1))
         except RuntimeError as exc:
             rows.append(failed(name, "numeric-scan", exc))
         else:
             if numeric is None:
-                rows.append((name, "numeric-scan", None, None, None, "no-wall"))
+                rows.append((name, "numeric-scan", None, None, None, None, "no-wall"))
             else:
-                rows.append((name, numeric.method, numeric.z_max, numeric.u_max,
+                rows.append((name, numeric.method, numeric.z_max, numeric.z_err, numeric.u_max,
                              numeric.consistency, "ok"))
         diagnostics[name] = {"scan_kernel_points": points[0] if points else None,
-                             "round_kernel_points": points[1:]}
+                             "certify_kernel_points": sum(points[1:]),
+                             "z_err": getattr(numeric, "z_err", None),
+                             "force": getattr(numeric, "force", None)}
 
         if geo.kind in ("halfspace", "thin-plate") and not isinstance(material, PerfectMirror):
             kind = "thick" if geo.kind == "halfspace" else "thin"
             try:
                 for est in wall_estimate(kind, cfg.atom, material, geo.thickness,
                                          cfg.quadrature):
-                    rows.append((name, est.method, est.z_max, est.u_max,
+                    rows.append((name, est.method, est.z_max, est.z_err, est.u_max,
                                  est.consistency, "ok"))
             except NoWallError:  # a RuntimeError too: an absent wall, not a failure
-                rows.append((name, "coefficient-ratio", None, None, None, "no-wall"))
+                rows.append((name, "coefficient-ratio", None, None, None, None, "no-wall"))
             except RuntimeError as exc:
                 rows.append(failed(name, "coefficient-ratio", exc))
 
         fname = f"wall_{_safe_label(name)}.{ext}"
         _write_table(out_dir / fname,
-                     ["material", "method", "z_max", "U_max", "consistency", "status"],
+                     ["material", "method", "z_max", "z_err", "U_max", "consistency", "status"],
                      rows, args.format)
         outputs.append(fname)
     _write_sidecar(out_dir, "wall", cfg, outputs, error="\n".join(failures) or None,

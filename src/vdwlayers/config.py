@@ -66,7 +66,7 @@ from .materials import (
     Resonance,
     Transition,
 )
-from .asymptotics import locate_wall
+from .asymptotics import _WALL_SAMPLES, _WALL_Z_HI, _WALL_Z_LO
 from .quadrature import QuadratureSpec
 from .stack import Layer, LayerStack
 
@@ -397,11 +397,10 @@ def parse_config(doc: dict) -> RunConfig:
 
         w = _expect_mapping(doc.get("wall", {}), "config.wall")
         _check_keys(w, "config.wall", (), ("z_min", "z_max", "samples"))
-        z_min, z_max, samples = locate_wall.__defaults__  # its scan grid is the default
-        wall = GridSection(
-            lo=_number(w.get("z_min", z_min), "config.wall.z_min", positive=True),
-            hi=_number(w.get("z_max", z_max), "config.wall.z_max", positive=True),
-            points=_integer(w.get("samples", samples), "config.wall.samples", minimum=4),
+        wall = GridSection(  # locate_wall's scan grid is the default
+            lo=_number(w.get("z_min", _WALL_Z_LO), "config.wall.z_min", positive=True),
+            hi=_number(w.get("z_max", _WALL_Z_HI), "config.wall.z_max", positive=True),
+            points=_integer(w.get("samples", _WALL_SAMPLES), "config.wall.samples", minimum=4),
             spacing="log",
         )
         if not wall.hi > wall.lo:

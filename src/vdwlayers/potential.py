@@ -24,6 +24,7 @@ throughout, so an all-vacuum scene gives exactly zero.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from .materials import (
     PerfectMirror,
     static_summary,
 )
-from .quadrature import (IntegralResult, NodeTable, QuadratureSpec, _as_rows,
+from .quadrature import (IntegralBatch, IntegralResult, NodeTable, QuadratureSpec, _as_rows,
                          _require_positive, integrate_nested, integrate_semi_infinite)
 from .stack import Layer, LayerStack, reflection_coefficients, thin_layer_reflection
 
@@ -61,7 +62,8 @@ class PotentialResult:
     """Potential in reduced energy units with quadrature bookkeeping.
 
     ``left``/``right`` are the contributions of the sub-stacks on either side
-    of the atom; they sum to ``value`` exactly.
+    of the atom; they sum to ``value`` exactly.  A potential asked for
+    ``power`` p holds (-d/dz)^p of the potential in every field.
     """
 
     value: float
@@ -123,10 +125,19 @@ def _wall_kernel(atom: AtomModel, refl):
     return kernel
 
 
-def _nested(kernel, z, spec, u_scale, table: NodeTable | None):
-    """``integrate_nested``, given ``table`` only when there is one (a test engine takes none)."""
+def _nested(kernel, z, spec, u_scale, table: NodeTable | None, power=0):
+    """``integrate_nested``, given ``table`` and ``power`` only when set (a test engine
+    takes neither)."""
     kept = {} if table is None else {"table": table}
+    if np.any(power):
+        kept["power"] = power
     return integrate_nested(kernel, z=z, spec=spec, u_scale=u_scale, **kept)
+
+
+def _odd(power, n: int) -> np.ndarray:
+    """Which of n rows have an odd ``power``: a wall at distance d - z turns
+    (-d/dw)^p of its term into (-1)^p (-d/dz)^p."""
+    return np.broadcast_to(np.asarray(power) % 2 == 1, (n,))
 
 
 def _wall_sum(left, right) -> PotentialResult:
@@ -137,27 +148,29 @@ def _wall_sum(left, right) -> PotentialResult:
 
 
 def potential_halfspace(atom: AtomModel, material: Medium, z,
-                        spec: QuadratureSpec | None = None, *, table: NodeTable | None = None):
+                        spec: QuadratureSpec | None = None, *, table: NodeTable | None = None,
+                        power=0):
     """Potential in front of a semi-infinite magnetodielectric half-space."""
     _as_rows("z", z)  # an error names z; LayerStack would name it atom_position
     stack = LayerStack((Layer(material, math.inf), Layer(VACUUM, math.inf)), 1, z)
-    return potential_multilayer(stack, atom, spec, table=table)
+    return potential_multilayer(stack, atom, spec, table=table, power=power)
 
 
 def potential_plate(atom: AtomModel, material: Medium, thickness: float, z,
-                    spec: QuadratureSpec | None = None, *, table: NodeTable | None = None):
+                    spec: QuadratureSpec | None = None, *, table: NodeTable | None = None,
+                    power=0):
     """Potential in front of a plate of finite thickness."""
     _as_rows("z", z)  # an error names z; LayerStack would name it atom_position
     _require_positive("thickness", thickness)
     stack = LayerStack(
         (Layer(VACUUM, math.inf), Layer(material, thickness), Layer(VACUUM, math.inf)), 2, z
     )
-    return potential_multilayer(stack, atom, spec, table=table)
+    return potential_multilayer(stack, atom, spec, table=table, power=power)
 
 
 def potential_thin_plate(atom: AtomModel, material: MaterialModel, thickness: float, z,
                          spec: QuadratureSpec | None = None, *,
-                         table: NodeTable | None = None):
+                         table: NodeTable | None = None, power=0):
     """Thin-plate potential, exactly linear in the thickness.
 
     Valid for n(0) * thickness << z; one warning per call (not an error)
@@ -176,14 +189,14 @@ def potential_thin_plate(atom: AtomModel, material: MaterialModel, thickness: fl
             stacklevel=2,
         )
     refl = partial(thin_layer_reflection, material, thickness)
-    batch = _nested(_wall_kernel(atom, refl), zs, spec, _u_scale(atom, material), table)
+    batch = _nested(_wall_kernel(atom, refl), zs, spec, _u_scale(atom, material), table, power)
     return _per_z(z, [PotentialResult(r.value, r.error, r.value, 0.0, r.converged, r.evaluations)
                       for r in batch])
 
 
 def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z,
                          spec: QuadratureSpec | None = None,
-                         multiple_reflections: bool = True):
+                         multiple_reflections: bool = True, *, power=0):
     """Potential of an atom between two identical infinitely thick plates.
 
     With ``multiple_reflections=False`` the result is the sum of the two
@@ -194,17 +207,21 @@ def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z
     _require_positive("separation", separation)
     zs = _as_rows("z", z, separation)
     if not multiple_reflections:  # both walls' distances as the rows of one table
-        rows = potential_halfspace(atom, material, np.concatenate([zs, separation - zs]), spec)
-        return _per_z(z, [_wall_sum(a, b) for a, b in zip(rows[:zs.size], rows[zs.size:])])
+        both = np.tile(np.broadcast_to(power, zs.shape), 2) if np.any(power) else 0
+        rows = potential_halfspace(atom, material, np.concatenate([zs, separation - zs]), spec,
+                                   power=both)
+        right = [dataclasses.replace(r, value=-r.value) if odd else r
+                 for r, odd in zip(rows[zs.size:], _odd(power, zs.size).tolist())]
+        return _per_z(z, [_wall_sum(a, b) for a, b in zip(rows[:zs.size], right)])
     stack = LayerStack(
         (Layer(material, math.inf), Layer(VACUUM, separation), Layer(material, math.inf)), 1, z
     )
-    return potential_multilayer(stack, atom, spec)
+    return potential_multilayer(stack, atom, spec, power=power)
 
 
 def potential_multilayer(stack: LayerStack, atom: AtomModel,
                          spec: QuadratureSpec | None = None, *,
-                         table: NodeTable | None = None):
+                         table: NodeTable | None = None, power=0):
     """Potential of an atom inside an arbitrary planar multilayer stack.
 
     The atom layer must be vacuum.  For an interior atom layer the result is
@@ -215,6 +232,12 @@ def potential_multilayer(stack: LayerStack, atom: AtomModel,
     lets later calls at other positions reuse the nodes of earlier ones
     (the kernel does not depend on the atom position); the half-space,
     plate and thin-plate potentials take and pass it the same way.
+
+    ``power`` (integers p >= 0, one or one per position) asks for
+    (-d/dz)^p of the potential instead, z the atom position: p = 1 is the
+    force F = -dU/dz and p = 2 is d^2U/dz^2, with ``left`` and ``right``
+    the two walls' shares (the right wall's term, a function of d - z,
+    takes the sign (-1)^p).  Every potential passes it the same way.
     """
     j = stack.atom_layer
     u_scale = _u_scale(atom, *(layer.material for layer in stack.layers))
@@ -237,7 +260,10 @@ def potential_multilayer(stack: LayerStack, atom: AtomModel,
         r_s, r_p = walls(r)
         return r_s / r.d_s, r_p / r.d_p
 
-    batch = _nested(_wall_kernel(atom, refl), z, spec, u_scale, table)
+    batch = _nested(_wall_kernel(atom, refl), z, spec, u_scale, table, power)
     zero = [IntegralResult(0.0, 0.0, 0, True)] * position.size
     left, right = batch if z.ndim == 2 else (zero, batch) if j == 0 else (batch, zero)
+    if z.ndim == 2 and np.any(power):  # the right wall sits at d - z
+        right = IntegralBatch(np.where(_odd(power, position.size), -right.values, right.values),
+                              right.errors, right.row_evaluations, right.row_converged)
     return _per_z(stack.atom_position, [_wall_sum(a, b) for a, b in zip(left, right)])

@@ -16,7 +16,10 @@ row, and it must return the values at the broadcast shape (after a leading
 axis of k channels), computed elementwise, so that a point's value does not
 depend on the rest of the batch.  ``b`` is the vacuum axial wavenumber of
 the atom layer, so the change of variables is identical for every stack.
-The rows, one per (channel, z), share the table's panels: each row's error
+The rows, one per (channel, z), may weigh e^{-2 b z} by (2 b)^p, which makes
+them (-d/dz)^p of U: p = 1 is the force, and a row with p >= 1 scales its
+tolerance on the integral of its |integrand|, as its value vanishes at a
+wall.  They share the table's panels: each row's error
 adds its own outer and weighted inner estimates, the same input gives the
 same bytes, and a row is not the float call bit for bit.  A node's inner
 integral stops at max(rel_tol_inner |G|, a), where the floor a is a share
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,6 +91,8 @@ _WK = np.concatenate([_WK_HALF[:7], _WK_HALF[::-1]])
 _WG = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])  # weights for _XK[1::2]
 
 _EPS = float(np.finfo(float).eps)
+# QUADPACK's rounding floor of a panel's error, per unit of its integral of |f|
+_ROUND_OFF = 50.0 * _EPS
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -147,7 +152,8 @@ class IntegralResult:
     """Value with a conservative error estimate.
 
     ``converged`` implies error <= max(rel_tol * |value|, abs_tol) at the
-    tolerances the integral was run with.
+    tolerances the integral was run with (for a row of ``integrate_nested``
+    with power p >= 1, rel_tol times the integral of its |integrand|).
     """
 
     value: float
@@ -218,7 +224,7 @@ def _estimate(fx, h):
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((err != 0.0) & (resasc != 0.0), scaled, err)
-    return resk, np.maximum(err, 50.0 * _EPS * resabs), resabs
+    return resk, np.maximum(err, _ROUND_OFF * resabs), resabs
 
 
 def _eval_panels(f, rows, a, b):
@@ -454,6 +460,23 @@ _TABLE_INNER_TIGHTEN = 1e-2
 _TABLE_INNER_FLOOR = 0.02
 
 
+def _outer_nodes(b_c: float, lo: np.ndarray, hi: np.ndarray):
+    """Half-widths, 1 - x at the nodes x (1 where x rounds to 1), b, and whether x < 1 and b > 0."""
+    h = 0.5 * (hi - lo)
+    x = 0.5 * (lo + hi)[:, None] + h[:, None] * _XK
+    onemx = 1.0 - x
+    safe = np.where(onemx > 0.0, onemx, 1.0)
+    b = b_c * x / safe
+    return h, safe, b, (onemx > 0.0) & (b > 0.0)
+
+
+def _outer_weight(b, z, power):
+    """e^{-2 b z}, times (2 b)^p where ``power`` p is given (formed as one exponential)."""
+    if power is None:
+        return np.exp(-2.0 * b * z)
+    return np.exp(power * np.log(2.0 * b) - 2.0 * b * z)
+
+
 def _greedy_cover(gain, excess):
     """Panels to work on: per column, the fewest largest ``gain`` entries reaching ``excess``."""
     order = np.argsort(-gain, axis=0, kind="stable")
@@ -481,7 +504,11 @@ class NodeTable:
     panel at the tightened tolerance.  The table belongs to one kernel,
     which the engine cannot check: using it with another kernel is the
     caller's error.  Using it with another ``spec``, ``u_scale`` or channel
-    count raises ValueError.
+    count raises ValueError.  The rows of a call may carry powers p (see
+    ``integrate_nested``): the nodes are the same for every p, and a row
+    with p >= 1 sets the floors and redoes panels with its own tolerance,
+    rel_tol_outer times the integral of its |integrand|.  ``sums`` forms
+    rows of any z and p on the stored nodes alone.
     """
 
     spec: QuadratureSpec | None = None
@@ -493,6 +520,41 @@ class NodeTable:
     tight: np.ndarray | None = None
     nodes: np.ndarray | None = None
     done: np.ndarray | None = None
+    _summed: tuple | None = field(default=None, init=False, repr=False)  # ``sums``'s, per fill
+
+    def sums(self, z, power=0):
+        """The rows int_0^inf db (2 b)^p e^{-2 b z} G(b) summed on the stored nodes alone.
+
+        ``z`` is a float, or a 1-D array for a one-channel table, or a
+        (channels, n) array, and ``power`` (integers p >= 0) broadcasts
+        against it; the result has the shape of ``z``.  No kernel call and
+        no error estimate: each row is the plain sum of h w_j (2 b_j)^p
+        e^{-2 b_j z} G_j jac_j over the table's nodes, so it agrees with the
+        call that filled the table to rounding at that call's z and is as
+        good as the nodes elsewhere (a node the table never computed counts
+        as zero).  A wall search reads its force (p = 1) here between calls.
+        """
+        if self.spec is None:
+            raise ValueError("this NodeTable is empty: fill it with integrate_nested first")
+        shape = np.shape(z)
+        if (shape[:1] != (self.channels,)) if len(shape) == 2 else self.channels != 1:
+            raise ValueError(f"z of shape {shape} does not fit a table of "
+                             f"{self.channels} channel(s)")
+        zs = np.asarray(z, dtype=float).reshape(self.channels, -1)
+        power = _as_power(power, shape)
+        power = None if power is None else power.reshape(zs.shape)[..., None]
+        if self._summed is None or self._summed[0] is not self.nodes:  # filled since
+            h, _, b, inside = _outer_nodes(self.b_c, self.lo, self.hi)
+            stored = self.done & inside
+            self._summed = (self.nodes, -2.0 * b[stored], np.log(2.0 * b[stored]),
+                            (h[:, None] * _WK * self.nodes[0])[:, stored])
+        # -2 b, log(2 b) and h w G jac (channel, node) of the stored nodes
+        _, minus_2b, log_2b, weighted = self._summed
+        exponent = minus_2b * zs[..., None]
+        if power is not None:
+            exponent += power * log_2b
+        rows = np.einsum("cim,cm->ci", np.exp(exponent), weighted)
+        return rows.reshape(shape) if shape else float(rows[0, 0])
 
     def _require_match(self, spec: QuadratureSpec, u_scale: float, channels: int) -> None:
         for name, theirs, ours in (("spec", self.spec, spec), ("u_scale", self.u_scale, u_scale),
@@ -503,11 +565,16 @@ class NodeTable:
 
 
 def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
-                table: NodeTable | None = None):
+                table: NodeTable | None = None, power: np.ndarray | None = None):
     """(value, error, evaluations, converged), each (k, n), from one b-node table.
 
-    Row (c, i) is int_0^inf db e^{-2 b z[c, i]} G(b), G(b) = int_0^b du
-    kernel(u, b)[c] (a one-channel kernel may omit the channel axis).  The
+    Row (c, i) is int_0^inf db (2 b)^p e^{-2 b z[c, i]} G(b), G(b) = int_0^b
+    du kernel(u, b)[c] (a one-channel kernel may omit the channel axis), with
+    p = power[c, i], or 0 for every row when ``power`` is None.  A row's
+    tolerance tau is max(rel_tol_outer |V|, abs_tol) for p = 0 and
+    max(rel_tol_outer A, abs_tol) for p >= 1, with A the integral of the
+    row's |integrand| (a force vanishes at a wall, so |V| cannot scale its
+    tolerance); the floors, the steering and ``converged`` use that tau.  The
     outer x in (0, 1) maps to b = b_c x / (1 - x), the whole half-line, with
     first panels even in log b.  The channels of G at a node are one row of
     an inner ``_lockstep`` over t in [0, 1], steered by the worst channel,
@@ -521,7 +588,8 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
     e^{-2 b_j z_ci} is the node's weight in row (c, i), tau_ci =
     max(rel_tol_outer |V_ci|, abs_tol) that row's tolerance from the rows
     V of the table's nodes (the stored ones, and the new ones at their first
-    estimate), N the nodes the call needs and theta ``_TABLE_INNER_FLOOR``.
+    estimate; W and A carry the (2 b)^p of a row with p >= 1), N the nodes the
+    call needs and theta ``_TABLE_INNER_FLOOR``.
     The floors thus add at most theta tau_ci to row (c, i), whose error still
     adds every weighted inner error.  A row or weight that is not finite,
     and a tightened panel, give the floor ``spec.abs_tol``.  Floored nodes
@@ -546,6 +614,7 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
     """
     k, n = z.shape
     z_min = float(z.min())
+    flat_power = None if power is None else power.reshape(-1)  # per (channel, z) column
     if table is not None and table.spec is not None:
         table._require_match(spec, u_scale, k)
         b_c = table.b_c
@@ -567,22 +636,27 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
 
     def geometry(lo, hi):
         """Half-widths, 1 - x at the nodes x (1 where x rounds to 1), b, and the nodes needed."""
-        h = 0.5 * (hi - lo)
-        x = 0.5 * (lo + hi)[:, None] + h[:, None] * _XK
-        onemx = 1.0 - x
-        safe = np.where(onemx > 0.0, onemx, 1.0)
-        b = b_c * x / safe
-        return h, safe, b, (onemx > 0.0) & (b > 0.0) & (2.0 * b * z_min <= _TABLE_MAX_DECAY)
+        h, safe, b, inside = _outer_nodes(b_c, lo, hi)
+        return h, safe, b, inside & (2.0 * b * z_min <= _TABLE_MAX_DECAY)
 
-    def panels(lo, hi, tight, nodes, done, rest_val, rest_needed):
+    def tolerance(value, floor):
+        """max(rel_tol_outer s, abs_tol) per row, s = |value|, or in a row with p >= 1
+        the integral of |integrand|, the rounding ``floor`` over _ROUND_OFF."""
+        scale = np.abs(value)
+        if power is not None:
+            scale = np.where(flat_power > 0, floor / _ROUND_OFF, scale)
+        return np.maximum(spec.rel_tol_outer * scale, spec.abs_tol)
+
+    def panels(lo, hi, tight, nodes, done, rest_val, rest_abs, rest_needed):
         """(value, outer estimate, weighted inner error, rounding floor) x panel x row.
 
         The nodes that these rows need and ``done`` lacks are computed into
         ``nodes`` (G and its inner error, times the jacobian) and marked in
-        ``done``, in place.  ``rest_val`` (k, n) and ``rest_needed`` are the
-        row values and the needed node count of the table's other panels;
-        with these panels' nodes they set the floors of the new inner
-        integrals.
+        ``done``, in place.  ``rest_val`` (k, n), ``rest_abs`` (their
+        integrals of |integrand|, used by the rows with p >= 1) and
+        ``rest_needed`` are the row values and the needed node count of the
+        table's other panels; with these panels' nodes they set the floors of
+        the new inner integrals.
         """
         nonlocal evals
         h, safe, b, needed = geometry(lo, hi)
@@ -614,14 +688,21 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
                 val = np.where(done, nodes[0], 0.0)
                 val[:, busy] = first[:, :-1] * jac
                 val = (val * hw)[:, needed]
-                lowest = np.full((k, bb.size - 1), np.inf)  # least log(tol) + 2 b z
+                lowest = np.full((k, bb.size - 1), np.inf)  # least log(tol / weight)
                 for j in range(0, n, _TABLE_Z_CHUNK):  # bounds the (channel, z, node) temporaries
-                    zj = z[:, j:j + _TABLE_Z_CHUNK, None]
-                    row = rest_val[:, j:j + _TABLE_Z_CHUNK] + np.einsum(
-                        "cij,cj->ci", np.exp(-2.0 * b[needed] * zj), val)
+                    cols = slice(j, j + _TABLE_Z_CHUNK)
+                    zj = z[:, cols, None]
+                    pj = None if power is None else power[:, cols, None]
+                    weight = _outer_weight(b[needed], zj, pj)
+                    row = rest_val[:, cols] + np.einsum("cij,cj->ci", weight, val)
+                    if power is not None:  # a row with p >= 1 scales on its |integrand|
+                        row = np.where(pj[..., 0] > 0, rest_abs[:, cols] + np.einsum(
+                            "cij,cj->ci", weight, np.abs(val)), row)
                     log_tol = np.log(np.maximum(spec.rel_tol_outer * np.abs(row), spec.abs_tol))
-                    lowest = np.minimum(lowest, (log_tol[:, :, None] + 2.0 * bb[:-1, 0] * zj)
-                                        .min(axis=1))
+                    log_tol = log_tol[:, :, None] + 2.0 * bb[:-1, 0] * zj
+                    if power is not None:
+                        log_tol = log_tol - pj * np.log(2.0 * bb[:-1, 0])
+                    lowest = np.minimum(lowest, log_tol.min(axis=1))
                 floor = np.exp(np.minimum(lowest + log_share, _TABLE_MAX_DECAY))  # finite
                 floor = np.where(np.isfinite(lowest) & ~unfloored,
                                  np.maximum(floor, spec.abs_tol), spec.abs_tol)
@@ -643,18 +724,20 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
         for ch in range(k):
             for j in range(0, n, _TABLE_Z_CHUNK):  # bounds the (panel, z, node) temporaries
                 cols = slice(ch * n + j, ch * n + min(j + _TABLE_Z_CHUNK, n))
-                decay = np.exp(-2.0 * b[:, None, :] * z[ch, j:j + _TABLE_Z_CHUNK, None])
+                decay = _outer_weight(b[:, None, :], z[ch, j:j + _TABLE_Z_CHUNK, None],
+                                      None if power is None
+                                      else power[ch, j:j + _TABLE_Z_CHUNK, None])
                 out[0, :, cols], out[1, :, cols], resabs = _estimate(
                     val_j[ch, :, None, :] * decay, h[:, None])
                 out[2, :, cols] = h[:, None] * _rowdot(err_j[ch, :, None, :] * decay, _WK)
-                out[3, :, cols] = 50.0 * _EPS * resabs
+                out[3, :, cols] = _ROUND_OFF * resabs
         return out
 
-    sums = panels(lo, hi, tight, nodes, done, np.zeros((k, n)), 0)
+    sums = panels(lo, hi, tight, nodes, done, np.zeros((k, n)), np.zeros((k, n)), 0)
     while True:
         _, outer, inner, floor = sums
         tot_val, tot_outer, tot_inner, tot_floor = sums.sum(axis=1)
-        tol = np.maximum(spec.rel_tol_outer * np.abs(tot_val), spec.abs_tol)
+        tol = tolerance(tot_val, tot_floor)
         short = tot_outer + tot_inner > tol
         mid = 0.5 * (lo + hi)
         splittable = (lo < mid) & (mid < hi)
@@ -689,6 +772,8 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
         new_done = np.zeros(new_nodes.shape[2:], dtype=bool)
         new = panels(new_lo, new_hi, new_tight, new_nodes, new_done,
                      sums[0, rest].sum(axis=0).reshape(k, n),
+                     None if power is None
+                     else sums[3, rest].sum(axis=0).reshape(k, n) / _ROUND_OFF,
                      int(geometry(lo[rest], hi[rest])[-1].sum()))
         m = idx.size
         lo[idx], hi[idx], tight[idx] = new_lo[:m], new_hi[:m], new_tight[:m]
@@ -703,13 +788,29 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
         table.lo, table.hi, table.tight, table.nodes, table.done = lo, hi, tight, nodes, done
     value, error = (np.array([math.fsum(col) for col in part.T.tolist()])
                     for part in (sums[0], sums[1] + sums[2]))
-    converged = error <= np.maximum(spec.rel_tol_outer * np.abs(value), spec.abs_tol)
+    converged = error <= tolerance(value, None if power is None else sums[3].sum(axis=0))
     return tuple(field.reshape(k, n)
                  for field in (value, error, _shares(evals, k * n), converged))
 
 
+def _as_power(power, shape) -> np.ndarray | None:
+    """``power`` as non-negative integers broadcast to ``shape``, or None where all are 0."""
+    if type(power) is int and power == 0:  # the default: no array work
+        return None
+    p = np.asarray(power)
+    if p.dtype.kind not in "iu" or p.min(initial=0) < 0:  # bools are kind "b"
+        raise ValueError(f"power must be integers >= 0, got {power!r}")
+    if not p.any():
+        return None
+    try:
+        return np.broadcast_to(p, shape)
+    except ValueError:
+        raise ValueError(f"power of shape {p.shape} does not broadcast to z's "
+                         f"{shape}") from None
+
+
 def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
-                     u_scale: float = 1.0, table: NodeTable | None = None):
+                     u_scale: float = 1.0, table: NodeTable | None = None, power=0):
     """Integral of e^{-2 b z} kernel(u, b) over u >= 0, b >= u, for each z, from one table.
 
     A float ``z`` returns an ``IntegralResult``, a 1-D array an
@@ -730,6 +831,15 @@ def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
     the rows still need cost kernel points, so ``evaluations`` counts this
     call's points alone.  The rows then agree with a table-free call within
     their errors, not bit for bit.
+
+    ``power``, integers p >= 0 broadcast against ``z``, weighs each row's
+    outer integrand by (2 b)^p: the row is then (-d/dz)^p of the p = 0 row,
+    so p = 1 is the force F = -dU/dz and p = 2 is d^2U/dz^2.  A row with
+    p >= 1 meets max(rel_tol_outer A, abs_tol), A the integral of its
+    |integrand|, not rel_tol_outer times its own |value|: a force vanishes
+    at a wall, where no relative tolerance of its value can be met.  Rows
+    with p = 0 meet the usual tolerance, and when every p is 0 the call is
+    the call without ``power``, bit for bit.
     """
     spec = spec or DEFAULT_SPEC
     shape = np.shape(z)
@@ -739,7 +849,10 @@ def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
         zs = _as_rows("z", np.reshape(z, -1)).reshape(shape)
     else:
         zs = _as_rows("z", z)[None]
-    fields = _table_rows(kernel, zs, spec, u_scale, table) if zs.size else (
+    power = _as_power(power, shape)
+    if power is not None:
+        power = power.reshape(zs.shape)
+    fields = _table_rows(kernel, zs, spec, u_scale, table, power) if zs.size else (
         np.zeros(zs.shape), np.zeros(zs.shape), np.zeros(zs.shape, dtype=np.intp),
         np.zeros(zs.shape, dtype=bool))
     if len(shape) < 2:

@@ -10,7 +10,6 @@ import pytest
 
 import vdwlayers as v
 from vdwlayers import perturbation, potential
-from vdwlayers.asymptotics import _WALL_POSITION_REL_TOL
 from vdwlayers.quadrature import (_EPS, _WG, _WK, _XK, QuadratureSpec, _as_rows, _lockstep,
                                   _mapped)
 
@@ -65,15 +64,32 @@ def _point_map(kernel, mode: str, u_scale: float):
     return point_map
 
 
-def _nested_rows(kernel, mode: str, z: np.ndarray, spec: QuadratureSpec, u_scale: float):
+# Tightenings of the oracle's inner integrals for a row that its integrated inner
+# errors keep from its tolerance, and the factors of each: the relative inner
+# tolerance, and the absolute one, whose floor sums over every outer node
+_ORACLE_TIGHTEN = 2
+_ORACLE_TIGHTEN_REL = 1e-2
+_ORACLE_TIGHTEN_ABS = 1e-4
+
+
+def _nested_rows(kernel, mode: str, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
+                 inner: QuadratureSpec | None = None, tighten: int = _ORACLE_TIGHTEN):
     """(value, error, evaluations, converged) per entry of ``z``, all in ``mode``.
 
     Each z is one row of the outer ``_lockstep``, with its own outer map and
     inner map scale 0.5 / z; every inner integral of one outer step, over all
-    rows, is one inner ``_lockstep`` batch.  The outer integrand has two
-    channels: the inner values, which steer, and the inner errors, whose
-    tolerance never binds, integrated on the same panels.
+    rows, is one inner ``_lockstep`` batch, at the tolerances of ``inner``
+    (``spec`` if None).  The outer integrand has two channels: the inner
+    values, which steer, and the inner errors, whose tolerance never binds,
+    integrated on the same panels.  A row converges when every inner
+    integral did and its error, outer and integrated inner together, meets
+    max(rel_tol_outer |value|, abs_tol).  A row whose outer estimate meets
+    that but whose inner errors do not runs again, up to ``tighten`` times,
+    with its inner tolerances tightened by ``_ORACLE_TIGHTEN_REL`` and
+    ``_ORACLE_TIGHTEN_ABS``; a row depends on its own z alone, so an entry
+    of an array still equals the float call.
     """
+    inner = inner or spec
     n = z.size
     b_scale = 0.5 / z
     point_map = _point_map(kernel, mode, u_scale)
@@ -90,7 +106,7 @@ def _nested_rows(kernel, mode: str, z: np.ndarray, spec: QuadratureSpec, u_scale
         z_col, scale_col = z[owner, None], b_scale[owner, None]
         vals, errs, _, inner_evals, conv = _lockstep(
             lambda r, s: point_map(nodes[r], s, z_col[r], scale_col[r]), nodes.shape[0],
-            spec.rel_tol_inner, spec.abs_tol, spec.max_subdivisions,
+            inner.rel_tol_inner, inner.abs_tol, spec.max_subdivisions,
         )
         np.add.at(evals, owner, inner_evals)
         inner_ok[owner[~conv]] = False
@@ -101,7 +117,18 @@ def _nested_rows(kernel, mode: str, z: np.ndarray, spec: QuadratureSpec, u_scale
         outer, n, np.array([[spec.rel_tol_outer], [math.inf]]), spec.abs_tol,
         spec.max_subdivisions,
     )
-    return val, err + aux, evals, conv & inner_ok
+    error = err + aux
+    met = error <= np.maximum(spec.rel_tol_outer * np.abs(val), spec.abs_tol)
+    converged = conv & inner_ok & met
+    redo = np.flatnonzero(conv & inner_ok & ~met)
+    if redo.size and tighten:
+        tighter = dataclasses.replace(
+            inner, rel_tol_inner=inner.rel_tol_inner * _ORACLE_TIGHTEN_REL,
+            abs_tol=inner.abs_tol * _ORACLE_TIGHTEN_ABS)
+        again = _nested_rows(kernel, mode, z[redo], spec, u_scale, tighter, tighten - 1)
+        val[redo], error[redo], converged[redo] = again[0], again[1], again[3]
+        evals[redo] += again[2]
+    return val, error, evals, converged
 
 
 def decayed(kernel):
@@ -343,14 +370,15 @@ def adaptive_heap(f, a, b, rel_tol, abs_tol, max_subdivisions):
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_WALL_REL_TOL = 1e-4  # the oracle's final bracket width relative to its midpoint
 
 
 def golden_section_wall(potential, z_lo=1e-3, z_hi=1e2, samples=60):
-    """Serial golden-section wall search: the oracle for the batched rounds of ``locate_wall``.
+    """Serial golden-section wall search: the oracle of ``locate_wall``'s force root.
 
     The same log-spaced scan as one array call, then golden-section search
     with one float potential call per step between the maximum's neighbours
-    until the bracket is at most ``_WALL_POSITION_REL_TOL`` times its
+    until the bracket is at most ``GOLDEN_WALL_REL_TOL`` times its
     midpoint, and a last call at the bracket's midpoint for the height.
     Returns a ``WallEstimate`` or None, with the ten-times-the-error rule.
     """
@@ -383,7 +411,7 @@ def golden_section_wall(potential, z_lo=1e-3, z_hi=1e2, samples=60):
         d = a + _INVPHI * (b - a)
         fc = refined(c).value
         fd = refined(d).value
-        while (b - a) > _WALL_POSITION_REL_TOL * 0.5 * (a + b):
+        while (b - a) > GOLDEN_WALL_REL_TOL * 0.5 * (a + b):
             if fc >= fd:
                 b, d, fd = d, c, fc
                 c = b - _INVPHI * (b - a)
@@ -398,6 +426,17 @@ def golden_section_wall(potential, z_lo=1e-3, z_hi=1e2, samples=60):
     if best.value <= 10.0 * abs(best.error):
         return None
     return v.WallEstimate(best_z, best.value, "numeric-scan")
+
+
+def search_wall(pot, **grid):
+    """``locate_wall`` on ``pot(z, table, power)`` with one kept ``NodeTable``.
+
+    The search's potential is ``pot`` on that table, and its force the
+    table's node sums with power 1, as the ``wall`` command builds them.
+    """
+    table = v.NodeTable()
+    return v.locate_wall(lambda z, power=0: pot(z, table, power),
+                         force=functools.partial(table.sums, power=1), **grid)
 
 
 def c4_bracket_integral(eps0, mu0, spec=None):

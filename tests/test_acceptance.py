@@ -12,7 +12,8 @@ from scipy.optimize import brentq
 
 import vdwlayers as v
 
-from conftest import NESTED_MODES, constant_material, fig2_material, material, on_engine
+from conftest import (NESTED_MODES, constant_material, fig2_material, material, on_engine,
+                      search_wall)
 
 ATOM = v.AtomModel.two_level()
 WEAK_ELECTRIC = material(wpe=0.02, wte=1.03, wpm=2.0, wtm=1.0)
@@ -136,13 +137,13 @@ def test_criterion_08_power_law_exponents():
 
 
 def test_criterion_09_wall_formulas():
-    pot_thick = lambda z: v.potential_halfspace(ATOM, WEAK_ELECTRIC, z)
-    numeric_thick = v.locate_wall(pot_thick, samples=40)
+    numeric_thick = search_wall(lambda z, table, power: v.potential_halfspace(
+        ATOM, WEAK_ELECTRIC, z, table=table, power=power), samples=40)
     _, closed_thick = v.wall_estimate("thick", ATOM, WEAK_ELECTRIC)
 
     d = 1e-5
-    pot_thin = lambda z: v.potential_thin_plate(ATOM, WEAK_ELECTRIC, d, z)
-    numeric_thin = v.locate_wall(pot_thin, samples=40)
+    numeric_thin = search_wall(lambda z, table, power: v.potential_thin_plate(
+        ATOM, WEAK_ELECTRIC, d, z, table=table, power=power), samples=40)
     _, closed_thin = v.wall_estimate("thin", ATOM, WEAK_ELECTRIC, thickness=d)
 
     bound = v.thin_wall_height_bound(ATOM, WEAK_ELECTRIC)

@@ -1,3 +1,5 @@
+import copy
+import functools
 import math
 import re
 
@@ -6,9 +8,8 @@ import pytest
 
 import vdwlayers as v
 
-from conftest import (c4_bracket_integral, constant_material, fig2_material, golden_section_wall,
-                      material)
-from vdwlayers.asymptotics import _WALL_ROUND_POINTS
+from conftest import (GOLDEN_WALL_REL_TOL, c4_bracket_integral, constant_material, fig2_material,
+                      golden_section_wall, material, search_wall)
 
 
 WEAK_ELECTRIC = dict(wpe=0.02, wte=1.03, wpm=2.0, wtm=1.0)
@@ -492,32 +493,34 @@ def test_thin_wall_height_obeys_bound(atom):
 
 # ---------------------------------------------------------------- numeric wall
 
+def _halfspace(atom, m):
+    """``pot(z, table, power)`` of a half-space of ``m``, for ``search_wall``."""
+    return lambda z, table, power: v.potential_halfspace(atom, m, z, table=table, power=power)
+
+
 def test_locate_wall_pure_electric_returns_none(atom):
     m = material(wpe=0.75, wte=1.03, ge=0.001)
-    pot = lambda z: v.potential_halfspace(atom, m, z)
-    assert v.locate_wall(pot, samples=24) is None
+    assert search_wall(_halfspace(atom, m), samples=24) is None
 
 
 def test_locate_wall_fig2(atom):
-    m = fig2_material(mu0=5.0)
-    pot = lambda z: v.potential_halfspace(atom, m, z)
-    wall = v.locate_wall(pot, samples=40)
+    wall = search_wall(_halfspace(atom, fig2_material(mu0=5.0)), samples=40)
     assert wall is not None
     assert wall.u_max > 0.0
     assert 1.0 < wall.z_max < 3.0
+    assert 0.0 < wall.z_err < 1e-6 * wall.z_max
 
 
 def test_locate_wall_matches_short_distance_formula(atom):
     m = material(**WEAK_ELECTRIC)
-    pot = lambda z: v.potential_halfspace(atom, m, z)
-    wall = v.locate_wall(pot, samples=40)
+    wall = search_wall(_halfspace(atom, m), samples=40)
     _, closed = v.wall_estimate("thick", atom, m)
     assert wall is not None
     assert wall.z_max == pytest.approx(closed.z_max, rel=0.15)
 
     d = 1e-5
-    pot_thin = lambda z: v.potential_thin_plate(atom, m, d, z)
-    wall_thin = v.locate_wall(pot_thin, samples=40)
+    wall_thin = search_wall(lambda z, table, power: v.potential_thin_plate(
+        atom, m, d, z, table=table, power=power), samples=40)
     _, closed_thin = v.wall_estimate("thin", atom, m, thickness=d)
     assert wall_thin is not None
     assert wall_thin.z_max == pytest.approx(closed_thin.z_max, rel=0.15)
@@ -538,108 +541,154 @@ def test_locate_wall_matches_short_distance_formula(atom):
     pytest.param({"samples": True}, "samples must be an integer >= 4", id="samples=True"),
 ])
 def test_locate_wall_rejects_reversed_grid(grid, message):
-    # a descending grid would skip the refinement rounds; a bad end or
+    # a descending grid would skip the root search; a bad end or
     # sample count would end as "no wall" or as a numpy error
-    def pot(z):
+    def pot(z, power=0):
         raise AssertionError("no potential runs before the grid is checked")
 
     with pytest.raises(ValueError, match=message):  # a RuntimeWarning first fails here too
-        v.locate_wall(pot, **grid)
+        v.locate_wall(pot, force=pot, **grid)
+
+
+def _gaussian_wall(rel_error=1e-12, failing=None):
+    """U = exp(-(ln z - 0.3)^2) with its exact derivatives, as ``locate_wall`` takes it.
+
+    Returns (potential, force, calls): each potential call appends its z and
+    powers to ``calls``, and after the scan the row of power ``failing`` does
+    not converge.  The wall is at z = e^0.3, where U = 1 and F' = -2 e^-0.6.
+    """
+    calls = []
+
+    def potential(z, power=0):
+        zs = np.atleast_1d(z)
+        powers = np.broadcast_to(power, zs.shape)
+        calls.append((np.ndim(z), zs.tolist(), powers.tolist()))
+        results = []
+        for zi, p in zip(zs.tolist(), powers.tolist()):
+            s = math.log(zi) - 0.3
+            u = math.exp(-s * s)
+            value = (u, 2.0 * s * u / zi, -2.0 * u * (1.0 - s - 2.0 * s * s) / zi**2)[p]
+            ok = len(calls) == 1 or p != failing
+            results.append(v.PotentialResult(value, rel_error * u, value, 0.0, ok, 15))
+        return results if np.ndim(z) else results[0]
+
+    def force(z):
+        s = np.log(z) - 0.3
+        return 2.0 * s * np.exp(-s * s) / z
+
+    return potential, force, calls
 
 
 def test_locate_wall_rejects_nonconverged_refinement():
-    # converged on the scan, then one point of the first refinement round does not converge
+    # converged on the scan, then one row of the certifying call does not
+    # converge: a failure naming the root's z and the row
     samples = 12
-    calls = []
-    ndims = []
-
-    def pot(z):
-        ndims.append(np.ndim(z))
-        results = []
-        for zi in np.atleast_1d(z).tolist():
-            calls.append(zi)
-            value = math.exp(-(math.log(zi) - 0.3) ** 2)
-            ok = len(calls) != samples + 10
-            results.append(v.PotentialResult(value, 1e-12, value, 0.0, ok, 15))
-        return results if np.ndim(z) else results[0]
-
-    with pytest.raises(RuntimeError, match=r"z = [0-9.]+") as exc:
-        v.locate_wall(pot, z_lo=0.1, z_hi=10.0, samples=samples)
-    assert f"z = {calls[samples + 9]:.6g}" in str(exc.value)
-    assert len(calls) == samples + _WALL_ROUND_POINTS
-    assert ndims == [1, 1]  # the scan, then the first round, each one array call
+    for power, row in enumerate(("U", "F", "F'")):
+        potential, force, calls = _gaussian_wall(failing=power)
+        with pytest.raises(RuntimeError, match=r"z = [0-9.]+") as exc:
+            v.locate_wall(potential, z_lo=0.1, z_hi=10.0, samples=samples, force=force)
+        root = calls[-1][1][0]
+        assert f"z = {root:.6g} in the {row} row" in str(exc.value)
+        assert sum(len(zs) for _, zs, _ in calls) == samples + 3
+        assert [ndim for ndim, _, _ in calls] == [1, 1]  # the scan, then the certifying call
+        assert calls[1][1:] == ([root] * 3, [0, 1, 2])
 
 
 @pytest.mark.parametrize("rel_error, found", [(0.2, False), (0.05, True)])
 def test_locate_wall_needs_height_above_ten_errors(rel_error, found):
-    def pot(z):
-        results = []
-        for zi in np.atleast_1d(z).tolist():
-            value = math.exp(-(math.log(zi) - 0.3) ** 2)
-            results.append(v.PotentialResult(value, rel_error * value, value, 0.0, True, 15))
-        return results if np.ndim(z) else results[0]
-
-    wall = v.locate_wall(pot, z_lo=0.1, z_hi=10.0, samples=12)
+    potential, force, _ = _gaussian_wall(rel_error)
+    wall = v.locate_wall(potential, z_lo=0.1, z_hi=10.0, samples=12, force=force)
     assert (wall is not None) == found
     if found:
-        assert wall.z_max == pytest.approx(math.exp(0.3), rel=1e-4)
+        assert wall.z_max == pytest.approx(math.exp(0.3), rel=1e-11)
+        # (err(F) + |F|) / |F'| with err(F) = rel_error * U and F' = -2 e^-0.6 at the root
+        assert wall.z_err == pytest.approx(rel_error * math.exp(0.6) / 2.0, rel=1e-6)
+        assert wall.force == pytest.approx(0.0, abs=1e-12)
 
 
-WALL_CASES = {  # each takes an optional NodeTable
-    "fig2-mu5": lambda atom, z, table=None: v.potential_halfspace(
-        atom, fig2_material(mu0=5.0), z, table=table),
-    "fig2-mu10": lambda atom, z, table=None: v.potential_halfspace(
-        atom, fig2_material(mu0=10.0), z, table=table),
-    "weak-thick": lambda atom, z, table=None: v.potential_halfspace(
-        atom, material(**WEAK_ELECTRIC), z, table=table),
-    "weak-thin": lambda atom, z, table=None: v.potential_thin_plate(
-        atom, material(**WEAK_ELECTRIC), 1e-5, z, table=table),
+def test_locate_wall_needs_the_force_to_turn_from_minus_to_plus():
+    # a force of the wrong sign has no root of a maximum: a failure, not "no wall"
+    potential, force, calls = _gaussian_wall()
+    with pytest.raises(RuntimeError, match=r"does not turn from - to \+ on z = "):
+        v.locate_wall(potential, z_lo=0.1, z_hi=10.0, samples=12, force=lambda z: -force(z))
+    assert len(calls) == 1
+
+
+WALL_CASES = {  # each takes an optional NodeTable and a power
+    "fig2-mu5": lambda atom, z, table=None, power=0: v.potential_halfspace(
+        atom, fig2_material(mu0=5.0), z, table=table, power=power),
+    "fig2-mu10": lambda atom, z, table=None, power=0: v.potential_halfspace(
+        atom, fig2_material(mu0=10.0), z, table=table, power=power),
+    "weak-thick": lambda atom, z, table=None, power=0: v.potential_halfspace(
+        atom, material(**WEAK_ELECTRIC), z, table=table, power=power),
+    "weak-thin": lambda atom, z, table=None, power=0: v.potential_thin_plate(
+        atom, material(**WEAK_ELECTRIC), 1e-5, z, table=table, power=power),
 }
 
 
-def _recorded(pot):
-    """``pot`` with every result kept by z, and the dimension of each call's z."""
-    seen, ndims = {}, []
+def _recorded_search(atom, case, **grid):
+    """``locate_wall`` on ``WALL_CASES[case]`` with one kept table, and its calls.
 
-    def wrapped(z):
-        ndims.append(np.ndim(z))
-        res = pot(z)
-        for zi, r in zip(np.atleast_1d(z).tolist(), res if np.ndim(z) else [res]):
-            seen[zi] = r
+    Returns the wall and, per potential call, (ndim of z, z, power, results).
+    """
+    table = v.NodeTable()
+    calls = []
+
+    def potential(z, power=0):
+        res = WALL_CASES[case](atom, z, table, power)
+        calls.append((np.ndim(z), np.atleast_1d(z).tolist(), power, res))
         return res
-    return wrapped, seen, ndims
+    wall = v.locate_wall(potential, force=functools.partial(table.sums, power=1), **grid)
+    return wall, calls
 
 
 @pytest.mark.parametrize("case", sorted(WALL_CASES))
 def test_locate_wall_matches_golden_section_oracle(atom, case):
-    batched, seen, _ = _recorded(lambda z: WALL_CASES[case](atom, z))
-    wall = v.locate_wall(batched, samples=40)
-    serial, seen_ref, _ = _recorded(lambda z: WALL_CASES[case](atom, z))
+    # the force's root lies within its z_err of the golden-section maximum,
+    # whose bracket is GOLDEN_WALL_REL_TOL wide, and the heights agree within
+    # their errors
+    wall, calls = _recorded_search(atom, case, samples=40)
+    seen_ref = {}
+
+    def serial(z):
+        res = WALL_CASES[case](atom, z)
+        for zi, r in zip(np.atleast_1d(z).tolist(), res if np.ndim(z) else [res]):
+            seen_ref[zi] = r
+        return res
+
     ref = golden_section_wall(serial, samples=40)
     assert wall is not None and ref is not None
-    assert wall.z_max == pytest.approx(ref.z_max, rel=1e-4)
-    err = seen[wall.z_max].error + seen_ref[ref.z_max].error
-    assert abs(wall.u_max - ref.u_max) <= err
+    assert abs(wall.z_max - ref.z_max) <= wall.z_err + GOLDEN_WALL_REL_TOL * ref.z_max
+    height = calls[-1][3][0]
+    assert abs(wall.u_max - ref.u_max) <= height.error + seen_ref[ref.z_max].error
 
 
 @pytest.mark.parametrize("case", sorted(WALL_CASES))
 def test_locate_wall_rounds_are_array_calls(atom, case):
-    pot, _, ndims = _recorded(lambda z: WALL_CASES[case](atom, z))
-    wall = v.locate_wall(pot, samples=40)
+    # after the scan, one array call at the root for the U, F and F' rows
+    wall, calls = _recorded_search(atom, case, samples=40)
     assert wall is not None
-    assert 2 <= len(ndims) <= 4  # the scan and at most three rounds
-    assert ndims == [1] * len(ndims)
-    again = v.locate_wall(lambda z: WALL_CASES[case](atom, z), samples=40)
-    assert np.array([wall.z_max, wall.u_max]).tobytes() == \
-        np.array([again.z_max, again.u_max]).tobytes()
+    assert [ndim for ndim, *_ in calls] == [1, 1]
+    _, zs, power, (height, force, curvature) = calls[1]
+    assert zs == [wall.z_max] * 3 and np.asarray(power).tolist() == [0, 1, 2]
+    assert (height.value, force.value) == (wall.u_max, wall.force)
+    assert wall.z_err == (force.error + abs(force.value)) / abs(curvature.value)
+    assert curvature.value < 0.0  # a maximum of U
+    again, _ = _recorded_search(atom, case, samples=40)
+    assert np.array([wall.z_max, wall.u_max, wall.z_err]).tobytes() == \
+        np.array([again.z_max, again.u_max, again.z_err]).tobytes()
 
 
 def test_locate_wall_monotone_magnetic_returns_none(atom):
     # no electric response: U is repulsive and falls monotonically, so the
     # largest scan value sits at the grid's first point and is no wall
     m = v.MaterialModel(electric=[], magnetic=[v.Resonance(2.0, 1.0, 0.001)])
-    pot, _, ndims = _recorded(lambda z: v.potential_halfspace(atom, m, z))
-    assert v.locate_wall(pot, samples=40) is None
+    ndims = []
+
+    def pot(z, table, power):
+        ndims.append(np.ndim(z))
+        return v.potential_halfspace(atom, m, z, table=table, power=power)
+    assert search_wall(pot, samples=40) is None
     assert ndims == [1]
     with pytest.raises(v.NoWallError):
         v.wall_estimate("thick", atom, m)
@@ -647,50 +696,70 @@ def test_locate_wall_monotone_magnetic_returns_none(atom):
 
 def test_locate_wall_grid_above_the_wall_returns_none(atom):
     # the fig2 wall is near z = 1.79; on [3, 50] U only falls
-    pot, _, ndims = _recorded(lambda z: v.potential_halfspace(atom, fig2_material(mu0=5.0), z))
-    assert v.locate_wall(pot, z_lo=3.0, z_hi=50.0, samples=40) is None
+    ndims = []
+
+    def pot(z, table, power):
+        ndims.append(np.ndim(z))
+        return v.potential_halfspace(atom, fig2_material(mu0=5.0), z, table=table, power=power)
+    assert search_wall(pot, z_lo=3.0, z_hi=50.0, samples=40) is None
     assert ndims == [1]
-
-
-def _counted(pot):
-    """``pot`` with the kernel points of each call appended to a list, which is returned too."""
-    points = []
-
-    def counted(z):
-        rows = pot(z)
-        points.append(sum(r.evaluations for r in rows))
-        return rows
-    return counted, points
 
 
 @pytest.mark.parametrize("case", sorted(WALL_CASES))
 def test_locate_wall_rounds_reuse_the_scan_table(atom, case):
-    # G(b) does not depend on z, so the scan's table serves every round: the
-    # rounds together cost less than one table-free round, and the wall is the
-    # table-free one
-    table = v.NodeTable()
-    kept, seen, _ = _recorded(lambda z: WALL_CASES[case](atom, z, table))
-    kept, points = _counted(kept)
-    free, free_points = _counted(lambda z: WALL_CASES[case](atom, z))
-    wall, ref = v.locate_wall(kept, samples=40), v.locate_wall(free, samples=40)
-    assert wall is not None and ref is not None
-    assert len(points) == len(free_points) >= 2
-    assert points[0] == free_points[0] and sum(points[1:]) < free_points[1]
-    assert wall.z_max == ref.z_max
-    assert abs(wall.u_max - ref.u_max) <= seen[wall.z_max].error
+    # G(b) does not depend on z, so the scan's table serves the certifying
+    # call: it costs less than the same call on no table, and its rows agree
+    # with that call's within their errors
+    wall, calls = _recorded_search(atom, case, samples=40)
+    assert wall is not None
+    points = [sum(r.evaluations for r in res) for *_, res in calls]
+    scan = WALL_CASES[case](atom, np.geomspace(1e-3, 1e2, 40))
+    free = WALL_CASES[case](atom, np.full(3, wall.z_max), power=np.arange(3))
+    assert points[0] == sum(r.evaluations for r in scan)
+    assert points[1] < sum(r.evaluations for r in free)
+    for kept, alone in zip(calls[1][3], free):
+        assert kept.converged and alone.converged
+        assert abs(kept.value - alone.value) <= kept.error + alone.error
 
 
 @pytest.mark.parametrize("mu0", [5.0, 10.0])
 def test_locate_wall_rounds_are_free_on_the_fig2_table(atom, mu0):
     # on the grid of the benchmark's wall step the scan's nodes already meet
-    # every round's tolerance: no round computes a kernel point
-    m = fig2_material(mu0=mu0)
-    table = v.NodeTable()
-    kept, seen, _ = _recorded(lambda z: v.potential_halfspace(atom, m, z, table=table))
-    kept, points = _counted(kept)
-    wall = v.locate_wall(kept, z_lo=0.2, z_hi=5.0, samples=12)
-    ref = v.locate_wall(lambda z: v.potential_halfspace(atom, m, z), z_lo=0.2, z_hi=5.0,
-                        samples=12)
-    assert points[0] > 0 and points[1:] == [0, 0, 0]
-    assert wall.z_max == ref.z_max
-    assert abs(wall.u_max - ref.u_max) <= seen[wall.z_max].error
+    # the tolerances of the U, F and F' rows at the root: the certifying
+    # call computes no kernel point, and the height is the table-free one
+    case = f"fig2-mu{mu0:g}"
+    wall, calls = _recorded_search(atom, case, z_lo=0.2, z_hi=5.0, samples=12)
+    points = [sum(r.evaluations for r in res) for *_, res in calls]
+    assert points[0] > 0 and points[1:] == [0]
+    ref = WALL_CASES[case](atom, wall.z_max)
+    assert abs(wall.u_max - ref.value) <= calls[1][3][0].error + ref.error
+    assert 0.0 < wall.z_err < 1e-6 * wall.z_max
+
+
+@pytest.mark.parametrize("case", sorted(WALL_CASES))
+def test_force_row_at_the_wall_costs_no_more_than_the_potential_row(atom, case):
+    # F vanishes at the wall.  On the scan's table, the F row there alone
+    # converges on no more new kernel points than the U row there alone: a
+    # force row that scaled its tolerance on |F| would refine without end
+    wall, _ = _recorded_search(atom, case, samples=40)
+    scan = v.NodeTable()
+    WALL_CASES[case](atom, np.geomspace(1e-3, 1e2, 40), scan)
+    rows = [WALL_CASES[case](atom, wall.z_max, copy.deepcopy(scan), power) for power in (0, 1)]
+    assert all(r.converged for r in rows)
+    assert rows[1].evaluations <= rows[0].evaluations
+    assert abs(rows[1].value) <= rows[1].error
+
+
+def test_force_asymptotes_match_the_coefficients(atom):
+    # U -> C4 / z^4 far out and -C3 / z^3 + C1 / z near: F = -dU/dz -> 4 C4 / z^5
+    # and F z^4 -> -3 C3 + C1 z^2, the gaps shrinking as 1/z^2 and z^2
+    m = fig2_material()
+    c = v.thick_coefficients(atom, m)
+    far = [v.potential_halfspace(atom, m, z, power=1) for z in (25.0, 50.0, 100.0)]
+    gaps = [abs(f.value * z**5 / (4.0 * c.c4) - 1.0) for f, z in zip(far, (25.0, 50.0, 100.0))]
+    assert all(f.converged for f in far)
+    assert gaps[-1] < 2e-3 and gaps[0] > 3.0 * gaps[1] > 9.0 * gaps[2]
+    near = [v.potential_halfspace(atom, m, z, power=1) for z in (1e-2, 1e-3, 1e-4)]
+    gaps = [abs(-f.value * z**4 / (3.0 * c.c3) - 1.0) for f, z in zip(near, (1e-2, 1e-3, 1e-4))]
+    assert all(f.converged for f in near)
+    assert gaps[-1] < 1e-6 and gaps[0] > 50.0 * gaps[1] > 2500.0 * gaps[2]

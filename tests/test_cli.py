@@ -514,6 +514,7 @@ def test_wall_no_wall_record(tmp_path):
     _, rows = read_rows(out / "wall_electric.csv")
     numeric = [r for r in rows if r["method"] == "numeric-scan"]
     assert numeric[0]["status"] == "no-wall"
+    assert (numeric[0]["z_max"], numeric[0]["z_err"]) == ("nan", "nan")
     ratio = [r for r in rows if r["method"] == "coefficient-ratio"]
     assert ratio[0]["status"] == "no-wall"
 
@@ -533,7 +534,13 @@ def test_wall_with_estimates(tmp_path):
     }
     code, out = run(tmp_path, "wall", doc)
     assert code == 0
-    _, rows = read_rows(out / "wall_weak.csv")
+    header, rows = read_rows(out / "wall_weak.csv")
+    assert header == ["material", "method", "z_max", "z_err", "U_max", "consistency", "status"]
+    for row in rows:  # the numeric wall carries its position error, the estimates none
+        if row["method"] == "numeric-scan":
+            assert 0.0 < float(row["z_err"]) < 1e-6 * float(row["z_max"])
+        else:
+            assert row["z_err"] == "nan"
     methods = {r["method"] for r in rows}
     assert {"numeric-scan", "coefficient-ratio", "two-level-closed-form"} <= methods
     z_by_method = {r["method"]: float(r["z_max"]) for r in rows}
@@ -544,7 +551,9 @@ def test_wall_with_estimates(tmp_path):
 
 def test_wall_sidecar_counts_kernel_points_of_scan_and_rounds(tmp_path):
     # the search keeps one b-node table per material: on the fig2 plate the
-    # scan's nodes serve all three rounds, which compute no kernel point
+    # scan's nodes serve the certifying call at the force's root, which
+    # computes no kernel point; the sidecar also gives the wall's z_err and
+    # its certified force
     doc = {
         "atom": ATOM,
         "materials": {"plate": PLATE},
@@ -555,7 +564,11 @@ def test_wall_sidecar_counts_kernel_points_of_scan_and_rounds(tmp_path):
     assert code == 0
     meta = json.loads((out / "wall.meta.json").read_text())
     points = meta["diagnostics"]["plate"]
-    assert points["round_kernel_points"] == [0, 0, 0]
+    assert points["certify_kernel_points"] == 0
+    _, rows = read_rows(out / "wall_plate.csv")
+    (numeric,) = [r for r in rows if r["method"] == "numeric-scan"]
+    assert points["z_err"] == float(numeric["z_err"]) > 0.0
+    assert abs(points["force"]) <= 1e-6 * float(numeric["U_max"]) / float(numeric["z_max"])
     scan = v.potential_halfspace(v.AtomModel.two_level(), parse_config(doc).medium("plate"),
                                  np.geomspace(0.2, 5.0, 12))
     assert points["scan_kernel_points"] == sum(r.evaluations for r in scan) > 0
@@ -567,7 +580,7 @@ def test_wall_sidecar_counts_kernel_points_of_scan_and_rounds(tmp_path):
 
 
 def test_wall_failed_search_is_not_no_wall(tmp_path, capsys):
-    # a refinement round that cannot converge is a numerical failure, not an absent wall
+    # a certifying call that cannot converge is a numerical failure, not an absent wall
     doc = {
         "atom": ATOM,
         "materials": {"plate": PLATE},
@@ -578,9 +591,9 @@ def test_wall_failed_search_is_not_no_wall(tmp_path, capsys):
     real = v.potential_halfspace
     calls = []
 
-    def flaky(atom, material, z, spec, *, table):
+    def flaky(atom, material, z, spec, *, table, power):
         calls.append(z)
-        results = real(atom, material, z, spec, table=table)
+        results = real(atom, material, z, spec, table=table, power=power)
         if len(calls) == 1:
             return results
         return [dataclasses.replace(r, converged=False) for r in results]

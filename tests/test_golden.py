@@ -14,7 +14,7 @@ import pytest
 
 import vdwlayers as v
 
-from conftest import NESTED_MODES, on_engine
+from conftest import NESTED_MODES, on_engine, tight_nested
 
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
 ATOM = v.AtomModel.two_level(GOLDEN["atom"]["frequency"], GOLDEN["atom"]["dipole_sq"])
@@ -28,17 +28,17 @@ def _material(doc):
 PLATE = _material(GOLDEN["plate"])
 
 
-def _potential(point, z, spec):
+def _potential(point, z, spec, power=0):
     kind = point["geometry"]
     if kind == "halfspace":
-        return v.potential_halfspace(ATOM, PLATE, z, spec)
+        return v.potential_halfspace(ATOM, PLATE, z, spec, power=power)
     if kind == "two-plates":
-        return v.potential_two_plates(ATOM, PLATE, point["separation"], z, spec)
+        return v.potential_two_plates(ATOM, PLATE, point["separation"], z, spec, power=power)
     if kind == "thin-plate":
-        return v.potential_thin_plate(ATOM, PLATE, point["thickness"], z, spec)
+        return v.potential_thin_plate(ATOM, PLATE, point["thickness"], z, spec, power=power)
     # a mirror half-space runs the 2-D engines with r_s = -+1, r_p = +-1
     mirror = v.CONDUCTING_MIRROR if kind == "conducting-mirror" else v.PERMEABLE_MIRROR
-    return v.potential_halfspace(ATOM, mirror, z, spec)
+    return v.potential_halfspace(ATOM, mirror, z, spec, power=power)
 
 
 def _name(point):
@@ -53,6 +53,37 @@ def test_potential_within_its_error_of_the_golden_value(point, mode):
         res = _potential(point, point["z"], v.DEFAULT_SPEC)
     assert res.converged
     assert abs(res.value - float(point["value"])) <= res.error
+
+
+# Central differences of (-d/dz)^p U for p = 1, 2: five-point weights on z + k h,
+# k = -2..2, over h^p, and the relative step of each
+_STENCILS = {1: (np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0, 3e-3),
+             2: (np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0, 1e-2)}
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("point", GOLDEN["potentials"], ids=_name)
+def test_force_rows_within_their_errors_of_the_oracle_differences(point, power):
+    # F (p = 1) and d^2U/dz^2 (p = 2) against central differences of U from the
+    # nested oracle at 100x tighter tolerances.  A difference's own error adds
+    # the oracle's errors through the weights and its truncation, bounded by
+    # the change from step h to step 2 h; the two-plate point checks the
+    # right wall's sign (-1)^p
+    z = point["z"]
+    row = _potential(point, z, v.DEFAULT_SPEC, power)
+    weights, step = _STENCILS[power]
+    h = step * z
+    k = np.arange(-4, 5)
+    with tight_nested(z) as tight:
+        ref = _potential(point, z + k * h, tight)
+    assert row.converged and all(r.converged for r in ref)
+    values = np.array([r.value for r in ref])
+    errors = np.array([r.error for r in ref])
+    diff = {m: (-1.0) ** power * (weights @ values[4 + m * np.arange(-2, 3)]) / (m * h) ** power
+            for m in (1, 2)}  # (-d/dz)^p at steps h and 2 h
+    noise = np.abs(weights) @ errors[4 + np.arange(-2, 3)] / h**power
+    truncation = abs(diff[1] - diff[2])
+    assert abs(row.value - diff[1]) <= row.error + noise + truncation, (row, diff, noise)
 
 
 def test_table_rows_within_their_errors_of_the_golden_values():

@@ -613,3 +613,26 @@ def test_outer_atom_rows_within_their_errors_of_the_oracle(atom, drawn):
                                 mode=oracle_mode(z))
             assert ref.converged, (j, z)
             assert abs(row.value - ref.value) <= row.error, (j, z, row, ref)
+
+
+@pytest.mark.parametrize("multiple_reflections", [True, False])
+def test_force_in_a_symmetric_cavity_is_odd_about_its_middle(atom, multiple_reflections):
+    # between two equal plates U(z) = U(d - z), so F = -dU/dz is odd about d/2
+    # and zero there: the right wall's term, a function of d - z, enters F
+    # with the sign -1 and d^2U/dz^2 with +1
+    d = 4.0
+    zs = np.array([1.0, 2.0, 3.0])
+    m = fig2_material()
+    force = v.potential_two_plates(atom, m, d, zs, multiple_reflections=multiple_reflections,
+                                   power=1)
+    curvature = v.potential_two_plates(atom, m, d, zs,
+                                       multiple_reflections=multiple_reflections, power=2)
+    assert all(r.converged for r in force + curvature)
+    assert abs(force[1].value) <= force[1].error
+    assert abs(force[0].value + force[2].value) <= force[0].error + force[2].error
+    assert abs(force[0].value) > 100.0 * force[0].error
+    assert abs(curvature[0].value - curvature[2].value) <= curvature[0].error + curvature[2].error
+    if multiple_reflections:  # the walls' shares of one table
+        assert abs(force[1].left + force[1].right) <= force[1].error
+        assert abs(force[1].left) > 100.0 * force[1].error
+        assert abs(curvature[1].left - curvature[1].right) <= curvature[1].error

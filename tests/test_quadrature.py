@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 import vdwlayers as v
 from vdwlayers import quadrature
 
-from conftest import (NESTED_MODES, _nested_rows, adaptive_heap, brute_force_2d,
-                      constant_material, engine, fig2_material, material, nested_oracle,
-                      on_engine, oracle_mode, tight_nested)
+from conftest import (MULTILAYER_SCAN_Z, NESTED_MODES, _nested_rows, adaptive_heap,
+                      brute_force_2d, constant_material, engine, fig2_material, material,
+                      multilayer_scan_stack, nested_oracle, on_engine, oracle_mode,
+                      tight_nested)
 
 
 def test_exponential_moment():
@@ -748,3 +750,98 @@ def test_table_call_sequence_repeats_bytes(atom):
     for field in ("lo", "hi", "tight", "nodes", "done"):
         assert getattr(one, field).tobytes() == getattr(two, field).tobytes(), field
     assert (one.b_c, one.u_scale, one.channels) == (two.b_c, two.u_scale, two.channels)
+
+
+def _exponential_kernel(u, b):
+    """e^{-b}: G(b) = b e^{-b}, and the row of power p at z is 2^p (p + 1)! / (2 z + 1)^(p + 2)."""
+    return np.exp(-b) * np.ones_like(u)
+
+
+@pytest.mark.parametrize("power", [0, 1, 2, 3])
+def test_power_rows_are_the_z_derivatives_of_a_closed_form(power):
+    zs = np.array([0.05, 0.3, 1.0, 3.0])
+    batch = v.integrate_nested(_exponential_kernel, z=zs, power=power)
+    exact = 2.0**power * math.factorial(power + 1) / (2.0 * zs + 1.0) ** (power + 2)
+    assert batch.converged
+    assert np.all(np.abs(batch.values - exact) <= batch.errors)
+    assert np.all(batch.errors <= 1e-7 * exact)  # a positive integrand: A is the value
+
+
+def test_power_per_row_and_channel():
+    # a 2-D z of two channels, each row with its own power, on one table
+    def kernel(u, b):
+        one = _exponential_kernel(u, b)
+        return np.stack([one, 2.0 * one])
+
+    z = np.array([[0.5, 0.5, 2.0], [1.0, 0.25, 0.25]])
+    power = np.array([[0, 1, 2], [2, 0, 1]])
+    batch = v.integrate_nested(kernel, z=z, power=power)
+    exact = (np.array([[1.0], [2.0]]) * 2.0**power
+             * np.vectorize(math.factorial)(power + 1) / (2.0 * z + 1.0) ** (power + 2))
+    assert batch.converged
+    assert np.all(np.abs(batch.values - exact) <= batch.errors)
+
+
+def test_zero_power_is_the_call_without_power(atom):
+    # every p = 0 skips the power factor: the same bytes, and the same table
+    m = fig2_material()
+    zs = np.geomspace(0.2, 5.0, 12)
+
+    def fields(rows):
+        return np.array([[r.value, r.error, r.left, r.right, r.evaluations, r.converged]
+                         for r in rows]).tobytes()
+
+    tables = [v.NodeTable() for _ in range(3)]
+    plain = v.potential_halfspace(atom, m, zs, table=tables[0])
+    for power, table in ((0, tables[1]), (np.zeros(zs.size, dtype=int), tables[2])):
+        assert fields(v.potential_halfspace(atom, m, zs, table=table, power=power)) == \
+            fields(plain)
+    for field in ("lo", "hi", "tight", "nodes", "done"):
+        assert len({getattr(t, field).tobytes() for t in tables}) == 1, field
+    stack = multilayer_scan_stack()  # an interior atom: two channels
+    assert fields(v.potential_multilayer(stack, atom, power=np.zeros(5, dtype=np.int32))) == \
+        fields(v.potential_multilayer(stack, atom))
+    z2 = np.array([[0.5, 2.0], [1.0, 3.0]])
+
+    def kernel(u, b):
+        return np.stack([_exponential_kernel(u, b)] * 2)
+
+    with_power = v.integrate_nested(kernel, z=z2, power=np.zeros((2, 2), dtype=int))
+    without = v.integrate_nested(kernel, z=z2)
+    for field in ("values", "errors", "row_evaluations", "row_converged"):
+        assert getattr(with_power, field).tobytes() == getattr(without, field).tobytes()
+
+
+@pytest.mark.parametrize("power", [-1, 1.0, True, np.array([1, 2, 3]), "1"])
+def test_power_rejects_bad_values(power):
+    with pytest.raises(ValueError, match="power"):
+        v.integrate_nested(_exponential_kernel, z=np.array([1.0, 2.0]), power=power)
+
+
+def test_table_sums_are_the_rows_that_filled_it(atom):
+    m = fig2_material()
+    zs = np.geomspace(0.2, 5.0, 12)
+    table = v.NodeTable()
+    with pytest.raises(ValueError, match="empty"):
+        table.sums(zs)
+    rows = v.potential_halfspace(atom, m, zs, table=table)
+    values = np.array([r.value for r in rows])
+    assert np.all(np.abs(table.sums(zs) - values) <= 1e-14 * np.abs(values))
+    assert table.sums(float(zs[3])) == table.sums(zs)[3]
+    # the force: within the errors of the rows of power 1 (a call that may
+    # grow the table, so it runs on a copy of it)
+    forces = v.potential_halfspace(atom, m, zs, table=copy.deepcopy(table), power=1)
+    assert all(f.converged for f in forces)
+    assert all(abs(s - f.value) <= f.error for s, f in zip(table.sums(zs, power=1), forces))
+    with pytest.raises(ValueError, match="does not fit a table of 1 channel"):
+        table.sums(np.stack([zs, zs]))
+    # a two-channel table: the left and right walls of an interior atom
+    stack = multilayer_scan_stack()
+    gap = v.NodeTable()
+    rows = v.potential_multilayer(stack, atom, table=gap)
+    walls = gap.sums(np.stack([MULTILAYER_SCAN_Z, 6.0 - MULTILAYER_SCAN_Z]))
+    for r, left, right in zip(rows, *walls):
+        assert abs(left - r.left) <= 1e-14 * abs(r.left)
+        assert abs(right - r.right) <= 1e-14 * abs(r.right)
+    with pytest.raises(ValueError, match="does not fit a table of 2 channel"):
+        gap.sums(MULTILAYER_SCAN_Z)
