@@ -29,6 +29,7 @@ from .quadrature import (
 from .stack import Layer, LayerStack, ReflectionSet, axial_wavenumber, duality_swap, \
     reflection_coefficients
 from .potential import (
+    PotentialBatch,
     PotentialResult,
     potential_halfspace,
     potential_mirror,
@@ -59,6 +60,7 @@ from .perturbation import (
     AdditivityReport,
     ExpansionTerm,
     PairReflection,
+    TermBatch,
     additivity_check,
     expansion_order1,
     expansion_order2,

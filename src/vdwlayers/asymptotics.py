@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .materials import AtomModel, MaterialModel, Medium, PerfectMirror, static_summary
-from .potential import PotentialResult
 # integrate_finite is unused here but stays importable: perfbench's
 # quadrature.oned probe wraps asymptotics.integrate_finite.
 from .quadrature import (_EPS, QuadratureSpec, _require, _require_positive,  # noqa: F401
@@ -626,9 +625,9 @@ def locate_wall(potential: Callable, z_lo: float = _WALL_Z_LO, z_hi: float = _WA
                 samples: int = _WALL_SAMPLES, *, force: Callable) -> WallEstimate | None:
     """Find the positive maximum of a potential as a zero of its force, or None.
 
-    ``potential(z, power=0)`` maps a 1-D array of z to a list of
-    ``PotentialResult``, of (-d/dz)^p U for integers ``power`` p (one, or
-    one per z), as the potentials of :mod:`vdwlayers.potential` do;
+    ``potential(z, power=0)`` maps a 1-D array of z to a ``PotentialBatch``
+    of (-d/dz)^p U for integers ``power`` p (one, or one per z), as the
+    potentials of :mod:`vdwlayers.potential` do;
     ``force(z)`` maps a 1-D array of z to the force F = -dU/dz, without an
     error, as ``NodeTable.sums(z, power=1)`` does on the table that
     ``potential`` keeps.  The scan is one array call.  A maximum at the
@@ -658,20 +657,18 @@ def locate_wall(potential: Callable, z_lo: float = _WALL_Z_LO, z_hi: float = _WA
     if not z_hi > z_lo:
         raise ValueError(f"z_hi must exceed z_lo, got z_lo={z_lo}, z_hi={z_hi}")
     zs = np.geomspace(z_lo, z_hi, samples)
-    values: list[tuple[float, PotentialResult]] = []
-    for z, res in zip(zs.tolist(), potential(zs)):
-        if not res.converged:
-            warnings.warn(f"skipping z = {z:.4g}: quadrature did not converge", stacklevel=2)
-            continue
-        values.append((z, res))
-    if not values:
+    scan = potential(zs)
+    for z in zs[~scan.row_converged].tolist():
+        warnings.warn(f"skipping z = {z:.4g}: quadrature did not converge", stacklevel=2)
+    kept = np.flatnonzero(scan.row_converged)
+    if not kept.size:
         raise RuntimeError("no scan point converged")
 
-    idx = max(range(len(values)), key=lambda i: values[i][1].value)
-    if values[idx][1].value <= 0.0 or idx in (0, len(values) - 1):
+    idx = int(np.argmax(scan.values[kept]))
+    if scan.values[kept[idx]] <= 0.0 or idx in (0, kept.size - 1):
         return None
 
-    lo, hi = values[idx - 1][0], values[idx + 1][0]
+    lo, hi = zs[kept[[idx - 1, idx + 1]]].tolist()
     grid = np.linspace(math.log(lo), math.log(hi), _WALL_ROOT_GRID)
     f = np.asarray(force(np.exp(grid)), dtype=float)
     turns = np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0))
@@ -688,12 +685,11 @@ def locate_wall(potential: Callable, z_lo: float = _WALL_Z_LO, z_hi: float = _WA
                            f"converge in {_ROOT_MAX_STEPS} steps")
 
     rows = potential(np.full(len(_WALL_ROWS), root), power=np.arange(len(_WALL_ROWS)))
-    for name, res in zip(_WALL_ROWS, rows):
-        if not res.converged:
-            raise RuntimeError(f"wall refinement: quadrature did not converge at z = {root:.6g} "
-                               f"in the {name} row")
-    height, f_root, curvature = rows
-    if height.value <= 10.0 * abs(height.error):
+    if not rows.converged:
+        raise RuntimeError(f"wall refinement: quadrature did not converge at z = {root:.6g} "
+                           f"in the {_WALL_ROWS[np.argmin(rows.row_converged)]} row")
+    (height, f_root, curvature), errors = rows.values.tolist(), rows.errors.tolist()
+    if height <= 10.0 * abs(errors[0]):
         return None
-    z_err = (f_root.error + abs(f_root.value)) / abs(curvature.value)
-    return WallEstimate(root, height.value, "numeric-scan", z_err=z_err, force=f_root.value)
+    z_err = (errors[1] + abs(f_root)) / abs(curvature)
+    return WallEstimate(root, height, "numeric-scan", z_err=z_err, force=f_root)

@@ -120,15 +120,7 @@ def _write_sidecar(out_dir: Path, command: str, cfg: RunConfig, outputs: list[st
         doc["warnings"] = warned
     if diagnostics is not None:
         doc["diagnostics"] = diagnostics
-    (out_dir / f"{command}.meta.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
-    )
-
-
-def _json_default(obj):
-    if obj == math.inf:
-        return "inf"
-    raise TypeError(f"not JSON serializable: {obj!r}")
+    (out_dir / f"{command}.meta.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _scan_series(cfg: RunConfig) -> list[str]:
@@ -141,7 +133,8 @@ def _scan_series(cfg: RunConfig) -> list[str]:
 
 
 def _potential(cfg: RunConfig, name: str, z, table: NodeTable | None = None, power=0):
-    """Potential at z (a float, or a 1-D array giving a list) for the series ``name``.
+    """Potential at z (a float, or a 1-D array giving a ``PotentialBatch``) for the series
+    ``name``.
 
     ``table`` is the series' ``NodeTable``, kept across calls; the
     two-plates geometry takes none.  ``power`` p asks for (-d/dz)^p of it.
@@ -191,38 +184,33 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         columns.append("U_noreflect")
     columns.append("converged")
 
-    out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     outputs = []
     warned = []  # "<series>: <message>" per warning, for the sidecar
     diagnostics = {}  # per series: the kernel points of its potentials
     all_ok = True
-    ext = "csv" if args.format == "csv" else "json"
     for name in series:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # the sidecar keeps warnings the caller filters out
-            results = _potential(cfg, name, zs)
+            b = _potential(cfg, name, zs)
         for w in caught:  # re-emitted through the caller's filters
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
             warned.append(f"{name}: {w.message}")
-        diagnostics[name] = {"kernel_points": sum(r.evaluations for r in results)}
-        noreflect = [None] * zs.size
-        if two_plates:
-            noreflect = [r.value for r in potential_two_plates(
-                cfg.atom, cfg.medium(name), cfg.geometry.separation, zs, cfg.quadrature,
-                multiple_reflections=False)]
-        rows = []
-        for z, res, noref in zip(zs.tolist(), results, noreflect):
-            row = [z, res.value, res.error, res.left, res.right]
-            if two_plates:
-                row.append(noref)
-            row.append(res.converged)
-            all_ok = all_ok and res.converged
-            rows.append(tuple(row))
-        fname = f"scan_{_safe_label(name)}.{ext}"
-        _write_table(out_dir / fname, columns, rows, args.format)
+        diagnostics[name] = {"kernel_points": b.evaluations}
+        cells = [zs, b.values, b.errors, b.left, b.right]
+        converged = b.row_converged
+        if two_plates:  # the cavity denominators forced to one: a table of its own
+            noreflect = potential_two_plates(cfg.atom, cfg.medium(name), cfg.geometry.separation,
+                                             zs, cfg.quadrature, multiple_reflections=False)
+            diagnostics[name]["noreflect_kernel_points"] = noreflect.evaluations
+            cells.append(noreflect.values)
+            converged = converged & noreflect.row_converged
+        all_ok = all_ok and bool(converged.all())
+        rows = list(zip(*(cell.tolist() for cell in [*cells, converged])))
+        fname = f"scan_{_safe_label(name)}.{args.format}"
+        _write_table(args.out / fname, columns, rows, args.format)
         outputs.append(fname)
-    _write_sidecar(out_dir, "scan", cfg, outputs, warned=warned, diagnostics=diagnostics)
+    _write_sidecar(args.out, "scan", cfg, outputs, warned=warned, diagnostics=diagnostics)
     return 0 if all_ok else 3
 
 
@@ -246,33 +234,28 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
                         else (thin.d5, thin.d4, thin.d2))
             rows.append((name, thick.c4, thick.c3, thick.c1, *thin_row, section.thickness,
                          thick.method, "undefined" if thin is None else thin.method))
-    out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ext = "csv" if args.format == "csv" else "json"
-    fname = f"coeffs.{ext}"
-    _write_table(out_dir / fname,
+    args.out.mkdir(parents=True, exist_ok=True)
+    fname = f"coeffs.{args.format}"
+    _write_table(args.out / fname,
                  ["material", "c4", "c3", "c1", "d5", "d4", "d2", "thickness",
                   "thick_method", "thin_method"],
                  rows, args.format)
-    _write_sidecar(out_dir, "coeffs", cfg, [fname], error="\n".join(failures) or None)
+    _write_sidecar(args.out, "coeffs", cfg, [fname], error="\n".join(failures) or None)
     return 3 if failures else 0
 
 
 def cmd_border(cfg: RunConfig, args) -> int:
     if cfg.border is None or cfg.border_kind is None:
         raise ConfigError("border needs a border section")
-    eps_values = [float(e) for e in cfg.border.values()]
-    points = border_curve(cfg.border_kind, eps_values, cfg.quadrature)
+    points = border_curve(cfg.border_kind, cfg.border.values(), cfg.quadrature)
     rows = [
         (p.eps0, p.mu0, "ok" if p.mu0 is not None else "no-root", p.method)
         for p in points
     ]
-    out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ext = "csv" if args.format == "csv" else "json"
-    fname = f"border_{cfg.border_kind}.{ext}"
-    _write_table(out_dir / fname, ["eps0", "mu0", "status", "method"], rows, args.format)
-    _write_sidecar(out_dir, "border", cfg, [fname])
+    args.out.mkdir(parents=True, exist_ok=True)
+    fname = f"border_{cfg.border_kind}.{args.format}"
+    _write_table(args.out / fname, ["eps0", "mu0", "status", "method"], rows, args.format)
+    _write_sidecar(args.out, "border", cfg, [fname])
     return 0
 
 
@@ -282,12 +265,10 @@ def cmd_wall(cfg: RunConfig, args) -> int:
         raise ConfigError("wall needs a halfspace, plate or thin-plate geometry")
     grid = cfg.wall
 
-    out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     outputs = []
     failures = []  # "<material>: <method>: <message>" per failure, for the sidecar
     diagnostics = {}  # per material: kernel points of the scan and the certifying call
-    ext = "csv" if args.format == "csv" else "json"
 
     def failed(name, method, exc):
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -303,9 +284,9 @@ def cmd_wall(cfg: RunConfig, args) -> int:
         points = []  # kernel points of each potential call: the scan, then the certifying one
 
         def potential(z, power=0):
-            results = _potential(cfg, name, z, table=table, power=power)
-            points.append(sum(r.evaluations for r in results))
-            return results
+            batch = _potential(cfg, name, z, table=table, power=power)
+            points.append(batch.evaluations)
+            return batch
 
         numeric = None
         try:  # the geometries of wall have one wall: the table's one channel is the force
@@ -336,12 +317,12 @@ def cmd_wall(cfg: RunConfig, args) -> int:
             except RuntimeError as exc:
                 rows.append(failed(name, "coefficient-ratio", exc))
 
-        fname = f"wall_{_safe_label(name)}.{ext}"
-        _write_table(out_dir / fname,
+        fname = f"wall_{_safe_label(name)}.{args.format}"
+        _write_table(args.out / fname,
                      ["material", "method", "z_max", "z_err", "U_max", "consistency", "status"],
                      rows, args.format)
         outputs.append(fname)
-    _write_sidecar(out_dir, "wall", cfg, outputs, error="\n".join(failures) or None,
+    _write_sidecar(args.out, "wall", cfg, outputs, error="\n".join(failures) or None,
                    diagnostics=diagnostics)
     return 3 if failures else 0
 
@@ -352,12 +333,11 @@ def cmd_check(cfg: RunConfig, args) -> int:
     material = cfg.medium(cfg.check.material)
     if isinstance(material, PerfectMirror):
         raise ConfigError("config.check.material: additivity check needs a dispersive material")
-    out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     try:
         report = additivity_check(cfg.atom, material, cfg.check.z, cfg.quadrature)
     except RuntimeError as exc:  # the sidecar names the failing term and z
-        _write_sidecar(out_dir, "check", cfg, [], error=str(exc))
+        _write_sidecar(args.out, "check", cfg, [], error=str(exc))
         raise
     doc = {
         "material": cfg.check.material,
@@ -379,8 +359,8 @@ def cmd_check(cfg: RunConfig, args) -> int:
             "rel_tol_outer": cfg.quadrature.rel_tol_outer,
         },
     }
-    (out_dir / "check.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    _write_sidecar(out_dir, "check", cfg, ["check.json"])
+    (args.out / "check.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_sidecar(args.out, "check", cfg, ["check.json"])
     return 0
 
 

@@ -252,8 +252,8 @@ def _parse_materials(obj, path: str) -> dict[str, Medium]:
 
 def _parse_geometry(obj, path: str, materials: dict[str, Medium]) -> Geometry:
     obj = _expect_mapping(obj, path)
-    kind = _string(obj.get("kind"), f"{path}.kind", _GEOMETRY_KINDS) if "kind" in obj \
-        else _raise_missing_kind(path)
+    _check_keys(obj, path, ("kind",), tuple(obj))  # the kind first: it decides the other keys
+    kind = _string(obj["kind"], f"{path}.kind", _GEOMETRY_KINDS)
 
     def material_names(key: str = "material") -> tuple[str, ...]:
         val = obj.get(key)
@@ -314,10 +314,6 @@ def _parse_geometry(obj, path: str, materials: dict[str, Medium]) -> Geometry:
     return Geometry(kind=kind, layers=tuple(layers), atom_layer=atom_layer)
 
 
-def _raise_missing_kind(path: str):
-    raise ConfigError(f"{path}: missing required key(s) ['kind']")
-
-
 def _parse_grid(obj, path: str, lo_key: str, hi_key: str,
                 default_points: int, points_key: str = "points") -> GridSection:
     obj = _expect_mapping(obj, path)
@@ -335,13 +331,8 @@ def _parse_quadrature(obj, path: str) -> QuadratureSpec:
     obj = _expect_mapping(obj, path)
     _check_keys(obj, path, (), ("rel_tol_inner", "rel_tol_outer", "abs_tol",
                                 "max_subdivisions"))
-    kw = {}
-    if "rel_tol_inner" in obj:
-        kw["rel_tol_inner"] = _number(obj["rel_tol_inner"], f"{path}.rel_tol_inner", positive=True)
-    if "rel_tol_outer" in obj:
-        kw["rel_tol_outer"] = _number(obj["rel_tol_outer"], f"{path}.rel_tol_outer", positive=True)
-    if "abs_tol" in obj:
-        kw["abs_tol"] = _number(obj["abs_tol"], f"{path}.abs_tol", positive=True)
+    kw = {key: _number(obj[key], f"{path}.{key}", positive=True)
+          for key in ("rel_tol_inner", "rel_tol_outer", "abs_tol") if key in obj}
     if "max_subdivisions" in obj:
         kw["max_subdivisions"] = _integer(obj["max_subdivisions"], f"{path}.max_subdivisions")
     return QuadratureSpec(**kw)

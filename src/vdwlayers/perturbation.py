@@ -14,8 +14,8 @@ expansion; the overall minus sign in front of each integral is applied by the
 evaluator.
 
 The expansion terms take ``z`` as a float (one ``ExpansionTerm``) or a 1-D
-array (a list with one term per entry), each term one ``integrate_nested``
-call over the whole array.  A channel is the z-free integrand
+array (one ``TermBatch``, arrays with one entry per z), each term one
+``integrate_nested`` call over the whole array.  A channel is the z-free integrand
 b^p alpha w chi of (u, b), and a term's kernel returns all its channels from
 one evaluation of alpha, eps and mu, so one b-node table serves every
 channel and every entry.
@@ -29,13 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .materials import AtomModel, MaterialModel
-from .potential import _per_z, _u_scale
-from .quadrature import (QuadratureSpec, _as_rows, _require, _require_positive,
+from .potential import _u_scale
+from .quadrature import (IntegralBatch, QuadratureSpec, _as_rows, _require, _require_positive,
                          integrate_nested, integrate_semi_infinite)
 from .stack import thin_layer_reflection
 
 __all__ = [
     "ExpansionTerm",
+    "TermBatch",
     "AdditivityReport",
     "PairReflection",
     "FIRST_ORDER_WEIGHTS",
@@ -83,6 +84,17 @@ class ExpansionTerm:
     channels: dict[str, float]
     error: float
     converged: bool
+    evaluations: int
+
+
+@dataclass(frozen=True, eq=False)
+class TermBatch(IntegralBatch):
+    """``ExpansionTerm``'s fields, those that vary with z as arrays, one entry per z."""
+
+    order: int
+    geometry: str
+    channels: dict[str, np.ndarray]
+    _row = ExpansionTerm
 
 
 @dataclass(frozen=True)
@@ -144,13 +156,13 @@ def _evaluate_term(order, geometry, atom, material, weights, pref, b_power, z, s
     batch = integrate_nested(_term_kernel(atom, material, active, pref, b_power),
                              z=np.broadcast_to(zdecay, (len(active), zdecay.size)), spec=spec,
                              u_scale=_u_scale(atom, material))
-    terms = []
-    for i in range(zdecay.size):  # the empty channels are exact zeros
-        channels = dict.fromkeys(weights, 0.0) | dict(zip(active, batch.values[:, i].tolist()))
-        terms.append(ExpansionTerm(order, geometry, math.fsum(channels.values()), channels,
-                                   sum(batch.errors[:, i].tolist()),
-                                   bool(batch.row_converged[:, i].all())))
-    return _per_z(z, terms)
+    # the empty channels are exact zeros; a term's value is the exactly rounded channel sum
+    channels = {name: np.zeros(zdecay.size) for name in weights} | dict(zip(active, batch.values))
+    values = np.fromiter(map(math.fsum, zip(*(c.tolist() for c in channels.values()))),
+                         float, zdecay.size)
+    terms = TermBatch(values, batch.errors.sum(axis=0), batch.row_evaluations.sum(axis=0),
+                      batch.row_converged.all(axis=0), order, geometry, channels)
+    return terms if np.ndim(z) else terms[0]
 
 
 def expansion_order1(geometry: str, atom: AtomModel, material: MaterialModel, z,
@@ -218,21 +230,27 @@ def additivity_check(atom: AtomModel, material: MaterialModel, z: float,
     """
     _require_positive("z", z)
 
+    def values(terms, what, zs):  # a term that did not converge raises, named by its z
+        if not terms.converged:
+            i = int(np.argmin(terms.row_converged))
+            _require(terms[i], f"the {what} at z={zs.tolist()[i]}")
+        return terms.values
+
     def stacked(what, term, weighted=False):
         def f(ws):
-            vals = np.array([_require(t, f"the {what} at z={w}")
-                             for t, w in zip(term(ws), ws.tolist())])
+            vals = values(term(ws), what, ws)
             return vals * (ws - z) if weighted else vals
 
         return _require(integrate_semi_infinite(f, z, spec=spec, scale=z),
                         f"the depth integral of the {what} from z={z}")
 
-    first_thick = _require(expansion_order1("thick", atom, material, z, spec=spec),
-                           f"the first-order thick term at z={z}")
+    at_z = np.array([z], dtype=float)  # the thick terms as arrays: no per-term object
+    first_thick = values(expansion_order1("thick", atom, material, at_z, spec=spec),
+                         "first-order thick term", at_z).item()
     first_stacked = stacked("first-order thin term", lambda w: expansion_order1(
         "thin", atom, material, w, d=1.0, spec=spec))
-    second_thick = _require(expansion_order2("thick", atom, material, z, spec=spec),
-                            f"the second-order thick term at z={z}")
+    second_thick = values(expansion_order2("thick", atom, material, at_z, spec=spec),
+                          "second-order thick term", at_z).item()
     single_term = stacked("second-order thin term", lambda w: expansion_order2(
         "thin", atom, material, w, d=1.0, spec=spec))
     correlation_term = stacked("pair correlation term", lambda w: expansion_order2(

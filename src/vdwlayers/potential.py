@@ -14,17 +14,17 @@ other (r_s = -+1, r_p = +-1), and every medium, however large its response,
 takes this one path.  The thin plate feeds the same kernel its
 linear-in-thickness coefficients; ``potential_mirror``, the closed 1-D form
 of the perfect-mirror half-space, is kept as an oracle.  Every potential
-takes ``z`` as a float (one ``PotentialResult``) or a 1-D array (a list, one
-result per entry) and is one ``integrate_nested`` call: one b-node table
-serves every entry and, for an atom in an interior layer, both walls, as two
-channels formed from one ``reflection_coefficients`` call, so the left/right
-split is exact bookkeeping.  Position-independent bulk terms are omitted
+takes ``z`` as a float (one ``PotentialResult``) or a 1-D array (one
+``PotentialBatch``, arrays with one entry per z) and is one
+``integrate_nested`` call: one b-node table serves every entry and, for an
+atom in an interior layer, both walls, as two channels formed from one
+``reflection_coefficients`` call, so the left/right split is exact
+bookkeeping.  Position-independent bulk terms are omitted
 throughout, so an all-vacuum scene gives exactly zero.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,12 +40,13 @@ from .materials import (
     PerfectMirror,
     static_summary,
 )
-from .quadrature import (IntegralBatch, IntegralResult, NodeTable, QuadratureSpec, _as_rows,
-                         _require_positive, integrate_nested, integrate_semi_infinite)
+from .quadrature import (IntegralBatch, NodeTable, QuadratureSpec, _as_rows, _require_positive,
+                         integrate_nested, integrate_semi_infinite)
 from .stack import Layer, LayerStack, reflection_coefficients, thin_layer_reflection
 
 __all__ = [
     "PotentialResult",
+    "PotentialBatch",
     "potential_mirror",
     "potential_halfspace",
     "potential_plate",
@@ -74,17 +75,21 @@ class PotentialResult:
     evaluations: int
 
 
+@dataclass(frozen=True, eq=False)
+class PotentialBatch(IntegralBatch):
+    """``PotentialResult``'s fields as arrays, one entry per position."""
+
+    left: np.ndarray
+    right: np.ndarray
+    _row = PotentialResult
+
+
 def _u_scale(atom: AtomModel, *materials: Medium) -> float:
     freqs = [t.frequency for t in atom.transitions]
     for m in materials:
         if isinstance(m, MaterialModel):
             freqs.extend(m.resonance_frequencies())
     return min(freqs)
-
-
-def _per_z(z, results: list[PotentialResult]):
-    """The one result of a float ``z``, or the list of an array."""
-    return results if np.ndim(z) else results[0]
 
 
 def potential_mirror(atom: AtomModel, z, kind: str = "conducting",
@@ -100,19 +105,19 @@ def potential_mirror(atom: AtomModel, z, kind: str = "conducting",
     if kind not in ("conducting", "permeable"):
         raise ValueError(f"kind must be 'conducting' or 'permeable', got {kind!r}")
     sign = -1.0 if kind == "conducting" else 1.0
-
-    def one(z):
-        def f(u):
+    value, error = np.empty(zs.size), np.empty(zs.size)
+    converged, evaluations = np.empty(zs.size, dtype=bool), np.empty(zs.size, dtype=np.intp)
+    for i, zi in enumerate(zs.tolist()):
+        def f(u, z=zi):
             uz = u * z
             return atom.alpha(u) * np.exp(-2.0 * uz) * (1.0 + 2.0 * uz + 2.0 * uz * uz)
 
-        res = integrate_semi_infinite(f, 0.0, spec=spec, scale=min(_u_scale(atom), 0.5 / z))
-        pref = 1.0 / (16.0 * math.pi**2 * z**3)
-        value = sign * pref * res.value
-        return PotentialResult(value, pref * res.error, value, 0.0, res.converged,
-                               res.evaluations)
-
-    return _per_z(z, [one(zi) for zi in zs.tolist()])
+        res = integrate_semi_infinite(f, 0.0, spec=spec, scale=min(_u_scale(atom), 0.5 / zi))
+        pref = 1.0 / (16.0 * math.pi**2 * zi**3)
+        value[i], error[i] = sign * pref * res.value, pref * res.error
+        converged[i], evaluations[i] = res.converged, res.evaluations
+    batch = PotentialBatch(value, error, evaluations, converged, value, np.zeros(zs.size))
+    return batch if np.ndim(z) else batch[0]
 
 
 def _wall_kernel(atom: AtomModel, refl):
@@ -125,26 +130,14 @@ def _wall_kernel(atom: AtomModel, refl):
     return kernel
 
 
-def _nested(kernel, z, spec, u_scale, table: NodeTable | None, power=0):
-    """``integrate_nested``, given ``table`` and ``power`` only when set (a test engine
-    takes neither)."""
-    kept = {} if table is None else {"table": table}
-    if np.any(power):
-        kept["power"] = power
-    return integrate_nested(kernel, z=z, spec=spec, u_scale=u_scale, **kept)
-
-
-def _odd(power, n: int) -> np.ndarray:
-    """Which of n rows have an odd ``power``: a wall at distance d - z turns
-    (-d/dw)^p of its term into (-1)^p (-d/dz)^p."""
-    return np.broadcast_to(np.asarray(power) % 2 == 1, (n,))
-
-
-def _wall_sum(left, right) -> PotentialResult:
-    """Potential of the left and right wall terms (integral or potential results)."""
-    return PotentialResult(left.value + right.value, left.error + right.error, left.value,
-                           right.value, left.converged and right.converged,
-                           left.evaluations + right.evaluations)
+def _two_walls(rows: IntegralBatch, power) -> PotentialBatch:
+    """The potentials of a left and a right wall term, rows 0 and 1 of ``rows``; the
+    right wall sits at d - z, so an odd ``power`` p flips its (-d/dw)^p term's sign."""
+    left, right = rows.values
+    right = np.where(np.asarray(power) % 2 == 1, -right, right)
+    return PotentialBatch(left + right, rows.errors[0] + rows.errors[1],
+                          rows.row_evaluations.sum(axis=0), rows.row_converged.all(axis=0),
+                          left, right)
 
 
 def potential_halfspace(atom: AtomModel, material: Medium, z,
@@ -189,9 +182,11 @@ def potential_thin_plate(atom: AtomModel, material: MaterialModel, thickness: fl
             stacklevel=2,
         )
     refl = partial(thin_layer_reflection, material, thickness)
-    batch = _nested(_wall_kernel(atom, refl), zs, spec, _u_scale(atom, material), table, power)
-    return _per_z(z, [PotentialResult(r.value, r.error, r.value, 0.0, r.converged, r.evaluations)
-                      for r in batch])
+    rows = integrate_nested(_wall_kernel(atom, refl), z=zs, spec=spec,
+                            u_scale=_u_scale(atom, material), table=table, power=power)
+    batch = PotentialBatch(rows.values, rows.errors, rows.row_evaluations, rows.row_converged,
+                           rows.values, np.zeros(zs.size))
+    return batch if np.ndim(z) else batch[0]
 
 
 def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z,
@@ -210,9 +205,9 @@ def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z
         both = np.tile(np.broadcast_to(power, zs.shape), 2) if np.any(power) else 0
         rows = potential_halfspace(atom, material, np.concatenate([zs, separation - zs]), spec,
                                    power=both)
-        right = [dataclasses.replace(r, value=-r.value) if odd else r
-                 for r, odd in zip(rows[zs.size:], _odd(power, zs.size).tolist())]
-        return _per_z(z, [_wall_sum(a, b) for a, b in zip(rows[:zs.size], right)])
+        batch = _two_walls(IntegralBatch(*(field.reshape(2, zs.size) for field in (
+            rows.values, rows.errors, rows.row_evaluations, rows.row_converged))), power)
+        return batch if np.ndim(z) else batch[0]
     stack = LayerStack(
         (Layer(material, math.inf), Layer(VACUUM, separation), Layer(material, math.inf)), 1, z
     )
@@ -227,7 +222,8 @@ def potential_multilayer(stack: LayerStack, atom: AtomModel,
     The atom layer must be vacuum.  For an interior atom layer the result is
     the exact sum of a left-wall and a right-wall term, two channels of one
     table; for an atom in an outer layer only the inward-facing term exists.
-    A 1-D array ``stack.atom_position`` gives one result per entry.
+    A 1-D array ``stack.atom_position`` gives a ``PotentialBatch``, one entry
+    per position.
     ``table``, a ``NodeTable`` kept by the caller for one stack and atom,
     lets later calls at other positions reuse the nodes of earlier ones
     (the kernel does not depend on the atom position); the half-space,
@@ -260,10 +256,13 @@ def potential_multilayer(stack: LayerStack, atom: AtomModel,
         r_s, r_p = walls(r)
         return r_s / r.d_s, r_p / r.d_p
 
-    batch = _nested(_wall_kernel(atom, refl), z, spec, u_scale, table, power)
-    zero = [IntegralResult(0.0, 0.0, 0, True)] * position.size
-    left, right = batch if z.ndim == 2 else (zero, batch) if j == 0 else (batch, zero)
-    if z.ndim == 2 and np.any(power):  # the right wall sits at d - z
-        right = IntegralBatch(np.where(_odd(power, position.size), -right.values, right.values),
-                              right.errors, right.row_evaluations, right.row_converged)
-    return _per_z(stack.atom_position, [_wall_sum(a, b) for a, b in zip(left, right)])
+    rows = integrate_nested(_wall_kernel(atom, refl), z=z, spec=spec, u_scale=u_scale,
+                            table=table, power=power)
+    if z.ndim == 2:
+        batch = _two_walls(rows, power)
+    else:  # the other side's term is an exact zero
+        zero = np.zeros(position.size)
+        left, right = (zero, rows.values) if j == 0 else (rows.values, zero)
+        batch = PotentialBatch(left + right, rows.errors, rows.row_evaluations,
+                               rows.row_converged, left, right)
+    return batch if np.ndim(stack.atom_position) else batch[0]

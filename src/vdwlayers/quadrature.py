@@ -40,6 +40,7 @@ worst channel's error over its tolerance, and the call returns a k-row
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -162,21 +163,35 @@ class IntegralResult:
     converged: bool
 
 
+def _take(part, i):
+    """Entry i of an array (a Python scalar from a 1-D one) or of a dict's arrays."""
+    if isinstance(part, dict):
+        return {key: _take(x, i) for key, x in part.items()}
+    x = part[i] if isinstance(part, np.ndarray) else part
+    return x.item() if isinstance(x, np.generic) else x
+
+
+# The row field of each batch field whose name differs
+_ROW_FIELD = {"values": "value", "errors": "error", "row_evaluations": "evaluations",
+              "row_converged": "converged"}
+
+
 @dataclass(frozen=True, eq=False)
 class IntegralBatch:
     """Results of one ``integrate_nested`` call, one row per entry of its 1-D or 2-D z,
     or of one k-channel 1-D integral, one row per channel.
 
-    ``evaluations`` (the kernel points of the call, the sum of
-    ``row_evaluations``) and ``converged`` (every row's) summarize it like
-    an ``IntegralResult``.  ``batch[i]`` is row i's ``IntegralResult`` in a
-    1-D batch, and the 1-D batch of channel i in a 2-D one.
+    ``batch[i]`` (and iteration) is row i's ``_row`` (in a 2-D batch, channel i's batch),
+    made of every field taken at i; ``evaluations`` is the call's kernel points (the sum
+    of ``row_evaluations``) and ``converged`` every row's.  The potentials' and expansion
+    terms' batches add fields and a ``_row`` type of their own.
     """
 
     values: np.ndarray
     errors: np.ndarray
     row_evaluations: np.ndarray
     row_converged: np.ndarray
+    _row = IntegralResult
 
     @property
     def evaluations(self) -> int:
@@ -187,14 +202,13 @@ class IntegralBatch:
         return bool(self.row_converged.all())
 
     def __len__(self) -> int:  # iteration runs on __getitem__ until IndexError
-        return len(self.values)
+        return len(self.row_converged)
 
     def __getitem__(self, i: int):
-        if self.values.ndim == 2:
-            return IntegralBatch(self.values[i], self.errors[i], self.row_evaluations[i],
-                                 self.row_converged[i])
-        return IntegralResult(float(self.values[i]), float(self.errors[i]),
-                              int(self.row_evaluations[i]), bool(self.row_converged[i]))
+        parts = {f.name: _take(getattr(self, f.name), i) for f in dataclasses.fields(self)}
+        if self.row_converged.ndim == 2:
+            return type(self)(**parts)
+        return self._row(**{_ROW_FIELD.get(name, name): x for name, x in parts.items()})
 
 
 def _require(res, what: str) -> float:
@@ -855,7 +869,5 @@ def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
     fields = _table_rows(kernel, zs, spec, u_scale, table, power) if zs.size else (
         np.zeros(zs.shape), np.zeros(zs.shape), np.zeros(zs.shape, dtype=np.intp),
         np.zeros(zs.shape, dtype=bool))
-    if len(shape) < 2:
-        fields = (field[0] for field in fields)
-    batch = IntegralBatch(*fields)
-    return batch[0] if not shape else batch
+    batch = IntegralBatch(*fields)  # (k, n): a 1-D z is its one channel, a float one row
+    return batch if len(shape) == 2 else batch[0] if shape else batch[0][0]

@@ -136,7 +136,7 @@ def decayed(kernel):
     return lambda u, b, z: kernel(u, b) * np.exp(-2.0 * b * z)
 
 
-def nested_oracle(kernel, *, z, spec=None, u_scale=1.0, mode):
+def nested_oracle(kernel, *, z, spec=None, u_scale=1.0, mode, table=None, power=0):
     """``integrate_nested`` on the nested engine in substitution ``mode``: the table's oracle.
 
     The kernel takes (u, b), as the table's does; the oracle integrates
@@ -152,8 +152,10 @@ def nested_oracle(kernel, *, z, spec=None, u_scale=1.0, mode):
     integral did.  ``u_scale`` is the outer map scale.  A float ``z`` returns
     an ``IntegralResult``, a 1-D array an ``IntegralBatch``; a 2-D ``z`` of k
     channels, as ``integrate_nested`` takes it, runs each channel on its own
-    and returns a 2-D ``IntegralBatch``.
+    and returns a 2-D ``IntegralBatch``.  It keeps no table (``table`` is
+    ignored) and integrates no power rows (every ``power`` must be 0).
     """
+    assert not np.any(power), "the nested oracle integrates no power rows"
     if np.ndim(z) == 2:  # channel c at the positions z[c], each integrated alone
         channels = [nested_oracle(lambda u, b, c=c: kernel(u, b)[c], z=zc, spec=spec,
                                   u_scale=u_scale, mode=mode) for c, zc in enumerate(z)]
@@ -426,6 +428,17 @@ def golden_section_wall(potential, z_lo=1e-3, z_hi=1e2, samples=60):
     if best.value <= 10.0 * abs(best.error):
         return None
     return v.WallEstimate(best_z, best.value, "numeric-scan")
+
+
+def same_batch(a, b) -> bool:
+    """Whether two batches of one type hold equal arrays in every field (a dict's per key)."""
+    def equal(x, y):
+        if isinstance(x, dict):
+            return x.keys() == y.keys() and all(equal(x[k], y[k]) for k in x)
+        return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+
+    return type(a) is type(b) and all(equal(getattr(a, f.name), getattr(b, f.name))
+                                      for f in dataclasses.fields(a))
 
 
 def search_wall(pot, **grid):

@@ -563,14 +563,14 @@ def _gaussian_wall(rel_error=1e-12, failing=None):
         zs = np.atleast_1d(z)
         powers = np.broadcast_to(power, zs.shape)
         calls.append((np.ndim(z), zs.tolist(), powers.tolist()))
-        results = []
-        for zi, p in zip(zs.tolist(), powers.tolist()):
-            s = math.log(zi) - 0.3
-            u = math.exp(-s * s)
-            value = (u, 2.0 * s * u / zi, -2.0 * u * (1.0 - s - 2.0 * s * s) / zi**2)[p]
-            ok = len(calls) == 1 or p != failing
-            results.append(v.PotentialResult(value, rel_error * u, value, 0.0, ok, 15))
-        return results if np.ndim(z) else results[0]
+        s = np.log(zs) - 0.3
+        u = np.exp(-s * s)
+        value = np.choose(powers, (u, 2.0 * s * u / zs,
+                                   -2.0 * u * (1.0 - s - 2.0 * s * s) / zs**2))
+        ok = (len(calls) == 1) | (powers != failing)
+        batch = v.PotentialBatch(value, rel_error * u, np.full(zs.shape, 15), ok, value,
+                                 np.zeros(zs.shape))
+        return batch if np.ndim(z) else batch[0]
 
     def force(z):
         s = np.log(z) - 0.3

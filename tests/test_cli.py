@@ -199,10 +199,15 @@ def test_scan_series_sign_pattern(tmp_path):
     assert max(float(r["U"]) for r in rows5) > 0.0
 
 
-def test_scan_two_plates_emits_reference_column(tmp_path):
+def two_plates_doc():
     doc = scan_doc()
     doc["geometry"] = {"kind": "two-plates", "material": "plate", "separation": 6.0}
     doc["scan"] = {"z_min": 2.0, "z_max": 4.0, "points": 3, "spacing": "linear"}
+    return doc
+
+
+def test_scan_two_plates_emits_reference_column(tmp_path):
+    doc = two_plates_doc()
     code, out = run(tmp_path, "scan", doc)
     assert code == 0
     header, rows = read_rows(out / "scan_plate.csv")
@@ -213,6 +218,37 @@ def test_scan_two_plates_emits_reference_column(tmp_path):
     assert float(mid["U_left"]) + float(mid["U_right"]) == pytest.approx(
         float(mid["U"]), rel=1e-12
     )
+    # the sidecar counts both tables: the cavity's and the noreflect reference's
+    cfg = parse_config(doc)
+    zs = cfg.scan.values()
+    cavity = v.potential_two_plates(cfg.atom, cfg.medium("plate"), 6.0, zs, cfg.quadrature)
+    noreflect = v.potential_two_plates(cfg.atom, cfg.medium("plate"), 6.0, zs, cfg.quadrature,
+                                       multiple_reflections=False)
+    meta = json.loads((out / "scan.meta.json").read_text())
+    assert meta["diagnostics"] == {"plate": {"kernel_points": cavity.evaluations,
+                                             "noreflect_kernel_points": noreflect.evaluations}}
+    assert noreflect.evaluations > 0
+    assert [float(r["U_noreflect"]) for r in rows] == noreflect.values.tolist()
+    assert all(r["converged"] == "1" for r in rows)
+
+
+def test_scan_two_plates_flags_a_nonconverged_reference(tmp_path, monkeypatch, capsys):
+    # a U_noreflect that did not converge clears its row's converged flag and
+    # makes the command exit 3, as the potential's own rows do
+    real = cli.potential_two_plates
+
+    def unconverged_reference(*args, multiple_reflections=True, **kwargs):
+        res = real(*args, multiple_reflections=multiple_reflections, **kwargs)
+        if multiple_reflections:
+            return res
+        return dataclasses.replace(res, row_converged=np.zeros_like(res.row_converged))
+
+    monkeypatch.setattr(cli, "potential_two_plates", unconverged_reference)
+    code, out = run(tmp_path, "scan", two_plates_doc())
+    assert code == 3
+    _, rows = read_rows(out / "scan_plate.csv")
+    assert len(rows) == 3 and all(r["converged"] == "0" for r in rows)
+    assert all(math.isfinite(float(r["U_noreflect"])) for r in rows)
 
 
 @pytest.mark.parametrize("kind", ["plate", "thin-plate"])
@@ -579,6 +615,35 @@ def test_wall_sidecar_counts_kernel_points_of_scan_and_rounds(tmp_path):
         assert (rerun / name).read_bytes() == (out / name).read_bytes()
 
 
+def test_commands_build_no_per_row_results(tmp_path, monkeypatch):
+    # scan, wall and check carry arrays from the engine to the writer: no
+    # PotentialResult or ExpansionTerm is built on the way
+    built = []
+
+    def counted(cls):
+        init = cls.__init__
+
+        def __init__(self, *args, **kwargs):
+            built.append(cls.__name__)
+            init(self, *args, **kwargs)
+        return __init__
+
+    for cls in (v.PotentialResult, v.ExpansionTerm):
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    v.potential_halfspace(v.AtomModel.two_level(), v.CONDUCTING_MIRROR, 1.0)  # a float z
+    assert built == ["PotentialResult"]  # the count sees a row when one is built
+    built.clear()
+    wall = {"atom": ATOM, "materials": {"plate": PLATE},
+            "geometry": {"kind": "halfspace", "material": "plate"},
+            "wall": {"z_min": 0.2, "z_max": 5.0, "samples": 12}}
+    check = {"atom": ATOM, "materials": {"weak": WEAK},
+             "check": {"material": "weak", "z": 1.0}}
+    for command, doc, extra in (("scan", scan_doc(), ()), ("scan", two_plates_doc(), ()),
+                                ("wall", wall, ()), ("check", check, ("--rel-tol", "1e-3"))):
+        code, _ = run(tmp_path, command, doc, *extra)
+        assert code == 0 and built == [], (command, built)
+
+
 def test_wall_failed_search_is_not_no_wall(tmp_path, capsys):
     # a certifying call that cannot converge is a numerical failure, not an absent wall
     doc = {
@@ -596,7 +661,7 @@ def test_wall_failed_search_is_not_no_wall(tmp_path, capsys):
         results = real(atom, material, z, spec, table=table, power=power)
         if len(calls) == 1:
             return results
-        return [dataclasses.replace(r, converged=False) for r in results]
+        return dataclasses.replace(results, row_converged=np.zeros_like(results.row_converged))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("vdwlayers.cli.potential_halfspace", flaky)

@@ -15,7 +15,7 @@ from vdwlayers.perturbation import (
 )
 
 from conftest import (assert_rows_within_errors_of_the_oracle, brute_force_2d, material,
-                      recorded_nested, tight_nested)
+                      recorded_nested, same_batch, tight_nested)
 
 
 def weak_material(chi_e=1e-3, chi_m=1e-3):
@@ -276,7 +276,7 @@ def test_additivity_check_terms_within_their_errors_of_the_oracle(atom):
     (2, "two-thin-plates", {"d": 0.5, "s": 0.25}),
 ])
 def test_expansion_terms_of_an_array_equal_float_calls(atom, order, geometry, kw):
-    # each channel's rows share one b-node table, so an entry of the list is not
+    # each channel's rows share one b-node table, so an entry of the batch is not
     # the float call bit for bit: both lie within their reported errors of the
     # nested engine at 100x tighter tolerance, and a repeat gives the same bytes
     m = weak_material()
@@ -284,8 +284,9 @@ def test_expansion_terms_of_an_array_equal_float_calls(atom, order, geometry, kw
     term = v.expansion_order1 if order == 1 else v.expansion_order2
     zs = np.array([0.4, 0.95, 1.0, 2.5])
     terms = term(geometry, atom, m, zs, spec=spec, **kw)
-    assert isinstance(terms, list) and len(terms) == zs.size
-    assert term(geometry, atom, m, zs, spec=spec, **kw) == terms
+    assert isinstance(terms, v.TermBatch) and len(terms) == zs.size
+    assert same_batch(term(geometry, atom, m, zs, spec=spec, **kw), terms)
+    assert terms.evaluations > 0 and type(terms[0].evaluations) is int
     for z, t in zip(zs.tolist(), terms):
         point = term(geometry, atom, m, z, spec=spec, **kw)
         with tight_nested(z, spec) as tight:
@@ -293,6 +294,7 @@ def test_expansion_terms_of_an_array_equal_float_calls(atom, order, geometry, kw
         for res in (t, point):
             assert res.converged, z
             assert abs(res.value - ref.value) <= res.error, z
+            assert res.value == math.fsum(res.channels.values()), z  # exactly rounded
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -0.25])
@@ -320,7 +322,7 @@ def test_additivity_check_rejects_nonconverged_terms(atom, monkeypatch):
     def pair_unconverged(geometry, *args, **kwargs):
         terms = order2(geometry, *args, **kwargs)  # the depth integrand passes an array
         if geometry == "two-thin-plates":
-            terms = [dataclasses.replace(t, converged=False) for t in terms]
+            terms = dataclasses.replace(terms, row_converged=np.zeros_like(terms.row_converged))
         return terms
 
     monkeypatch.setattr(perturbation, "expansion_order2", pair_unconverged)

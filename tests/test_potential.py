@@ -12,7 +12,7 @@ import vdwlayers as v
 
 from conftest import (assert_rows_within_errors_of_the_oracle, constant_material,
                       fig2_material, halfspace_stack, material, multilayer_scan_stack,
-                      nested_oracle, oracle_mode, recorded_nested, tight_nested)
+                      nested_oracle, oracle_mode, recorded_nested, same_batch, tight_nested)
 
 
 def plate_stack(mat, d, z):
@@ -142,7 +142,7 @@ def test_huge_response_halfspace_equals_multilayer(atom, response):
     m = constant_material(**response)
     zs = np.array([1e-3, 0.5, 50.0])
     rows = v.potential_halfspace(atom, m, zs)
-    assert rows == v.potential_multilayer(halfspace_stack(m, zs), atom)
+    assert same_batch(rows, v.potential_multilayer(halfspace_stack(m, zs), atom))
     assert all(r.converged for r in rows)
 
 
@@ -398,21 +398,29 @@ BATCH_Z = np.array([0.05, 0.4, 0.95, 1.0, 2.5, 4.6])
 def test_nested_batch_matches_pointwise(atom, geometry):
     # the rows of an array share one b-node table per wall, so a row is not the
     # float call bit for bit: both lie within their reported errors of the
-    # nested engine at 100x tighter tolerance, and a repeat gives the same bytes
+    # nested engine at 100x tighter tolerance, and a repeat gives the same bytes;
+    # the batch's rows are its arrays' entries, by index or by iteration
     potential = GEOMETRIES[geometry]
     batch = potential(atom, BATCH_Z)
-    assert isinstance(batch, list) and len(batch) == BATCH_Z.size
-    assert potential(atom, BATCH_Z) == batch
+    assert isinstance(batch, v.PotentialBatch) and len(batch) == BATCH_Z.size
+    assert same_batch(potential(atom, BATCH_Z), batch)
+    assert np.array_equal(batch.left + batch.right, batch.values)
+    assert batch.evaluations == batch.row_evaluations.sum()
+    assert list(batch) == [batch[i] for i in range(BATCH_Z.size)]
+    assert batch[-1] == batch[BATCH_Z.size - 1]
     for z, row in zip(BATCH_Z.tolist(), batch):
         point = potential(atom, z)
-        assert isinstance(point, v.PotentialResult) and isinstance(point.value, float)
+        for res in (row, point):
+            assert isinstance(res, v.PotentialResult) and isinstance(res.value, float)
+            assert type(res.evaluations) is int and type(res.converged) is bool
         with tight_nested(z) as tight:
             ref = potential(atom, z, tight)
         for res in (row, point):
             assert res.converged, (geometry, z)
             assert abs(res.value - ref.value) <= res.error, (geometry, z)
             assert res.left + res.right == res.value, (geometry, z)
-    assert potential(atom, np.array([])) == []
+    empty = potential(atom, np.array([]))
+    assert isinstance(empty, v.PotentialBatch) and len(empty) == 0 and list(empty) == []
 
 
 def test_potential_batches_pass_the_kernel_point_probe(atom, monkeypatch):
@@ -627,7 +635,7 @@ def test_force_in_a_symmetric_cavity_is_odd_about_its_middle(atom, multiple_refl
                                    power=1)
     curvature = v.potential_two_plates(atom, m, d, zs,
                                        multiple_reflections=multiple_reflections, power=2)
-    assert all(r.converged for r in force + curvature)
+    assert force.converged and curvature.converged
     assert abs(force[1].value) <= force[1].error
     assert abs(force[0].value + force[2].value) <= force[0].error + force[2].error
     assert abs(force[0].value) > 100.0 * force[0].error
