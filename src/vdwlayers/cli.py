@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 partial numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -114,6 +115,18 @@ def _write_sidecar(out_dir: Path, command: str, cfg: RunConfig, outputs: list[st
     (out_dir / f"{command}.meta.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+@contextlib.contextmanager
+def _keeping_warnings(warned: list[str], name: str):
+    """Record the block's warnings, re-emit each through the caller's filters, and append
+    "<name>: <message>" to ``warned``: the sidecar keeps warnings the caller filters out."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        warned.append(f"{name}: {w.message}")
+
+
 def _scan_series(cfg: RunConfig) -> list[str]:
     geo = cfg.geometry
     if geo.kind == "mirror":
@@ -181,12 +194,8 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     diagnostics = {}  # per series: the kernel points of its potentials
     all_ok = True
     for name in series:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")  # the sidecar keeps warnings the caller filters out
+        with _keeping_warnings(warned, name):
             b = _potential(cfg, name, zs)
-        for w in caught:  # re-emitted through the caller's filters
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-            warned.append(f"{name}: {w.message}")
         diagnostics[name] = {"kernel_points": b.evaluations}
         cells = [zs, b.values, b.errors, b.left, b.right]
         converged = b.row_converged
@@ -256,6 +265,7 @@ def cmd_wall(cfg: RunConfig, args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     outputs = []
     failures = []  # "<material>: <method>: <message>" per failure, for the sidecar
+    warned = []  # "<material>: <message>" per warning, for the sidecar
     diagnostics = {}  # per material: kernel points of the scan and the certifying call
 
     def failed(name, method, exc):
@@ -276,34 +286,35 @@ def cmd_wall(cfg: RunConfig, args) -> int:
             points.append(batch.evaluations)
             return batch
 
-        numeric = None
-        try:  # the geometries of wall have one wall: the table's one channel is the force
-            numeric = locate_wall(potential, z_lo=grid.lo, z_hi=grid.hi, samples=grid.points,
-                                  force=functools.partial(table.sums, power=1))
-        except RuntimeError as exc:
-            rows.append(failed(name, "numeric-scan", exc))
-        else:
-            if numeric is None:
-                rows.append((name, "numeric-scan", None, None, None, None, "no-wall"))
-            else:
-                rows.append((name, numeric.method, numeric.z_max, numeric.z_err, numeric.u_max,
-                             numeric.consistency, "ok"))
-        diagnostics[name] = {"scan_kernel_points": points[0] if points else None,
-                             "certify_kernel_points": sum(points[1:]),
-                             "z_err": getattr(numeric, "z_err", None),
-                             "force": getattr(numeric, "force", None)}
-
-        if geo.kind in ("halfspace", "thin-plate") and not isinstance(material, PerfectMirror):
-            kind = "thick" if geo.kind == "halfspace" else "thin"
-            try:
-                for est in wall_estimate(kind, cfg.atom, material, geo.thickness,
-                                         cfg.quadrature):
-                    rows.append((name, est.method, est.z_max, est.z_err, est.u_max,
-                                 est.consistency, "ok"))
-            except NoWallError:  # a RuntimeError too: an absent wall, not a failure
-                rows.append((name, "coefficient-ratio", None, None, None, None, "no-wall"))
+        with _keeping_warnings(warned, name):
+            numeric = None
+            try:  # the geometries of wall have one wall: the table's one channel is the force
+                numeric = locate_wall(potential, z_lo=grid.lo, z_hi=grid.hi, samples=grid.points,
+                                      force=functools.partial(table.sums, power=1))
             except RuntimeError as exc:
-                rows.append(failed(name, "coefficient-ratio", exc))
+                rows.append(failed(name, "numeric-scan", exc))
+            else:
+                if numeric is None:
+                    rows.append((name, "numeric-scan", None, None, None, None, "no-wall"))
+                else:
+                    rows.append((name, numeric.method, numeric.z_max, numeric.z_err, numeric.u_max,
+                                 numeric.consistency, "ok"))
+            diagnostics[name] = {"scan_kernel_points": points[0] if points else None,
+                                 "certify_kernel_points": sum(points[1:]),
+                                 "z_err": getattr(numeric, "z_err", None),
+                                 "force": getattr(numeric, "force", None)}
+
+            if geo.kind in ("halfspace", "thin-plate") and not isinstance(material, PerfectMirror):
+                kind = "thick" if geo.kind == "halfspace" else "thin"
+                try:
+                    for est in wall_estimate(kind, cfg.atom, material, geo.thickness,
+                                             cfg.quadrature):
+                        rows.append((name, est.method, est.z_max, est.z_err, est.u_max,
+                                     est.consistency, "ok"))
+                except NoWallError:  # a RuntimeError too: an absent wall, not a failure
+                    rows.append((name, "coefficient-ratio", None, None, None, None, "no-wall"))
+                except RuntimeError as exc:
+                    rows.append(failed(name, "coefficient-ratio", exc))
 
         fname = f"wall_{_safe_label(name)}.{args.format}"
         _write_table(args.out / fname,
@@ -311,7 +322,7 @@ def cmd_wall(cfg: RunConfig, args) -> int:
                      rows, args.format)
         outputs.append(fname)
     _write_sidecar(args.out, "wall", cfg, outputs, error="\n".join(failures) or None,
-                   diagnostics=diagnostics)
+                   warned=warned, diagnostics=diagnostics)
     return 3 if failures else 0
 
 

@@ -202,7 +202,7 @@ def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z
     _require_positive("separation", separation)
     zs = _as_rows("z", z, separation)
     if not multiple_reflections:  # both walls' distances as the rows of one table
-        both = np.tile(np.broadcast_to(power, zs.shape), 2) if np.any(power) else 0
+        both = np.tile(np.broadcast_to(power, zs.shape), 2)
         rows = potential_halfspace(atom, material, np.concatenate([zs, separation - zs]), spec,
                                    power=both)
         batch = _two_walls(IntegralBatch(*(field.reshape(2, zs.size) for field in (

@@ -16,10 +16,12 @@ row, and it must return the values at the broadcast shape (after a leading
 axis of k channels), computed elementwise, so that a point's value does not
 depend on the rest of the batch.  ``b`` is the vacuum axial wavenumber of
 the atom layer, so the change of variables is identical for every stack.
-The rows, one per (channel, z), may weigh e^{-2 b z} by (2 b)^p, which makes
-them (-d/dz)^p of U: p = 1 is the force, and a row with p >= 1 scales its
-tolerance on the integral of its |integrand|, as its value vanishes at a
-wall.  They share the table's panels: each row's error
+Every row, one per (channel, z), carries an integer power p and weighs
+e^{-2 b z} by (2 b)^p, formed as the one exponential e^{p log(2 b) - 2 b z},
+which makes it (-d/dz)^p of U: p = 0 is U itself (0 log(2 b) is +-0, so its
+weight is e^{-2 b z} to the bit), p = 1 is the force, and a row with p >= 1
+scales its tolerance on the integral of its |integrand|, as its value
+vanishes at a wall.  The rows share the table's panels: each row's error
 adds its own outer and weighted inner estimates, the same input gives the
 same bytes, and a row is not the float call bit for bit.  A node's inner
 integral stops at max(rel_tol_inner |G|, a), where the floor a is a share
@@ -266,9 +268,10 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions):
 
     ``f(rows, t)`` returns the integrand of integral ``rows[i]`` at the nodes
     ``t[i]``, an (m, 15) array, or k channels of it on a leading axis.
-    ``rel_tol`` broadcasts to (k, n); a channel whose tolerance is inf never
-    binds.  ``abs_tol`` is a float, or a function that maps the first (k, n)
-    estimates, of one panel each, to the absolute tolerances.  Each step,
+    ``rel_tol`` is finite and broadcasts to (k, n).  ``abs_tol`` is a float,
+    an array that broadcasts to (k, n), or a function that maps the first
+    (k, n) estimates, of one panel each, to such an array; a channel that
+    must never bind takes an infinite ``abs_tol`` entry.  Each step,
     every integral with a channel above max(rel_tol |value|, abs_tol) splits
     its worst panel (largest error, or with k channels largest error over
     tolerance), and all new panels go to ``f`` in one call.  Panels are
@@ -278,9 +281,6 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions):
     zeroed.  Returns (value, error, channel_converged,
     evals, converged), the first three (n,) for a 2-D ``f``, else (k, n).
     """
-    if n == 0:  # an empty batch: nothing to integrate
-        return (np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.intp),
-                np.zeros(0, dtype=bool))
     rows = np.arange(n)
     v, e = _eval_panels(f, rows, np.zeros(n), np.ones(n))
     single = v.ndim == 1  # then f stays 2-D: _estimate is faster on it
@@ -290,12 +290,9 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions):
     k = v.shape[0]
     err_ = _VAL + k  # first error field
     rel = np.broadcast_to(rel_tol, (k, n))
-    never = np.isinf(rel) if np.isinf(rel).any() else None  # else no np.where per step
-    rel = rel if never is None else np.where(never, 0.0, rel)
 
     def tolerance(value):
-        tol = np.maximum(rel * np.abs(value), abs_tol)
-        return tol if never is None else np.where(never, np.inf, tol)
+        return np.maximum(rel * np.abs(value), abs_tol)
 
     def key(err):  # one channel queues on its error; k on 0, steering on err / tol
         return err[0] if k == 1 else np.zeros(err.shape[1])
@@ -485,9 +482,8 @@ def _outer_nodes(b_c: float, lo: np.ndarray, hi: np.ndarray):
 
 
 def _outer_weight(b, z, power):
-    """e^{-2 b z}, times (2 b)^p where ``power`` p is given (formed as one exponential)."""
-    if power is None:
-        return np.exp(-2.0 * b * z)
+    """(2 b)^p e^{-2 b z}, formed as one exponential: at p = 0 it is e^{-2 b z} to the
+    bit, as 0 log(2 b) is +-0 and x +- 0 is x."""
     return np.exp(power * np.log(2.0 * b) - 2.0 * b * z)
 
 
@@ -518,11 +514,12 @@ class NodeTable:
     panel at the tightened tolerance.  The table belongs to one kernel,
     which the engine cannot check: using it with another kernel is the
     caller's error.  Using it with another ``spec``, ``u_scale`` or channel
-    count raises ValueError.  The rows of a call may carry powers p (see
-    ``integrate_nested``): the nodes are the same for every p, and a row
-    with p >= 1 sets the floors and redoes panels with its own tolerance,
-    rel_tol_outer times the integral of its |integrand|.  ``sums`` forms
-    rows of any z and p on the stored nodes alone.
+    count raises ValueError.  Every row of a call carries a power p (see
+    ``integrate_nested``; p = 0 is the potential): the nodes are the same for
+    every p, and a row with p >= 1 sets the floors and redoes panels with its
+    own tolerance, rel_tol_outer times the integral of its |integrand|.
+    ``sums`` forms rows of any z and p on the stored nodes alone.  A call
+    given no table fills a new one and drops it.
     """
 
     spec: QuadratureSpec | None = None
@@ -555,8 +552,7 @@ class NodeTable:
             raise ValueError(f"z of shape {shape} does not fit a table of "
                              f"{self.channels} channel(s)")
         zs = np.asarray(z, dtype=float).reshape(self.channels, -1)
-        power = _as_power(power, shape)
-        power = None if power is None else power.reshape(zs.shape)[..., None]
+        power = _as_power(power, shape).reshape(zs.shape)[..., None]
         if self._summed is None or self._summed[0] is not self.nodes:  # filled since
             h, _, b, inside = _outer_nodes(self.b_c, self.lo, self.hi)
             stored = self.done & inside
@@ -564,9 +560,7 @@ class NodeTable:
                             (h[:, None] * _WK * self.nodes[0])[:, stored])
         # -2 b, log(2 b) and h w G jac (channel, node) of the stored nodes
         _, minus_2b, log_2b, weighted = self._summed
-        exponent = minus_2b * zs[..., None]
-        if power is not None:
-            exponent += power * log_2b
+        exponent = minus_2b * zs[..., None] + power * log_2b
         rows = np.einsum("cim,cm->ci", np.exp(exponent), weighted)
         return rows.reshape(shape) if shape else float(rows[0, 0])
 
@@ -579,16 +573,16 @@ class NodeTable:
 
 
 def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
-                table: NodeTable | None = None, power: np.ndarray | None = None):
+                table: NodeTable, power: np.ndarray):
     """(value, error, evaluations, converged), each (k, n), from one b-node table.
 
     Row (c, i) is int_0^inf db (2 b)^p e^{-2 b z[c, i]} G(b), G(b) = int_0^b
     du kernel(u, b)[c] (a one-channel kernel may omit the channel axis), with
-    p = power[c, i], or 0 for every row when ``power`` is None.  A row's
-    tolerance tau is max(rel_tol_outer |V|, abs_tol) for p = 0 and
-    max(rel_tol_outer A, abs_tol) for p >= 1, with A the integral of the
-    row's |integrand| (a force vanishes at a wall, so |V| cannot scale its
-    tolerance); the floors, the steering and ``converged`` use that tau.  The
+    p = power[c, i] (0 for the potential).  A row's tolerance tau is
+    max(rel_tol_outer |V|, abs_tol) for p = 0 and max(rel_tol_outer A,
+    abs_tol) for p >= 1, with A the integral of the row's |integrand| (a
+    force vanishes at a wall, so |V| cannot scale its tolerance); the
+    floors, the steering and ``converged`` use that tau.  The
     outer x in (0, 1) maps to b = b_c x / (1 - x), the whole half-line, with
     first panels even in log b.  The channels of G at a node are one row of
     an inner ``_lockstep`` over t in [0, 1], steered by the worst channel,
@@ -608,9 +602,10 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
     adds every weighted inner error.  A row or weight that is not finite,
     and a tightened panel, give the floor ``spec.abs_tol``.  Floored nodes
     are refined where their integrand carries weight, so their samples may
-    never reach u ~ b; one more inner row integrates the largest new node
-    on the map u = b t, whose first points do, and a kernel that is not
-    finite there makes that node NaN, which flags its rows.
+    never reach u ~ b; one more inner row, the probe, integrates the largest
+    new node on the map u = b t, whose first points do, and a kernel that is
+    not finite there makes that node NaN, which flags its rows.  The probe
+    has the floor inf, so it never refines.
 
     A row's error adds its panels' QUADPACK estimates and their inner errors
     weighted by e^{-2 b z}.  Each round, a row short of its tolerance splits
@@ -621,15 +616,16 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
     change of U) stops steering and ends unconverged; the panels never
     exceed ``spec.max_subdivisions``.  A filled ``table`` gives the first
     panels, its b_c and its nodes (a node it lacks is computed), and the
-    table ends holding this call's panels and nodes; ``evaluations`` counts
-    this call's kernel points only.  A stored node floored for an earlier
-    call's rows carries its inner error into these rows, and the redo path
-    computes it again where that error keeps a row from its tolerance.
+    table, empty or filled, ends holding this call's panels and nodes;
+    ``evaluations`` counts this call's kernel points only.  A stored node
+    floored for an earlier call's rows carries its inner error into these
+    rows, and the redo path computes it again where that error keeps a row
+    from its tolerance.
     """
     k, n = z.shape
     z_min = float(z.min())
-    flat_power = None if power is None else power.reshape(-1)  # per (channel, z) column
-    if table is not None and table.spec is not None:
+    flat_power = power.reshape(-1)  # per (channel, z) column
+    if table.spec is not None:
         table._require_match(spec, u_scale, k)
         b_c = table.b_c
         lo, hi, tight, nodes, done = (a.copy() for a in (
@@ -656,9 +652,7 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
     def tolerance(value, floor):
         """max(rel_tol_outer s, abs_tol) per row, s = |value|, or in a row with p >= 1
         the integral of |integrand|, the rounding ``floor`` over _ROUND_OFF."""
-        scale = np.abs(value)
-        if power is not None:
-            scale = np.where(flat_power > 0, floor / _ROUND_OFF, scale)
+        scale = np.where(flat_power > 0, floor / _ROUND_OFF, np.abs(value))
         return np.maximum(spec.rel_tol_outer * scale, spec.abs_tol)
 
     def panels(lo, hi, tight, nodes, done, rest_val, rest_abs, rest_needed):
@@ -705,25 +699,23 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
                 lowest = np.full((k, bb.size - 1), np.inf)  # least log(tol / weight)
                 for j in range(0, n, _TABLE_Z_CHUNK):  # bounds the (channel, z, node) temporaries
                     cols = slice(j, j + _TABLE_Z_CHUNK)
-                    zj = z[:, cols, None]
-                    pj = None if power is None else power[:, cols, None]
+                    zj, pj = z[:, cols, None], power[:, cols, None]
                     weight = _outer_weight(b[needed], zj, pj)
                     row = rest_val[:, cols] + np.einsum("cij,cj->ci", weight, val)
-                    if power is not None:  # a row with p >= 1 scales on its |integrand|
-                        row = np.where(pj[..., 0] > 0, rest_abs[:, cols] + np.einsum(
-                            "cij,cj->ci", weight, np.abs(val)), row)
+                    # a row with p >= 1 scales on its |integrand|
+                    row = np.where(pj[..., 0] > 0, rest_abs[:, cols] + np.einsum(
+                        "cij,cj->ci", weight, np.abs(val)), row)
                     log_tol = np.log(np.maximum(spec.rel_tol_outer * np.abs(row), spec.abs_tol))
-                    log_tol = log_tol[:, :, None] + 2.0 * bb[:-1, 0] * zj
-                    if power is not None:
-                        log_tol = log_tol - pj * np.log(2.0 * bb[:-1, 0])
+                    log_tol = (log_tol[:, :, None] + 2.0 * bb[:-1, 0] * zj
+                               - pj * np.log(2.0 * bb[:-1, 0]))
                     lowest = np.minimum(lowest, log_tol.min(axis=1))
                 floor = np.exp(np.minimum(lowest + log_share, _TABLE_MAX_DECAY))  # finite
                 floor = np.where(np.isfinite(lowest) & ~unfloored,
                                  np.maximum(floor, spec.abs_tol), spec.abs_tol)
-                return np.append(floor, np.full((k, 1), spec.abs_tol), axis=1)
+                return np.append(floor, np.full((k, 1), np.inf), axis=1)  # the probe's
 
             rel = np.where(tight, spec.rel_tol_inner * _TABLE_INNER_TIGHTEN, spec.rel_tol_inner)
-            rel = np.append(np.broadcast_to(rel[:, None], b.shape)[busy], np.inf)  # the probe
+            rel = np.append(np.broadcast_to(rel[:, None], b.shape)[busy], spec.rel_tol_inner)
             g, g_err, _, inner_evals, _ = _lockstep(
                 integrand, bb.size, rel, floors, min(spec.max_subdivisions, _TABLE_INNER_SPLITS))
             evals += int(inner_evals.sum())
@@ -739,8 +731,7 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
             for j in range(0, n, _TABLE_Z_CHUNK):  # bounds the (panel, z, node) temporaries
                 cols = slice(ch * n + j, ch * n + min(j + _TABLE_Z_CHUNK, n))
                 decay = _outer_weight(b[:, None, :], z[ch, j:j + _TABLE_Z_CHUNK, None],
-                                      None if power is None
-                                      else power[ch, j:j + _TABLE_Z_CHUNK, None])
+                                      power[ch, j:j + _TABLE_Z_CHUNK, None])
                 out[0, :, cols], out[1, :, cols], resabs = _estimate(
                     val_j[ch, :, None, :] * decay, h[:, None])
                 out[2, :, cols] = h[:, None] * _rowdot(err_j[ch, :, None, :] * decay, _WK)
@@ -786,8 +777,7 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
         new_done = np.zeros(new_nodes.shape[2:], dtype=bool)
         new = panels(new_lo, new_hi, new_tight, new_nodes, new_done,
                      sums[0, rest].sum(axis=0).reshape(k, n),
-                     None if power is None
-                     else sums[3, rest].sum(axis=0).reshape(k, n) / _ROUND_OFF,
+                     sums[3, rest].sum(axis=0).reshape(k, n) / _ROUND_OFF,
                      int(geometry(lo[rest], hi[rest])[-1].sum()))
         m = idx.size
         lo[idx], hi[idx], tight[idx] = new_lo[:m], new_hi[:m], new_tight[:m]
@@ -797,25 +787,20 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
         nodes = np.concatenate([nodes, new_nodes[:, :, m:]], axis=2)
         sums = np.concatenate([sums, new[:, m:]], axis=1)
 
-    if table is not None:
-        table.spec, table.u_scale, table.channels, table.b_c = spec, u_scale, k, b_c
-        table.lo, table.hi, table.tight, table.nodes, table.done = lo, hi, tight, nodes, done
+    table.spec, table.u_scale, table.channels, table.b_c = spec, u_scale, k, b_c
+    table.lo, table.hi, table.tight, table.nodes, table.done = lo, hi, tight, nodes, done
     value, error = (np.array([math.fsum(col) for col in part.T.tolist()])
                     for part in (sums[0], sums[1] + sums[2]))
-    converged = error <= tolerance(value, None if power is None else sums[3].sum(axis=0))
+    converged = error <= tolerance(value, sums[3].sum(axis=0))
     return tuple(field.reshape(k, n)
                  for field in (value, error, _shares(evals, k * n), converged))
 
 
-def _as_power(power, shape) -> np.ndarray | None:
-    """``power`` as non-negative integers broadcast to ``shape``, or None where all are 0."""
-    if type(power) is int and power == 0:  # the default: no array work
-        return None
+def _as_power(power, shape) -> np.ndarray:
+    """``power`` as non-negative integers broadcast to ``shape``."""
     p = np.asarray(power)
     if p.dtype.kind not in "iu" or p.min(initial=0) < 0:  # bools are kind "b"
         raise ValueError(f"power must be integers >= 0, got {power!r}")
-    if not p.any():
-        return None
     try:
         return np.broadcast_to(p, shape)
     except ValueError:
@@ -838,12 +823,12 @@ def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
     of the table's inner map.
 
     Without ``table``, or with an empty ``NodeTable``, the call builds its
-    table from nothing, and an empty ``table`` keeps it.  With a filled one,
-    the rows are first formed on its nodes (G's value does not depend on z;
-    its inner accuracy, set by the rows of the call that computed it, is
-    tightened where these rows need more), and only the nodes and panels
-    the rows still need cost kernel points, so ``evaluations`` counts this
-    call's points alone.  The rows then agree with a table-free call within
+    table from nothing (in a new ``NodeTable`` that it drops), and an empty
+    ``table`` keeps it.  With a filled one, the rows are first formed on its
+    nodes (G's value does not depend on z; its inner accuracy, set by the
+    rows of the call that computed it, is tightened where these rows need
+    more), and only the nodes and panels the rows still need cost kernel
+    points, so ``evaluations`` counts this call's points alone.  The rows then agree with a table-free call within
     their errors, not bit for bit.
 
     ``power``, integers p >= 0 broadcast against ``z``, weighs each row's
@@ -852,8 +837,10 @@ def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
     p >= 1 meets max(rel_tol_outer A, abs_tol), A the integral of its
     |integrand|, not rel_tol_outer times its own |value|: a force vanishes
     at a wall, where no relative tolerance of its value can be met.  Rows
-    with p = 0 meet the usual tolerance, and when every p is 0 the call is
-    the call without ``power``, bit for bit.
+    with p = 0 meet the usual tolerance.  Every row is weighed the same way,
+    as e^{p log(2 b) - 2 b z}; at p = 0, 0 log(2 b) is +-0 and x +- 0 is x,
+    so the weight is e^{-2 b z} to the bit and a call whose every p is 0 is
+    the call without ``power``.
     """
     spec = spec or DEFAULT_SPEC
     shape = np.shape(z)
@@ -863,10 +850,8 @@ def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
         zs = _as_rows("z", np.reshape(z, -1)).reshape(shape)
     else:
         zs = _as_rows("z", z)[None]
-    power = _as_power(power, shape)
-    if power is not None:
-        power = power.reshape(zs.shape)
-    fields = _table_rows(kernel, zs, spec, u_scale, table, power) if zs.size else (
+    power = _as_power(power, shape).reshape(zs.shape)
+    fields = _table_rows(kernel, zs, spec, u_scale, table or NodeTable(), power) if zs.size else (
         np.zeros(zs.shape), np.zeros(zs.shape), np.zeros(zs.shape, dtype=np.intp),
         np.zeros(zs.shape, dtype=bool))
     batch = IntegralBatch(*fields)  # (k, n): a 1-D z is its one channel, a float one row

@@ -80,14 +80,14 @@ def _nested_rows(kernel, mode: str, z: np.ndarray, spec: QuadratureSpec, u_scale
     inner map scale 0.5 / z; every inner integral of one outer step, over all
     rows, is one inner ``_lockstep`` batch, at the tolerances of ``inner``
     (``spec`` if None).  The outer integrand has two channels: the inner
-    values, which steer, and the inner errors, whose tolerance never binds,
-    integrated on the same panels.  A row converges when every inner
-    integral did and its error, outer and integrated inner together, meets
-    max(rel_tol_outer |value|, abs_tol).  A row whose outer estimate meets
-    that but whose inner errors do not runs again, up to ``tighten`` times,
-    with its inner tolerances tightened by ``_ORACLE_TIGHTEN_REL`` and
-    ``_ORACLE_TIGHTEN_ABS``; a row depends on its own z alone, so an entry
-    of an array still equals the float call.
+    values, which steer, and the inner errors, whose infinite absolute floor
+    keeps them from ever binding, integrated on the same panels.  A row
+    converges when every inner integral did and its error, outer and
+    integrated inner together, meets max(rel_tol_outer |value|, abs_tol).
+    A row whose outer estimate meets that but whose inner errors do not runs
+    again, up to ``tighten`` times, with its inner tolerances tightened by
+    ``_ORACLE_TIGHTEN_REL`` and ``_ORACLE_TIGHTEN_ABS``; a row depends on
+    its own z alone, so an entry of an array still equals the float call.
     """
     inner = inner or spec
     n = z.size
@@ -114,7 +114,7 @@ def _nested_rows(kernel, mode: str, z: np.ndarray, spec: QuadratureSpec, u_scale
         return np.stack([vals.reshape(t.shape) * jac, errs.reshape(t.shape) * jac])
 
     (val, aux), (err, _), _, _, conv = _lockstep(
-        outer, n, np.array([[spec.rel_tol_outer], [math.inf]]), spec.abs_tol,
+        outer, n, spec.rel_tol_outer, np.array([[spec.abs_tol], [math.inf]]),
         spec.max_subdivisions,
     )
     error = err + aux

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -293,6 +294,28 @@ def test_thin_plate_scan_warns_outside_regime(tmp_path):
         assert main(["scan", "--config", str(sidecar), "--out", str(rerun)]) == 0
     assert (rerun / "scan_plate.csv").read_bytes() == (out / "scan_plate.csv").read_bytes()
     assert json.loads((rerun / "scan.meta.json").read_text())["warnings"] == expected
+
+
+def test_thin_plate_wall_sidecar_keeps_its_warnings(tmp_path):
+    # n(0) d / z = 2.77 at z = 0.01: the wall's search warns as the scan does,
+    # and its sidecar keeps the warning as the scan's does
+    doc = scan_doc()
+    del doc["scan"]
+    doc["geometry"] = {"kind": "thin-plate", "material": "plate", "thickness": 0.01}
+    doc["wall"] = {"z_min": 0.01, "z_max": 10.0, "samples": 8}
+    message = ("thin-plate linearization used outside its regime at 4 of 8 z: "
+               "largest n(0) d / z = 2.77 > 0.1")
+    with pytest.warns(UserWarning, match=re.escape(message)):
+        code, out = run(tmp_path, "wall", doc)
+    assert code == 0
+    assert json.loads((out / "wall.meta.json").read_text())["warnings"] == [f"plate: {message}"]
+    # the scan on the same config records the same warning
+    doc["scan"] = {"z_min": 0.01, "z_max": 10.0, "points": 8}
+    with pytest.warns(UserWarning, match=re.escape(message)):
+        assert main(["scan", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "scan")]) == 0
+    assert json.loads((tmp_path / "scan" / "scan.meta.json").read_text())["warnings"] == \
+        [f"plate: {message}"]
 
 
 def test_scan_mirror_geometry(tmp_path):

@@ -330,21 +330,17 @@ def test_lockstep_channels_share_one_node_set():
     peak = _lockstep(lambda r, t: f(r, t)[1], 1, 1e-8, 1e-30, 2000)
     assert smooth[3][0] < peak[3][0] == evals[0]
     assert val[1, 0] == peak[0][0] and err[1, 0] == peak[1][0]
-    # a channel whose tolerance is inf rides along without steering
-    both = _lockstep(f, 1, np.array([[np.inf], [1e-8]]), 1e-30, 2000)
+    # a channel whose absolute floor is inf rides along without steering
+    both = _lockstep(f, 1, np.array([[1e-12], [1e-8]]), np.array([[np.inf], [1e-30]]), 2000)
     assert both[3][0] == peak[3][0] and both[0][1, 0] == peak[0][0]
     assert abs(both[0][0, 0] - exact[0]) <= 1e-12
-
-
-def test_lockstep_empty_batch():
-    from vdwlayers.quadrature import _lockstep
-
-    def f(rows, t):
-        raise AssertionError("an empty batch must not call the integrand")
-
-    out = _lockstep(f, 0, 1e-10, 1e-30, 2000)
-    assert [a.shape for a in out] == [(0,)] * 5
-    assert out[4].dtype == bool
+    # so does an identically zero channel: rel |0| is 0, and the infinite floor
+    # keeps its tolerance inf, not NaN
+    zero = _lockstep(lambda r, t: np.stack([np.zeros_like(t), f(r, t)[1]]), 1, 1e-8,
+                     np.array([[np.inf], [1e-30]]), 2000)
+    assert zero[3][0] == peak[3][0]
+    assert zero[0][1, 0] == peak[0][0] and zero[1][1, 0] == peak[1][0]
+    assert zero[0][0, 0] == zero[1][0, 0] == 0.0 and zero[2].all() and zero[4][0]
 
 
 @pytest.mark.parametrize("mode, counts", [
@@ -782,8 +778,31 @@ def test_power_per_row_and_channel():
     assert np.all(np.abs(batch.values - exact) <= batch.errors)
 
 
+def test_outer_weight_at_zero_power_is_the_plain_exponential():
+    # 0 log(2 b) is +-0 and x +- 0 is x, so the one-exponential weight at p = 0
+    # is e^{-2 b z} to the bit, -0 exponents and underflow to 0 included
+    b = np.geomspace(1e-12, 1e12, 1201)[:, None]
+    z = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 601)])[None, :]
+    with np.errstate(under="ignore"):
+        weighed = quadrature._outer_weight(b, z, np.zeros(z.shape, dtype=int))
+        plain = np.exp(-2.0 * b * z)
+    assert weighed.tobytes() == plain.tobytes()
+
+
+def test_power_rows_across_z_chunks():
+    # per-row powers 0, 1, 2 over more z than two chunks of the table's sums
+    zs = np.geomspace(0.05, 20.0, 2 * quadrature._TABLE_Z_CHUNK + 3)
+    power = np.arange(zs.size) % 3
+    batch = v.integrate_nested(_exponential_kernel, z=zs, power=power)
+    exact = (2.0**power * np.vectorize(math.factorial)(power + 1)
+             / (2.0 * zs + 1.0) ** (power + 2))
+    assert batch.converged
+    assert np.all(np.abs(batch.values - exact) <= batch.errors)
+
+
 def test_zero_power_is_the_call_without_power(atom):
-    # every p = 0 skips the power factor: the same bytes, and the same table
+    # a p = 0 row is weighed by e^{0 log(2 b) - 2 b z}, which is e^{-2 b z} to
+    # the bit: the same bytes, and the same table, as the call without power
     m = fig2_material()
     zs = np.geomspace(0.2, 5.0, 12)
 
