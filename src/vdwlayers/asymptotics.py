@@ -430,9 +430,10 @@ def thin_coefficients(atom: AtomModel, material: MaterialModel, thickness: float
 
 
 def thin_border_mu(eps0: float) -> float:
-    """Static permeability on the thin-plate attraction/repulsion border, closed form."""
-    e2 = eps0 * eps0
-    return (14.0 * e2 - 9.0 + math.sqrt(196.0 * e2 * e2 - 228.0 * e2 + 81.0)) / (12.0 * eps0)
+    """Static permeability on the thin-plate attraction/repulsion border, closed form in
+    r = eps0^-2, so no power of eps0 overflows: mu0 ~ 7/3 eps0 is finite to eps0 ~ 7.7e307."""
+    r = 1.0 / (eps0 * eps0)
+    return eps0 / 12.0 * (14.0 - 9.0 * r + math.sqrt(196.0 - 228.0 * r + 81.0 * r * r))
 
 
 # The thick border lies in eps0 <= mu0 <= 5.11 eps0, between its weak-response
@@ -460,7 +461,8 @@ def border_curve(plate_kind: str, eps0_values: Sequence[float],
     still open as one batch, and a point's result does not depend on the
     other points.  The thin border is closed-form.  A point whose bracket
     ends do not change sign, or whose root search does not converge,
-    raises RuntimeError naming its eps0.
+    raises RuntimeError naming its eps0; a point past the float range (a
+    thick eps0 mu0 or a thin mu0 that overflows) raises ValueError naming it.
     """
     if plate_kind not in ("thick", "thin"):
         raise ValueError(f"plate_kind must be 'thick' or 'thin', got {plate_kind!r}")
@@ -469,7 +471,11 @@ def border_curve(plate_kind: str, eps0_values: Sequence[float],
     if bad.any():
         raise ValueError(f"eps0 must be finite and >= 1, got {eps[bad][0]}")
     if plate_kind == "thin":
-        return [BorderPoint(e, thin_border_mu(e), "closed-form") for e in eps.tolist()]
+        points = [BorderPoint(e, thin_border_mu(e), "closed-form") for e in eps.tolist()]
+        for p in points:
+            if not math.isfinite(p.mu0):
+                raise ValueError(f"thin border: mu0 overflows at eps0={p.eps0!r}")
+        return points
 
     hi = _BORDER_RATIO * eps
     f_lo, f_hi = _c4_bracket(eps, eps), _c4_bracket(eps, hi)

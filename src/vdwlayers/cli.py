@@ -247,7 +247,10 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
 def cmd_border(cfg: RunConfig, args) -> int:
     if cfg.border is None or cfg.border_kind is None:
         raise ConfigError("border needs a border section")
-    points = border_curve(cfg.border_kind, cfg.border.values(), cfg.quadrature)
+    try:
+        points = border_curve(cfg.border_kind, cfg.border.values(), cfg.quadrature)
+    except ValueError as exc:  # an eps0 grid past the float range
+        raise ConfigError(f"config.border: {exc}") from exc
     rows = [(p.eps0, p.mu0, "ok", p.method) for p in points]
     args.out.mkdir(parents=True, exist_ok=True)
     fname = f"border_{cfg.border_kind}.{args.format}"

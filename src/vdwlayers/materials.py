@@ -30,11 +30,18 @@ __all__ = [
 ]
 
 
-def _require_finite(obj, names: tuple[str, ...]) -> None:
+def _require_finite(obj, names: tuple[str, ...], squared: tuple[str, ...] = ()) -> None:
+    """Each of ``names`` finite, and each of ``squared`` (a frequency that the
+    response squares) at most sqrt(DBL_MAX) ~ 1.34e154, so its square is finite."""
     for name in names:
         value = getattr(obj, name)
         if not math.isfinite(value):
             raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value}")
+    for name in squared:
+        value = float(getattr(obj, name))
+        if not math.isfinite(value * value):
+            raise ValueError(f"{type(obj).__name__}.{name} must be at most sqrt(DBL_MAX) "
+                             f"~ 1.34e154 in size, so that its square is finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +59,7 @@ class Resonance:
     damping: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(self, ("plasma", "transverse", "damping"))
+        _require_finite(self, ("plasma", "transverse", "damping"), ("plasma", "transverse"))
         if not self.transverse > 0.0:
             raise ValueError(f"transverse frequency must be > 0, got {self.transverse}")
         if self.plasma < 0.0:
@@ -154,7 +161,7 @@ class Transition:
     dipole_sq: float
 
     def __post_init__(self) -> None:
-        _require_finite(self, ("frequency", "dipole_sq"))
+        _require_finite(self, ("frequency", "dipole_sq"), ("frequency",))
         if not self.frequency > 0.0:
             raise ValueError(f"transition frequency must be > 0, got {self.frequency}")
         if self.dipole_sq < 0.0:

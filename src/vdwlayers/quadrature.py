@@ -27,8 +27,10 @@ same bytes, and a row is not the float call bit for bit.  A node's inner
 integral stops at max(rel_tol_inner |G|, a), where the floor a is a share
 theta / N of the least tolerance over the rows divided by the node's weight
 in that row, so floors add at most theta times a row's tolerance to its
-error: a node that no row can see is not refined.  The tests check
-the table against a nested engine in three substitutions
+error: a node that no row can see is not refined.  A refinement round
+works on the whole table: a split or redone panel restarts from zero nodes,
+and every panel's sums are formed again from the stored nodes.  The tests
+check the table against a nested engine in three substitutions
 (``tests/conftest.py``) that integrates each z and each channel on its own.
 
 The 1-D integrals (``integrate_finite``, ``integrate_semi_infinite``) are
@@ -369,10 +371,10 @@ def _shares(total: int, rows: int) -> np.ndarray:
     return out
 
 
-def _oned(g, spec: QuadratureSpec | None,
-          rel_tol: float | None) -> IntegralResult | IntegralBatch:
+def _oned(g, spec: QuadratureSpec | None) -> IntegralResult | IntegralBatch:
     """The integral of ``g`` over [0, 1] as a one-row ``_lockstep``; ``g`` gets flat nodes.
 
+    Each channel meets max(``spec.rel_tol_outer`` |value|, ``spec.abs_tol``).
     A flat ``g`` gives an ``IntegralResult``.  A ``g`` that returns k
     channels on a leading axis gives a k-row ``IntegralBatch``: the channels
     share the panels, the worst channel (error over tolerance) picks the
@@ -381,14 +383,12 @@ def _oned(g, spec: QuadratureSpec | None,
     points ``g`` got.
     """
     spec = spec or DEFAULT_SPEC
-    rel = rel_tol if rel_tol is not None else spec.rel_tol_outer
-    _require_positive("rel_tol", rel)
 
     def f(rows, t):
         vals = np.asarray(g(t.ravel()), dtype=float)
         return vals.reshape(t.shape if vals.ndim < 2 else vals.shape[:1] + t.shape)
 
-    val, err, channel_conv, evals, conv = _lockstep(f, 1, rel, spec.abs_tol,
+    val, err, channel_conv, evals, conv = _lockstep(f, 1, spec.rel_tol_outer, spec.abs_tol,
                                                     spec.max_subdivisions)
     if val.ndim == 1:
         return IntegralResult(float(val[0]), float(err[0]), int(evals[0]), bool(conv[0]))
@@ -396,8 +396,8 @@ def _oned(g, spec: QuadratureSpec | None,
                          channel_conv[:, 0])
 
 
-def integrate_finite(f, a: float, b: float, *, spec: QuadratureSpec | None = None,
-                     rel_tol: float | None = None) -> IntegralResult | IntegralBatch:
+def integrate_finite(f, a: float, b: float, *,
+                     spec: QuadratureSpec | None = None) -> IntegralResult | IntegralBatch:
     """Adaptive integral of a vectorized integrand over the finite [a, b].
 
     The interval is mapped to [0, 1] by x = a + (b - a) t, so b < a gives the
@@ -409,7 +409,7 @@ def integrate_finite(f, a: float, b: float, *, spec: QuadratureSpec | None = Non
     _require_finite("a", a)
     _require_finite("b", b)
     width = b - a
-    return _oned(lambda t: np.asarray(f(a + width * t), dtype=float) * width, spec, rel_tol)
+    return _oned(lambda t: np.asarray(f(a + width * t), dtype=float) * width, spec)
 
 
 def _mapped(f, a, scale):
@@ -428,8 +428,7 @@ def _mapped(f, a, scale):
 
 
 def integrate_semi_infinite(f, a: float = 0.0, *, spec: QuadratureSpec | None = None,
-                            scale: float = 1.0,
-                            rel_tol: float | None = None) -> IntegralResult | IntegralBatch:
+                            scale: float = 1.0) -> IntegralResult | IntegralBatch:
     """Adaptive integral of a vectorized, decaying integrand over [a, infinity).
 
     ``scale`` positions the quadrature nodes: half of them land below
@@ -446,7 +445,7 @@ def integrate_semi_infinite(f, a: float = 0.0, *, spec: QuadratureSpec | None = 
     """
     _require_finite("a", a)
     _require_positive("scale", scale)
-    return _oned(_mapped(f, a, scale), spec, rel_tol)
+    return _oned(_mapped(f, a, scale), spec)
 
 
 # Initial outer panels of a b-node table: one per e-fold of b over
@@ -612,10 +611,13 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
     the fewest panels whose estimates cover its excess, when they are more
     than half of it, and redoes once the inner integrals of the fewest panels
     carrying its inner errors at ``_TABLE_INNER_TIGHTEN`` times the
-    tolerance, when those are.  A row that neither can help (at a sign
-    change of U) stops steering and ends unconverged; the panels never
-    exceed ``spec.max_subdivisions``.  A filled ``table`` gives the first
-    panels, its b_c and its nodes (a node it lacks is computed), and the
+    tolerance, when those are.  A split panel's left half replaces it and
+    its right half is appended; a split or redone panel restarts from zero
+    nodes, and the round computes the nodes the table lacks and forms every
+    panel's sums again from the stored nodes.  A row that neither can help
+    (at a sign change of U) stops steering and ends unconverged; the panels
+    never exceed ``spec.max_subdivisions``.  A filled ``table`` gives the
+    first panels, its b_c and its nodes (a node it lacks is computed), and the
     table, empty or filled, ends holding this call's panels and nodes;
     ``evaluations`` counts this call's kernel points only.  A stored node
     floored for an earlier call's rows carries its inner error into these
@@ -627,9 +629,8 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
     flat_power = power.reshape(-1)  # per (channel, z) column
     if table.spec is not None:
         table._require_match(spec, u_scale, k)
-        b_c = table.b_c
-        lo, hi, tight, nodes, done = (a.copy() for a in (
-            table.lo, table.hi, table.tight, table.nodes, table.done))
+        b_c, lo, hi, tight = table.b_c, table.lo, table.hi, table.tight
+        nodes, done = table.nodes.copy(), table.done.copy()  # filled in place below
     else:
         s_lo = math.log(_TABLE_B_LO / float(z.max()))
         s_hi = math.log(_TABLE_B_HI / z_min)
@@ -638,16 +639,11 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
         cuts = min(math.ceil(s_hi - s_lo) + 1, spec.max_subdivisions - 1)
         s_cut = np.linspace(s_lo, s_hi, cuts) if cuts > 1 else np.full(cuts, s_c)
         edges = np.concatenate([[0.0], 1.0 / (1.0 + np.exp(s_c - s_cut)), [1.0]])
-        lo, hi = edges[:-1].copy(), edges[1:].copy()  # replaced in place below
+        lo, hi = edges[:-1], edges[1:]
         tight = np.zeros(lo.size, dtype=bool)
         nodes = np.zeros((2, k, lo.size, _XK.size))
         done = np.zeros(nodes.shape[2:], dtype=bool)
     evals = 0
-
-    def geometry(lo, hi):
-        """Half-widths, 1 - x at the nodes x (1 where x rounds to 1), b, and the nodes needed."""
-        h, safe, b, inside = _outer_nodes(b_c, lo, hi)
-        return h, safe, b, inside & (2.0 * b * z_min <= _TABLE_MAX_DECAY)
 
     def tolerance(value, floor):
         """max(rel_tol_outer s, abs_tol) per row, s = |value|, or in a row with p >= 1
@@ -655,19 +651,17 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
         scale = np.where(flat_power > 0, floor / _ROUND_OFF, np.abs(value))
         return np.maximum(spec.rel_tol_outer * scale, spec.abs_tol)
 
-    def panels(lo, hi, tight, nodes, done, rest_val, rest_abs, rest_needed):
+    def panels():
         """(value, outer estimate, weighted inner error, rounding floor) x panel x row.
 
-        The nodes that these rows need and ``done`` lacks are computed into
-        ``nodes`` (G and its inner error, times the jacobian) and marked in
-        ``done``, in place.  ``rest_val`` (k, n), ``rest_abs`` (their
-        integrals of |integrand|, used by the rows with p >= 1) and
-        ``rest_needed`` are the row values and the needed node count of the
-        table's other panels; with these panels' nodes they set the floors of
-        the new inner integrals.
+        The nodes of the table that these rows need and ``done`` lacks are
+        computed into ``nodes`` (G and its inner error, times the jacobian)
+        and marked in ``done``, in place; then the sums of every panel are
+        formed again from the stored nodes.
         """
         nonlocal evals
-        h, safe, b, needed = geometry(lo, hi)
+        h, safe, b, inside = _outer_nodes(b_c, lo, hi)
+        needed = inside & (2.0 * b * z_min <= _TABLE_MAX_DECAY)
         busy = needed & ~done
         if busy.any():
             # one inner row more: the largest new node on the map u = b t, whose
@@ -687,8 +681,7 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
 
             hw = h[:, None] * _WK
             jac = b_c / (safe[busy] * safe[busy])
-            log_share = (math.log(_TABLE_INNER_FLOOR / (rest_needed + needed.sum()))
-                         - np.log(hw[busy] * jac))
+            log_share = math.log(_TABLE_INNER_FLOOR / needed.sum()) - np.log(hw[busy] * jac)
             unfloored = np.broadcast_to(tight[:, None], b.shape)[busy]  # a tightened panel
 
             def floors(first):
@@ -701,10 +694,10 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
                     cols = slice(j, j + _TABLE_Z_CHUNK)
                     zj, pj = z[:, cols, None], power[:, cols, None]
                     weight = _outer_weight(b[needed], zj, pj)
-                    row = rest_val[:, cols] + np.einsum("cij,cj->ci", weight, val)
+                    row = np.einsum("cij,cj->ci", weight, val)
                     # a row with p >= 1 scales on its |integrand|
-                    row = np.where(pj[..., 0] > 0, rest_abs[:, cols] + np.einsum(
-                        "cij,cj->ci", weight, np.abs(val)), row)
+                    row = np.where(pj[..., 0] > 0, np.einsum("cij,cj->ci", weight, np.abs(val)),
+                                   row)
                     log_tol = np.log(np.maximum(spec.rel_tol_outer * np.abs(row), spec.abs_tol))
                     log_tol = (log_tol[:, :, None] + 2.0 * bb[:-1, 0] * zj
                                - pj * np.log(2.0 * bb[:-1, 0]))
@@ -722,10 +715,9 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
             g, probe = g[..., :-1], g[..., -1]
             g[..., top] = np.where(np.isfinite(probe), g[..., top], np.nan)
             nodes[0][:, busy], nodes[1][:, busy] = g * jac, g_err[..., :-1] * jac
-            done |= busy
-        if (done & ~needed).any():  # an earlier call's node decayed here counts as zero
-            nodes = np.where(needed, nodes, 0.0)
-        val_j, err_j = nodes
+            done[busy] = True
+        # an earlier call's node decayed here counts as zero
+        val_j, err_j = np.where(needed, nodes, 0.0) if (done & ~needed).any() else nodes
         out = np.empty((4, lo.size, k * n))
         for ch in range(k):
             for j in range(0, n, _TABLE_Z_CHUNK):  # bounds the (panel, z, node) temporaries
@@ -738,7 +730,7 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
                 out[3, :, cols] = _ROUND_OFF * resabs
         return out
 
-    sums = panels(lo, hi, tight, nodes, done, np.zeros((k, n)), np.zeros((k, n)), 0)
+    sums = panels()
     while True:
         _, outer, inner, floor = sums
         tot_val, tot_outer, tot_inner, tot_floor = sums.sum(axis=1)
@@ -764,28 +756,16 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
             redo = _greedy_cover(gain, tot_inner[redo_rows] - 0.25 * tol[redo_rows]) & ~tight
         if not (split.any() or redo.any()):
             break
-        # a split panel's left half replaces it and its right half is appended;
-        # a redone panel is evaluated again in place
-        idx = np.flatnonzero(split | redo)
-        rest = np.ones(lo.size, dtype=bool)
-        rest[idx] = False
-        halves = split[idx]
-        new_lo = np.concatenate([lo[idx], mid[idx[halves]]])
-        new_hi = np.concatenate([np.where(halves, mid[idx], hi[idx]), hi[idx[halves]]])
-        new_tight = (tight | redo)[np.concatenate([idx, idx[halves]])]
-        new_nodes = np.zeros((2, k, new_lo.size, _XK.size))
-        new_done = np.zeros(new_nodes.shape[2:], dtype=bool)
-        new = panels(new_lo, new_hi, new_tight, new_nodes, new_done,
-                     sums[0, rest].sum(axis=0).reshape(k, n),
-                     sums[3, rest].sum(axis=0).reshape(k, n) / _ROUND_OFF,
-                     int(geometry(lo[rest], hi[rest])[-1].sum()))
-        m = idx.size
-        lo[idx], hi[idx], tight[idx] = new_lo[:m], new_hi[:m], new_tight[:m]
-        nodes[:, :, idx], done[idx], sums[:, idx] = new_nodes[:, :, :m], new_done[:m], new[:, :m]
-        lo, hi, tight, done = (np.concatenate([a, c[m:]]) for a, c in
-                               ((lo, new_lo), (hi, new_hi), (tight, new_tight), (done, new_done)))
-        nodes = np.concatenate([nodes, new_nodes[:, :, m:]], axis=2)
-        sums = np.concatenate([sums, new[:, m:]], axis=1)
+        # a split panel's left half replaces it and its right half is appended; a
+        # split or redone panel restarts from zero nodes, so no parent value stays
+        # at a node that the child does not need
+        restart = split | redo
+        nodes[:, :, restart], done[restart] = 0.0, False
+        lo, hi = (np.concatenate([lo, mid[split]]),
+                  np.concatenate([np.where(split, mid, hi), hi[split]]))
+        tight, done = (np.concatenate([a, a[split]]) for a in (tight | redo, done))
+        nodes = np.concatenate([nodes, nodes[:, :, split]], axis=2)
+        sums = panels()
 
     table.spec, table.u_scale, table.channels, table.b_c = spec, u_scale, k, b_c
     table.lo, table.hi, table.tight, table.nodes, table.done = lo, hi, tight, nodes, done

@@ -172,6 +172,12 @@ def test_thin_border_endpoints():
     assert v.thin_border_mu(1e3) / 1e3 == pytest.approx(7.0 / 3.0, rel=5e-3)
 
 
+@pytest.mark.parametrize("eps0", [1e100, 1e200])
+def test_thin_border_at_huge_eps0_is_seven_thirds(eps0):
+    # no power of eps0 may overflow: mu0 ~ 7/3 eps0 is far inside the float range
+    assert v.thin_border_mu(eps0) / eps0 == pytest.approx(7.0 / 3.0, rel=1e-15)
+
+
 def test_d4_d2_against_weak_limit_closed_forms(atom):
     m = material(**WEAK_ELECTRIC)
     d = 1.0

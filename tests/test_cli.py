@@ -761,6 +761,27 @@ def test_wall_rejects_reversed_grid(tmp_path, capsys, grid):
     assert "config.wall: z_max must exceed z_min" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, eps_max", [("thick", 1e160), ("thin", 1.7e308)])
+def test_border_past_the_float_range_is_a_config_error(tmp_path, capsys, kind, eps_max):
+    # thick: eps0 * mu0 overflows in the static bracket; thin: mu0 ~ 7/3 eps0 does
+    doc = {"atom": ATOM, "materials": {},
+           "border": {"plate_kind": kind, "eps_min": 1.0, "eps_max": eps_max, "points": 3,
+                      "spacing": "log"}}
+    code, out = run(tmp_path, "border", doc)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: config.border:" in err and "overflows" in err
+    assert not out.exists()
+
+
+def test_resonance_whose_square_overflows_is_a_config_error(tmp_path, capsys):
+    huge = {"electric": [{"plasma": 1e200, "transverse": 1.0}]}
+    code, out = run(tmp_path, "scan", scan_doc(materials={"plate": huge}))
+    assert code == 2
+    assert "config error: Resonance.plasma must be at most sqrt(DBL_MAX)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps_min", [0.5, 0.0])
 def test_border_rejects_eps_min_below_one(tmp_path, capsys, eps_min):
     doc = {"atom": ATOM, "materials": {},

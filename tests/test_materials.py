@@ -96,6 +96,10 @@ def test_resonance_validation():
         (lambda: v.Transition(math.inf, 1.0), "frequency"),
         (lambda: v.Transition(1.0, math.nan), "dipole_sq"),
         (lambda: v.Transition(1.0, math.inf), "dipole_sq"),
+        # eps, mu and alpha square these: a square past DBL_MAX is rejected
+        (lambda: v.Resonance(1e200, 1.0), "plasma"),
+        (lambda: v.Resonance(1.0, 1e200), "transverse"),
+        (lambda: v.Transition(1e200, 1.0), "frequency"),
     ],
 )
 def test_non_finite_parameters_rejected(build, field):
