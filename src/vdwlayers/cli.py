@@ -41,13 +41,8 @@ from .asymptotics import (  # noqa: F401
 from .config import ConfigError, RunConfig, _safe_label, load_config, with_overrides
 from .materials import PerfectMirror
 from .perturbation import additivity_check
-from .potential import (
-    potential_halfspace,
-    potential_multilayer,
-    potential_plate,
-    potential_thin_plate,
-    potential_two_plates,
-)
+from .potential import potential_multilayer, potential_two_plates
+from .potential import potential_halfspace  # noqa: F401  perfbench's potential probe wraps it
 from .quadrature import NodeTable
 
 __all__ = ["main", "entry"]
@@ -127,62 +122,26 @@ def _keeping_warnings(warned: list[str], name: str):
         warned.append(f"{name}: {w.message}")
 
 
-def _scan_series(cfg: RunConfig) -> list[str]:
-    geo = cfg.geometry
-    if geo.kind == "mirror":
-        return [f"mirror-{geo.mirror}"]
-    if geo.kind == "multilayer":
-        return ["multilayer"]
-    return list(geo.materials)
-
-
 def _potential(cfg: RunConfig, name: str, z, table: NodeTable | None = None, power=0):
-    """Potential at z (a float, or a 1-D array giving a ``PotentialBatch``) for the series
-    ``name``.
-
-    ``table`` is the series' ``NodeTable``, kept across calls; the
-    two-plates geometry takes none.  ``power`` p asks for (-d/dz)^p of it.
-    """
-    geo = cfg.geometry
-    atom = cfg.atom
-    spec = cfg.quadrature
-    if geo.kind == "mirror":
-        return potential_halfspace(atom, PerfectMirror(geo.mirror), z, spec, table=table,
-                                   power=power)
-    if geo.kind == "multilayer":
-        return potential_multilayer(cfg.build_stack(z), atom, spec, table=table, power=power)
-    material = cfg.medium(name)
-    if geo.kind == "halfspace":
-        return potential_halfspace(atom, material, z, spec, table=table, power=power)
-    if geo.kind == "plate":
-        return potential_plate(atom, material, geo.thickness, z, spec, table=table, power=power)
-    if geo.kind == "thin-plate":
-        return potential_thin_plate(atom, material, geo.thickness, z, spec, table=table,
-                                    power=power)
-    return potential_two_plates(atom, material, geo.separation, z, spec, power=power)
+    """Potential (or, for ``power`` p, its (-d/dz)^p) of the series ``name`` at z, a float
+    or a 1-D array, on the series' stack; ``table`` is its ``NodeTable``, kept across calls."""
+    return potential_multilayer(cfg.build_stack(z, name), cfg.atom, cfg.quadrature, table=table,
+                                power=power)
 
 
-def _validate_scan_geometry(cfg: RunConfig) -> None:
+def cmd_scan(cfg: RunConfig, args) -> int:
     geo = cfg.geometry
     if geo is None:
         raise ConfigError("scan needs a geometry section")
     if cfg.scan is None:
         raise ConfigError("scan needs a scan section")
-    if geo.kind == "two-plates" and cfg.scan.hi >= geo.separation:
-        raise ConfigError("scan.z_max must stay below the plate separation")
-    if geo.kind == "multilayer":
-        try:
-            cfg.build_stack(cfg.scan.lo)
-            cfg.build_stack(cfg.scan.hi)
-        except ValueError as exc:
-            raise ConfigError(f"config.geometry: {exc}") from exc
-
-
-def cmd_scan(cfg: RunConfig, args) -> int:
-    _validate_scan_geometry(cfg)
+    try:  # the stack (every series has the same layout) holds the atom at both scan ends
+        for z in (cfg.scan.lo, cfg.scan.hi):
+            cfg.build_stack(z, geo.materials[0])
+    except ValueError as exc:
+        raise ConfigError(f"config.geometry: {exc}") from exc
     zs = cfg.scan.values()
-    series = _scan_series(cfg)
-    two_plates = cfg.geometry.kind == "two-plates"
+    two_plates = geo.kind == "two-plates"
     columns = ["z_A", "U", "err", "U_left", "U_right"]
     if two_plates:
         columns.append("U_noreflect")
@@ -193,15 +152,16 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     warned = []  # "<series>: <message>" per warning, for the sidecar
     diagnostics = {}  # per series: the kernel points of its potentials
     all_ok = True
-    for name in series:
+    for name in geo.materials:
         with _keeping_warnings(warned, name):
             b = _potential(cfg, name, zs)
         diagnostics[name] = {"kernel_points": b.evaluations}
         cells = [zs, b.values, b.errors, b.left, b.right]
         converged = b.row_converged
         if two_plates:  # the cavity denominators forced to one: a table of its own
-            noreflect = potential_two_plates(cfg.atom, cfg.medium(name), cfg.geometry.separation,
-                                             zs, cfg.quadrature, multiple_reflections=False)
+            gap = geo.series[name][1].thickness
+            noreflect = potential_two_plates(cfg.atom, cfg.medium(name), gap, zs, cfg.quadrature,
+                                             multiple_reflections=False)
             diagnostics[name]["noreflect_kernel_points"] = noreflect.evaluations
             cells.append(noreflect.values)
             converged = converged & noreflect.row_converged
@@ -308,9 +268,10 @@ def cmd_wall(cfg: RunConfig, args) -> int:
                                  "force": getattr(numeric, "force", None)}
 
             if geo.kind in ("halfspace", "thin-plate") and not isinstance(material, PerfectMirror):
-                kind = "thick" if geo.kind == "halfspace" else "thin"
+                kind, thickness = (("thick", None) if geo.kind == "halfspace"
+                                   else ("thin", geo.series[name][1].thickness))
                 try:
-                    for est in wall_estimate(kind, cfg.atom, material, geo.thickness,
+                    for est in wall_estimate(kind, cfg.atom, material, thickness,
                                              cfg.quadrature):
                         rows.append((name, est.method, est.z_max, est.z_err, est.u_max,
                                      est.consistency, "ok"))

@@ -35,6 +35,8 @@ reduced units):
                      "abs_tol": 1e-30, "max_subdivisions": 2000}
     }
 
+Every geometry compiles to the layers of a ``LayerStack``, one stack per
+series (per name of a material list); a thin plate's medium is a thin layer.
 The name "vacuum" is predefined and reserved.  Each command requires its own
 section (scan additionally requires geometry; wall requires geometry and
 accepts an optional wall section); border's eps_min must be at least 1.
@@ -82,13 +84,16 @@ _GEOMETRY_KINDS = ("mirror", "halfspace", "plate", "thin-plate", "two-plates", "
 
 @dataclass(frozen=True)
 class Geometry:
+    """Each series' layers, the atom in ``atom_layer``; ``materials`` names the series, one
+    per name of a material list, or the one series "mirror-<kind>" or "multilayer"."""
+
     kind: str
-    materials: tuple[str, ...] = ()
-    mirror: str | None = None
-    thickness: float | None = None
-    separation: float | None = None
-    layers: tuple[tuple[str, float], ...] = ()
-    atom_layer: int | None = None
+    series: dict[str, tuple[Layer, ...]]
+    atom_layer: int
+
+    @property
+    def materials(self) -> tuple[str, ...]:
+        return tuple(self.series)
 
 
 @dataclass(frozen=True)
@@ -137,13 +142,13 @@ class RunConfig:
         except KeyError:
             raise ConfigError(f"unknown material {name!r}") from None
 
-    def build_stack(self, atom_position) -> LayerStack:
-        """The multilayer stack with the atom at ``atom_position`` (a float or a 1-D array)."""
+    def build_stack(self, atom_position, series: str = "multilayer") -> LayerStack:
+        """The stack of the series ``series`` with the atom at ``atom_position`` (a float or
+        a 1-D array); a multilayer's one series is its default."""
         geo = self.geometry
-        if geo is None or geo.kind != "multilayer":
-            raise ConfigError("geometry.kind must be 'multilayer' to build a stack")
-        layers = tuple(Layer(self.medium(nm), th) for nm, th in geo.layers)
-        return LayerStack(layers=layers, atom_layer=geo.atom_layer, atom_position=atom_position)
+        if geo is None or series not in geo.series:
+            raise ConfigError(f"the geometry has no series {series!r}")
+        return LayerStack(geo.series[series], geo.atom_layer, atom_position)
 
 
 def _safe_label(label: str) -> str:
@@ -271,47 +276,50 @@ def _parse_geometry(obj, path: str, materials: dict[str, Medium]) -> Geometry:
             labels[label] = n
         return tuple(names)
 
+    outer = Layer(VACUUM, math.inf)
     if kind == "mirror":
         _check_keys(obj, path, ("kind", "mirror"))
-        return Geometry(kind=kind, mirror=_string(obj["mirror"], f"{path}.mirror",
-                                                  ("conducting", "permeable")))
-    if kind == "halfspace":
-        _check_keys(obj, path, ("kind", "material"))
-        return Geometry(kind=kind, materials=material_names())
-    if kind in ("plate", "thin-plate"):
-        _check_keys(obj, path, ("kind", "material", "thickness"))
-        names = material_names()
-        if kind == "thin-plate":
-            for n in names:
-                if isinstance(materials[n], PerfectMirror):
-                    raise ConfigError(f"{path}.material: the thin-plate linearization is "
-                                      f"undefined for the perfect mirror {n!r}")
-        return Geometry(kind=kind, materials=names,
-                        thickness=_number(obj["thickness"], f"{path}.thickness", positive=True))
-    if kind == "two-plates":
-        _check_keys(obj, path, ("kind", "material", "separation"))
-        return Geometry(kind=kind, materials=material_names(),
-                        separation=_number(obj["separation"], f"{path}.separation", positive=True))
-    # multilayer
-    _check_keys(obj, path, ("kind", "layers", "atom_layer"))
-    raw_layers = obj["layers"]
-    if not isinstance(raw_layers, list) or len(raw_layers) < 2:
-        raise ConfigError(f"{path}.layers: expected a list of at least two layers")
-    layers = []
-    for i, layer in enumerate(raw_layers):
-        lp = f"{path}.layers[{i}]"
-        layer = _expect_mapping(layer, lp)
-        _check_keys(layer, lp, ("material", "thickness"))
-        name = _string(layer["material"], f"{lp}.material")
-        if name not in materials:
-            raise ConfigError(f"{lp}.material: unknown material {name!r}")
-        th = layer["thickness"]
-        thickness = math.inf if th == "inf" else _number(th, f"{lp}.thickness", positive=True)
-        layers.append((name, thickness))
-    atom_layer = _integer(obj["atom_layer"], f"{path}.atom_layer", minimum=0)
-    if atom_layer >= len(layers):
-        raise ConfigError(f"{path}.atom_layer: out of range for {len(layers)} layers")
-    return Geometry(kind=kind, layers=tuple(layers), atom_layer=atom_layer)
+        mirror = _string(obj["mirror"], f"{path}.mirror", ("conducting", "permeable"))
+        series = (Layer(PerfectMirror(mirror), math.inf), outer)
+        return Geometry(kind, {f"mirror-{mirror}": series}, 1)
+    if kind == "multilayer":
+        _check_keys(obj, path, ("kind", "layers", "atom_layer"))
+        raw_layers = obj["layers"]
+        if not isinstance(raw_layers, list) or len(raw_layers) < 2:
+            raise ConfigError(f"{path}.layers: expected a list of at least two layers")
+        layers = []
+        for i, layer in enumerate(raw_layers):
+            lp = f"{path}.layers[{i}]"
+            layer = _expect_mapping(layer, lp)
+            _check_keys(layer, lp, ("material", "thickness"))
+            name = _string(layer["material"], f"{lp}.material")
+            if name not in materials:
+                raise ConfigError(f"{lp}.material: unknown material {name!r}")
+            th = layer["thickness"]
+            thickness = math.inf if th == "inf" else _number(th, f"{lp}.thickness", positive=True)
+            layers.append(Layer(materials[name], thickness))
+        atom_layer = _integer(obj["atom_layer"], f"{path}.atom_layer", minimum=0)
+        if atom_layer >= len(layers):
+            raise ConfigError(f"{path}.atom_layer: out of range for {len(layers)} layers")
+        return Geometry(kind, {"multilayer": tuple(layers)}, atom_layer)
+
+    # a material list: one series per name, its layers in the kind's layout
+    size_key = {"halfspace": None, "two-plates": "separation"}.get(kind, "thickness")
+    _check_keys(obj, path, ("kind", "material") + ((size_key,) if size_key else ()))
+    names = material_names()
+    if kind == "thin-plate":
+        for n in names:
+            if isinstance(materials[n], PerfectMirror):
+                raise ConfigError(f"{path}.material: the thin-plate linearization is "
+                                  f"undefined for the perfect mirror {n!r}")
+    size = _number(obj[size_key], f"{path}.{size_key}", positive=True) if size_key else None
+    layout = {"halfspace": lambda m: (Layer(m, math.inf), outer),
+              "plate": lambda m: (outer, Layer(m, size), outer),
+              "thin-plate": lambda m: (outer, Layer(m, size, thin=True), outer),
+              "two-plates": lambda m: (Layer(m, math.inf), Layer(VACUUM, size),
+                                       Layer(m, math.inf))}
+    return Geometry(kind, {n: layout[kind](materials[n]) for n in names},
+                    1 if kind in ("halfspace", "two-plates") else 2)
 
 
 def _parse_grid(obj, path: str, lo_key: str, hi_key: str,

@@ -166,6 +166,10 @@ class Transition:
             raise ValueError(f"transition frequency must be > 0, got {self.frequency}")
         if self.dipole_sq < 0.0:
             raise ValueError(f"dipole_sq must be >= 0, got {self.dipole_sq}")
+        square = self.frequency**2  # alpha(0) takes frequency * dipole_sq / square
+        if not (square > 0.0 and math.isfinite(self.frequency * self.dipole_sq / square)):
+            raise ValueError(f"Transition.frequency * Transition.dipole_sq / frequency^2, its "
+                             f"alpha(0) share, must be finite: {self.frequency}, {self.dipole_sq}")
 
 
 @dataclass(frozen=True)

@@ -8,18 +8,19 @@ vacuum axial wavenumber b of
 summed over the walls on both sides of the atom, with geometry entering only
 through the reflection coefficients: ``_wall_kernel`` is the one place that
 forms this integrand, without its factor e^{-2 b z}, which ``integrate_nested``
-applies.  Half-space, plate and two-plate scenes are ``LayerStack``s
-evaluated by ``potential_multilayer``; a perfect mirror is a layer like any
-other (r_s = -+1, r_p = +-1), and every medium, however large its response,
-takes this one path.  The thin plate feeds the same kernel its
-linear-in-thickness coefficients; ``potential_mirror``, the closed 1-D form
-of the perfect-mirror half-space, is kept as an oracle.  Every potential
-takes ``z`` as a float (one ``PotentialResult``) or a 1-D array (one
-``PotentialBatch``, arrays with one entry per z) and is one
-``integrate_nested`` call: one b-node table serves every entry and, for an
-atom in an interior layer, both walls, as two channels formed from one
-``reflection_coefficients`` call, so the left/right split is exact
-bookkeeping.  Position-independent bulk terms are omitted
+applies.  Every geometry is a ``LayerStack`` evaluated by
+``potential_multilayer``, the one caller of ``integrate_nested``: the
+half-space, plate, thin-plate and two-plate potentials only build their
+stacks.  A perfect mirror is a layer like any other (r_s = -+1, r_p = +-1),
+every medium, however large its response, takes this one path, and a thin
+plate is a thin layer, whose step the recursion linearises in its thickness.
+``potential_mirror``, the closed 1-D form of the perfect-mirror half-space,
+is kept as an oracle.  Every potential takes ``z`` as a float (one
+``PotentialResult``) or a 1-D array (one ``PotentialBatch``, arrays with one
+entry per z) and is one ``integrate_nested`` call: one b-node table serves
+every entry and, for an atom in an interior layer, both walls, as two
+channels formed from one ``reflection_coefficients`` call, so the left/right
+split is exact bookkeeping.  Position-independent bulk terms are omitted
 throughout, so an all-vacuum scene gives exactly zero.
 """
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .materials import (
 )
 from .quadrature import (IntegralBatch, NodeTable, QuadratureSpec, _as_rows, _require_positive,
                          integrate_nested, integrate_semi_infinite)
-from .stack import Layer, LayerStack, reflection_coefficients, thin_layer_reflection
+from .stack import Layer, LayerStack, reflection_coefficients
 
 __all__ = [
     "PotentialResult",
@@ -164,29 +164,15 @@ def potential_plate(atom: AtomModel, material: Medium, thickness: float, z,
 def potential_thin_plate(atom: AtomModel, material: MaterialModel, thickness: float, z,
                          spec: QuadratureSpec | None = None, *,
                          table: NodeTable | None = None, power=0):
-    """Thin-plate potential, exactly linear in the thickness.
-
-    Valid for n(0) * thickness << z; one warning per call (not an error)
-    counts the z where n(0) * thickness / z > 0.1.
-    """
-    zs = _as_rows("z", z)
+    """Thin-plate potential, exactly linear in the thickness: the plate as a thin layer,
+    valid for n(0) * thickness << z (``potential_multilayer`` warns where it is > 0.1 z)."""
+    _as_rows("z", z)  # an error names z; LayerStack would name it atom_position
     _require_positive("thickness", thickness)
     if isinstance(material, PerfectMirror):
         raise TypeError("the thin-plate linearization is undefined for a perfect mirror")
-    ratio = static_summary(material).n0 * thickness / zs
-    outside = ratio > 0.1
-    if outside.any():
-        warnings.warn(
-            f"thin-plate linearization used outside its regime at {int(outside.sum())} of "
-            f"{zs.size} z: largest n(0) d / z = {ratio.max():.3g} > 0.1",
-            stacklevel=2,
-        )
-    refl = partial(thin_layer_reflection, material, thickness)
-    rows = integrate_nested(_wall_kernel(atom, refl), z=zs, spec=spec,
-                            u_scale=_u_scale(atom, material), table=table, power=power)
-    batch = PotentialBatch(rows.values, rows.errors, rows.row_evaluations, rows.row_converged,
-                           rows.values, np.zeros(zs.size))
-    return batch if np.ndim(z) else batch[0]
+    stack = LayerStack((Layer(VACUUM, math.inf), Layer(material, thickness, thin=True),
+                        Layer(VACUUM, math.inf)), 2, z)
+    return potential_multilayer(stack, atom, spec, table=table, power=power)
 
 
 def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z,
@@ -214,6 +200,23 @@ def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z
     return potential_multilayer(stack, atom, spec, power=power)
 
 
+def _warn_thin_layers(stack: LayerStack, position: np.ndarray) -> None:
+    """One warning per thin layer used outside its regime, counting the positions where
+    n(0) d / z > 0.1, z the distance from the atom to the layer's near face."""
+    layers, j = stack.layers, stack.atom_layer
+    for i, layer in enumerate(layers):
+        if not layer.thin:
+            continue
+        near = position if i < j or j == 0 else layers[j].thickness - position
+        zs = near + sum(between.thickness for between in layers[min(i, j) + 1:max(i, j)])
+        ratio = static_summary(layer.material).n0 * layer.thickness / zs
+        outside = ratio > 0.1
+        if outside.any():
+            warnings.warn(f"thin-plate linearization used outside its regime at "
+                          f"{int(outside.sum())} of {zs.size} z: largest n(0) d / z = "
+                          f"{ratio.max():.3g} > 0.1", stacklevel=3)
+
+
 def potential_multilayer(stack: LayerStack, atom: AtomModel,
                          spec: QuadratureSpec | None = None, *,
                          table: NodeTable | None = None, power=0):
@@ -228,6 +231,7 @@ def potential_multilayer(stack: LayerStack, atom: AtomModel,
     lets later calls at other positions reuse the nodes of earlier ones
     (the kernel does not depend on the atom position); the half-space,
     plate and thin-plate potentials take and pass it the same way.
+    A thin layer warns (not an error) where n(0) d / z > 0.1, z its distance.
 
     ``power`` (integers p >= 0, one or one per position) asks for
     (-d/dz)^p of the potential instead, z the atom position: p = 1 is the
@@ -238,6 +242,7 @@ def potential_multilayer(stack: LayerStack, atom: AtomModel,
     j = stack.atom_layer
     u_scale = _u_scale(atom, *(layer.material for layer in stack.layers))
     position = np.atleast_1d(np.asarray(stack.atom_position, dtype=float))  # checked by LayerStack
+    _warn_thin_layers(stack, position)
 
     if 0 < j < stack.n:  # both walls, two channels of one table
         z = np.stack([position, stack.layers[j].thickness - position])

@@ -1,16 +1,17 @@
 """Planar multilayer geometry and generalized reflection coefficients.
 
 A stack is an ordered list of layers, index 0..n from left to right; the two
-outer layers are semi-infinite.  The atom sits in a vacuum layer j.  The
-reflection coefficients r^sigma_{j-}, r^sigma_{j+} describe reflection of s/p
-polarized components by the entire sub-stack on either side of the atom layer,
-built by an iterative two-term recursion inward from the Fresnel coefficient
-of the outermost interface (or from the innermost perfect mirror, which hides
-everything beyond it).  They are functions of the imaginary frequency u and
-the vacuum axial wavenumber b = sqrt(u^2 + q^2), the variable the potential
-integrals run over; each layer's axial wavenumber is sqrt(u^2 (eps mu - 1)
-+ b^2).  Everything is evaluated at imaginary frequency, where all quantities
-are real.
+outer layers are semi-infinite.  The atom sits in a vacuum layer j.  Every
+geometry is a stack; a thin plate is a ``thin`` layer, linearised in its
+thickness.  The reflection coefficients r^sigma_{j-}, r^sigma_{j+} describe
+reflection of s/p polarized components by the entire sub-stack on either side
+of the atom layer, built by an iterative two-term recursion inward from the
+Fresnel coefficient of the outermost interface (or from the innermost perfect
+mirror, which hides everything beyond it).  They are functions of the
+imaginary frequency u and the vacuum axial wavenumber b = sqrt(u^2 + q^2), the
+variable the potential integrals run over; each layer's axial wavenumber is
+sqrt(u^2 (eps mu - 1) + b^2).  Everything is evaluated at imaginary
+frequency, where all quantities are real.
 """
 
 from __future__ import annotations
@@ -36,14 +37,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Layer:
-    """One layer: its medium and thickness (math.inf for the outer layers)."""
+    """One layer: its medium and thickness (math.inf for the outer layers); a ``thin``
+    layer, linearised in its thickness, is finite, dispersive and not the atom layer."""
 
     material: Medium
     thickness: float
+    thin: bool = False
 
     def __post_init__(self) -> None:
         if not (self.thickness > 0.0):
             raise ValueError(f"layer thickness must be > 0, got {self.thickness}")
+        if self.thin and (math.isinf(self.thickness) or isinstance(self.material, PerfectMirror)):
+            raise ValueError("a thin layer must be finite and not a perfect mirror")
 
 
 @dataclass(frozen=True)
@@ -75,11 +80,9 @@ class LayerStack:
         if not 0 <= j < len(layers):
             raise ValueError(f"atom_layer {j} out of range")
         mat = layers[j].material
-        if isinstance(mat, PerfectMirror) or not mat.is_vacuum:
-            raise ValueError("the atom layer must be vacuum")
-        interior = 0 < j < len(layers) - 1
-        zs = _as_rows("atom_position", self.atom_position,
-                      layers[j].thickness if interior else math.inf)
+        if isinstance(mat, PerfectMirror) or not mat.is_vacuum or layers[j].thin:
+            raise ValueError("the atom layer must be vacuum and not thin")
+        zs = _as_rows("atom_position", self.atom_position, layers[j].thickness)
         if np.ndim(self.atom_position):
             zs = zs.copy()
             zs.flags.writeable = False
@@ -128,7 +131,7 @@ def _layer_values(material, u, b):
     return e, m, np.sqrt(w + b * b), w
 
 
-def _fresnel(out, inn, k, b2):
+def _fresnel(out, inn, k, b2, gap=False):
     # Single-interface coefficient seen from the inner layer, between layers
     # with the _layer_values ``out`` and ``inn``, for the response k (1: mu,
     # the s wave; 0: eps, the p wave); b2 is the vacuum b^2.  The numerator
@@ -138,7 +141,7 @@ def _fresnel(out, inn, k, b2):
     # negates it exactly.  No numerator term exceeds den^2 (b_M >= b), so
     # only den can overflow: for a huge response (eps or mu ~ 1e150) both
     # responses are scaled by the power of two of the larger one, which
-    # leaves the ratio exact.
+    # leaves the ratio exact.  ``gap`` adds 1 - rho^2 = 4 ro ri b_in b_out / den^2.
     ro, ri = out[k], inn[k]
     den = ro * inn[2] + ri * out[2]
     if np.max(den) > 2.0 ** 500:
@@ -146,7 +149,8 @@ def _fresnel(out, inn, k, b2):
         ro, ri = np.ldexp(ro, -e), np.ldexp(ri, -e)
         den = ro * inn[2] + ri * out[2]
     ro2, ri2 = ro * ro, ri * ri
-    return (b2 * (ro2 - ri2) + (ro2 * inn[3] - ri2 * out[3])) / (den * den)
+    rho = (b2 * (ro2 - ri2) + (ro2 * inn[3] - ri2 * out[3])) / (den * den)
+    return (rho, 4.0 * ro * ri * inn[2] * out[2] / (den * den)) if gap else rho
 
 
 def _interface_step(rho, r_behind, fac, em1):
@@ -160,6 +164,15 @@ def _interface_step(rho, r_behind, fac, em1):
     precision however thin the layer is.
     """
     return (fac * (rho + r_behind) - rho * em1) / (1.0 + rho * fac * r_behind)
+
+
+def _thin_step(rho, gap, r_behind, depth):
+    """``_interface_step`` linearised in the layer's depth x = b_M d: r(0) - 2 x r gap /
+    (1 + rho r)^2, r = ``r_behind``, r(0) = (rho + r) / (1 + rho r), gap = 1 - rho^2.  As
+    1 + rho r = gap + rho (rho + r), in vacuum (r = -rho) r(0) = 0 exactly and nothing
+    cancels.  Terms of order d_i d_j between thin layers are dropped."""
+    den = gap + rho * (rho + r_behind)
+    return (rho + r_behind) / den - 2.0 * depth * r_behind * gap / (den * den)
 
 
 def _side_reflection(layers, seq, u, b):
@@ -186,10 +199,16 @@ def _side_reflection(layers, seq, u, b):
 
     for i in range(first + 1, len(seq)):
         here = _layer_values(layers[seq[i]].material, u, b)
-        em1 = np.expm1(prev[2] * (-2.0 * layers[seq[i - 1]].thickness))
-        fac = 1.0 + em1
-        r_s = _interface_step(_fresnel(prev, here, 1, b2), r_s, fac, em1)
-        r_p = _interface_step(_fresnel(prev, here, 0, b2), r_p, fac, em1)
+        layer = layers[seq[i - 1]]  # the layer the step crosses
+        if layer.thin:
+            depth = prev[2] * layer.thickness
+            r_s = _thin_step(*_fresnel(prev, here, 1, b2, gap=True), r_s, depth)
+            r_p = _thin_step(*_fresnel(prev, here, 0, b2, gap=True), r_p, depth)
+        else:
+            em1 = np.expm1(prev[2] * (-2.0 * layer.thickness))
+            fac = 1.0 + em1
+            r_s = _interface_step(_fresnel(prev, here, 1, b2), r_s, fac, em1)
+            r_p = _interface_step(_fresnel(prev, here, 0, b2), r_p, fac, em1)
         prev = here
     return r_s, r_p
 
@@ -231,7 +250,7 @@ def thin_layer_reflection(material, d, u, b):
 
     d (mu^2 b^2 - b_M^2) / (2 mu b) and d (eps^2 b^2 - b_M^2) / (2 eps b),
     with b the vacuum and b_M the layer's axial wavenumber; valid for
-    b_M d << 1.
+    b_M d << 1.  A thin ``Layer`` in vacuum in closed form, kept as its oracle.
     """
     e = material.eps(u)
     m = material.mu(u)
@@ -240,9 +259,10 @@ def thin_layer_reflection(material, d, u, b):
 
 
 def duality_swap(stack: LayerStack) -> LayerStack:
-    """Exchange electric and magnetic response in every layer."""
+    """Exchange electric and magnetic response in every layer; a thin layer stays thin."""
     return LayerStack(
-        layers=tuple(Layer(layer.material.swapped(), layer.thickness) for layer in stack.layers),
+        layers=tuple(Layer(layer.material.swapped(), layer.thickness, layer.thin)
+                     for layer in stack.layers),
         atom_layer=stack.atom_layer,
         atom_position=stack.atom_position,
     )

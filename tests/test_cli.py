@@ -233,6 +233,18 @@ def test_scan_two_plates_emits_reference_column(tmp_path):
     assert all(r["converged"] == "1" for r in rows)
 
 
+@pytest.mark.parametrize("z_max", [6.0, 7.5])
+def test_scan_two_plates_past_the_gap_is_a_config_error(tmp_path, capsys, z_max):
+    # the atom must stay inside the gap: the stack built at z_max rejects it
+    doc = two_plates_doc()
+    doc["scan"]["z_max"] = z_max
+    code, out = run(tmp_path, "scan", doc)
+    assert code == 2
+    assert "config error: config.geometry: atom_position must be finite and in (0, 6.0), " \
+        f"got {z_max}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_two_plates_flags_a_nonconverged_reference(tmp_path, monkeypatch, capsys):
     # a U_noreflect that did not converge clears its row's converged flag and
     # makes the command exit 3, as the potential's own rows do
@@ -683,18 +695,18 @@ def test_wall_failed_search_is_not_no_wall(tmp_path, capsys):
         "wall": {"z_min": 0.2, "z_max": 5.0, "samples": 12},
         "quadrature": FAST_QUAD,
     }
-    real = v.potential_halfspace
+    real = v.potential_multilayer
     calls = []
 
-    def flaky(atom, material, z, spec, *, table, power):
-        calls.append(z)
-        results = real(atom, material, z, spec, table=table, power=power)
+    def flaky(stack, atom, spec, *, table, power):
+        calls.append(stack.atom_position)
+        results = real(stack, atom, spec, table=table, power=power)
         if len(calls) == 1:
             return results
         return dataclasses.replace(results, row_converged=np.zeros_like(results.row_converged))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("vdwlayers.cli.potential_halfspace", flaky)
+        mp.setattr("vdwlayers.cli.potential_multilayer", flaky)
         code, out = run(tmp_path, "wall", doc)
     assert code == 3
     err = capsys.readouterr().err
@@ -779,6 +791,17 @@ def test_resonance_whose_square_overflows_is_a_config_error(tmp_path, capsys):
     code, out = run(tmp_path, "scan", scan_doc(materials={"plate": huge}))
     assert code == 2
     assert "config error: Resonance.plasma must be at most sqrt(DBL_MAX)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("frequency, dipole_sq", [(1e10, 1e300), (1e-200, 1.0)])
+def test_transition_whose_alpha0_overflows_is_a_config_error(tmp_path, capsys, frequency,
+                                                             dipole_sq):
+    atom = {"transitions": [{"frequency": frequency, "dipole_sq": dipole_sq}]}
+    code, out = run(tmp_path, "scan", scan_doc(atom=atom))
+    assert code == 2
+    assert ("config error: Transition.frequency * Transition.dipole_sq / frequency^2, its "
+            "alpha(0) share, must be finite") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -100,6 +100,11 @@ def test_resonance_validation():
         (lambda: v.Resonance(1e200, 1.0), "plasma"),
         (lambda: v.Resonance(1.0, 1e200), "transverse"),
         (lambda: v.Transition(1e200, 1.0), "frequency"),
+        # alpha(0) overflows: in frequency * dipole_sq, or in its division by an
+        # underflowed frequency^2
+        (lambda: v.Transition(1e10, 1e300), "dipole_sq"),
+        (lambda: v.Transition(1e-200, 1.0), "frequency"),
+        (lambda: v.Transition(1e-200, 0.0), "dipole_sq"),
     ],
 )
 def test_non_finite_parameters_rejected(build, field):

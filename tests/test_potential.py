@@ -481,6 +481,25 @@ def test_thin_plate_regime_warning_once_per_batch(atom):
     assert f"largest n(0) d / z = {largest:.3g} > 0.1" in str(record[0].message)
 
 
+def test_thin_layer_warning_counts_the_distance_to_its_near_face(atom):
+    # one thin layer on each side of an interior atom, behind vacuum spacers:
+    # the left one is 0.3 + z away, the right one 0.5 + (1 - z)
+    m = fig2_material()
+    d = 0.025  # n(0) d = 0.0692
+    stack = v.LayerStack((v.Layer(v.VACUUM, math.inf), v.Layer(m, d, thin=True),
+                          v.Layer(v.VACUUM, 0.3), v.Layer(v.VACUUM, 1.0), v.Layer(v.VACUUM, 0.5),
+                          v.Layer(m, d, thin=True), v.Layer(v.VACUUM, math.inf)),
+                         3, np.array([0.1, 0.5, 0.9]))
+    spec = v.QuadratureSpec(rel_tol_inner=1e-5, rel_tol_outer=1e-4)
+    with pytest.warns(UserWarning, match="outside its regime") as record:
+        v.potential_multilayer(stack, atom, spec)
+    n0d = v.static_summary(m).n0 * d
+    assert [str(w.message) for w in record] == [
+        f"thin-plate linearization used outside its regime at {count} of 3 z: "
+        f"largest n(0) d / z = {n0d / near:.3g} > 0.1"
+        for count, near in ((1, 0.4), (1, 0.6))]
+
+
 # ---------------------------------------------------------------- interior atoms, drawn
 
 _RESONANCE = st.builds(v.Resonance, st.floats(0.05, 3.0), st.floats(0.2, 3.0),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vdwlayers as v
+from vdwlayers.stack import thin_layer_reflection
 
 from conftest import constant_material, fig2_material, halfspace_stack, material
 
@@ -22,6 +23,15 @@ def two_plate_stack(mat, s, z):
 def plate_stack(mat, d, z):
     return v.LayerStack(
         layers=(v.Layer(v.VACUUM, math.inf), v.Layer(mat, d), v.Layer(v.VACUUM, math.inf)),
+        atom_layer=2,
+        atom_position=z,
+    )
+
+
+def thin_plate_stack(mat, d, z):
+    return v.LayerStack(
+        layers=(v.Layer(v.VACUUM, math.inf), v.Layer(mat, d, thin=True),
+                v.Layer(v.VACUUM, math.inf)),
         atom_layer=2,
         atom_position=z,
     )
@@ -68,6 +78,17 @@ def test_stack_validation():
         )
     with pytest.raises(ValueError):
         v.LayerStack((v.Layer(v.VACUUM, math.inf), v.Layer(v.VACUUM, math.inf)), 1, -1.0)
+
+
+def test_thin_layer_validation():
+    m = fig2_material()
+    with pytest.raises(ValueError, match="must be finite"):
+        v.Layer(m, math.inf, thin=True)
+    with pytest.raises(ValueError, match="not a perfect mirror"):
+        v.Layer(v.CONDUCTING_MIRROR, 0.1, thin=True)
+    with pytest.raises(ValueError, match="must be vacuum and not thin"):
+        v.LayerStack((v.Layer(m, math.inf), v.Layer(v.VACUUM, 1.0, thin=True),
+                      v.Layer(m, math.inf)), 1, 0.5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, 2.0, math.inf])
@@ -248,6 +269,54 @@ def test_plate_reflection_matches_tanh_form(mat, d):
     assert r.r_p_minus == pytest.approx(r_p, rel=1e-12, abs=0)
 
 
+# ---------------------------------------------------------------- thin layers
+
+@pytest.mark.parametrize("m", [
+    fig2_material(),
+    material(wpe=1e60, wte=1.0),  # eps(0) = 1e120: rho rounds to +-1, 1 - rho^2 does not
+    material(wpm=1e60, wtm=1.0),
+])
+def test_thin_layer_in_vacuum_matches_closed_form(m):
+    # the step through a thin layer in vacuum against its closed form, which
+    # subtracts terms of size d (mu^2 b^2 + b_M^2) / (2 mu b) (eps for p): the
+    # two agree to 1e-15 of that size, and to 1e-15 relative where little cancels
+    d = 0.01
+    u = np.geomspace(1e-3, 1e3, 61)[:, None]
+    b = u * np.geomspace(1.0, 1e3, 61)[None, :]
+    r = v.reflection_coefficients(thin_plate_stack(m, d, 1.0), u, b)
+    lin_s, lin_p = thin_layer_reflection(m, d, u, b)
+    e, mu = m.eps(u), m.mu(u)
+    bm2 = u * u * (e * mu - 1.0) + b * b
+    size_s = d * (mu * mu * b * b + bm2) / (2.0 * mu * b)
+    size_p = d * (e * e * b * b + bm2) / (2.0 * e * b)
+    assert np.all(np.abs(r.r_s_minus - lin_s) <= 1e-15 * size_s)
+    assert np.all(np.abs(r.r_p_minus - lin_p) <= 1e-15 * size_p)
+    assert np.all(r.r_s_plus == 0.0) and np.all(r.r_p_plus == 0.0)
+    u, b = np.array([0.01, 0.1, 0.3]), np.array([0.5, 1.0, 2.0])
+    r = v.reflection_coefficients(thin_plate_stack(m, d, 1.0), u, b)
+    lin_s, lin_p = thin_layer_reflection(m, d, u, b)
+    np.testing.assert_allclose(r.r_s_minus, lin_s, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(r.r_p_minus, lin_p, rtol=1e-15, atol=0.0)
+
+
+def test_thin_layer_on_a_substrate_is_second_order_in_thickness():
+    # a thin film on a dielectric substrate: its gap to the full film shrinks as d^2
+    substrate = material(wpe=2.0, wte=1.0)
+    film = fig2_material()
+    u, b = 0.5, 0.9
+
+    def gap(d):
+        def r(thin):
+            stack = v.LayerStack((v.Layer(substrate, math.inf), v.Layer(film, d, thin=thin),
+                                  v.Layer(v.VACUUM, math.inf)), 2, 1.0)
+            res = v.reflection_coefficients(stack, u, b)
+            return np.array([res.r_s_minus, res.r_p_minus])
+        return np.abs(r(True) - r(False))
+
+    ratio = gap(1e-2) / gap(1e-3)
+    assert np.all((90.0 < ratio) & (ratio < 110.0)), ratio
+
+
 # ---------------------------------------------------------------- duality
 
 def layer_strategy():
@@ -275,6 +344,18 @@ def test_duality_swaps_polarizations(m0, m1, d, u, q):
     b = v.reflection_coefficients(swapped, u, np.hypot(u, q))
     assert b.r_s_minus == pytest.approx(a.r_p_minus, rel=1e-12, abs=1e-15)
     assert b.r_p_minus == pytest.approx(a.r_s_minus, rel=1e-12, abs=1e-15)
+
+
+def test_duality_swap_keeps_a_thin_layer_thin():
+    stack = thin_plate_stack(fig2_material(), 0.01, 1.0)
+    swapped = v.duality_swap(stack)
+    assert swapped.layers[1].thin
+    u = np.geomspace(1e-2, 10.0, 7)
+    a = v.reflection_coefficients(stack, u, 2.0 * u)
+    b = v.reflection_coefficients(swapped, u, 2.0 * u)
+    assert np.array_equal(b.r_s_minus, a.r_p_minus)
+    assert np.array_equal(b.r_p_minus, a.r_s_minus)
+    assert not np.array_equal(a.r_s_minus, a.r_p_minus)
 
 
 def test_duality_is_involution():
