@@ -572,8 +572,6 @@ def _closed_form_wall(plate_kind: str, atom: AtomModel, material: MaterialModel,
             * (w10 * (2.0 * w10 + wsm + wtm) / (3.0 * (w10 + wsm) * (w10 + wtm))) ** 1.5
         )
     else:
-        if thickness is None:
-            return None
         wlm = math.sqrt(wtm**2 + wpm**2)
         z_max = common * math.sqrt(12.0 * (w10 + wlm) / (4.0 * w10 + 3.0 * wlm + wtm))
         u_max = (

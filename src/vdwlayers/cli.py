@@ -135,11 +135,8 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         raise ConfigError("scan needs a geometry section")
     if cfg.scan is None:
         raise ConfigError("scan needs a scan section")
-    try:  # the stack (every series has the same layout) holds the atom at both scan ends
-        for z in (cfg.scan.lo, cfg.scan.hi):
-            cfg.build_stack(z, geo.materials[0])
-    except ValueError as exc:
-        raise ConfigError(f"config.geometry: {exc}") from exc
+    for z in (cfg.scan.lo, cfg.scan.hi):  # every series has the same layout
+        cfg.build_stack(z, geo.materials[0])  # a ConfigError if its atom layer cannot hold z
     zs = cfg.scan.values()
     two_plates = geo.kind == "two-plates"
     columns = ["z_A", "U", "err", "U_left", "U_right"]
@@ -221,9 +218,11 @@ def cmd_border(cfg: RunConfig, args) -> int:
 
 def cmd_wall(cfg: RunConfig, args) -> int:
     geo = cfg.geometry
-    if geo is None or geo.kind not in ("halfspace", "plate", "thin-plate"):
-        raise ConfigError("wall needs a halfspace, plate or thin-plate geometry")
+    if geo is None:
+        raise ConfigError("wall needs a geometry section")
     grid = cfg.wall
+    if len(cfg.build_stack(grid.lo, geo.materials[0]).walls) != 1:  # the same in every series
+        raise ConfigError("config.geometry: wall needs an atom in an outer layer (one wall)")
 
     args.out.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -237,7 +236,6 @@ def cmd_wall(cfg: RunConfig, args) -> int:
         return (name, method, None, None, None, None, "failed")
 
     for name in geo.materials:
-        material = cfg.medium(name)
         rows = []
         # one table: the scan fills it, the force's root is read from its nodes,
         # and the certifying call at the root computes only what its rows add
@@ -267,11 +265,12 @@ def cmd_wall(cfg: RunConfig, args) -> int:
                                  "z_err": getattr(numeric, "z_err", None),
                                  "force": getattr(numeric, "force", None)}
 
-            if geo.kind in ("halfspace", "thin-plate") and not isinstance(material, PerfectMirror):
-                kind, thickness = (("thick", None) if geo.kind == "halfspace"
-                                   else ("thin", geo.series[name][1].thickness))
+            # the analytic estimates, of a dispersive half-space or thin-plate medium
+            plate_kind = {"halfspace": "thick", "thin-plate": "thin"}.get(geo.kind)
+            if plate_kind and not isinstance(cfg.medium(name), PerfectMirror):
+                thickness = geo.series[name][1].thickness if plate_kind == "thin" else None
                 try:
-                    for est in wall_estimate(kind, cfg.atom, material, thickness,
+                    for est in wall_estimate(plate_kind, cfg.atom, cfg.medium(name), thickness,
                                              cfg.quadrature):
                         rows.append((name, est.method, est.z_max, est.z_err, est.u_max,
                                      est.consistency, "ok"))

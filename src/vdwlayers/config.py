@@ -36,10 +36,13 @@ reduced units):
     }
 
 Every geometry compiles to the layers of a ``LayerStack``, one stack per
-series (per name of a material list); a thin plate's medium is a thin layer.
+series (per name of a material list), a one-medium kind's by ``stack.layout``.
 The name "vacuum" is predefined and reserved.  Each command requires its own
 section (scan additionally requires geometry; wall requires geometry and
 accepts an optional wall section); border's eps_min must be at least 1.
+wall takes a geometry whose atom sees one wall, in an outer layer: mirror,
+halfspace, plate, thin-plate, or a multilayer with atom_layer first or last;
+two-plates or an interior atom_layer is an error naming config.geometry.
 The names of a geometry's material list must give distinct series file
 labels (each run of characters outside A-Za-z0-9_.- becomes "_"), since
 scan and wall name each series' files after its label.
@@ -70,7 +73,7 @@ from .materials import (
 )
 from .asymptotics import _WALL_SAMPLES, _WALL_Z_HI, _WALL_Z_LO
 from .quadrature import QuadratureSpec
-from .stack import Layer, LayerStack
+from .stack import Layer, LayerStack, layout
 
 __all__ = ["ConfigError", "Geometry", "RunConfig", "load_config", "parse_config"]
 
@@ -144,11 +147,15 @@ class RunConfig:
 
     def build_stack(self, atom_position, series: str = "multilayer") -> LayerStack:
         """The stack of the series ``series`` with the atom at ``atom_position`` (a float or
-        a 1-D array); a multilayer's one series is its default."""
+        a 1-D array); a multilayer's one series is its default.  An atom position that the
+        atom layer cannot hold is a ``ConfigError`` naming config.geometry."""
         geo = self.geometry
         if geo is None or series not in geo.series:
             raise ConfigError(f"the geometry has no series {series!r}")
-        return LayerStack(geo.series[series], geo.atom_layer, atom_position)
+        try:
+            return LayerStack(geo.series[series], geo.atom_layer, atom_position)
+        except ValueError as exc:
+            raise ConfigError(f"config.geometry: {exc}") from exc
 
 
 def _safe_label(label: str) -> str:
@@ -276,12 +283,11 @@ def _parse_geometry(obj, path: str, materials: dict[str, Medium]) -> Geometry:
             labels[label] = n
         return tuple(names)
 
-    outer = Layer(VACUUM, math.inf)
-    if kind == "mirror":
+    if kind == "mirror":  # the half-space layout of a perfect mirror
         _check_keys(obj, path, ("kind", "mirror"))
         mirror = _string(obj["mirror"], f"{path}.mirror", ("conducting", "permeable"))
-        series = (Layer(PerfectMirror(mirror), math.inf), outer)
-        return Geometry(kind, {f"mirror-{mirror}": series}, 1)
+        layers, atom_layer = layout("halfspace", PerfectMirror(mirror))
+        return Geometry(kind, {f"mirror-{mirror}": layers}, atom_layer)
     if kind == "multilayer":
         _check_keys(obj, path, ("kind", "layers", "atom_layer"))
         raw_layers = obj["layers"]
@@ -307,19 +313,14 @@ def _parse_geometry(obj, path: str, materials: dict[str, Medium]) -> Geometry:
     size_key = {"halfspace": None, "two-plates": "separation"}.get(kind, "thickness")
     _check_keys(obj, path, ("kind", "material") + ((size_key,) if size_key else ()))
     names = material_names()
-    if kind == "thin-plate":
-        for n in names:
-            if isinstance(materials[n], PerfectMirror):
-                raise ConfigError(f"{path}.material: the thin-plate linearization is "
-                                  f"undefined for the perfect mirror {n!r}")
     size = _number(obj[size_key], f"{path}.{size_key}", positive=True) if size_key else None
-    layout = {"halfspace": lambda m: (Layer(m, math.inf), outer),
-              "plate": lambda m: (outer, Layer(m, size), outer),
-              "thin-plate": lambda m: (outer, Layer(m, size, thin=True), outer),
-              "two-plates": lambda m: (Layer(m, math.inf), Layer(VACUUM, size),
-                                       Layer(m, math.inf))}
-    return Geometry(kind, {n: layout[kind](materials[n]) for n in names},
-                    1 if kind in ("halfspace", "two-plates") else 2)
+    series = {}
+    for n in names:
+        try:
+            series[n], atom_layer = layout(kind, materials[n], size)
+        except ValueError as exc:  # a perfect mirror as a thin layer
+            raise ConfigError(f"{path}.material: {n!r}: {exc}") from exc
+    return Geometry(kind, series, atom_layer)
 
 
 def _parse_grid(obj, path: str, lo_key: str, hi_key: str,

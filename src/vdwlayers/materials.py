@@ -184,6 +184,10 @@ class AtomModel:
         )
         if not transitions:
             raise ValueError("atom needs at least one transition")
+        # alpha(0) summed in alpha's order as Python floats: an overflow is inf, not a warning
+        if not math.isfinite(sum(t.frequency * t.dipole_sq / t.frequency**2 for t in transitions)):
+            raise ValueError(f"AtomModel.transitions: their alpha(0) shares must have a finite "
+                             f"sum: {transitions}")
         object.__setattr__(self, "transitions", transitions)
 
     @classmethod

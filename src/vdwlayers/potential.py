@@ -5,23 +5,24 @@ vacuum axial wavenumber b of
 
     (1 / 8 pi^2) * alpha(iu) * e^{-2 b z} * [u^2 r_s/D_s - (2 b^2 - u^2) r_p/D_p]
 
-summed over the walls on both sides of the atom, with geometry entering only
-through the reflection coefficients: ``_wall_kernel`` is the one place that
-forms this integrand, without its factor e^{-2 b z}, which ``integrate_nested``
+summed over the walls the atom sees, with geometry entering only through the
+reflection coefficients: ``_wall_kernel`` is the one place that forms this
+integrand, without its factor e^{-2 b z}, which ``integrate_nested``
 applies.  Every geometry is a ``LayerStack`` evaluated by
 ``potential_multilayer``, the one caller of ``integrate_nested``: the
 half-space, plate, thin-plate and two-plate potentials only build their
-stacks.  A perfect mirror is a layer like any other (r_s = -+1, r_p = +-1),
-every medium, however large its response, takes this one path, and a thin
-plate is a thin layer, whose step the recursion linearises in its thickness.
-``potential_mirror``, the closed 1-D form of the perfect-mirror half-space,
-is kept as an oracle.  Every potential takes ``z`` as a float (one
-``PotentialResult``) or a 1-D array (one ``PotentialBatch``, arrays with one
-entry per z) and is one ``integrate_nested`` call: one b-node table serves
-every entry and, for an atom in an interior layer, both walls, as two
-channels formed from one ``reflection_coefficients`` call, so the left/right
-split is exact bookkeeping.  Position-independent bulk terms are omitted
-throughout, so an all-vacuum scene gives exactly zero.
+stacks, from ``stack.layout``.  A perfect mirror is a layer like any other
+(r_s = -+1, r_p = +-1), every medium, however large its response, takes this
+one path, and a thin plate is a thin layer, whose step the recursion
+linearises in its thickness.  ``potential_mirror``, the closed 1-D form of
+the perfect-mirror half-space, is kept as an oracle.  Every potential takes
+``z`` as a float or a 1-D array and is one ``integrate_nested`` call whose
+channels are ``LayerStack.walls``, left first (one wall from an outer layer,
+two from an interior one): one b-node table serves every entry and wall,
+all formed from one ``reflection_coefficients`` call, so the left/right
+split is exact bookkeeping, and ``_wall_sum`` reduces them to the potential.
+Position-independent bulk terms are omitted throughout, so an all-vacuum
+scene gives exactly zero.
 """
 
 from __future__ import annotations
@@ -32,17 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import (
-    VACUUM,
-    AtomModel,
-    MaterialModel,
-    Medium,
-    PerfectMirror,
-    static_summary,
-)
+from .materials import AtomModel, MaterialModel, Medium, static_summary
 from .quadrature import (IntegralBatch, NodeTable, QuadratureSpec, _as_rows, _require_positive,
                          integrate_nested, integrate_semi_infinite)
-from .stack import Layer, LayerStack, reflection_coefficients
+from .stack import LayerStack, layout, reflection_coefficients
 
 __all__ = [
     "PotentialResult",
@@ -130,14 +124,14 @@ def _wall_kernel(atom: AtomModel, refl):
     return kernel
 
 
-def _two_walls(rows: IntegralBatch, power) -> PotentialBatch:
-    """The potentials of a left and a right wall term, rows 0 and 1 of ``rows``; the
-    right wall sits at d - z, so an odd ``power`` p flips its (-d/dw)^p term's sign."""
-    left, right = rows.values
-    right = np.where(np.asarray(power) % 2 == 1, -right, right)
-    return PotentialBatch(left + right, rows.errors[0] + rows.errors[1],
-                          rows.row_evaluations.sum(axis=0), rows.row_converged.all(axis=0),
-                          left, right)
+def _wall_sum(rows: IntegralBatch, walls, power) -> PotentialBatch:
+    """The potentials of the wall terms ``rows``, row c the wall ``walls[c]`` of
+    ``LayerStack.walls``; ``left`` and ``right`` are its minus and plus walls' terms."""
+    terms = {side: sign ** np.asarray(power) * values  # the sign of its (-d/dz)^p term
+             for (side, _, sign), values in zip(walls, rows.values)}
+    left, right = (terms.get(side, np.zeros(rows.values.shape[1])) for side in ("minus", "plus"))
+    return PotentialBatch(left + right, rows.errors.sum(axis=0), rows.row_evaluations.sum(axis=0),
+                          rows.row_converged.all(axis=0), left, right)
 
 
 def potential_halfspace(atom: AtomModel, material: Medium, z,
@@ -145,7 +139,7 @@ def potential_halfspace(atom: AtomModel, material: Medium, z,
                         power=0):
     """Potential in front of a semi-infinite magnetodielectric half-space."""
     _as_rows("z", z)  # an error names z; LayerStack would name it atom_position
-    stack = LayerStack((Layer(material, math.inf), Layer(VACUUM, math.inf)), 1, z)
+    stack = LayerStack(*layout("halfspace", material), z)
     return potential_multilayer(stack, atom, spec, table=table, power=power)
 
 
@@ -155,9 +149,7 @@ def potential_plate(atom: AtomModel, material: Medium, thickness: float, z,
     """Potential in front of a plate of finite thickness."""
     _as_rows("z", z)  # an error names z; LayerStack would name it atom_position
     _require_positive("thickness", thickness)
-    stack = LayerStack(
-        (Layer(VACUUM, math.inf), Layer(material, thickness), Layer(VACUUM, math.inf)), 2, z
-    )
+    stack = LayerStack(*layout("plate", material, thickness), z)
     return potential_multilayer(stack, atom, spec, table=table, power=power)
 
 
@@ -165,13 +157,11 @@ def potential_thin_plate(atom: AtomModel, material: MaterialModel, thickness: fl
                          spec: QuadratureSpec | None = None, *,
                          table: NodeTable | None = None, power=0):
     """Thin-plate potential, exactly linear in the thickness: the plate as a thin layer,
-    valid for n(0) * thickness << z (``potential_multilayer`` warns where it is > 0.1 z)."""
+    valid for n(0) * thickness << z (``potential_multilayer`` warns where it is > 0.1 z).
+    A perfect mirror is no thin layer: ``Layer`` raises ``ValueError``."""
     _as_rows("z", z)  # an error names z; LayerStack would name it atom_position
     _require_positive("thickness", thickness)
-    if isinstance(material, PerfectMirror):
-        raise TypeError("the thin-plate linearization is undefined for a perfect mirror")
-    stack = LayerStack((Layer(VACUUM, math.inf), Layer(material, thickness, thin=True),
-                        Layer(VACUUM, math.inf)), 2, z)
+    stack = LayerStack(*layout("thin-plate", material, thickness), z)
     return potential_multilayer(stack, atom, spec, table=table, power=power)
 
 
@@ -187,28 +177,27 @@ def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z
     """
     _require_positive("separation", separation)
     zs = _as_rows("z", z, separation)
-    if not multiple_reflections:  # both walls' distances as the rows of one table
-        both = np.tile(np.broadcast_to(power, zs.shape), 2)
-        rows = potential_halfspace(atom, material, np.concatenate([zs, separation - zs]), spec,
-                                   power=both)
-        batch = _two_walls(IntegralBatch(*(field.reshape(2, zs.size) for field in (
-            rows.values, rows.errors, rows.row_evaluations, rows.row_converged))), power)
-        return batch if np.ndim(z) else batch[0]
-    stack = LayerStack(
-        (Layer(material, math.inf), Layer(VACUUM, separation), Layer(material, math.inf)), 1, z
-    )
-    return potential_multilayer(stack, atom, spec, power=power)
+    stack = LayerStack(*layout("two-plates", material, separation), z)
+    if multiple_reflections:
+        return potential_multilayer(stack, atom, spec, power=power)
+    distances = np.concatenate([dist for _, dist, _ in stack.walls])  # rows of one table
+    both = np.tile(np.broadcast_to(power, zs.shape), 2)
+    rows = potential_halfspace(atom, material, distances, spec, power=both)
+    batch = _wall_sum(IntegralBatch(*(field.reshape(2, zs.size) for field in (
+        rows.values, rows.errors, rows.row_evaluations, rows.row_converged))), stack.walls, power)
+    return batch if np.ndim(z) else batch[0]
 
 
-def _warn_thin_layers(stack: LayerStack, position: np.ndarray) -> None:
+def _warn_thin_layers(stack: LayerStack, walls) -> None:
     """One warning per thin layer used outside its regime, counting the positions where
     n(0) d / z > 0.1, z the distance from the atom to the layer's near face."""
     layers, j = stack.layers, stack.atom_layer
+    near = {side: distance for side, distance, _ in walls}  # the atom's, to each wall
     for i, layer in enumerate(layers):
         if not layer.thin:
             continue
-        near = position if i < j or j == 0 else layers[j].thickness - position
-        zs = near + sum(between.thickness for between in layers[min(i, j) + 1:max(i, j)])
+        zs = near["minus" if i < j else "plus"] + sum(
+            between.thickness for between in layers[min(i, j) + 1:max(i, j)])
         ratio = static_summary(layer.material).n0 * layer.thickness / zs
         outside = ratio > 0.1
         if outside.any():
@@ -222,9 +211,9 @@ def potential_multilayer(stack: LayerStack, atom: AtomModel,
                          table: NodeTable | None = None, power=0):
     """Potential of an atom inside an arbitrary planar multilayer stack.
 
-    The atom layer must be vacuum.  For an interior atom layer the result is
-    the exact sum of a left-wall and a right-wall term, two channels of one
-    table; for an atom in an outer layer only the inward-facing term exists.
+    The atom layer must be vacuum.  The result is the exact sum of the terms
+    of ``stack.walls``, one channel of one table each: both walls of an
+    interior atom layer, the inward-facing one of an outer atom layer.
     A 1-D array ``stack.atom_position`` gives a ``PotentialBatch``, one entry
     per position.
     ``table``, a ``NodeTable`` kept by the caller for one stack and atom,
@@ -239,35 +228,17 @@ def potential_multilayer(stack: LayerStack, atom: AtomModel,
     the two walls' shares (the right wall's term, a function of d - z,
     takes the sign (-1)^p).  Every potential passes it the same way.
     """
-    j = stack.atom_layer
     u_scale = _u_scale(atom, *(layer.material for layer in stack.layers))
-    position = np.atleast_1d(np.asarray(stack.atom_position, dtype=float))  # checked by LayerStack
-    _warn_thin_layers(stack, position)
-
-    if 0 < j < stack.n:  # both walls, two channels of one table
-        z = np.stack([position, stack.layers[j].thickness - position])
-
-        def walls(r):
-            return np.stack([r.r_s_minus, r.r_s_plus]), np.stack([r.r_p_minus, r.r_p_plus])
-    else:  # the one inward-facing wall
-        z = position
-
-        def walls(r):
-            return (r.r_s_plus, r.r_p_plus) if j == 0 else (r.r_s_minus, r.r_p_minus)
+    walls = stack.walls
+    _warn_thin_layers(stack, walls)
 
     def refl(u, b):
-        """Cavity-resummed r/D of the walls the atom sees."""
+        """Cavity-resummed r/D, one channel per wall (``np.array`` stacks faster here)."""
         r = reflection_coefficients(stack, u, b)
-        r_s, r_p = walls(r)
-        return r_s / r.d_s, r_p / r.d_p
+        return (np.array([getattr(r, f"r_s_{side}") for side, _, _ in walls]) / r.d_s,
+                np.array([getattr(r, f"r_p_{side}") for side, _, _ in walls]) / r.d_p)
 
-    rows = integrate_nested(_wall_kernel(atom, refl), z=z, spec=spec, u_scale=u_scale,
-                            table=table, power=power)
-    if z.ndim == 2:
-        batch = _two_walls(rows, power)
-    else:  # the other side's term is an exact zero
-        zero = np.zeros(position.size)
-        left, right = (zero, rows.values) if j == 0 else (rows.values, zero)
-        batch = PotentialBatch(left + right, rows.errors, rows.row_evaluations,
-                               rows.row_converged, left, right)
+    rows = integrate_nested(_wall_kernel(atom, refl), z=np.array([dist for _, dist, _ in walls]),
+                            spec=spec, u_scale=u_scale, table=table, power=power)
+    batch = _wall_sum(rows, walls, power)
     return batch if np.ndim(stack.atom_position) else batch[0]

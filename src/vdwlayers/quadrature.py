@@ -312,7 +312,7 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions):
     while True:
         tol = tolerance(tot_val)
         over = tot_err > tol
-        live &= (over[0] if k == 1 else over.any(axis=0)) & (splits < max_subdivisions)
+        live &= over.any(axis=0) & (splits < max_subdivisions)
         idx = np.flatnonzero(live)
         if not idx.size:
             break

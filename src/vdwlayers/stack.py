@@ -1,15 +1,17 @@
 """Planar multilayer geometry and generalized reflection coefficients.
 
 A stack is an ordered list of layers, index 0..n from left to right; the two
-outer layers are semi-infinite.  The atom sits in a vacuum layer j.  Every
-geometry is a stack; a thin plate is a ``thin`` layer, linearised in its
-thickness.  The reflection coefficients r^sigma_{j-}, r^sigma_{j+} describe
-reflection of s/p polarized components by the entire sub-stack on either side
-of the atom layer, built by an iterative two-term recursion inward from the
-Fresnel coefficient of the outermost interface (or from the innermost perfect
-mirror, which hides everything beyond it).  They are functions of the
-imaginary frequency u and the vacuum axial wavenumber b = sqrt(u^2 + q^2), the
-variable the potential integrals run over; each layer's axial wavenumber is
+outer layers are semi-infinite.  The atom sits in a vacuum layer j and sees
+``LayerStack.walls``, one from an outer layer and two from an interior one.
+Every geometry is a stack, a one-medium kind's laid out by ``layout``; a thin
+plate is a ``thin`` layer, linearised in its thickness.  The reflection
+coefficients r^sigma_{j-}, r^sigma_{j+} describe reflection of s/p polarized
+components by the entire sub-stack on either side of the atom layer, built by
+an iterative two-term recursion inward from the Fresnel coefficient of the
+outermost interface (or from the innermost perfect mirror, which hides
+everything beyond it).  They are functions of the imaginary frequency u and
+the vacuum axial wavenumber b = sqrt(u^2 + q^2), the variable the potential
+integrals run over; each layer's axial wavenumber is
 sqrt(u^2 (eps mu - 1) + b^2).  Everything is evaluated at imaginary
 frequency, where all quantities are real.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import Medium, PerfectMirror
+from .materials import VACUUM, Medium, PerfectMirror
 from .quadrature import _as_rows
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "reflection_coefficients",
     "thin_layer_reflection",
     "duality_swap",
+    "layout",
 ]
 
 
@@ -91,6 +94,29 @@ class LayerStack:
     @property
     def n(self) -> int:
         return len(self.layers) - 1
+
+    @property
+    def walls(self) -> list[tuple[str, np.ndarray, float]]:
+        """The walls the atom sees, left first: (side "minus" or "plus", distance at each atom
+        position, sign of the wall's (-d/dz)^p term at odd p: -1 for a right wall at d - z)."""
+        j = self.atom_layer
+        z = np.atleast_1d(np.asarray(self.atom_position, dtype=float))
+        if j == 0 or j == self.n:  # an outer layer: the one inward-facing wall, at z
+            return [("plus" if j == 0 else "minus", z, 1.0)]
+        return [("minus", z, 1.0), ("plus", self.layers[j].thickness - z, -1.0)]
+
+
+def layout(kind: str, medium: Medium, size: float | None = None) -> tuple[tuple[Layer, ...], int]:
+    """(layers, atom layer) of a one-medium kind, ``size`` the thickness of a plate or
+    thin plate, or the vacuum gap between two plates."""
+    outer = Layer(VACUUM, math.inf)
+    if kind == "halfspace":
+        return (Layer(medium, math.inf), outer), 1
+    if kind == "two-plates":
+        return (Layer(medium, math.inf), Layer(VACUUM, size), Layer(medium, math.inf)), 1
+    if kind in ("plate", "thin-plate"):
+        return (outer, Layer(medium, size, thin=kind == "thin-plate"), outer), 2
+    raise ValueError(f"no one-medium layout {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -773,6 +773,88 @@ def test_wall_rejects_reversed_grid(tmp_path, capsys, grid):
     assert "config.wall: z_max must exceed z_min" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("geometry", [
+    {"kind": "two-plates", "material": "plate", "separation": 4.0},
+    {"kind": "multilayer", "atom_layer": 1, "layers": [
+        {"material": "plate", "thickness": "inf"}, {"material": "vacuum", "thickness": 4.0},
+        {"material": "plate", "thickness": "inf"}]},
+], ids=["two-plates", "interior-multilayer"])
+def test_wall_rejects_an_atom_between_two_walls(tmp_path, capsys, geometry):
+    doc = {"atom": ATOM, "materials": {"plate": PLATE}, "geometry": geometry,
+           "wall": {"z_min": 0.1, "z_max": 3.0, "samples": 8}}
+    code, out = run(tmp_path, "wall", doc)
+    assert code == 2
+    assert "config.geometry" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_wall_on_a_halfspace_written_as_a_multilayer(tmp_path):
+    # the atom in either outer layer of (plate | vacuum) runs the one-channel
+    # force of the halfspace kind: the numeric-scan row has the same bytes
+    weak = {"electric": [{"plasma": 0.02, "transverse": 1.03}],
+            "magnetic": [{"plasma": 2.0, "transverse": 1.0}]}
+    doc = {"atom": ATOM, "materials": {"weak": weak},
+           "geometry": {"kind": "halfspace", "material": "weak"},
+           "wall": {"z_min": 1e-3, "z_max": 1.0, "samples": 16}, "quadrature": FAST_QUAD}
+
+    def numeric_row(doc, name, fname):
+        (tmp_path / name).mkdir()
+        code, out = run(tmp_path / name, "wall", doc)
+        assert code == 0
+        lines = (out / fname).read_text().splitlines()
+        row, = [line for line in lines if ",numeric-scan," in line]
+        return row.split(",", 1)[1]  # after the series name
+
+    expected = numeric_row(doc, "halfspace", "wall_weak.csv")
+    assert expected.endswith(",ok")
+    plate, gap = {"material": "weak", "thickness": "inf"}, {"material": "vacuum",
+                                                          "thickness": "inf"}
+    for layers, atom_layer in (([plate, gap], 1), ([gap, plate], 0)):
+        doc["geometry"] = {"kind": "multilayer", "layers": layers, "atom_layer": atom_layer}
+        assert numeric_row(doc, f"multilayer{atom_layer}", "wall_multilayer.csv") == expected
+
+
+def test_wall_on_a_mirror_finds_no_wall(tmp_path):
+    doc = {"atom": ATOM, "materials": {}, "geometry": {"kind": "mirror", "mirror": "conducting"},
+           "wall": {"z_min": 0.01, "z_max": 10.0, "samples": 8}, "quadrature": FAST_QUAD}
+    code, out = run(tmp_path, "wall", doc)
+    assert code == 0
+    _, rows = read_rows(out / "wall_mirror-conducting.csv")
+    assert [(r["method"], r["status"]) for r in rows] == [("numeric-scan", "no-wall")]
+
+
+def test_atom_whose_static_polarizability_overflows_is_a_config_error(tmp_path, capsys):
+    # each transition's alpha(0) share is finite, their sum is not
+    doc = scan_doc(atom={"transitions": [{"frequency": 1.0, "dipole_sq": 1e308}] * 2})
+    code, out = run(tmp_path, "scan", doc)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("geometry, potential", [
+    ({"kind": "mirror", "mirror": "permeable"},
+     lambda atom, m, z: v.potential_halfspace(atom, v.PERMEABLE_MIRROR, z)),
+    ({"kind": "halfspace", "material": "plate"}, v.potential_halfspace),
+    ({"kind": "plate", "material": "plate", "thickness": 0.3},
+     lambda atom, m, z: v.potential_plate(atom, m, 0.3, z)),
+    ({"kind": "thin-plate", "material": "plate", "thickness": 0.01},
+     lambda atom, m, z: v.potential_thin_plate(atom, m, 0.01, z)),
+    ({"kind": "two-plates", "material": "plate", "separation": 4.0},
+     lambda atom, m, z: v.potential_two_plates(atom, m, 4.0, z)),
+], ids=["mirror", "halfspace", "plate", "thin-plate", "two-plates"])
+def test_config_series_stack_is_the_potentials_stack(monkeypatch, geometry, potential):
+    # the config and the potential_* wrappers lay out a one-medium kind alike
+    from vdwlayers import potential as module
+
+    cfg = parse_config(scan_doc(geometry=geometry))
+    passed = []
+    monkeypatch.setattr(module, "potential_multilayer",
+                        lambda stack, *args, **kwargs: passed.append(stack))
+    potential(cfg.atom, cfg.medium("plate"), 1.5)
+    name, = cfg.geometry.materials
+    assert passed == [cfg.build_stack(1.5, name)]
+
+
 @pytest.mark.parametrize("kind, eps_max", [("thick", 1e160), ("thin", 1.7e308)])
 def test_border_past_the_float_range_is_a_config_error(tmp_path, capsys, kind, eps_max):
     # thick: eps0 * mu0 overflows in the static bracket; thin: mu0 ~ 7/3 eps0 does

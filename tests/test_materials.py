@@ -105,6 +105,9 @@ def test_resonance_validation():
         (lambda: v.Transition(1e10, 1e300), "dipole_sq"),
         (lambda: v.Transition(1e-200, 1.0), "frequency"),
         (lambda: v.Transition(1e-200, 0.0), "dipole_sq"),
+        # each alpha(0) share is finite, their sum is not
+        (lambda: v.AtomModel((v.Transition(1.0, 1e308), v.Transition(1.0, 1e308))),
+         "transitions"),
     ],
 )
 def test_non_finite_parameters_rejected(build, field):

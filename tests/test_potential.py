@@ -631,13 +631,14 @@ def test_outer_atom_rows_within_their_errors_of_the_oracle(atom, drawn):
                                rel_tol_outer=v.DEFAULT_SPEC.rel_tol_outer / 100)
     assert len(calls) == 2
     for (kernel, kwargs, batch), rows in zip(calls, results):
-        assert kwargs["z"].ndim == 1 and kwargs["table"] is table
-        for z, row, res in zip(kwargs["z"].tolist(), batch, rows):
+        # the one wall is the one channel of a 2-D z
+        assert kwargs["z"].shape == (1, rows.values.size) and kwargs["table"] is table
+        for z, row, res in zip(kwargs["z"][0].tolist(), batch[0], rows):
             assert (res.right if j == 0 else res.left) == res.value == row.value
             if not row.converged:
                 continue
-            ref = nested_oracle(kernel, z=z, spec=spec, u_scale=kwargs["u_scale"],
-                                mode=oracle_mode(z))
+            ref = nested_oracle(lambda u, b: kernel(u, b)[0], z=z, spec=spec,
+                                u_scale=kwargs["u_scale"], mode=oracle_mode(z))
             assert ref.converged, (j, z)
             assert abs(row.value - ref.value) <= row.error, (j, z, row, ref)
 
