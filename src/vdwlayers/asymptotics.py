@@ -169,23 +169,23 @@ def _c4_bracket_closed(eps0, mu0, a):
     W + 1/W = 2 sqrt(1 + a), and acosh(x)/2 stands for the equal
     atanh(s/(1 + x)), which loses digits as x grows.  s is formed as
     sqrt((x - 1)(x + 1)) and acosh(x) as asinh(s), both exact near x = 1;
-    at s = 0, P is its limit (W - 1)/(2 (W + 1)).  P and J1 of both
-    responses are one array of 2n entries, eps0 first.
+    at s = 0, P is its limit (W - 1)/(2 (W + 1)).
     """
-    n = a.size
     root_a = np.sqrt(a)
     ln_w = np.arcsinh(root_a)  # ln W
-    x = np.concatenate([eps0, mu0])
-    w, ln_w2, root_a2 = (np.tile(v, 2) for v in (root_a + np.sqrt(1.0 + a), ln_w, root_a))
-    s = np.sqrt((x - 1.0) * (x + 1.0))
-    s1 = np.where(s > 0.0, s, 1.0)
-    p = np.where(s > 0.0, (0.5 * np.arcsinh(s1) - np.arctanh(s1 / (w + x))) / s1,
-                 (w - 1.0) / (2.0 * (w + 1.0)))
-    j1 = (np.tile(2.0 * np.sqrt(a * (1.0 + a)), 2) - 4.0 * x * root_a2
-          + 2.0 * (2.0 * x * x - 1.0) * ln_w2 - 8.0 * x * (x * x - 1.0) * p)
-    i1 = j1 / np.tile(8.0 * a * root_a, 2)
-    i0_e = (ln_w - 2.0 * eps0 * p[:n]) / (2.0 * root_a)
-    return -4.0 / 3.0 + 4.0 * eps0 * (2.0 * i0_e - i1[:n]) - 4.0 * mu0 * i1[n:]
+    w = root_a + np.sqrt(1.0 + a)
+
+    def i0_i1(x):  # I0(x) and I1(x)
+        s = np.sqrt((x - 1.0) * (x + 1.0))
+        s1 = np.where(s > 0.0, s, 1.0)
+        p = np.where(s > 0.0, (0.5 * np.arcsinh(s1) - np.arctanh(s1 / (w + x))) / s1,
+                     (w - 1.0) / (2.0 * (w + 1.0)))
+        j1 = (2.0 * np.sqrt(a * (1.0 + a)) - 4.0 * x * root_a
+              + 2.0 * (2.0 * x * x - 1.0) * ln_w - 8.0 * x * (x * x - 1.0) * p)
+        return (ln_w - 2.0 * x * p) / (2.0 * root_a), j1 / (8.0 * a * root_a)
+
+    (i0_e, i1_e), (_, i1_m) = i0_i1(eps0), i0_i1(mu0)
+    return -4.0 / 3.0 + 4.0 * eps0 * (2.0 * i0_e - i1_e) - 4.0 * mu0 * i1_m
 
 
 def _c4_bracket_rule(eps0, mu0, a):

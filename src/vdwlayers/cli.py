@@ -41,7 +41,7 @@ from .asymptotics import (  # noqa: F401
 from .config import ConfigError, RunConfig, _safe_label, load_config, with_overrides
 from .materials import PerfectMirror
 from .perturbation import additivity_check
-from .potential import potential_multilayer, potential_two_plates
+from .potential import _wall_potentials, potential_multilayer
 from .potential import potential_halfspace  # noqa: F401  perfbench's potential probe wraps it
 from .quadrature import NodeTable
 
@@ -138,30 +138,24 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     for z in (cfg.scan.lo, cfg.scan.hi):  # every series has the same layout
         cfg.build_stack(z, geo.materials[0])  # a ConfigError if its atom layer cannot hold z
     zs = cfg.scan.values()
-    two_plates = geo.kind == "two-plates"
-    columns = ["z_A", "U", "err", "U_left", "U_right"]
-    if two_plates:
-        columns.append("U_noreflect")
-    columns.append("converged")
+    # two plates: also U_noreflect, the walls' bare terms (D forced to one), of the same table
+    noreflect = ["U_noreflect"] if geo.kind == "two-plates" else []
+    columns = ["z_A", "U", "err", "U_left", "U_right", *noreflect, "converged"]
 
     args.out.mkdir(parents=True, exist_ok=True)
     outputs = []
     warned = []  # "<series>: <message>" per warning, for the sidecar
-    diagnostics = {}  # per series: the kernel points of its potentials
+    diagnostics = {}  # per series: the kernel points of its one table
     all_ok = True
     for name in geo.materials:
         with _keeping_warnings(warned, name):
-            b = _potential(cfg, name, zs)
-        diagnostics[name] = {"kernel_points": b.evaluations}
-        cells = [zs, b.values, b.errors, b.left, b.right]
-        converged = b.row_converged
-        if two_plates:  # the cavity denominators forced to one: a table of its own
-            gap = geo.series[name][1].thickness
-            noreflect = potential_two_plates(cfg.atom, cfg.medium(name), gap, zs, cfg.quadrature,
-                                             multiple_reflections=False)
-            diagnostics[name]["noreflect_kernel_points"] = noreflect.evaluations
-            cells.append(noreflect.values)
-            converged = converged & noreflect.row_converged
+            batches = (_wall_potentials(cfg.build_stack(zs, name), cfg.atom, cfg.quadrature,
+                                        (True, False)) if noreflect
+                       else [_potential(cfg, name, zs)])
+        b = batches[0]
+        diagnostics[name] = {"kernel_points": sum(batch.evaluations for batch in batches)}
+        cells = [zs, b.values, b.errors, b.left, b.right, *(batch.values for batch in batches[1:])]
+        converged = np.logical_and.reduce([batch.row_converged for batch in batches])
         all_ok = all_ok and bool(converged.all())
         rows = list(zip(*(cell.tolist() for cell in [*cells, converged])))
         fname = f"scan_{_safe_label(name)}.{args.format}"

@@ -93,8 +93,9 @@ class MaterialModel:
     magnetic: tuple[Resonance, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "electric", tuple(self.electric))
-        object.__setattr__(self, "magnetic", tuple(self.magnetic))
+        for name in ("electric", "magnetic"):
+            object.__setattr__(self, name, tuple(
+                r if isinstance(r, Resonance) else Resonance(*r) for r in getattr(self, name)))
 
     def eps(self, u):
         """Relative permittivity at imaginary frequency omega = i*u."""

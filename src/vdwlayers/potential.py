@@ -6,23 +6,23 @@ vacuum axial wavenumber b of
     (1 / 8 pi^2) * alpha(iu) * e^{-2 b z} * [u^2 r_s/D_s - (2 b^2 - u^2) r_p/D_p]
 
 summed over the walls the atom sees, with geometry entering only through the
-reflection coefficients: ``_wall_kernel`` is the one place that forms this
-integrand, without its factor e^{-2 b z}, which ``integrate_nested``
-applies.  Every geometry is a ``LayerStack`` evaluated by
-``potential_multilayer``, the one caller of ``integrate_nested``: the
-half-space, plate, thin-plate and two-plate potentials only build their
-stacks, from ``stack.layout``.  A perfect mirror is a layer like any other
-(r_s = -+1, r_p = +-1), every medium, however large its response, takes this
-one path, and a thin plate is a thin layer, whose step the recursion
-linearises in its thickness.  ``potential_mirror``, the closed 1-D form of
-the perfect-mirror half-space, is kept as an oracle.  Every potential takes
-``z`` as a float or a 1-D array and is one ``integrate_nested`` call whose
+reflection coefficients.  ``_wall_kernel`` is the one place that forms this
+integrand (without e^{-2 b z}, which ``integrate_nested`` applies), and every
+geometry is a ``LayerStack`` evaluated by ``_wall_potentials``, the one caller
+of ``integrate_nested``: the half-space, plate, thin-plate, two-plate and
+multilayer potentials only build their stacks, from ``stack.layout``.  A
+perfect mirror is a layer like any other (r_s = -+1, r_p = +-1), as is a
+medium however large its response, and a thin plate is a thin layer, whose
+step the recursion linearises in its thickness.  ``potential_mirror``, the
+closed 1-D form of the perfect-mirror half-space, is kept as an oracle.
+Every potential takes ``z`` as a float or a 1-D array and is one call whose
 channels are ``LayerStack.walls``, left first (one wall from an outer layer,
-two from an interior one): one b-node table serves every entry and wall,
-all formed from one ``reflection_coefficients`` call, so the left/right
-split is exact bookkeeping, and ``_wall_sum`` reduces them to the potential.
-Position-independent bulk terms are omitted throughout, so an all-vacuum
-scene gives exactly zero.
+two from an interior one), all formed from one ``reflection_coefficients``
+call per kernel call; ``_wall_sum`` reduces them, so the left/right split is
+exact.  The walls with the bare r in place of r/D (D forced to one, as in
+``potential_two_plates(..., multiple_reflections=False)``) are more channels
+of that call: a two-plates ``scan`` gets U and U_noreflect from one table.
+Position-independent bulk terms are omitted, so a vacuum scene gives zero.
 """
 
 from __future__ import annotations
@@ -170,22 +170,15 @@ def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z
                          multiple_reflections: bool = True, *, power=0):
     """Potential of an atom between two identical infinitely thick plates.
 
-    With ``multiple_reflections=False`` the result is the sum of the two
-    single-plate potentials at z and separation - z (the cavity denominators
-    forced to one), which exposes the multiple-reflection correction by
-    comparison.
+    With ``multiple_reflections=False`` each wall's term takes its bare r in
+    place of r/D (the cavity denominators forced to one): the sum of the two
+    single-plate potentials at z and separation - z, formed on the cavity's
+    own stack, which exposes the multiple-reflection correction by comparison.
     """
     _require_positive("separation", separation)
-    zs = _as_rows("z", z, separation)
+    _as_rows("z", z, separation)  # an error names z; LayerStack would name it atom_position
     stack = LayerStack(*layout("two-plates", material, separation), z)
-    if multiple_reflections:
-        return potential_multilayer(stack, atom, spec, power=power)
-    distances = np.concatenate([dist for _, dist, _ in stack.walls])  # rows of one table
-    both = np.tile(np.broadcast_to(power, zs.shape), 2)
-    rows = potential_halfspace(atom, material, distances, spec, power=both)
-    batch = _wall_sum(IntegralBatch(*(field.reshape(2, zs.size) for field in (
-        rows.values, rows.errors, rows.row_evaluations, rows.row_converged))), stack.walls, power)
-    return batch if np.ndim(z) else batch[0]
+    return _wall_potentials(stack, atom, spec, (multiple_reflections,), power=power)[0]
 
 
 def _warn_thin_layers(stack: LayerStack, walls) -> None:
@@ -203,7 +196,31 @@ def _warn_thin_layers(stack: LayerStack, walls) -> None:
         if outside.any():
             warnings.warn(f"thin-plate linearization used outside its regime at "
                           f"{int(outside.sum())} of {zs.size} z: largest n(0) d / z = "
-                          f"{ratio.max():.3g} > 0.1", stacklevel=3)
+                          f"{ratio.max():.3g} > 0.1", stacklevel=4)
+
+
+def _wall_potentials(stack: LayerStack, atom: AtomModel, spec, resummed, *, table=None,
+                     power=0) -> list:
+    """``potential_multilayer``'s potential once per entry of ``resummed``, from one table:
+    True sums the walls' terms with the cavity-resummed r/D, False with the bare r."""
+    u_scale = _u_scale(atom, *(layer.material for layer in stack.layers))
+    walls = stack.walls
+    _warn_thin_layers(stack, walls)
+
+    def refl(u, b):
+        """r/D per entry and wall, D forced to one in a bare entry (``np.array`` stacks faster)."""
+        r = reflection_coefficients(stack, u, b)
+        return (np.array([getattr(r, f"r_s_{side}") / (r.d_s if cavity else 1.0)
+                          for cavity in resummed for side, _, _ in walls]),
+                np.array([getattr(r, f"r_p_{side}") / (r.d_p if cavity else 1.0)
+                          for cavity in resummed for side, _, _ in walls]))
+
+    z = np.tile([dist for _, dist, _ in walls], (len(resummed), 1))
+    rows = integrate_nested(_wall_kernel(atom, refl), z=z, spec=spec, u_scale=u_scale,
+                            table=table, power=power)
+    batches = [_wall_sum(rows[c:c + len(walls)], walls, power)
+               for c in range(0, len(z), len(walls))]
+    return batches if np.ndim(stack.atom_position) else [batch[0] for batch in batches]
 
 
 def potential_multilayer(stack: LayerStack, atom: AtomModel,
@@ -228,17 +245,4 @@ def potential_multilayer(stack: LayerStack, atom: AtomModel,
     the two walls' shares (the right wall's term, a function of d - z,
     takes the sign (-1)^p).  Every potential passes it the same way.
     """
-    u_scale = _u_scale(atom, *(layer.material for layer in stack.layers))
-    walls = stack.walls
-    _warn_thin_layers(stack, walls)
-
-    def refl(u, b):
-        """Cavity-resummed r/D, one channel per wall (``np.array`` stacks faster here)."""
-        r = reflection_coefficients(stack, u, b)
-        return (np.array([getattr(r, f"r_s_{side}") for side, _, _ in walls]) / r.d_s,
-                np.array([getattr(r, f"r_p_{side}") for side, _, _ in walls]) / r.d_p)
-
-    rows = integrate_nested(_wall_kernel(atom, refl), z=np.array([dist for _, dist, _ in walls]),
-                            spec=spec, u_scale=u_scale, table=table, power=power)
-    batch = _wall_sum(rows, walls, power)
-    return batch if np.ndim(stack.atom_position) else batch[0]
+    return _wall_potentials(stack, atom, spec, (True,), table=table, power=power)[0]

@@ -535,14 +535,15 @@ class NodeTable:
     def sums(self, z, power=0):
         """The rows int_0^inf db (2 b)^p e^{-2 b z} G(b) summed on the stored nodes alone.
 
-        ``z`` is a float, or a 1-D array for a one-channel table, or a
-        (channels, n) array, and ``power`` (integers p >= 0) broadcasts
-        against it; the result has the shape of ``z``.  No kernel call and
-        no error estimate: each row is the plain sum of h w_j (2 b_j)^p
-        e^{-2 b_j z} G_j jac_j over the table's nodes, so it agrees with the
-        call that filled the table to rounding at that call's z and is as
-        good as the nodes elsewhere (a node the table never computed counts
-        as zero).  A wall search reads its force (p = 1) here between calls.
+        ``z`` (every entry finite and > 0) is a float, or a 1-D array for a
+        one-channel table, or a (channels, n) array, and ``power`` (integers
+        p >= 0) broadcasts against it; the result has the shape of ``z``.
+        No kernel call and no error estimate: each row is the plain sum of
+        h w_j (2 b_j)^p e^{-2 b_j z} G_j jac_j over the table's nodes, so it
+        agrees with the call that filled the table to rounding at that
+        call's z and is as good as the nodes elsewhere (a node the table never
+        computed counts as zero).  A wall search reads its force (p = 1) here
+        between calls.
         """
         if self.spec is None:
             raise ValueError("this NodeTable is empty: fill it with integrate_nested first")
@@ -550,7 +551,7 @@ class NodeTable:
         if (shape[:1] != (self.channels,)) if len(shape) == 2 else self.channels != 1:
             raise ValueError(f"z of shape {shape} does not fit a table of "
                              f"{self.channels} channel(s)")
-        zs = np.asarray(z, dtype=float).reshape(self.channels, -1)
+        zs = _as_rows("z", np.reshape(z, -1) if len(shape) == 2 else z).reshape(self.channels, -1)
         power = _as_power(power, shape).reshape(zs.shape)[..., None]
         if self._summed is None or self._summed[0] is not self.nodes:  # filled since
             h, _, b, inside = _outer_nodes(self.b_c, self.lo, self.hi)
@@ -799,8 +800,8 @@ def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
     table's kernel points, each counted once however many channels it
     carries, are split evenly over the rows (the first rows take the
     remainder), so ``evaluations`` sums to the points the kernel got.
-    ``u_scale`` is the frequency scale of the kernel's resonances, the knee
-    of the table's inner map.
+    ``u_scale``, finite and > 0, is the frequency scale of the kernel's
+    resonances, the knee of the table's inner map.
 
     Without ``table``, or with an empty ``NodeTable``, the call builds its
     table from nothing (in a new ``NodeTable`` that it drops), and an empty
@@ -823,13 +824,12 @@ def integrate_nested(kernel, *, z, spec: QuadratureSpec | None = None,
     the call without ``power``.
     """
     spec = spec or DEFAULT_SPEC
+    _require_positive("u_scale", u_scale)
     shape = np.shape(z)
     if len(shape) > 2:
         raise ValueError(f"z must be a float, a 1-D or a 2-D array, got shape {shape}")
-    if len(shape) == 2:  # a bad entry is named by its flat index
-        zs = _as_rows("z", np.reshape(z, -1)).reshape(shape)
-    else:
-        zs = _as_rows("z", z)[None]
+    two_d = len(shape) == 2  # a bad entry of a 2-D z is named by its flat index
+    zs = _as_rows("z", np.reshape(z, -1) if two_d else z).reshape(shape if two_d else (1, -1))
     power = _as_power(power, shape).reshape(zs.shape)
     fields = _table_rows(kernel, zs, spec, u_scale, table or NodeTable(), power) if zs.size else (
         np.zeros(zs.shape), np.zeros(zs.shape), np.zeros(zs.shape, dtype=np.intp),

@@ -219,18 +219,41 @@ def test_scan_two_plates_emits_reference_column(tmp_path):
     assert float(mid["U_left"]) + float(mid["U_right"]) == pytest.approx(
         float(mid["U"]), rel=1e-12
     )
-    # the sidecar counts both tables: the cavity's and the noreflect reference's
+    # U and U_noreflect are channels of one table: the sidecar gives its kernel
+    # points, fewer than the two separate calls', and each row lies within its
+    # error of the separate call's
     cfg = parse_config(doc)
     zs = cfg.scan.values()
     cavity = v.potential_two_plates(cfg.atom, cfg.medium("plate"), 6.0, zs, cfg.quadrature)
     noreflect = v.potential_two_plates(cfg.atom, cfg.medium("plate"), 6.0, zs, cfg.quadrature,
                                        multiple_reflections=False)
     meta = json.loads((out / "scan.meta.json").read_text())
-    assert meta["diagnostics"] == {"plate": {"kernel_points": cavity.evaluations,
-                                             "noreflect_kernel_points": noreflect.evaluations}}
-    assert noreflect.evaluations > 0
-    assert [float(r["U_noreflect"]) for r in rows] == noreflect.values.tolist()
+    points = meta["diagnostics"]["plate"]["kernel_points"]
+    assert meta["diagnostics"] == {"plate": {"kernel_points": points}}
+    assert 0 < points < cavity.evaluations + noreflect.evaluations
+    for row, full, bare in zip(rows, cavity, noreflect):
+        assert abs(float(row["U"]) - full.value) <= float(row["err"]) + full.error
+        assert abs(float(row["U_noreflect"]) - bare.value) <= bare.error
     assert all(r["converged"] == "1" for r in rows)
+
+
+def test_scan_two_plates_is_one_nested_call_per_series(tmp_path, monkeypatch):
+    from vdwlayers import potential as module
+
+    calls = []
+    real = module.integrate_nested
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["z"].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate_nested", counted)
+    doc = two_plates_doc()
+    doc["materials"]["weak"] = WEAK
+    doc["geometry"]["material"] = ["plate", "weak"]
+    code, out = run(tmp_path, "scan", doc)
+    assert code == 0
+    assert calls == [(4, 3), (4, 3)]  # per series: U's two walls, then U_noreflect's
 
 
 @pytest.mark.parametrize("z_max", [6.0, 7.5])
@@ -248,15 +271,14 @@ def test_scan_two_plates_past_the_gap_is_a_config_error(tmp_path, capsys, z_max)
 def test_scan_two_plates_flags_a_nonconverged_reference(tmp_path, monkeypatch, capsys):
     # a U_noreflect that did not converge clears its row's converged flag and
     # makes the command exit 3, as the potential's own rows do
-    real = cli.potential_two_plates
+    real = cli._wall_potentials
 
-    def unconverged_reference(*args, multiple_reflections=True, **kwargs):
-        res = real(*args, multiple_reflections=multiple_reflections, **kwargs)
-        if multiple_reflections:
-            return res
-        return dataclasses.replace(res, row_converged=np.zeros_like(res.row_converged))
+    def unconverged_reference(*args, **kwargs):
+        cavity, noreflect = real(*args, **kwargs)
+        return [cavity, dataclasses.replace(noreflect,
+                                            row_converged=np.zeros_like(noreflect.row_converged))]
 
-    monkeypatch.setattr(cli, "potential_two_plates", unconverged_reference)
+    monkeypatch.setattr(cli, "_wall_potentials", unconverged_reference)
     code, out = run(tmp_path, "scan", two_plates_doc())
     assert code == 3
     _, rows = read_rows(out / "scan_plate.csv")
@@ -848,8 +870,9 @@ def test_config_series_stack_is_the_potentials_stack(monkeypatch, geometry, pote
 
     cfg = parse_config(scan_doc(geometry=geometry))
     passed = []
-    monkeypatch.setattr(module, "potential_multilayer",
-                        lambda stack, *args, **kwargs: passed.append(stack))
+    for target in ("potential_multilayer", "_wall_potentials"):  # two-plates: the latter
+        monkeypatch.setattr(module, target, lambda stack, *args, **kwargs: passed.append(stack)
+                            or [None])
     potential(cfg.atom, cfg.medium("plate"), 1.5)
     name, = cfg.geometry.materials
     assert passed == [cfg.build_stack(1.5, name)]

@@ -115,6 +115,20 @@ def test_non_finite_parameters_rejected(build, field):
         build()
 
 
+def test_material_takes_resonance_arguments():
+    # an entry given as its Resonance's arguments is that Resonance
+    m = v.MaterialModel(electric=[(0.75, 1.03)], magnetic=[(2.0, 1.0, 0.001)])
+    assert m.electric == (v.Resonance(0.75, 1.03),)
+    assert m.magnetic == (v.Resonance(2.0, 1.0, 0.001),)
+    assert m.eps(0.0) == 1.0 + 0.75**2 / 1.03**2
+
+
+def test_material_rejects_a_malformed_entry():
+    # checked at construction, not at the first eps call
+    with pytest.raises(ValueError, match="transverse frequency must be > 0"):
+        v.MaterialModel(electric=[(0.75, -1.03)])
+
+
 def test_mirror_flags():
     assert v.CONDUCTING_MIRROR.r_s == -1.0 and v.CONDUCTING_MIRROR.r_p == 1.0
     assert v.PERMEABLE_MIRROR.r_s == 1.0 and v.PERMEABLE_MIRROR.r_p == -1.0

@@ -505,6 +505,31 @@ def test_nested_rejects_z_beyond_two_dimensions():
         v.integrate_nested(lambda u, b: np.ones_like(u + b), z=np.ones((2, 2, 2)))
 
 
+def _decay_kernel(u, b):
+    """e^{-u}: the integral at z is 1 / (2 z (1 + 2 z)), 1/6 at z = 1."""
+    return np.exp(-u) * np.ones_like(b)
+
+
+@pytest.mark.parametrize("u_scale", [0.0, -1.0, math.nan, math.inf])
+def test_nested_rejects_bad_u_scale(u_scale):
+    # the knee of the inner map is a frequency: 0 gave a "converged" 0, -1 gave -inf
+    with pytest.raises(ValueError, match=rf"u_scale must be finite and > 0, got {u_scale}$"):
+        v.integrate_nested(_decay_kernel, z=1.0, u_scale=u_scale)
+    res = v.integrate_nested(_decay_kernel, z=1.0)
+    assert res.converged and abs(res.value - 1.0 / 6.0) <= res.error
+
+
+@pytest.mark.parametrize("z, got", [(0.0, "0.0"), (-1.0, "-1.0"), (math.nan, "nan"),
+                                    ([1.0, -2.0], r"z\[1\] = -2.0")])
+def test_table_sums_reject_bad_z(z, got):
+    # the rule of integrate_nested: 0 gave 437.8, -1 gave 1.8e263, [1, -2] an overflow
+    table = v.NodeTable()
+    v.integrate_nested(_decay_kernel, z=np.array([0.5, 1.0, 2.0]), table=table)
+    with pytest.raises(ValueError, match=rf"z must be finite and > 0, got {got}$"):
+        table.sums(z)
+    assert abs(table.sums(1.0) - 1.0 / 6.0) <= 1e-12
+
+
 def test_nested_batch_flags_inner_failure_per_row():
     # the z = 3 row oscillates too fast for its inner budget while its outer sum
     # converges; only that row may report the failure
