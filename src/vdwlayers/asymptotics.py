@@ -25,8 +25,8 @@ import numpy as np
 from .materials import AtomModel, MaterialModel, Medium, PerfectMirror, static_summary
 # integrate_finite is unused here but stays importable: perfbench's
 # quadrature.oned probe wraps asymptotics.integrate_finite.
-from .quadrature import (_EPS, QuadratureSpec, _require, _require_positive,  # noqa: F401
-                         integrate_finite, integrate_semi_infinite)
+from .quadrature import (_EPS, IntegralBatch, QuadratureSpec, _require,  # noqa: F401
+                         _require_positive, integrate_finite, integrate_semi_infinite)
 
 __all__ = [
     "NoWallError",
@@ -228,20 +228,22 @@ def _rule_nodes(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _char_scale(atom: AtomModel, material: MaterialModel) -> float:
-    """Map scale for the coefficient u-integrals.
+def _char_scale(atom: AtomModel, *materials: MaterialModel) -> float:
+    """Map scale for the coefficient u-integrals of ``materials``.
 
     The integrands knee once at the lowest transition/resonance frequency and
     once where each susceptibility falls to order one, i.e. at
     sqrt(transverse^2 + plasma^2); the geometric mean places quadrature nodes
-    across the whole span even for plasma >> transverse media.
+    across the whole span even for plasma >> transverse media.  Several
+    materials share the span of the union of their resonances.
     """
     lows = [t.frequency for t in atom.transitions]
     highs = list(lows)
-    for r in material.electric + material.magnetic:
-        if r.plasma > 0:
-            lows.append(r.transverse)
-            highs.append(math.hypot(r.transverse, r.plasma))
+    for material in materials:
+        for r in material.electric + material.magnetic:
+            if r.plasma > 0:
+                lows.append(r.transverse)
+                highs.append(math.hypot(r.transverse, r.plasma))
     return math.sqrt(min(lows) * max(highs))
 
 
@@ -271,9 +273,16 @@ _SHORT_DISTANCE = (
 )
 
 
-def plate_coefficients(atom: AtomModel, material: Medium, thickness: float | None = None,
-                       spec: QuadratureSpec | None = None, *,
-                       thick: bool = True) -> tuple[ThickCoeffs | None, ThinCoeffs | None]:
+def _one(outcomes: list):
+    """The one outcome of a one-material call: raised if it is an exception."""
+    if isinstance(outcomes[0], Exception):
+        raise outcomes[0]
+    return outcomes[0]
+
+
+def plate_coefficients(atom: AtomModel, material: Medium | Sequence[Medium],
+                       thickness: float | None = None, spec: QuadratureSpec | None = None, *,
+                       thick: bool = True):
     """(ThickCoeffs, ThinCoeffs) of a material from one multi-channel 1-D integral.
 
     The thick coefficients come unless ``thick`` is False, the thin ones
@@ -286,32 +295,67 @@ def plate_coefficients(atom: AtomModel, material: Medium, thickness: float | Non
     coefficient, the first in the order C3, C1, D4, D2.  C4 and D5 are
     closed forms in the statics.  A perfect mirror has the thick limits of
     ``thick_coefficients`` and no thin part.
+
+    A sequence of media gives a list, one outcome per medium: its pair, or
+    the RuntimeError that its channels would raise, returned rather than
+    raised, so one medium's failure leaves the others' coefficients.  The
+    channels of every dispersive medium are one ``integrate_semi_infinite``
+    call, on the map of the union of their resonances; a perfect mirror
+    keeps its closed limits outside the call.  One medium alone is the
+    one-material call.
     """
-    if isinstance(material, PerfectMirror):
-        if not thick:
-            raise TypeError("thin-plate coefficients are undefined for a perfect mirror")
-        alpha0 = atom.alpha0
-        if material.kind == "conducting":
-            c4 = -3.0 * alpha0 / (32.0 * _PI2)
-            c3 = atom.dipole_sq_total / (48.0 * math.pi)
-        else:
-            c4 = 3.0 * alpha0 / (32.0 * _PI2)
-            c3 = 0.0
-        return ThickCoeffs(c4=c4, c3=c3, c1=math.inf, method="mirror-limit"), None
-    if thickness is not None:
+    several = not isinstance(material, (MaterialModel, PerfectMirror))
+    media = list(material) if several else [material]
+    if not thick and any(isinstance(m, PerfectMirror) for m in media):
+        raise TypeError("thin-plate coefficients are undefined for a perfect mirror")
+    dispersive = [m for m in media if not isinstance(m, PerfectMirror)]
+    if dispersive and thickness is not None:
         _require_positive("thickness", thickness)
-    elif not thick:
+    elif dispersive and not thick:
         raise ValueError("thin-plate coefficients need a thickness")
     channels = ((_SHORT_DISTANCE[:2] if thick else ())
                 + (_SHORT_DISTANCE[2:] if thickness is not None else ()))
 
     def integrand(u):
-        a, e, m = atom.alpha(u), material.eps(u), material.mu(u)
-        return np.stack([f(u, a, e, m) for f, _ in channels])
+        a = atom.alpha(u)
+        return np.stack([f(u, a, e, mu) for e, mu in ((m.eps(u), m.mu(u)) for m in dispersive)
+                         for f, _ in channels])
 
-    batch = integrate_semi_infinite(integrand, 0.0, spec=spec,
-                                    scale=_char_scale(atom, material))
-    integrals = [_require(res, what) for res, (_, what) in zip(batch, channels)]
+    if dispersive:
+        batch = integrate_semi_infinite(integrand, 0.0, spec=spec,
+                                        scale=_char_scale(atom, *dispersive))
+        results = iter(batch)
+    outcomes = []
+    for m in media:
+        if isinstance(m, PerfectMirror):
+            outcomes.append((_mirror_coefficients(atom, m), None))
+            continue
+        own = [next(results) for _ in channels]
+        try:
+            integrals = [_require(res, what) for res, (_, what) in zip(own, channels)]
+        except RuntimeError as exc:
+            outcomes.append(exc)
+        else:
+            outcomes.append(_coefficients(atom, m, thickness, thick, integrals))
+    return outcomes if several else _one(outcomes)
+
+
+def _mirror_coefficients(atom: AtomModel, mirror: PerfectMirror) -> ThickCoeffs:
+    """The closed thick limits of a perfect mirror; C1 diverges and is inf."""
+    alpha0 = atom.alpha0
+    if mirror.kind == "conducting":
+        c4 = -3.0 * alpha0 / (32.0 * _PI2)
+        c3 = atom.dipole_sq_total / (48.0 * math.pi)
+    else:
+        c4 = 3.0 * alpha0 / (32.0 * _PI2)
+        c3 = 0.0
+    return ThickCoeffs(c4=c4, c3=c3, c1=math.inf, method="mirror-limit")
+
+
+def _coefficients(atom: AtomModel, material: MaterialModel, thickness: float | None,
+                  thick: bool, integrals: list) -> tuple[ThickCoeffs | None, ThinCoeffs | None]:
+    """``plate_coefficients``' pair of a dispersive material from its short-distance
+    integrals, in the order C3, C1 (when ``thick``), D4, D2 (when a thickness is given)."""
     s = static_summary(material)
     out_thick = out_thin = None
     if thick:
@@ -512,7 +556,8 @@ def _closed_form_inputs(atom: AtomModel, material: MaterialModel):
     return t.frequency, t.dipole_sq, el[0], el[1], ma[0], ma[1]
 
 
-def wall_estimate(plate_kind: str, atom: AtomModel, material: MaterialModel,
+def wall_estimate(plate_kind: str, atom: AtomModel,
+                  material: MaterialModel | Sequence[MaterialModel],
                   thickness: float | None = None,
                   spec: QuadratureSpec | None = None) -> list[WallEstimate]:
     """Analytic wall position and height estimates from the short-distance coefficients.
@@ -521,16 +566,41 @@ def wall_estimate(plate_kind: str, atom: AtomModel, material: MaterialModel,
     two-level atom with one electric and one magnetic resonance, the lossless
     closed form alongside.  Raises :class:`NoWallError` when the electric
     response vanishes (the repulsive potential is then monotone).
+
+    A sequence of materials gives a list, one outcome per material: its
+    estimates, or its NoWallError or coefficient RuntimeError, returned
+    rather than raised.  Their coefficient integrals are one
+    ``plate_coefficients`` call, so one 1-D integral serves them all.
     """
     if plate_kind not in ("thick", "thin"):
         raise ValueError(f"plate_kind must be 'thick' or 'thin', got {plate_kind!r}")
-    if isinstance(material, PerfectMirror):
+    several = not isinstance(material, (MaterialModel, PerfectMirror))
+    media = list(material) if several else [material]
+    if any(isinstance(m, PerfectMirror) for m in media):
         raise TypeError("wall estimates need a dispersive material")
+    if plate_kind == "thin" and thickness is None:
+        raise ValueError("thin wall estimate needs a thickness")
+    thick = plate_kind == "thick"
+    outcomes = []
+    for m, coeffs in zip(media, plate_coefficients(atom, media, None if thick else thickness,
+                                                   spec, thick=thick)):
+        if isinstance(coeffs, RuntimeError):
+            outcomes.append(coeffs)
+            continue
+        try:
+            outcomes.append(_wall_estimates(plate_kind, atom, m, thickness,
+                                            coeffs[0] if thick else coeffs[1]))
+        except NoWallError as exc:
+            outcomes.append(exc)
+    return outcomes if several else _one(outcomes)
+
+
+def _wall_estimates(plate_kind: str, atom: AtomModel, material: MaterialModel,
+                    thickness: float | None, c) -> list[WallEstimate]:
+    """``wall_estimate``'s estimates of one material from its coefficients ``c``."""
     res_freqs = material.resonance_frequencies()
     omega_top = max(res_freqs) if res_freqs else math.inf
-
     if plate_kind == "thick":
-        c = thick_coefficients(atom, material, spec)
         if not c.c3 > 0.0:
             raise NoWallError("no electric response: 1/z^3 coefficient vanishes")
         if not c.c4 > 0.0:
@@ -538,9 +608,6 @@ def wall_estimate(plate_kind: str, atom: AtomModel, material: MaterialModel,
         z_max = math.sqrt(3.0 * c.c3 / c.c1)
         u_max = (2.0 / 3.0) * math.sqrt(c.c1**3 / (3.0 * c.c3))
     else:
-        if thickness is None:
-            raise ValueError("thin wall estimate needs a thickness")
-        c = thin_coefficients(atom, material, thickness, spec)
         if not c.d4 > 0.0:
             raise NoWallError("no electric response: 1/z^4 coefficient vanishes")
         if not c.d5 > 0.0:
@@ -618,7 +685,7 @@ _WALL_ROWS = ("U", "F", "F'")
 
 
 def locate_wall(potential: Callable, z_lo: float = _WALL_Z_LO, z_hi: float = _WALL_Z_HI,
-                samples: int = _WALL_SAMPLES, *, force: Callable) -> WallEstimate | None:
+                samples: int = _WALL_SAMPLES, *, force: Callable):
     """Find the positive maximum of a potential as a zero of its force, or None.
 
     ``potential(z, power=0)`` maps a 1-D array of z to a ``PotentialBatch``
@@ -645,6 +712,22 @@ def locate_wall(potential: Callable, z_lo: float = _WALL_Z_LO, z_hi: float = _WA
     RuntimeError naming z.  ``z_lo`` and ``z_hi`` must be finite and > 0,
     and ``samples`` an integer >= 4, or ValueError is raised before any
     potential is computed.
+
+    A ``potential`` may also compute several channels on one table, as the
+    ``wall`` command's does with the one wall of each of its series: it
+    then returns a list of one ``PotentialBatch`` per channel, and takes z
+    as a 1-D array (every channel at it) or as a (channels, n) array, with
+    ``power`` of that shape; ``force`` maps a (channels, m) array to F of
+    that shape, as ``NodeTable.sums`` does on a table of that many
+    channels.  The channels share every step: one scan call, one ``force``
+    grid over every bracket, one ``_bracketed_root`` over them all, and one
+    certifying call for every channel with a root, in which a channel
+    without one has three p = 0 rows at its largest converged scan sample,
+    which the scan's nodes already serve, so they add no kernel point.  The
+    result is then a list of one outcome per channel: a wall, None, or the
+    RuntimeError that the channel alone would raise, returned rather than
+    raised.  With more than one channel, a skipped scan point's warning
+    names its channel.
     """
     _require_positive("z_lo", z_lo)
     _require_positive("z_hi", z_hi)
@@ -653,39 +736,80 @@ def locate_wall(potential: Callable, z_lo: float = _WALL_Z_LO, z_hi: float = _WA
     if not z_hi > z_lo:
         raise ValueError(f"z_hi must exceed z_lo, got z_lo={z_lo}, z_hi={z_hi}")
     zs = np.geomspace(z_lo, z_hi, samples)
-    scan = potential(zs)
-    for z in zs[~scan.row_converged].tolist():
-        warnings.warn(f"skipping z = {z:.4g}: quadrature did not converge", stacklevel=2)
-    kept = np.flatnonzero(scan.row_converged)
-    if not kept.size:
-        raise RuntimeError("no scan point converged")
+    scans = potential(zs)
+    several = not isinstance(scans, IntegralBatch)
+    scans = list(scans) if several else [scans]
+    k = len(scans)
+    outcomes = [None] * k
+    rest = np.full(k, zs[0])  # per channel: the z of its certifying rows if it has no root
+    brackets = {}  # per channel with a maximum inside the grid: its neighbours' z
+    for c, scan in enumerate(scans):
+        where = f" of channel {c}" if k > 1 else ""
+        for z in zs[~scan.row_converged].tolist():
+            warnings.warn(f"skipping z = {z:.4g}{where}: quadrature did not converge",
+                          stacklevel=2)
+        kept = np.flatnonzero(scan.row_converged)
+        if not kept.size:
+            outcomes[c] = RuntimeError("no scan point converged")
+            continue
+        idx = int(np.argmax(scan.values[kept]))
+        rest[c] = zs[kept[idx]]
+        if scan.values[kept[idx]] > 0.0 and idx not in (0, kept.size - 1):
+            brackets[c] = zs[kept[[idx - 1, idx + 1]]].tolist()
 
-    idx = int(np.argmax(scan.values[kept]))
-    if scan.values[kept[idx]] <= 0.0 or idx in (0, kept.size - 1):
-        return None
+    def forces(chans, z):
+        """F of the channels ``chans`` at z, one row of z per channel (the rest at z_lo)."""
+        if not several:
+            return np.asarray(force(z[0]), dtype=float)[None]
+        full = np.full((k, z.shape[1]), z_lo)
+        full[chans] = z
+        return np.asarray(force(full), dtype=float)[chans]
 
-    lo, hi = zs[kept[[idx - 1, idx + 1]]].tolist()
-    grid = np.linspace(math.log(lo), math.log(hi), _WALL_ROOT_GRID)
-    f = np.asarray(force(np.exp(grid)), dtype=float)
-    turns = np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0))
-    if not turns.size:
-        raise RuntimeError(f"wall search: the force does not turn from - to + on "
-                           f"z = {lo:.6g} .. {hi:.6g}")
-    i = int(turns[0])
-    x, converged = _bracketed_root(lambda rows, x: np.asarray(force(np.exp(x)), dtype=float),
-                                   grid[i:i + 1], grid[i + 1:i + 2], f[i:i + 1], f[i + 1:i + 2],
-                                   _WALL_ROOT_TOL)
-    root = float(np.exp(x[0]))
-    if not converged[0]:
-        raise RuntimeError(f"wall search: the root of the force near z = {root:.6g} did not "
-                           f"converge in {_ROOT_MAX_STEPS} steps")
+    roots = {}  # per channel with a converged root of its force: that root
+    if brackets:
+        chans = np.array(list(brackets))
+        grid = np.array([np.linspace(math.log(lo), math.log(hi), _WALL_ROOT_GRID)
+                         for lo, hi in brackets.values()])
+        f = forces(chans, np.exp(grid))
+        turns = (f[:, :-1] < 0.0) & (f[:, 1:] >= 0.0)
+        for c in chans[~turns.any(axis=1)].tolist():
+            lo, hi = brackets[c]
+            outcomes[c] = RuntimeError(f"wall search: the force does not turn from - to + on "
+                                       f"z = {lo:.6g} .. {hi:.6g}")
+        r = np.flatnonzero(turns.any(axis=1))  # the brackets with a turn
+        i = np.argmax(turns[r], axis=1)  # each one's first turn
+        x, converged = _bracketed_root(
+            lambda rows, x: forces(chans[r[rows]], np.exp(x)[:, None])[:, 0],
+            grid[r, i], grid[r, i + 1], f[r, i], f[r, i + 1], _WALL_ROOT_TOL)
+        for j, c in enumerate(chans[r].tolist()):
+            root = float(np.exp(x[j]))
+            if converged[j]:
+                roots[c] = root
+            else:
+                outcomes[c] = RuntimeError(f"wall search: the root of the force near z = "
+                                           f"{root:.6g} did not converge in {_ROOT_MAX_STEPS} "
+                                           f"steps")
 
-    rows = potential(np.full(len(_WALL_ROWS), root), power=np.arange(len(_WALL_ROWS)))
-    if not rows.converged:
-        raise RuntimeError(f"wall refinement: quadrature did not converge at z = {root:.6g} "
-                           f"in the {_WALL_ROWS[np.argmin(rows.row_converged)]} row")
-    (height, f_root, curvature), errors = rows.values.tolist(), rows.errors.tolist()
-    if height <= 10.0 * abs(errors[0]):
-        return None
-    z_err = (errors[1] + abs(f_root)) / abs(curvature)
-    return WallEstimate(root, height, "numeric-scan", z_err=z_err, force=f_root)
+    if roots:
+        if several:
+            z = np.repeat(rest[:, None], len(_WALL_ROWS), axis=1)
+            power = np.zeros(z.shape, dtype=int)
+            for c, root in roots.items():
+                z[c], power[c] = root, np.arange(len(_WALL_ROWS))
+            certified = potential(z, power=power)
+        else:
+            certified = [potential(np.full(len(_WALL_ROWS), roots[0]),
+                                   power=np.arange(len(_WALL_ROWS)))]
+        for c, root in roots.items():
+            rows = certified[c]
+            if not rows.converged:
+                outcomes[c] = RuntimeError(
+                    f"wall refinement: quadrature did not converge at z = {root:.6g} in the "
+                    f"{_WALL_ROWS[np.argmin(rows.row_converged)]} row")
+                continue
+            (height, f_root, curvature), errors = rows.values.tolist(), rows.errors.tolist()
+            if height > 10.0 * abs(errors[0]):
+                outcomes[c] = WallEstimate(root, height, "numeric-scan",
+                                           z_err=(errors[1] + abs(f_root)) / abs(curvature),
+                                           force=f_root)
+    return outcomes if several else _one(outcomes)

@@ -5,7 +5,11 @@ computes, and writes plot-ready data files plus a provenance sidecar
 ``<command>.meta.json`` that embeds the exact configuration; running the same
 command with the sidecar as the config reproduces the data files byte for
 byte.  Every command runs in one process: ``scan`` computes each series with
-one potential call over its z grid and ``border`` solves all its points as one batch.
+one potential call over its z grid, ``wall`` searches every series at once
+(each series' wall one channel of one table: one scan call, one root search
+over every bracket and one certifying call), ``coeffs`` and the ``wall``
+estimates integrate every material in one 1-D call, and ``border`` solves all
+its points as one batch.  A failure of one material flags only its rows.
 ``--threads`` is accepted for compatibility and starts no workers.
 
 Exit codes: 0 success, 2 configuration error, 3 partial numerical failure.
@@ -122,13 +126,6 @@ def _keeping_warnings(warned: list[str], name: str):
         warned.append(f"{name}: {w.message}")
 
 
-def _potential(cfg: RunConfig, name: str, z, table: NodeTable | None = None, power=0):
-    """Potential (or, for ``power`` p, its (-d/dz)^p) of the series ``name`` at z, a float
-    or a 1-D array, on the series' stack; ``table`` is its ``NodeTable``, kept across calls."""
-    return potential_multilayer(cfg.build_stack(z, name), cfg.atom, cfg.quadrature, table=table,
-                                power=power)
-
-
 def cmd_scan(cfg: RunConfig, args) -> int:
     geo = cfg.geometry
     if geo is None:
@@ -148,10 +145,10 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     diagnostics = {}  # per series: the kernel points of its one table
     all_ok = True
     for name in geo.materials:
+        stack = cfg.build_stack(zs, name)
         with _keeping_warnings(warned, name):
-            batches = (_wall_potentials(cfg.build_stack(zs, name), cfg.atom, cfg.quadrature,
-                                        (True, False)) if noreflect
-                       else [_potential(cfg, name, zs)])
+            batches = (_wall_potentials(stack, cfg.atom, cfg.quadrature, (True, False))
+                       if noreflect else [potential_multilayer(stack, cfg.atom, cfg.quadrature)])
         b = batches[0]
         diagnostics[name] = {"kernel_points": sum(batch.evaluations for batch in batches)}
         cells = [zs, b.values, b.errors, b.left, b.right, *(batch.values for batch in batches[1:])]
@@ -171,16 +168,17 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
         raise ConfigError("coeffs needs a coeffs section")
     rows = []
     failures = []  # "<material>: <message>" per failure, for the sidecar
-    for name in section.materials:
-        try:
-            thick, thin = plate_coefficients(cfg.atom, cfg.medium(name), section.thickness,
-                                             cfg.quadrature)
-        except RuntimeError as exc:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            failures.append(f"{name}: {exc}")
+    # every dispersive material's integrals are channels of one 1-D call
+    outcomes = plate_coefficients(cfg.atom, [cfg.medium(name) for name in section.materials],
+                                  section.thickness, cfg.quadrature)
+    for name, outcome in zip(section.materials, outcomes):
+        if isinstance(outcome, RuntimeError):
+            print(f"numerical failure: {outcome}", file=sys.stderr)
+            failures.append(f"{name}: {outcome}")
             rows.append((name, None, None, None, None, None, None, section.thickness,
                          "failed", "failed"))
         else:
+            thick, thin = outcome
             thin_row = ((None, None, None) if thin is None  # a perfect mirror
                         else (thin.d5, thin.d4, thin.d2))
             rows.append((name, thick.c4, thick.c3, thick.c1, *thin_row, section.thickness,
@@ -217,11 +215,12 @@ def cmd_wall(cfg: RunConfig, args) -> int:
     grid = cfg.wall
     if len(cfg.build_stack(grid.lo, geo.materials[0]).walls) != 1:  # the same in every series
         raise ConfigError("config.geometry: wall needs an atom in an outer layer (one wall)")
+    names = geo.materials
 
     args.out.mkdir(parents=True, exist_ok=True)
     outputs = []
     failures = []  # "<material>: <method>: <message>" per failure, for the sidecar
-    warned = []  # "<material>: <message>" per warning, for the sidecar
+    warned = []  # "<materials>: <message>" per warning, for the sidecar
     diagnostics = {}  # per material: kernel points of the scan and the certifying call
 
     def failed(name, method, exc):
@@ -229,49 +228,53 @@ def cmd_wall(cfg: RunConfig, args) -> int:
         failures.append(f"{name}: {method}: {exc}")
         return (name, method, None, None, None, None, "failed")
 
-    for name in geo.materials:
-        rows = []
-        # one table: the scan fills it, the force's root is read from its nodes,
-        # and the certifying call at the root computes only what its rows add
-        table = NodeTable()
-        points = []  # kernel points of each potential call: the scan, then the certifying one
+    # one table for every series, one channel each: the scan fills it, the
+    # forces' roots are read from its nodes, and the certifying call at the
+    # roots computes only what its rows add
+    table = NodeTable()
+    points = []  # per potential call (the scan, then the certifying one): each series' share
 
-        def potential(z, power=0):
-            batch = _potential(cfg, name, z, table=table, power=power)
-            points.append(batch.evaluations)
-            return batch
+    def potential(z, power=0):
+        z = np.broadcast_to(z, (len(names), np.shape(z)[-1]))  # a 1-D z is every series'
+        stacks = [cfg.build_stack(zs, name) for zs, name in zip(z, names)]
+        batches = potential_multilayer(stacks, cfg.atom, cfg.quadrature, table=table,
+                                       power=power)
+        points.append([batch.evaluations for batch in batches])
+        return batches
 
-        with _keeping_warnings(warned, name):
-            numeric = None
-            try:  # the geometries of wall have one wall: the table's one channel is the force
-                numeric = locate_wall(potential, z_lo=grid.lo, z_hi=grid.hi, samples=grid.points,
-                                      force=functools.partial(table.sums, power=1))
-            except RuntimeError as exc:
-                rows.append(failed(name, "numeric-scan", exc))
-            else:
-                if numeric is None:
-                    rows.append((name, "numeric-scan", None, None, None, None, "no-wall"))
-                else:
-                    rows.append((name, numeric.method, numeric.z_max, numeric.z_err, numeric.u_max,
-                                 numeric.consistency, "ok"))
-            diagnostics[name] = {"scan_kernel_points": points[0] if points else None,
-                                 "certify_kernel_points": sum(points[1:]),
-                                 "z_err": getattr(numeric, "z_err", None),
-                                 "force": getattr(numeric, "force", None)}
+    # the analytic estimates, of every dispersive half-space or thin-plate medium
+    plate_kind = {"halfspace": "thick", "thin-plate": "thin"}.get(geo.kind)
+    dispersive = [name for name in names
+                  if plate_kind and not isinstance(cfg.medium(name), PerfectMirror)]
+    thickness = geo.series[names[0]][1].thickness if plate_kind == "thin" else None
+    with _keeping_warnings(warned, ", ".join(names)):
+        numeric = locate_wall(potential, z_lo=grid.lo, z_hi=grid.hi, samples=grid.points,
+                              force=functools.partial(table.sums, power=1))
+        estimates = dict(zip(dispersive, wall_estimate(
+            plate_kind, cfg.atom, [cfg.medium(name) for name in dispersive], thickness,
+            cfg.quadrature))) if dispersive else {}
 
-            # the analytic estimates, of a dispersive half-space or thin-plate medium
-            plate_kind = {"halfspace": "thick", "thin-plate": "thin"}.get(geo.kind)
-            if plate_kind and not isinstance(cfg.medium(name), PerfectMirror):
-                thickness = geo.series[name][1].thickness if plate_kind == "thin" else None
-                try:
-                    for est in wall_estimate(plate_kind, cfg.atom, cfg.medium(name), thickness,
-                                             cfg.quadrature):
-                        rows.append((name, est.method, est.z_max, est.z_err, est.u_max,
-                                     est.consistency, "ok"))
-                except NoWallError:  # a RuntimeError too: an absent wall, not a failure
-                    rows.append((name, "coefficient-ratio", None, None, None, None, "no-wall"))
-                except RuntimeError as exc:
-                    rows.append(failed(name, "coefficient-ratio", exc))
+    for c, name in enumerate(names):
+        found = numeric[c]
+        if isinstance(found, RuntimeError):
+            rows = [failed(name, "numeric-scan", found)]
+        elif found is None:
+            rows = [(name, "numeric-scan", None, None, None, None, "no-wall")]
+        else:
+            rows = [(name, found.method, found.z_max, found.z_err, found.u_max,
+                     found.consistency, "ok")]
+        diagnostics[name] = {"scan_kernel_points": points[0][c] if points else None,
+                             "certify_kernel_points": sum(p[c] for p in points[1:]),
+                             "z_err": getattr(found, "z_err", None),
+                             "force": getattr(found, "force", None)}
+        outcome = estimates.get(name, [])
+        if isinstance(outcome, NoWallError):  # a RuntimeError too: an absent wall, not a failure
+            rows.append((name, "coefficient-ratio", None, None, None, None, "no-wall"))
+        elif isinstance(outcome, RuntimeError):
+            rows.append(failed(name, "coefficient-ratio", outcome))
+        else:
+            rows.extend((name, est.method, est.z_max, est.z_err, est.u_max, est.consistency, "ok")
+                        for est in outcome)
 
         fname = f"wall_{_safe_label(name)}.{args.format}"
         _write_table(args.out / fname,

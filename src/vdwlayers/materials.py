@@ -10,9 +10,10 @@ what keeps all downstream integrals smooth and non-oscillatory.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -68,6 +69,22 @@ class Resonance:
             raise ValueError(f"damping must be >= 0, got {self.damping}")
 
 
+def _entry(cls, entry):
+    """``entry`` as a ``cls``: itself, a mapping of its fields by name, or a sequence of them.
+
+    A mapping key that names no field raises TypeError naming ``cls``.
+    """
+    if isinstance(entry, cls):
+        return entry
+    if isinstance(entry, Mapping):
+        unknown = sorted(set(entry) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise TypeError(f"{cls.__name__} has no field {unknown[0]!r}; its fields are "
+                            f"{', '.join(f.name for f in dataclasses.fields(cls))}")
+        return cls(**entry)
+    return cls(*entry)
+
+
 def _lorentz_sum(resonances: Sequence[Resonance], u):
     u = np.asarray(u, dtype=float)
     out = np.ones_like(u)
@@ -95,7 +112,7 @@ class MaterialModel:
     def __post_init__(self) -> None:
         for name in ("electric", "magnetic"):
             object.__setattr__(self, name, tuple(
-                r if isinstance(r, Resonance) else Resonance(*r) for r in getattr(self, name)))
+                _entry(Resonance, r) for r in getattr(self, name)))
 
     def eps(self, u):
         """Relative permittivity at imaginary frequency omega = i*u."""
@@ -180,9 +197,7 @@ class AtomModel:
     transitions: tuple[Transition, ...]
 
     def __post_init__(self) -> None:
-        transitions = tuple(
-            t if isinstance(t, Transition) else Transition(*t) for t in self.transitions
-        )
+        transitions = tuple(_entry(Transition, t) for t in self.transitions)
         if not transitions:
             raise ValueError("atom needs at least one transition")
         # alpha(0) summed in alpha's order as Python floats: an overflow is inf, not a warning

@@ -22,6 +22,9 @@ call per kernel call; ``_wall_sum`` reduces them, so the left/right split is
 exact.  The walls with the bare r in place of r/D (D forced to one, as in
 ``potential_two_plates(..., multiple_reflections=False)``) are more channels
 of that call: a two-plates ``scan`` gets U and U_noreflect from one table.
+So are the walls of several stacks of one layout (``potential_multilayer``
+given a sequence of stacks): the ``wall`` command searches all its series on
+one table.
 Position-independent bulk terms are omitted, so a vacuum scene gives zero.
 """
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -181,9 +185,10 @@ def potential_two_plates(atom: AtomModel, material: Medium, separation: float, z
     return _wall_potentials(stack, atom, spec, (multiple_reflections,), power=power)[0]
 
 
-def _warn_thin_layers(stack: LayerStack, walls) -> None:
+def _warn_thin_layers(stack: LayerStack, walls, where: str = "") -> None:
     """One warning per thin layer used outside its regime, counting the positions where
-    n(0) d / z > 0.1, z the distance from the atom to the layer's near face."""
+    n(0) d / z > 0.1, z the distance from the atom to the layer's near face; ``where``
+    follows "regime" in the message."""
     layers, j = stack.layers, stack.atom_layer
     near = {side: distance for side, distance, _ in walls}  # the atom's, to each wall
     for i, layer in enumerate(layers):
@@ -194,36 +199,47 @@ def _warn_thin_layers(stack: LayerStack, walls) -> None:
         ratio = static_summary(layer.material).n0 * layer.thickness / zs
         outside = ratio > 0.1
         if outside.any():
-            warnings.warn(f"thin-plate linearization used outside its regime at "
+            warnings.warn(f"thin-plate linearization used outside its regime{where} at "
                           f"{int(outside.sum())} of {zs.size} z: largest n(0) d / z = "
                           f"{ratio.max():.3g} > 0.1", stacklevel=4)
 
 
-def _wall_potentials(stack: LayerStack, atom: AtomModel, spec, resummed, *, table=None,
-                     power=0) -> list:
-    """``potential_multilayer``'s potential once per entry of ``resummed``, from one table:
-    True sums the walls' terms with the cavity-resummed r/D, False with the bare r."""
-    u_scale = _u_scale(atom, *(layer.material for layer in stack.layers))
-    walls = stack.walls
-    _warn_thin_layers(stack, walls)
+def _wall_potentials(stacks, atom: AtomModel, spec, resummed, *, table=None, power=0) -> list:
+    """``potential_multilayer``'s potential once per stack and entry of ``resummed``, stack
+    major, from one table: True sums the walls' terms with the cavity-resummed r/D, False
+    with the bare r.  ``stacks`` is one ``LayerStack`` or a sequence of stacks whose walls
+    lie on the same sides, at positions of one shape; ``power`` broadcasts against the
+    positions, or is (stacks, positions)."""
+    stacks = [stacks] if isinstance(stacks, LayerStack) else list(stacks)
+    walls = [stack.walls for stack in stacks]
+    if (not stacks or len({tuple(side for side, _, _ in w) for w in walls}) > 1
+            or len({np.shape(stack.atom_position) for stack in stacks}) > 1):
+        raise ValueError("one call needs one or more stacks whose walls lie on the same "
+                         "sides, at atom positions of one shape")
+    u_scale = _u_scale(atom, *(layer.material for stack in stacks for layer in stack.layers))
+    for i, (stack, w) in enumerate(zip(stacks, walls)):
+        _warn_thin_layers(stack, w, f" in stack {i}" if len(stacks) > 1 else "")
 
     def refl(u, b):
-        """r/D per entry and wall, D forced to one in a bare entry (``np.array`` stacks faster)."""
-        r = reflection_coefficients(stack, u, b)
+        """r/D per stack, entry and wall, D forced to one in a bare entry (``np.array``
+        stacks faster)."""
+        rs = [reflection_coefficients(stack, u, b) for stack in stacks]
         return (np.array([getattr(r, f"r_s_{side}") / (r.d_s if cavity else 1.0)
-                          for cavity in resummed for side, _, _ in walls]),
+                          for r, w in zip(rs, walls) for cavity in resummed for side, _, _ in w]),
                 np.array([getattr(r, f"r_p_{side}") / (r.d_p if cavity else 1.0)
-                          for cavity in resummed for side, _, _ in walls]))
+                          for r, w in zip(rs, walls) for cavity in resummed for side, _, _ in w]))
 
-    z = np.tile([dist for _, dist, _ in walls], (len(resummed), 1))
+    z = np.array([dist for w in walls for _ in resummed for _, dist, _ in w])
+    per = len(resummed) * len(walls[0])  # rows per stack
+    by_stack = np.ndim(power) == 2  # one row of powers per stack
     rows = integrate_nested(_wall_kernel(atom, refl), z=z, spec=spec, u_scale=u_scale,
-                            table=table, power=power)
-    batches = [_wall_sum(rows[c:c + len(walls)], walls, power)
-               for c in range(0, len(z), len(walls))]
-    return batches if np.ndim(stack.atom_position) else [batch[0] for batch in batches]
+                            table=table, power=np.repeat(power, per, axis=0) if by_stack else power)
+    batches = [_wall_sum(rows[c:c + len(w)], w, power[s] if by_stack else power)
+               for s, w in enumerate(walls) for c in range(s * per, (s + 1) * per, len(w))]
+    return batches if np.ndim(stacks[0].atom_position) else [batch[0] for batch in batches]
 
 
-def potential_multilayer(stack: LayerStack, atom: AtomModel,
+def potential_multilayer(stack: LayerStack | Sequence[LayerStack], atom: AtomModel,
                          spec: QuadratureSpec | None = None, *,
                          table: NodeTable | None = None, power=0):
     """Potential of an atom inside an arbitrary planar multilayer stack.
@@ -244,5 +260,13 @@ def potential_multilayer(stack: LayerStack, atom: AtomModel,
     force F = -dU/dz and p = 2 is d^2U/dz^2, with ``left`` and ``right``
     the two walls' shares (the right wall's term, a function of d - z,
     takes the sign (-1)^p).  Every potential passes it the same way.
+
+    A sequence of stacks whose walls lie on the same sides, at positions of
+    one shape (the series of one geometry, one per material), gives a list of
+    batches, one per stack, from one table: each stack's walls are more
+    channels of the one call, at its own positions, the inner map's knee
+    ``u_scale`` is the least over every stack, and ``power`` may then be
+    (stacks, positions).  One stack in a list is the call on that stack.
     """
-    return _wall_potentials(stack, atom, spec, (True,), table=table, power=power)[0]
+    batches = _wall_potentials(stack, atom, spec, (True,), table=table, power=power)
+    return batches[0] if isinstance(stack, LayerStack) else batches

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import vdwlayers as v
+from vdwlayers.stack import layout
 
 from conftest import (GOLDEN_WALL_REL_TOL, c4_bracket_integral, constant_material, fig2_material,
                       golden_section_wall, material, search_wall)
@@ -141,6 +142,45 @@ def test_plate_coefficients_agree_with_the_two_channel_calls(atom, oned_calls):
     assert v.plate_coefficients(atom, m, 0.5, thick=False)[0] is None
     assert v.plate_coefficients(atom, v.CONDUCTING_MIRROR, 0.5) == (
         v.thick_coefficients(atom, v.CONDUCTING_MIRROR), None)
+
+
+def test_plate_coefficients_of_several_materials_are_one_call(atom, oned_calls):
+    # every dispersive material's four channels share one integral on the map
+    # of their union, each coefficient within its and the one-material
+    # call's errors; the mirror keeps its closed limits outside the call
+    media = [fig2_material(5.0), v.CONDUCTING_MIRROR, material(**WEAK_ELECTRIC),
+             fig2_material(10.0)]
+    d = 0.01
+    shared = v.plate_coefficients(atom, media, d)
+    assert [len(c) for c in oned_calls] == [12]
+    assert shared[1] == v.plate_coefficients(atom, v.CONDUCTING_MIRROR, d)
+    scales = (1.0 / (16.0 * math.pi**2), 1.0 / (16.0 * math.pi**2),
+              3.0 * d / (64.0 * math.pi**2), d / (64.0 * math.pi**2))
+    dispersive = [(i, m) for i, m in enumerate(media) if not isinstance(m, v.PerfectMirror)]
+    for j, (i, m) in enumerate(dispersive):
+        thick, thin = shared[i]
+        alone = v.plate_coefficients(atom, m, d)
+        assert (thick.c4, thin.d5) == (alone[0].c4, alone[1].d5)
+        for c, (key, part) in enumerate((("c3", 0), ("c1", 0), ("d4", 1), ("d2", 1))):
+            err = (oned_calls[0][4 * j + c].error + oned_calls[-1][c].error) * scales[c]
+            assert abs(getattr(shared[i][part], key) - getattr(alone[part], key)) <= err, key
+    assert len(oned_calls) == 1 + len(dispersive)
+
+
+def test_plate_coefficients_of_several_materials_return_each_failure(atom):
+    # a medium whose channels cannot converge gets its RuntimeError, not
+    # raised; the others in the call keep their coefficients
+    spec = v.QuadratureSpec(rel_tol_inner=1e-14, rel_tol_outer=1e-14, max_subdivisions=1)
+    magnetic = material(wpm=2.0, wtm=1.0, gm=0.001)
+    vacuum = material()
+    out = v.plate_coefficients(atom, [vacuum, magnetic, v.CONDUCTING_MIRROR], 1.0, spec)
+    assert out[0] == v.plate_coefficients(atom, vacuum, 1.0, spec)
+    assert isinstance(out[1], RuntimeError)
+    assert "quadrature for short-distance 1/z coefficient did not converge" in str(out[1])
+    assert out[2] == (v.thick_coefficients(atom, v.CONDUCTING_MIRROR), None)
+    estimates = v.wall_estimate("thick", atom, [magnetic, fig2_material(5.0)])
+    assert isinstance(estimates[0], v.NoWallError)
+    assert estimates[1] == v.wall_estimate("thick", atom, fig2_material(5.0))
 
 
 @pytest.mark.parametrize("call, what", [
@@ -645,6 +685,125 @@ def test_locate_wall_needs_the_force_to_turn_from_minus_to_plus():
     assert len(calls) == 1
 
 
+def _gaussian_walls(centres, scan_fails=None, certify_fails=None):
+    """``_gaussian_wall`` once per channel, its maximum at z = e^centre, as one
+    several-channel potential.
+
+    Returns (potential, force, calls): each potential call appends its 2-D
+    z and powers to ``calls``; channel ``scan_fails`` converges on no scan
+    point, and the certifying rows of channel ``certify_fails`` do not
+    converge.
+    """
+    centres = np.asarray(centres, dtype=float)[:, None]
+    calls = []
+
+    def potential(z, power=0):
+        zs = np.broadcast_to(z, (len(centres), np.shape(z)[-1]))
+        powers = np.broadcast_to(power, zs.shape)
+        calls.append((zs.tolist(), powers.tolist()))
+        s = np.log(zs) - centres
+        u = np.exp(-s * s)
+        value = np.choose(powers, (u, 2.0 * s * u / zs,
+                                   -2.0 * u * (1.0 - s - 2.0 * s * s) / zs**2))
+        ok = np.ones(zs.shape, dtype=bool)
+        failing = scan_fails if len(calls) == 1 else certify_fails
+        if failing is not None:
+            ok[failing] = False
+        return [v.PotentialBatch(value[c], 1e-12 * u[c], np.full(zs.shape[1], 15), ok[c],
+                                 value[c], np.zeros(zs.shape[1])) for c in range(len(centres))]
+
+    def force(z):
+        s = np.log(z) - centres
+        return 2.0 * s * np.exp(-s * s) / z
+
+    return potential, force, calls
+
+
+def test_locate_wall_of_several_channels_gives_each_its_outcome():
+    # one scan, one certifying call for the channels with a root, and one
+    # outcome per channel: a wall, None at the grid's edge, or the
+    # RuntimeError that the channel alone would raise, returned
+    potential, force, calls = _gaussian_walls([0.3, -5.0, 0.5, 0.1], scan_fails=3,
+                                              certify_fails=2)
+    with pytest.warns(UserWarning, match=r"skipping z = \S+ of channel 3: quadrature"):
+        out = v.locate_wall(potential, z_lo=0.1, z_hi=10.0, samples=12, force=force)
+    assert out[0].z_max == pytest.approx(math.exp(0.3), rel=1e-11)
+    assert out[1] is None
+    assert isinstance(out[2], RuntimeError) and re.fullmatch(
+        r"wall refinement: quadrature did not converge at z = \S+ in the U row", str(out[2]))
+    assert isinstance(out[3], RuntimeError) and str(out[3]) == "no scan point converged"
+    assert len(calls) == 2
+    (z, power) = calls[1]
+    assert power == [[0, 1, 2], [0, 0, 0], [0, 1, 2], [0, 0, 0]]
+    assert z[0] == [out[0].z_max] * 3 and z[1] == [0.1] * 3  # its largest sample: the edge
+    alone = []
+    for centre in (0.3, 0.5):
+        one, one_force, _ = _gaussian_walls([centre])
+        alone.append(v.locate_wall(one, z_lo=0.1, z_hi=10.0, samples=12, force=one_force))
+    assert out[0].z_max == alone[0][0].z_max and out[0].z_err == alone[0][0].z_err
+    assert z[2] == [alone[1][0].z_max] * 3
+
+
+def _shared_search(atom, media, **grid):
+    """``locate_wall`` over the half-spaces of ``media`` as channels of one table, as
+    the ``wall`` command runs its series.  Returns the outcomes, the table as the scan
+    left it, and per potential call (z, power, results)."""
+    table = v.NodeTable()
+    calls = []
+
+    def potential(z, power=0):
+        zs = np.broadcast_to(z, (len(media), np.shape(z)[-1]))
+        stacks = [v.LayerStack(*layout("halfspace", m), zc) for m, zc in zip(media, zs)]
+        if len(calls) == 1:
+            calls.append(copy.deepcopy(table))
+        res = v.potential_multilayer(stacks, atom, table=table, power=power)
+        calls.append((zs.copy(), np.broadcast_to(power, zs.shape).copy(), res))
+        return res
+
+    walls = v.locate_wall(potential, force=functools.partial(table.sums, power=1), **grid)
+    scanned = calls.pop(1) if len(calls) > 1 else table
+    return walls, scanned, calls
+
+
+WALL_SCAN_PLATES = (1.0, 2.0, 5.0, 10.0)  # scripts/wall_scan.py's mu(0)
+
+
+def test_shared_wall_search_agrees_with_each_material_alone(atom):
+    # each material's wall lies within its z_err of its own search's, and
+    # the heights agree within their errors
+    grid = dict(z_lo=0.05, z_hi=50.0, samples=12)
+    media = [fig2_material(mu0) for mu0 in WALL_SCAN_PLATES]
+    walls, _, calls = _shared_search(atom, media, **grid)
+    assert [w is None for w in walls] == [True, True, False, False]
+    for c, (m, wall) in enumerate(zip(media, walls)):
+        alone, alone_calls = _recorded_search(atom, m, **grid)
+        if wall is None:
+            assert alone is None
+            continue
+        assert abs(wall.z_max - alone.z_max) <= wall.z_err
+        height, alone_height = calls[-1][2][c][0], alone_calls[-1][3][0]
+        assert abs(wall.u_max - alone.u_max) <= height.error + alone_height.error
+
+
+def test_shared_wall_search_certifies_no_wall_channels_for_free(atom):
+    # the mu(0) = 1 and 2 plates have no wall: their rows of the certifying
+    # call are p = 0 rows at a scanned z, which the scan's nodes serve, so
+    # the call costs nothing more than its wall rows.  Rows at z_lo with
+    # p = 0, 1, 2 instead would cost kernel points on the same table.
+    grid = dict(z_lo=0.05, z_hi=50.0, samples=12)
+    media = [fig2_material(mu0) for mu0 in WALL_SCAN_PLATES]
+    walls, scanned, (scan, (z, power, certified)) = _shared_search(atom, media, **grid)
+    zs = scan[0][0]
+    for c in (0, 1):
+        assert walls[c] is None
+        assert power[c].tolist() == [0, 0, 0] and z[c, 0] in zs
+    assert sum(r.evaluations for r in certified) == 0
+    z[:2], power[:2] = grid["z_lo"], np.arange(3)
+    stacks = [v.LayerStack(*layout("halfspace", m), zc) for m, zc in zip(media, z)]
+    rows = v.potential_multilayer(stacks, atom, table=scanned, power=power)
+    assert sum(r.evaluations for r in rows) > 0
+
+
 WALL_CASES = {  # each takes an optional NodeTable and a power
     "fig2-mu5": lambda atom, z, table=None, power=0: v.potential_halfspace(
         atom, fig2_material(mu0=5.0), z, table=table, power=power),
@@ -658,15 +817,19 @@ WALL_CASES = {  # each takes an optional NodeTable and a power
 
 
 def _recorded_search(atom, case, **grid):
-    """``locate_wall`` on ``WALL_CASES[case]`` with one kept table, and its calls.
+    """``locate_wall`` on ``WALL_CASES[case]`` (or a half-space of the medium ``case``)
+    with one kept table, and its calls.
 
     Returns the wall and, per potential call, (ndim of z, z, power, results).
     """
     table = v.NodeTable()
     calls = []
+    pot = WALL_CASES[case] if isinstance(case, str) else (
+        lambda atom, z, table, power: v.potential_halfspace(atom, case, z, table=table,
+                                                            power=power))
 
     def potential(z, power=0):
-        res = WALL_CASES[case](atom, z, table, power)
+        res = pot(atom, z, table, power)
         calls.append((np.ndim(z), np.atleast_1d(z).tolist(), power, res))
         return res
     wall = v.locate_wall(potential, force=functools.partial(table.sums, power=1), **grid)

@@ -352,6 +352,24 @@ def test_thin_plate_wall_sidecar_keeps_its_warnings(tmp_path):
         [f"plate: {message}"]
 
 
+def test_thin_plate_wall_of_several_materials_names_the_stack_that_warns(tmp_path):
+    # one search for both series: the sidecar lists its warnings under both
+    # names, and the warning names the stack, the series' place in that list.
+    # n(0) d / z is 0.138 for the plate at z = 0.01, 0.05 for the faint one
+    doc = scan_doc(materials={"plate": PLATE,
+                              "faint": {"electric": [{"plasma": 0.02, "transverse": 1.03}]}})
+    del doc["scan"]
+    doc["geometry"] = {"kind": "thin-plate", "material": ["plate", "faint"], "thickness": 5e-4}
+    doc["wall"] = {"z_min": 0.01, "z_max": 10.0, "samples": 8}
+    message = ("thin-plate linearization used outside its regime in stack 0 at 1 of 8 z: "
+               "largest n(0) d / z = 0.138 > 0.1")
+    with pytest.warns(UserWarning, match=re.escape(message)):
+        code, out = run(tmp_path, "wall", doc)
+    assert code == 0
+    assert json.loads((out / "wall.meta.json").read_text())["warnings"] == [
+        f"plate, faint: {message}"]
+
+
 def test_scan_mirror_geometry(tmp_path):
     doc = scan_doc()
     doc["geometry"] = {"kind": "mirror", "mirror": "conducting"}
@@ -484,18 +502,20 @@ def test_series_that_would_share_files_are_rejected(tmp_path, capsys, command, n
     assert not out.exists()
 
 
-def test_coeffs_makes_one_oned_integral_per_material(tmp_path, oned_calls):
+def test_coeffs_makes_one_oned_integral(tmp_path, oned_calls):
+    # the four short-distance channels of each dispersive material share one
+    # call; the mirror keeps its closed limits outside it
     doc = {
         "atom": ATOM,
-        "materials": {"plate": PLATE, "weak": WEAK},
-        "coeffs": {"materials": ["plate", "weak"], "thickness": 1.0},
+        "materials": {"plate": PLATE, "weak": WEAK, "wall": {"mirror": "conducting"}},
+        "coeffs": {"materials": ["plate", "wall", "weak"], "thickness": 1.0},
     }
     code, _ = run(tmp_path, "coeffs", doc)
     assert code == 0
-    assert [len(c) for c in oned_calls] == [4, 4]
+    assert [len(c) for c in oned_calls] == [8]
 
 
-def test_wall_makes_one_oned_integral_per_halfspace_material(tmp_path, oned_calls):
+def test_wall_estimates_make_one_oned_integral(tmp_path, oned_calls):
     doc = {
         "atom": ATOM,
         "materials": {"plate": PLATE, "weak": {
@@ -507,7 +527,96 @@ def test_wall_makes_one_oned_integral_per_halfspace_material(tmp_path, oned_call
     }
     code, _ = run(tmp_path, "wall", doc)
     assert code == 0
-    assert [len(c) for c in oned_calls] == [2, 2]
+    assert [len(c) for c in oned_calls] == [4]
+
+
+def fig2_plate(mu0):
+    """``PLATE``'s electric response with the magnetic resonance of mu(0) = ``mu0``."""
+    magnetic = [{"plasma": math.sqrt(mu0 - 1.0), "transverse": 1.0, "damping": 0.001}]
+    return {"electric": PLATE["electric"], "magnetic": magnetic if mu0 > 1.0 else []}
+
+
+def test_wall_over_several_materials_is_one_search(tmp_path, monkeypatch, oned_calls):
+    # every series is a channel of one table: one scan call, one root search
+    # over every bracket and one certifying call, which on these plates
+    # computes no kernel point.  Each series' sidecar kernel points are its
+    # rows' shares of the shared calls, and each wall lies within its z_err
+    # of the wall that the material alone gives.
+    from vdwlayers import potential as module
+
+    nested, roots = [], []
+    real_nested, real_root = module.integrate_nested, v.asymptotics._bracketed_root
+    monkeypatch.setattr(module, "integrate_nested", lambda *args, **kwargs: nested.append(
+        real_nested(*args, **kwargs)) or nested[-1])
+    monkeypatch.setattr(v.asymptotics, "_bracketed_root", lambda *args: roots.append(args) or
+                        real_root(*args))
+    names = ["mu5", "mu1", "mu10"]
+    doc = {
+        "atom": ATOM,
+        "materials": {name: fig2_plate(float(name[2:])) for name in names},
+        "geometry": {"kind": "halfspace", "material": names},
+        "wall": {"z_min": 0.2, "z_max": 5.0, "samples": 12},
+    }
+    code, out = run(tmp_path, "wall", doc)
+    assert code == 0
+    assert len(nested) == 2 and len(roots) == 1 and len(roots[0][2]) == 2
+    assert [len(c) for c in oned_calls] == [6]
+    diagnostics = json.loads((out / "wall.meta.json").read_text())["diagnostics"]
+    assert [diagnostics[n]["scan_kernel_points"] for n in names] == [
+        batch.evaluations for batch in nested[0]]
+    assert [diagnostics[n]["certify_kernel_points"] for n in names] == [0, 0, 0]
+    for name in names:
+        _, rows = read_rows(out / f"wall_{name}.csv")
+        one = {**doc, "geometry": {"kind": "halfspace", "material": name}}
+        (tmp_path / name).mkdir()
+        code, alone = run(tmp_path / name, "wall", one)
+        assert code == 0
+        _, alone_rows = read_rows(alone / f"wall_{name}.csv")
+        assert [r["status"] for r in rows] == [r["status"] for r in alone_rows]
+        shared, single = rows[0], alone_rows[0]
+        assert shared["method"] == "numeric-scan"
+        if name == "mu1":
+            assert shared["status"] == "no-wall"
+            continue
+        assert abs(float(shared["z_max"]) - float(single["z_max"])) <= float(shared["z_err"])
+        for est, est_alone in zip(rows[1:], alone_rows[1:]):
+            assert float(est["z_max"]) == pytest.approx(float(est_alone["z_max"]), rel=1e-6)
+
+
+def test_wall_numeric_failure_keeps_the_other_materials(tmp_path, capsys):
+    # the certifying rows of one series do not converge: that series' numeric
+    # row fails, the other's wall is still found and written, and the run exits 3
+    doc = {
+        "atom": ATOM,
+        "materials": {"bad": PLATE, "good": fig2_plate(10.0)},
+        "geometry": {"kind": "halfspace", "material": ["bad", "good"]},
+        "wall": {"z_min": 0.2, "z_max": 5.0, "samples": 12},
+    }
+    real = v.potential_multilayer
+    calls = []
+
+    def flaky(stacks, atom, spec, *, table, power):
+        calls.append(len(stacks))
+        results = real(stacks, atom, spec, table=table, power=power)
+        if len(calls) == 1:
+            return results
+        return [dataclasses.replace(results[0],
+                                    row_converged=np.zeros_like(results[0].row_converged)),
+                *results[1:]]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("vdwlayers.cli.potential_multilayer", flaky)
+        code, out = run(tmp_path, "wall", doc)
+    assert code == 3 and calls == [2, 2]
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: wall refinement: quadrature did not converge at z = ")
+    _, rows = read_rows(out / "wall_bad.csv")
+    assert [r["status"] for r in rows if r["method"] == "numeric-scan"] == ["failed"]
+    _, rows = read_rows(out / "wall_good.csv")
+    assert all(r["status"] == "ok" for r in rows)
+    meta = json.loads((out / "wall.meta.json").read_text())
+    assert meta["error"] == "bad: numeric-scan: " + err.strip().removeprefix("numerical failure: ")
+    assert meta["diagnostics"]["good"]["z_err"] == float(rows[0]["z_err"]) > 0.0
 
 
 # ---------------------------------------------------------------- coeffs / border / wall / check
@@ -531,29 +640,37 @@ def test_coeffs_command(tmp_path):
     assert by_name["wall"]["thin_method"] == "undefined"
 
 
-def test_coeffs_failure_keeps_the_other_materials(tmp_path, capsys):
-    # one material's integrals fail: its row says so, the other material's row
-    # is still written, the sidecar names the failure, and the run exits 3
+@pytest.fixture
+def first_material_fails(monkeypatch):
+    """Each ``asymptotics.integrate_semi_infinite`` call of the test returns its batch
+    with the rows of the first material's channels (its first ``rows``) not converged."""
+    real = v.asymptotics.integrate_semi_infinite
+
+    def failing(rows):
+        def integrate(*args, **kwargs):
+            batch = real(*args, **kwargs)
+            converged = batch.row_converged.copy()
+            converged[:rows] = False
+            return dataclasses.replace(batch, row_converged=converged)
+        monkeypatch.setattr(v.asymptotics, "integrate_semi_infinite", integrate)
+    return failing
+
+
+def test_coeffs_failure_keeps_the_other_materials(tmp_path, capsys, first_material_fails):
+    # one material's channels of the shared integral fail: its row says so,
+    # the other material's row is still written, the sidecar names the
+    # failure, and the run exits 3
     doc = {
         "atom": ATOM,
         "materials": {"bad": PLATE, "good": WEAK},
         "coeffs": {"materials": ["bad", "good"], "thickness": 1.0},
     }
-    real = v.plate_coefficients
-    bad = v.MaterialModel(
-        electric=[v.Resonance(**r) for r in PLATE["electric"]],
-        magnetic=[v.Resonance(**r) for r in PLATE["magnetic"]])
-
-    def flaky(atom, material, *args):
-        if material == bad:
-            raise RuntimeError("quadrature for C3 did not converge (error estimate 1e-3)")
-        return real(atom, material, *args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("vdwlayers.cli.plate_coefficients", flaky)
-        code, out = run(tmp_path, "coeffs", doc)
+    first_material_fails(4)
+    code, out = run(tmp_path, "coeffs", doc)
     assert code == 3
-    assert "numerical failure: quadrature for C3 did not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: quadrature for short-distance 1/z^3 coefficient "
+                          "did not converge (error estimate ")
     _, rows = read_rows(out / "coeffs.csv")
     assert [r["material"] for r in rows] == ["bad", "good"]
     assert all(rows[0][c] == "nan" for c in ("c4", "c3", "c1", "d5", "d4", "d2"))
@@ -561,7 +678,7 @@ def test_coeffs_failure_keeps_the_other_materials(tmp_path, capsys):
     assert all(math.isfinite(float(rows[1][c])) for c in ("c4", "c3", "c1", "d5", "d4", "d2"))
     meta = json.loads((out / "coeffs.meta.json").read_text())
     assert meta["outputs"] == ["coeffs.csv"]
-    assert meta["error"] == "bad: quadrature for C3 did not converge (error estimate 1e-3)"
+    assert meta["error"] == "bad: " + err.strip().removeprefix("numerical failure: ")
 
 
 def test_border_thin_command(tmp_path):
@@ -720,12 +837,13 @@ def test_wall_failed_search_is_not_no_wall(tmp_path, capsys):
     real = v.potential_multilayer
     calls = []
 
-    def flaky(stack, atom, spec, *, table, power):
-        calls.append(stack.atom_position)
-        results = real(stack, atom, spec, table=table, power=power)
+    def flaky(stacks, atom, spec, *, table, power):
+        calls.append([stack.atom_position for stack in stacks])
+        results = real(stacks, atom, spec, table=table, power=power)
         if len(calls) == 1:
             return results
-        return dataclasses.replace(results, row_converged=np.zeros_like(results.row_converged))
+        return [dataclasses.replace(r, row_converged=np.zeros_like(r.row_converged))
+                for r in results]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("vdwlayers.cli.potential_multilayer", flaky)
@@ -741,9 +859,11 @@ def test_wall_failed_search_is_not_no_wall(tmp_path, capsys):
     assert error == "plate: numeric-scan: " + err.strip().removeprefix("numerical failure: ")
 
 
-def test_wall_coefficient_failure_keeps_the_other_materials(tmp_path, capsys):
-    # one material's coefficient integrals fail: its row says so, the other
-    # material's file is still written, and the run exits 3
+def test_wall_coefficient_failure_keeps_the_other_materials(tmp_path, capsys,
+                                                           first_material_fails):
+    # one material's channels of the shared coefficient integral fail: its
+    # row says so, the other material's file is still written, and the run
+    # exits 3
     doc = {
         "atom": ATOM,
         "materials": {"bad": PLATE, "good": WEAK},
@@ -751,21 +871,12 @@ def test_wall_coefficient_failure_keeps_the_other_materials(tmp_path, capsys):
         "wall": {"z_min": 0.2, "z_max": 5.0, "samples": 8},
         "quadrature": FAST_QUAD,
     }
-    real = v.wall_estimate
-    bad = v.MaterialModel(
-        electric=[v.Resonance(**r) for r in PLATE["electric"]],
-        magnetic=[v.Resonance(**r) for r in PLATE["magnetic"]])
-
-    def flaky(kind, atom, material, *args):
-        if material == bad:
-            raise RuntimeError("quadrature for C3 did not converge (error estimate 1e-3)")
-        return real(kind, atom, material, *args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("vdwlayers.cli.wall_estimate", flaky)
-        code, out = run(tmp_path, "wall", doc)
+    first_material_fails(2)
+    code, out = run(tmp_path, "wall", doc)
     assert code == 3
-    assert "numerical failure: quadrature for C3 did not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: quadrature for short-distance 1/z^3 coefficient "
+                          "did not converge (error estimate ")
     _, rows = read_rows(out / "wall_bad.csv")
     assert [(r["method"], r["status"]) for r in rows if r["method"] != "numeric-scan"] == [
         ("coefficient-ratio", "failed")]
@@ -774,8 +885,8 @@ def test_wall_coefficient_failure_keeps_the_other_materials(tmp_path, capsys):
     assert any(r["method"] == "coefficient-ratio" for r in rows)
     meta = json.loads((out / "wall.meta.json").read_text())
     assert meta["outputs"] == ["wall_bad.csv", "wall_good.csv"]
-    assert meta["error"] == ("bad: coefficient-ratio: quadrature for C3 did not converge "
-                             "(error estimate 1e-3)")
+    assert meta["error"] == "bad: coefficient-ratio: " + err.strip().removeprefix(
+        "numerical failure: ")
 
 
 @pytest.mark.parametrize("grid", [

@@ -123,6 +123,26 @@ def test_material_takes_resonance_arguments():
     assert m.eps(0.0) == 1.0 + 0.75**2 / 1.03**2
 
 
+def test_material_and_atom_take_mapping_entries():
+    # an entry given as a mapping is built from its keys, as the config's are
+    m = v.MaterialModel(electric=[{"plasma": 0.75, "transverse": 1.03}],
+                        magnetic=[{"plasma": 2.0, "transverse": 1.0, "damping": 0.001}])
+    assert m == v.MaterialModel(electric=[v.Resonance(0.75, 1.03)],
+                                magnetic=[v.Resonance(2.0, 1.0, 0.001)])
+    atom = v.AtomModel([{"frequency": 1.0, "dipole_sq": 1.0}])
+    assert atom == v.AtomModel.two_level()
+
+
+@pytest.mark.parametrize("build, cls, key", [
+    (lambda: v.MaterialModel(electric=[{"plasma": 0.75, "transverse": 1.03, "gamma": 0.1}]),
+     "Resonance", "gamma"),
+    (lambda: v.AtomModel([{"frequency": 1.0, "dipole": 1.0}]), "Transition", "dipole"),
+], ids=["resonance", "transition"])
+def test_mapping_entry_with_an_unknown_key_names_its_class(build, cls, key):
+    with pytest.raises(TypeError, match=f"^{cls} has no field '{key}'; its fields are "):
+        build()
+
+
 def test_material_rejects_a_malformed_entry():
     # checked at construction, not at the first eps call
     with pytest.raises(ValueError, match="transverse frequency must be > 0"):

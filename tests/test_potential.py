@@ -664,3 +664,34 @@ def test_force_in_a_symmetric_cavity_is_odd_about_its_middle(atom, multiple_refl
         assert abs(force[1].left + force[1].right) <= force[1].error
         assert abs(force[1].left) > 100.0 * force[1].error
         assert abs(curvature[1].left - curvature[1].right) <= curvature[1].error
+
+
+def test_several_stacks_are_channels_of_one_call(atom):
+    # one stack per material, each at its own positions and powers: one
+    # nested call whose rows agree with each stack's own call within their
+    # errors; one stack in a list is that stack's call to the bit
+    media = [fig2_material(5.0), fig2_material(10.0), v.CONDUCTING_MIRROR]
+    z = np.array([[0.3, 1.0, 3.0], [0.5, 0.5, 0.5], [0.2, 2.0, 20.0]])
+    power = np.array([[0, 0, 0], [0, 1, 2], [0, 0, 1]])
+    with recorded_nested(v.potential) as records:
+        shared = v.potential_multilayer([halfspace_stack(m, zc) for m, zc in zip(media, z)],
+                                        atom, power=power)
+    assert len(records) == 1 and records[0]["kwargs"]["z"].shape == (3, 3)
+    assert sum(b.evaluations for b in shared) == records[0]["points"]
+    for m, zc, pc, batch in zip(media, z, power, shared):
+        alone = v.potential_multilayer(halfspace_stack(m, zc), atom, power=pc)
+        assert batch.converged and alone.converged
+        assert np.all(np.abs(batch.values - alone.values) <= batch.errors + alone.errors)
+    one = v.potential_multilayer(halfspace_stack(media[0], z[0]), atom)
+    assert same_batch(v.potential_multilayer([halfspace_stack(media[0], z[0])], atom)[0], one)
+
+
+@pytest.mark.parametrize("stacks", [
+    [],
+    [lambda m: v.LayerStack((v.Layer(m, math.inf), v.Layer(v.VACUUM, math.inf)), 1, 1.0),
+     lambda m: v.LayerStack((v.Layer(v.VACUUM, math.inf), v.Layer(m, math.inf)), 0, 1.0)],
+    [lambda m: halfspace_stack(m, 1.0), lambda m: halfspace_stack(m, np.array([1.0]))],
+], ids=["none", "other-sides", "other-shapes"])
+def test_several_stacks_must_share_their_layout(atom, stacks):
+    with pytest.raises(ValueError, match="one or more stacks whose walls lie on the same sides"):
+        v.potential_multilayer([build(fig2_material()) for build in stacks], atom)
