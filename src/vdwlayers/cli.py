@@ -319,7 +319,10 @@ def cmd_check(cfg: RunConfig, args) -> int:
         },
     }
     (args.out / "check.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    _write_sidecar(args.out, "check", cfg, ["check.json"])
+    # the kernel points of each side's table
+    diagnostics = {"thick_kernel_points": report.thick_kernel_points,
+                   "stacked_kernel_points": report.stacked_kernel_points}
+    _write_sidecar(args.out, "check", cfg, ["check.json"], diagnostics=diagnostics)
     return 0
 
 

@@ -18,7 +18,9 @@ array (one ``TermBatch``, arrays with one entry per z), each term one
 ``integrate_nested`` call over the whole array.  A channel is the z-free integrand
 b^p alpha w chi of (u, b), and a term's kernel returns all its channels from
 one evaluation of alpha, eps and mu, so one b-node table serves every
-channel and every entry.
+channel and every entry.  Several terms share a table the same way: each
+step of the additivity check's three depth integrals is one call whose
+kernel returns the channels of every term whose integral is still open.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ import numpy as np
 
 from .materials import AtomModel, MaterialModel
 from .potential import _u_scale
-from .quadrature import (IntegralBatch, QuadratureSpec, _as_rows, _require, _require_positive,
-                         integrate_nested, integrate_semi_infinite)
+# integrate_semi_infinite is unused here but stays importable: perfbench's
+# quadrature.oned probe wraps perturbation.integrate_semi_infinite.
+from .quadrature import (IntegralBatch, QuadratureSpec, _as_rows, _mapped, _oned,  # noqa: F401
+                         _require, _require_positive, integrate_nested, integrate_semi_infinite)
 from .stack import thin_layer_reflection
 
 __all__ = [
@@ -99,7 +103,8 @@ class TermBatch(IntegralBatch):
 
 @dataclass(frozen=True)
 class AdditivityReport:
-    """Both sides of the first- and second-order additivity identities."""
+    """Both sides of the first- and second-order additivity identities, and the kernel
+    points of each side's tables."""
 
     z: float
     first_order_thick: float
@@ -110,6 +115,8 @@ class AdditivityReport:
     second_order_correlation_term: float
     second_order_stacked: float
     second_order_residual: float
+    thick_kernel_points: int = 0
+    stacked_kernel_points: int = 0
 
 
 def _weight_times_u2(weight: dict[int, float], u, b):
@@ -133,36 +140,75 @@ _CHI_POWERS = {"chi_e": (1, 0), "chi_m": (0, 1), "chi_e2": (2, 0), "chi_m2": (0,
                "chi_em": (1, 1)}
 
 
-def _term_kernel(atom, material, weights, pref, b_power):
-    """The channels b^p alpha w chi of (u, b) in the order of ``weights``, on a leading axis."""
-    powers = [_CHI_POWERS[name] for name in weights]
+def _terms_kernel(atom, material, terms):
+    """The channels b^p alpha w chi of (u, b) of every (weights, pref, b power) term, in
+    order, on one leading axis: one evaluation of alpha, eps and mu serves them all."""
+    powers = [[_CHI_POWERS[name] for name in weights] for weights, _, _ in terms]
 
     def kernel(u, b):
         chi_e = material.eps(u) - 1.0
         chi_m = material.mu(u) - 1.0
         e_pow, m_pow = (1.0, chi_e, chi_e * chi_e), (1.0, chi_m, chi_m * chi_m)
-        common = pref * atom.alpha(u) * b**b_power
+        alpha = atom.alpha(u)
         return np.stack([common * _weight_times_u2(w, u, b) * e_pow[pe] * m_pow[pm]
-                         for w, (pe, pm) in zip(weights.values(), powers)])
+                         for (weights, pref, b_power), channel_powers in zip(terms, powers)
+                         for common in (pref * alpha * b**b_power,)
+                         for w, (pe, pm) in zip(weights.values(), channel_powers)])
 
     return kernel
+
+
+def _evaluate_terms(atom, material, terms, spec):
+    """Several terms as one ``integrate_nested`` call: one ``TermBatch`` per term.
+
+    Each term is (order, geometry, weights, pref, b power, shift, z), its z
+    a 1-D array of the same size for every term and its decay lengths
+    z + shift.  Its channels are rows of the call at its own decay lengths,
+    so one b-node table serves every channel of every term.
+    """
+    orders, geometries, weights, prefs, b_powers, shifts, zs = zip(*terms)
+    actives = [{name: w for name, w in ws.items() if w} for ws in weights]
+    kernel = _terms_kernel(atom, material, list(zip(actives, prefs, b_powers)))
+    zdecay = np.concatenate([np.broadcast_to(z + shift, (len(active), z.size))
+                             for active, shift, z in zip(actives, shifts, zs)])
+    batch = integrate_nested(kernel, z=zdecay, spec=spec, u_scale=_u_scale(atom, material))
+    out, start = [], 0
+    for order, geometry, ws, active, z in zip(orders, geometries, weights, actives, zs):
+        rows = batch[start:start + len(active)]
+        start += len(active)
+        # the empty channels are exact zeros; a term's value is the exactly rounded channel sum
+        channels = {name: np.zeros(z.size) for name in ws} | dict(zip(active, rows.values))
+        values = np.fromiter(map(math.fsum, zip(*(c.tolist() for c in channels.values()))),
+                             float, z.size)
+        out.append(TermBatch(values, rows.errors.sum(axis=0), rows.row_evaluations.sum(axis=0),
+                             rows.row_converged.all(axis=0), order, geometry, channels))
+    return out
 
 
 def _evaluate_term(order, geometry, atom, material, weights, pref, b_power, z, spec,
                    shift=0.0):
     """The term at z (decay length z + shift): its channels as one ``integrate_nested`` call."""
-    zdecay = _as_rows("z", z) + shift
-    active = {name: w for name, w in weights.items() if w}
-    batch = integrate_nested(_term_kernel(atom, material, active, pref, b_power),
-                             z=np.broadcast_to(zdecay, (len(active), zdecay.size)), spec=spec,
-                             u_scale=_u_scale(atom, material))
-    # the empty channels are exact zeros; a term's value is the exactly rounded channel sum
-    channels = {name: np.zeros(zdecay.size) for name in weights} | dict(zip(active, batch.values))
-    values = np.fromiter(map(math.fsum, zip(*(c.tolist() for c in channels.values()))),
-                         float, zdecay.size)
-    terms = TermBatch(values, batch.errors.sum(axis=0), batch.row_evaluations.sum(axis=0),
-                      batch.row_converged.all(axis=0), order, geometry, channels)
+    [terms] = _evaluate_terms(atom, material, [(order, geometry, weights, pref, b_power, shift,
+                                                _as_rows("z", z))], spec)
     return terms if np.ndim(z) else terms[0]
+
+
+def _term(order, geometry, d, s):
+    """(weights, pref, power of b, decay shift) of the expansion term, its arguments checked."""
+    geometries = _GEOMETRIES1 if order == 1 else _GEOMETRIES2
+    if geometry not in geometries:
+        raise ValueError(f"geometry must be one of {geometries}, got {geometry!r}")
+    if geometry == "thick":
+        weights = FIRST_ORDER_WEIGHTS if order == 1 else SECOND_ORDER_THICK_WEIGHTS
+        return weights, -1.0 / (8.0 * math.pi**2), 0, 0.0
+    if d is None or not (d > 0.0 and math.isfinite(d)):
+        raise ValueError(f"{geometry} geometry needs a finite thickness d > 0, got {d}")
+    if geometry == "thin":
+        weights = FIRST_ORDER_WEIGHTS if order == 1 else SECOND_ORDER_THIN_WEIGHTS
+        return weights, -d / (4.0 * math.pi**2), 1, 0.0
+    if s is None or not (s >= 0.0 and math.isfinite(s)):
+        raise ValueError(f"two-thin-plates geometry needs a finite separation s >= 0, got {s}")
+    return SECOND_ORDER_PAIR_WEIGHTS, -d * d / (2.0 * math.pi**2), 2, s
 
 
 def expansion_order1(geometry: str, atom: AtomModel, material: MaterialModel, z,
@@ -173,16 +219,8 @@ def expansion_order1(geometry: str, atom: AtomModel, material: MaterialModel, z,
     how well it approximates the exact potential.  ``z`` is a float or a 1-D
     array (see the module docstring).
     """
-    if geometry not in _GEOMETRIES1:
-        raise ValueError(f"geometry must be one of {_GEOMETRIES1}, got {geometry!r}")
-    if geometry == "thick":
-        pref, b_power = -1.0 / (8.0 * math.pi**2), 0
-    else:
-        if d is None or not (d > 0.0 and math.isfinite(d)):
-            raise ValueError(f"thin geometry needs a finite thickness d > 0, got {d}")
-        pref, b_power = -d / (4.0 * math.pi**2), 1
-    return _evaluate_term(1, geometry, atom, material, FIRST_ORDER_WEIGHTS,
-                          pref, b_power, z, spec)
+    weights, pref, b_power, _ = _term(1, geometry, d, None)
+    return _evaluate_term(1, geometry, atom, material, weights, pref, b_power, z, spec)
 
 
 def expansion_order2(geometry: str, atom: AtomModel, material: MaterialModel, z,
@@ -194,36 +232,38 @@ def expansion_order2(geometry: str, atom: AtomModel, material: MaterialModel, z,
     correlation term (front plate at z, back plate at z + s) does.  ``z`` is a
     float or a 1-D array (see the module docstring).
     """
-    if geometry not in _GEOMETRIES2:
-        raise ValueError(f"geometry must be one of {_GEOMETRIES2}, got {geometry!r}")
-    if geometry == "thick":
-        return _evaluate_term(2, geometry, atom, material, SECOND_ORDER_THICK_WEIGHTS,
-                              -1.0 / (8.0 * math.pi**2), 0, z, spec)
-    if d is None or not (d > 0.0 and math.isfinite(d)):
-        raise ValueError(f"{geometry} geometry needs a finite thickness d > 0, got {d}")
-    if geometry == "thin":
-        return _evaluate_term(2, geometry, atom, material, SECOND_ORDER_THIN_WEIGHTS,
-                              -d / (4.0 * math.pi**2), 1, z, spec)
-    if s is None or not (s >= 0.0 and math.isfinite(s)):
-        raise ValueError(f"two-thin-plates geometry needs a finite separation s >= 0, got {s}")
-    return _evaluate_term(2, geometry, atom, material, SECOND_ORDER_PAIR_WEIGHTS,
-                          -d * d / (2.0 * math.pi**2), 2, z, spec, shift=s)
+    weights, pref, b_power, shift = _term(2, geometry, d, s)
+    return _evaluate_term(2, geometry, atom, material, weights, pref, b_power, z, spec,
+                          shift=shift)
+
+
+# The stacked side's depth integrands: (name, order, geometry, weighted by w - z)
+_STACKED = (("first-order thin term", 1, "thin", False),
+            ("second-order thin term", 2, "thin", False),
+            ("pair correlation term", 2, "two-thin-plates", True))
 
 
 def additivity_check(atom: AtomModel, material: MaterialModel, z: float,
                      spec: QuadratureSpec | None = None) -> AdditivityReport:
     """Numerically verify the first- and second-order additivity identities.
 
-    The stacked sides integrate unit-thickness thin-plate terms over the depth
-    w >= z with the same semi-infinite engine, so the two sides of each
-    identity follow genuinely independent quadrature paths.  The correlation
-    term is a double integral over the front plate's depth z' and the pair
+    The thick side is the two terms ``expansion_order1`` and
+    ``expansion_order2`` at z, one table each.  The stacked side integrates
+    unit-thickness thin-plate terms over the depth w >= z with the
+    semi-infinite map of scale z, so the two sides of each identity follow
+    genuinely independent quadrature paths.  The correlation term is
+    a double integral over the front plate's depth z' and the pair
     separation s, but the pair term P depends on them only through
     w = z' + s; Cauchy's formula for repeated integration folds it into
-    int_z^inf (w - z) P(w) dw.  Every depth integral runs at
-    ``spec.rel_tol_outer``, and each call of a depth integrand evaluates its
-    nodes as one array.  Residuals are relative to the thick-plate terms
-    and are independent of the nominal unit thickness.
+    int_z^inf (w - z) P(w) dw.  The three depth integrals (first-order thin,
+    second-order thin, pair) are three rows of one lockstep driver, each on
+    its own panels at ``spec.rel_tol_outer``: each step makes one
+    ``integrate_nested`` call whose channels are those of the rows still
+    open, each at its own row's depth nodes, so a row that has converged
+    adds no channel.  Residuals are relative to the thick-plate terms and
+    are independent of the nominal unit thickness.  The report's
+    ``thick_kernel_points`` and ``stacked_kernel_points`` are the kernel
+    points of each side.
 
     Raises ``RuntimeError`` naming the term and z when a term or a depth
     integral does not converge.
@@ -236,25 +276,35 @@ def additivity_check(atom: AtomModel, material: MaterialModel, z: float,
             _require(terms[i], f"the {what} at z={zs.tolist()[i]}")
         return terms.values
 
-    def stacked(what, term, weighted=False):
-        def f(ws):
-            vals = values(term(ws), what, ws)
-            return vals * (ws - z) if weighted else vals
-
-        return _require(integrate_semi_infinite(f, z, spec=spec, scale=z),
-                        f"the depth integral of the {what} from z={z}")
-
     at_z = np.array([z], dtype=float)  # the thick terms as arrays: no per-term object
-    first_thick = values(expansion_order1("thick", atom, material, at_z, spec=spec),
-                         "first-order thick term", at_z).item()
-    first_stacked = stacked("first-order thin term", lambda w: expansion_order1(
-        "thin", atom, material, w, d=1.0, spec=spec))
-    second_thick = values(expansion_order2("thick", atom, material, at_z, spec=spec),
-                          "second-order thick term", at_z).item()
-    single_term = stacked("second-order thin term", lambda w: expansion_order2(
-        "thin", atom, material, w, d=1.0, spec=spec))
-    correlation_term = stacked("pair correlation term", lambda w: expansion_order2(
-        "two-thin-plates", atom, material, w, d=1.0, s=0.0, spec=spec), weighted=True)
+    thick = [expansion_order1("thick", atom, material, at_z, spec=spec),
+             expansion_order2("thick", atom, material, at_z, spec=spec)]
+    first_thick, second_thick = (values(terms, f"{what} thick term", at_z).item() for terms, what
+                                 in zip(thick, ("first-order", "second-order")))
+
+    stacked = [(order, geometry, *_term(order, geometry, 1.0, 0.0))
+               for _, order, geometry, _ in _STACKED]
+    stacked_points = 0
+
+    def depth(rows, w):  # w[i] holds a panel's nodes of the depth integral rows[i]
+        nonlocal stacked_points
+        live = [(r, (rows == r).nonzero()) for r in np.unique(rows).tolist()]
+        batches = _evaluate_terms(atom, material, [(*stacked[r], w[pick].ravel())
+                                                   for r, pick in live], spec)
+        stacked_points += sum(terms.evaluations for terms in batches)
+        out = np.empty(w.shape)
+        for (r, pick), terms in zip(live, batches):
+            what, _, _, weighted = _STACKED[r]
+            ws = w[pick]
+            vals = values(terms, what, ws.ravel()).reshape(ws.shape)
+            out[pick] = vals * (ws - z) if weighted else vals
+        return out
+
+    integrals = _oned(lambda rows, t: _mapped(lambda w: depth(rows, w), z, z)(t), spec,
+                      n=len(_STACKED))
+    first_stacked, single_term, correlation_term = (
+        _require(res, f"the depth integral of the {what} from z={z}")
+        for res, (what, *_) in zip(integrals, _STACKED))
 
     tiny = 1e-300
     second_stacked = single_term + correlation_term
@@ -268,6 +318,8 @@ def additivity_check(atom: AtomModel, material: MaterialModel, z: float,
         second_order_correlation_term=correlation_term,
         second_order_stacked=second_stacked,
         second_order_residual=abs(second_thick - second_stacked) / max(abs(second_thick), tiny),
+        thick_kernel_points=sum(terms.evaluations for terms in thick),
+        stacked_kernel_points=stacked_points,
     )
 
 

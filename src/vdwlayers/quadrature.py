@@ -34,8 +34,10 @@ check the table against a nested engine in three substitutions
 (``tests/conftest.py``) that integrates each z and each channel on its own.
 
 The 1-D integrals (``integrate_finite``, ``integrate_semi_infinite``) are
-one-row batches of the same driver; their integrand gets a flat array of
-the 15 nodes of every new panel and must return its values elementwise,
+the one-integral case of one driver, ``_oned``, which refines n integrals
+in lockstep, each on its own panels, with one integrand call per step for
+the new panels of every open integral.  Their integrand gets a flat array
+of the 15 nodes of every new panel and must return its values elementwise,
 either flat (one channel, an ``IntegralResult``) or with k channels on a
 leading axis.  The k channels share one node set, the driver steers on the
 worst channel's error over its tolerance, and the call returns a k-row
@@ -168,7 +170,8 @@ class IntegralResult:
 
 
 def _take(part, i):
-    """Entry i of an array (a Python scalar from a 1-D one) or of a dict's arrays."""
+    """Entry or slice i of an array (a Python scalar from an entry of a 1-D one) or of a
+    dict's arrays."""
     if isinstance(part, dict):
         return {key: _take(x, i) for key, x in part.items()}
     x = part[i] if isinstance(part, np.ndarray) else part
@@ -186,9 +189,10 @@ class IntegralBatch:
     or of one k-channel 1-D integral, one row per channel.
 
     ``batch[i]`` (and iteration) is row i's ``_row`` (in a 2-D batch, channel i's batch),
-    made of every field taken at i; ``evaluations`` is the call's kernel points (the sum
-    of ``row_evaluations``) and ``converged`` every row's.  The potentials' and expansion
-    terms' batches add fields and a ``_row`` type of their own.
+    made of every field taken at i, and ``batch[i:j]`` the batch of those rows (channels);
+    ``evaluations`` is the call's kernel points (the sum of ``row_evaluations``) and
+    ``converged`` every row's.  The potentials' and expansion terms' batches add fields
+    and a ``_row`` type of their own.
     """
 
     values: np.ndarray
@@ -208,9 +212,9 @@ class IntegralBatch:
     def __len__(self) -> int:  # iteration runs on __getitem__ until IndexError
         return len(self.row_converged)
 
-    def __getitem__(self, i: int):
+    def __getitem__(self, i: int | slice):
         parts = {f.name: _take(getattr(self, f.name), i) for f in dataclasses.fields(self)}
-        if self.row_converged.ndim == 2:
+        if isinstance(i, slice) or self.row_converged.ndim == 2:
             return type(self)(**parts)
         return self._row(**{_ROW_FIELD.get(name, name): x for name, x in parts.items()})
 
@@ -371,29 +375,41 @@ def _shares(total: int, rows: int) -> np.ndarray:
     return out
 
 
-def _oned(g, spec: QuadratureSpec | None) -> IntegralResult | IntegralBatch:
-    """The integral of ``g`` over [0, 1] as a one-row ``_lockstep``; ``g`` gets flat nodes.
+def _oned(f, spec: QuadratureSpec | None, n: int = 1) -> IntegralResult | IntegralBatch:
+    """n integrals over [0, 1] as one ``_lockstep``, each on its own panels.
 
-    Each channel meets max(``spec.rel_tol_outer`` |value|, ``spec.abs_tol``).
-    A flat ``g`` gives an ``IntegralResult``.  A ``g`` that returns k
-    channels on a leading axis gives a k-row ``IntegralBatch``: the channels
-    share the panels, the worst channel (error over tolerance) picks the
-    panel to split, each row has its own value, error and convergence, and
-    the points are split evenly over the rows, so ``evaluations`` is the
-    points ``g`` got.
+    ``f(rows, t)`` gets the nodes ``t``, an (m, 15) array whose row i holds
+    a panel of integral ``rows[i]``, and returns the values there.  Each
+    step, every integral short of max(``spec.rel_tol_outer`` |value|,
+    ``spec.abs_tol``) splits its worst panel, so from the second call on
+    each open integral gets two panels, 30 nodes.  With n > 1, ``f``
+    returns one channel and the call an n-row ``IntegralBatch``, each row
+    its integral's value, error, points and convergence.  With n = 1, the values give an
+    ``IntegralResult``, and k channels on a leading axis, shape (k, m, 15),
+    a k-row ``IntegralBatch``: the channels share the panels, the worst
+    channel (error over tolerance) picks the panel to split, each row has
+    its own value, error and convergence, and the points are split evenly
+    over the rows, so ``evaluations`` is the points ``f`` got.
     """
     spec = spec or DEFAULT_SPEC
+    val, err, channel_conv, evals, conv = _lockstep(f, n, spec.rel_tol_outer, spec.abs_tol,
+                                                    spec.max_subdivisions)
+    if n > 1:
+        return IntegralBatch(val, err, evals, conv)
+    if val.ndim == 2:
+        return IntegralBatch(val[:, 0], err[:, 0], _shares(int(evals[0]), val.shape[0]),
+                             channel_conv[:, 0])
+    return IntegralResult(float(val[0]), float(err[0]), int(evals[0]), bool(conv[0]))
 
+
+def _flat(g):
+    """The ``_oned`` integrand of one integral whose ``g`` gets a flat array of nodes and
+    returns the values there, or k channels of them on a leading axis."""
     def f(rows, t):
         vals = np.asarray(g(t.ravel()), dtype=float)
         return vals.reshape(t.shape if vals.ndim < 2 else vals.shape[:1] + t.shape)
 
-    val, err, channel_conv, evals, conv = _lockstep(f, 1, spec.rel_tol_outer, spec.abs_tol,
-                                                    spec.max_subdivisions)
-    if val.ndim == 1:
-        return IntegralResult(float(val[0]), float(err[0]), int(evals[0]), bool(conv[0]))
-    return IntegralBatch(val[:, 0], err[:, 0], _shares(int(evals[0]), val.shape[0]),
-                         channel_conv[:, 0])
+    return f
 
 
 def integrate_finite(f, a: float, b: float, *,
@@ -409,7 +425,7 @@ def integrate_finite(f, a: float, b: float, *,
     _require_finite("a", a)
     _require_finite("b", b)
     width = b - a
-    return _oned(lambda t: np.asarray(f(a + width * t), dtype=float) * width, spec)
+    return _oned(_flat(lambda t: np.asarray(f(a + width * t), dtype=float) * width), spec)
 
 
 def _mapped(f, a, scale):
@@ -445,7 +461,7 @@ def integrate_semi_infinite(f, a: float = 0.0, *, spec: QuadratureSpec | None = 
     """
     _require_finite("a", a)
     _require_positive("scale", scale)
-    return _oned(_mapped(f, a, scale), spec)
+    return _oned(_flat(_mapped(f, a, scale)), spec)
 
 
 # Initial outer panels of a b-node table: one per e-fold of b over

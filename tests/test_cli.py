@@ -1045,6 +1045,25 @@ def test_check_command(tmp_path):
     assert report["second_order"]["residual"] < 0.02
 
 
+def test_check_sidecar_gives_each_sides_kernel_points(tmp_path):
+    # the thick side's two terms and the stacked side's depth integrals are one
+    # table each per step; the sidecar gives each side's kernel points
+    doc = {"atom": ATOM, "materials": {"weak": WEAK}, "check": {"material": "weak", "z": 1.0}}
+    code, out = run(tmp_path, "check", doc, "--rel-tol", "1e-3")
+    assert code == 0
+    meta = json.loads((out / "check.meta.json").read_text())
+    cfg = parse_config(meta)
+    report = v.additivity_check(cfg.atom, cfg.medium("weak"), 1.0, cfg.quadrature)
+    assert meta["diagnostics"] == {"thick_kernel_points": report.thick_kernel_points,
+                                   "stacked_kernel_points": report.stacked_kernel_points}
+    assert report.thick_kernel_points > 0 and report.stacked_kernel_points > 0
+    # the sidecar still replays as a config, to the same bytes
+    rerun = tmp_path / "rerun"
+    assert main(["check", "--config", str(out / "check.meta.json"), "--out", str(rerun)]) == 0
+    for name in ("check.json", "check.meta.json"):
+        assert (rerun / name).read_bytes() == (out / name).read_bytes()
+
+
 def test_check_nonconverged_exits_3(tmp_path, capsys):
     doc = {
         "atom": ATOM,

@@ -219,7 +219,8 @@ def test_pair_term_depends_on_depth_plus_separation(atom):
 def test_additivity_check_cost_flat_in_z(atom, monkeypatch):
     # with the depth integrals at the spec's outer tolerance, their refinement
     # no longer chases inner-quadrature noise, so the work does not jump with z;
-    # each depth integrand call evaluates all its nodes and channels in one call
+    # each step of the three depth integrals evaluates the nodes and channels of
+    # every open one in one call
     m = weak_material()
     spec = v.QuadratureSpec(rel_tol_outer=1e-3, rel_tol_inner=1e-4)
     calls = []
@@ -236,7 +237,8 @@ def test_additivity_check_cost_flat_in_z(atom, monkeypatch):
         v.additivity_check(atom, m, z, spec)
         counts.append(len(calls))
     assert len(set(counts)) == 1, counts
-    assert counts[2] == 5, counts  # z = 1: the five terms, each with all its channels, once
+    # z = 1: the two thick terms, then the three depth integrals' first step as one call
+    assert counts[2] == 3, counts
 
 
 def _check_records(atom):
@@ -249,23 +251,75 @@ def _check_records(atom):
 
 def test_additivity_check_kernel_counts_pinned(atom):
     # kernel calls and points do not depend on the machine: ceilings on the
-    # check guard the cost of its five tables
+    # check guard the cost of its three tables
     records, _ = _check_records(atom)
     calls = sum(r["calls"] for r in records)
     points = sum(r["points"] for r in records)
     assert points == sum(r["batch"].evaluations for r in records)
-    assert (calls, points) <= (9, 15930), (calls, points)
+    assert (calls, points) <= (5, 8550), (calls, points)
 
 
 def test_additivity_check_terms_within_their_errors_of_the_oracle(atom):
     # the thick terms at z = 1 and the thin and pair terms at the depth nodes
-    # of the first depth step: each row, whose table floored the inner
-    # integrals of the nodes it barely weighs, lies within its and the
-    # oracle's errors of the oracle run on it alone
+    # of the first depth step, all seven channels of one table: each row, whose
+    # table floored the inner integrals of the nodes it barely weighs, lies
+    # within its and the oracle's errors of the oracle run on it alone
     records, spec = _check_records(atom)
-    assert [np.shape(r["kwargs"]["z"])[1] for r in records] == [1, 15, 1, 15, 15]
+    assert [np.shape(r["kwargs"]["z"]) for r in records] == [(2, 1), (3, 1), (7, 15)]
     for record in records:
         assert_rows_within_errors_of_the_oracle(record, spec)
+
+
+@pytest.mark.parametrize("z", [0.05, 0.5, 1.0, 10.0])
+def test_stacked_rows_within_their_errors_of_per_term_depth_integrals(atom, monkeypatch, z):
+    # the three depth integrals share one table per step: each lies within its
+    # error of the depth integral of its own expansion term, run alone
+    m = weak_material()
+    spec = v.QuadratureSpec(rel_tol_outer=1e-3, rel_tol_inner=1e-4)
+    seen = []
+    oned = perturbation._oned
+
+    def recording(*args, **kwargs):
+        seen.append(oned(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(perturbation, "_oned", recording)
+    report = v.additivity_check(atom, m, z, spec)
+    [rows] = seen
+    assert rows.values.tolist() == [report.first_order_stacked, report.second_order_single_term,
+                                    report.second_order_correlation_term]
+    terms = (lambda w: v.expansion_order1("thin", atom, m, w, d=1.0, spec=spec).values,
+             lambda w: v.expansion_order2("thin", atom, m, w, d=1.0, spec=spec).values,
+             lambda w: v.expansion_order2("two-thin-plates", atom, m, w, d=1.0, s=0.0,
+                                          spec=spec).values * (w - z))
+    for res, term in zip(rows, terms):
+        ref = v.integrate_semi_infinite(term, z, spec=spec, scale=z)
+        assert res.converged and ref.converged
+        assert abs(res.value - ref.value) <= res.error, (res, ref)
+
+
+def test_additivity_check_later_steps_carry_only_open_rows(atom, monkeypatch):
+    # at z = 0.05 only the pair integral needs more than its first step: every
+    # table after the first of the stacked side holds the pair term's three
+    # channels alone, each at its row's 30 new depth nodes
+    spec = v.QuadratureSpec(rel_tol_outer=1e-3, rel_tol_inner=1e-4)
+    geometries = []
+    evaluate = perturbation._evaluate_terms
+
+    def spy(atom, material, terms, spec):
+        geometries.append([term[1] for term in terms])
+        return evaluate(atom, material, terms, spec)
+
+    monkeypatch.setattr(perturbation, "_evaluate_terms", spy)
+    with recorded_nested(perturbation) as records:
+        report = v.additivity_check(atom, weak_material(), 0.05, spec)
+    shapes = [np.shape(r["kwargs"]["z"]) for r in records]
+    assert shapes[:3] == [(2, 1), (3, 1), (7, 15)] and len(shapes) > 3
+    assert all(shape == (3, 30) for shape in shapes[3:]), shapes
+    assert geometries[3:] == [["two-thin-plates"]] * (len(shapes) - 3)
+    points = [r["points"] for r in records]
+    assert report.thick_kernel_points == sum(points[:2])
+    assert report.stacked_kernel_points == sum(points[2:])
 
 
 @pytest.mark.parametrize("order, geometry, kw", [
@@ -317,15 +371,14 @@ def test_additivity_check_rejects_nonconverged_terms(atom, monkeypatch):
         v.additivity_check(atom, m, 1.0, starved)
 
     # a node term inside a depth integral is checked as well
-    order2 = perturbation.expansion_order2
+    evaluate = perturbation._evaluate_terms
 
-    def pair_unconverged(geometry, *args, **kwargs):
-        terms = order2(geometry, *args, **kwargs)  # the depth integrand passes an array
-        if geometry == "two-thin-plates":
-            terms = dataclasses.replace(terms, row_converged=np.zeros_like(terms.row_converged))
-        return terms
+    def pair_unconverged(*args, **kwargs):  # the terms of one table: the pair rows fail
+        return [dataclasses.replace(terms, row_converged=np.zeros_like(terms.row_converged))
+                if terms.geometry == "two-thin-plates" else terms
+                for terms in evaluate(*args, **kwargs)]
 
-    monkeypatch.setattr(perturbation, "expansion_order2", pair_unconverged)
+    monkeypatch.setattr(perturbation, "_evaluate_terms", pair_unconverged)
     loose = v.QuadratureSpec(rel_tol_outer=1e-3, rel_tol_inner=1e-4)
     with pytest.raises(RuntimeError, match=r"pair correlation term at z="):
         v.additivity_check(atom, m, 1.0, loose)

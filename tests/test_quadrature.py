@@ -9,7 +9,7 @@ from vdwlayers import quadrature
 
 from conftest import (MULTILAYER_SCAN_Z, NESTED_MODES, _nested_rows, adaptive_heap,
                       brute_force_2d, constant_material, engine, fig2_material, material,
-                      multilayer_scan_stack, nested_oracle, on_engine, oracle_mode,
+                      multilayer_scan_stack, nested_oracle, on_engine, oracle_mode, same_batch,
                       tight_nested)
 
 
@@ -448,6 +448,50 @@ def test_oned_flags_the_failing_channel_alone(kind):
     assert not batch.converged
     ref = _integrate_1d(kind, smooth, spec=v.QuadratureSpec(rel_tol_outer=1e-11))
     assert abs(batch[0].value - ref.value) <= batch[0].error
+
+
+def test_oned_rows_each_refine_on_their_own_panels():
+    # three integrals as rows of one driver: each step, only the rows still
+    # open get nodes, two new panels each, and each row lies within its error
+    # of its own one-integral call
+    spec = v.QuadratureSpec(rel_tol_outer=1e-9)
+    calls = []
+
+    def f(rows, t):
+        calls.append((rows.tolist(), t.shape))
+        x = t / (1.0 - t)  # the map of integrate_semi_infinite at a = 0, scale = 1
+        return np.stack([_ONED_CHANNELS[r](xr) for r, xr in zip(rows, x)]) / (1.0 - t) ** 2
+
+    batch = quadrature._oned(f, spec, n=len(_ONED_CHANNELS))
+    assert isinstance(batch, v.IntegralBatch) and batch.converged
+    assert calls[0] == ([0, 1, 2], (3, 15))
+    for rows, shape in calls[1:]:
+        assert rows == sorted(set(rows)) * 2 and shape == (len(rows), 15)
+    steps = [sum(r in rows for rows, _ in calls) for r in range(len(_ONED_CHANNELS))]
+    assert len(set(steps)) > 1  # the rows close at different steps
+    assert batch.row_evaluations.tolist() == [15 + 30 * (k - 1) for k in steps]
+    for g, res in zip(_ONED_CHANNELS, batch):
+        ref = v.integrate_semi_infinite(g, 0.0, spec=spec)
+        assert abs(res.value - ref.value) <= res.error
+
+
+def test_slicing_a_batch_gives_a_batch_of_those_rows():
+    # a 1-D batch of three channels, and a 2-D batch of three channels at two z
+    oned = v.integrate_semi_infinite(lambda x: np.stack([g(x) for g in _ONED_CHANNELS]), 0.0)
+    nested = v.integrate_nested(lambda u, b: np.stack([u + b, u * b, np.exp(-u)]),
+                                z=np.array([[0.5, 1.0], [1.0, 2.0], [2.0, 4.0]]))
+    for batch in (oned, nested):
+        for rows in (slice(0, 2), slice(1, None), slice(None, None, 2)):
+            part = batch[rows]
+            assert type(part) is type(batch) and part.row_converged.ndim == batch.row_converged.ndim
+            picked = range(len(batch))[rows]
+            assert len(part) == len(picked)
+            for i, j in enumerate(picked):
+                if batch is oned:
+                    assert part[i] == batch[j]
+                else:
+                    assert same_batch(part[i], batch[j])
+        assert len(batch[3:]) == 0
 
 
 @pytest.mark.parametrize("z", [math.inf, math.nan, 0.0, -1.0])
