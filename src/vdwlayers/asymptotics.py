@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .materials import AtomModel, MaterialModel, Medium, PerfectMirror, static_summary
+from .materials import (AtomModel, MaterialModel, Medium, PerfectMirror, _require_dispersive,
+                        static_summary)
 # integrate_finite is unused here but stays importable: perfbench's
 # quadrature.oned probe wraps asymptotics.integrate_finite.
 from .quadrature import (_EPS, IntegralBatch, QuadratureSpec, _require,  # noqa: F401
@@ -372,12 +373,25 @@ def _coefficients(atom: AtomModel, material: MaterialModel, thickness: float | N
     return out_thick, out_thin
 
 
+def _require_static(name: str, value: float) -> None:
+    """A static eps0 or mu0 must be finite and >= 1, or ValueError names it."""
+    if not (math.isfinite(value) and value >= 1.0):
+        raise ValueError(f"{name} must be finite and >= 1, got {value}")
+
+
 def thick_c4_limits(eps0: float, mu0: float, alpha0: float) -> C4Limits:
     """Closed-form C4 in the weak- and strong-response limits.
 
     The weak form is proportional to -[23 chi_e(0) - 7 chi_m(0)]; the strong
     form is a polynomial-and-log function of the static impedance alone.
+    ``eps0`` and ``mu0`` must be finite and >= 1, as ``border_curve``
+    requires of eps0, and ``alpha0`` finite, or ValueError names the one
+    that is not.
     """
+    _require_static("eps0", eps0)
+    _require_static("mu0", mu0)
+    if not math.isfinite(alpha0):
+        raise ValueError(f"alpha0 must be finite, got {alpha0}")
     chi_e = eps0 - 1.0
     chi_m = mu0 - 1.0
     weak = -(alpha0 / (640.0 * _PI2)) * (23.0 * chi_e - 7.0 * chi_m)
@@ -475,7 +489,9 @@ def thin_coefficients(atom: AtomModel, material: MaterialModel, thickness: float
 
 def thin_border_mu(eps0: float) -> float:
     """Static permeability on the thin-plate attraction/repulsion border, closed form in
-    r = eps0^-2, so no power of eps0 overflows: mu0 ~ 7/3 eps0 is finite to eps0 ~ 7.7e307."""
+    r = eps0^-2, so no power of eps0 overflows: mu0 ~ 7/3 eps0 is finite to eps0 ~ 7.7e307.
+    ``eps0`` must be finite and >= 1, or ValueError is raised."""
+    _require_static("eps0", eps0)
     r = 1.0 / (eps0 * eps0)
     return eps0 / 12.0 * (14.0 - 9.0 * r + math.sqrt(196.0 - 228.0 * r + 81.0 * r * r))
 
@@ -657,6 +673,7 @@ def thin_wall_height_bound(atom: AtomModel, material: MaterialModel) -> float:
     The thin wall height, being linear in d, must fall far below this bound
     whenever n(0) d / z_max << 1.
     """
+    _require_dispersive("thin_wall_height_bound", material)
     inputs = _closed_form_inputs(atom, material)
     if inputs is None:
         raise ValueError("bound needs a two-level atom and single-resonance material")
@@ -727,7 +744,8 @@ def locate_wall(potential: Callable, z_lo: float = _WALL_Z_LO, z_hi: float = _WA
     result is then a list of one outcome per channel: a wall, None, or the
     RuntimeError that the channel alone would raise, returned rather than
     raised.  With more than one channel, a skipped scan point's warning
-    names its channel.
+    names its channel.  One potential runs as the one-channel case, wrapped
+    right after the scan, and its one outcome is returned or raised.
     """
     _require_positive("z_lo", z_lo)
     _require_positive("z_hi", z_hi)
@@ -738,7 +756,10 @@ def locate_wall(potential: Callable, z_lo: float = _WALL_Z_LO, z_hi: float = _WA
     zs = np.geomspace(z_lo, z_hi, samples)
     scans = potential(zs)
     several = not isinstance(scans, IntegralBatch)
-    scans = list(scans) if several else [scans]
+    if not several:  # one potential: the channel search on one channel
+        scans, one, one_force = [scans], potential, force
+        potential = lambda z, power: [one(z[0], power=power[0])]  # noqa: E731
+        force = lambda z: np.asarray(one_force(z[0]), dtype=float)[None]  # noqa: E731
     k = len(scans)
     outcomes = [None] * k
     rest = np.full(k, zs[0])  # per channel: the z of its certifying rows if it has no root
@@ -759,8 +780,6 @@ def locate_wall(potential: Callable, z_lo: float = _WALL_Z_LO, z_hi: float = _WA
 
     def forces(chans, z):
         """F of the channels ``chans`` at z, one row of z per channel (the rest at z_lo)."""
-        if not several:
-            return np.asarray(force(z[0]), dtype=float)[None]
         full = np.full((k, z.shape[1]), z_lo)
         full[chans] = z
         return np.asarray(force(full), dtype=float)[chans]
@@ -791,15 +810,11 @@ def locate_wall(potential: Callable, z_lo: float = _WALL_Z_LO, z_hi: float = _WA
                                            f"steps")
 
     if roots:
-        if several:
-            z = np.repeat(rest[:, None], len(_WALL_ROWS), axis=1)
-            power = np.zeros(z.shape, dtype=int)
-            for c, root in roots.items():
-                z[c], power[c] = root, np.arange(len(_WALL_ROWS))
-            certified = potential(z, power=power)
-        else:
-            certified = [potential(np.full(len(_WALL_ROWS), roots[0]),
-                                   power=np.arange(len(_WALL_ROWS)))]
+        z = np.repeat(rest[:, None], len(_WALL_ROWS), axis=1)
+        power = np.zeros(z.shape, dtype=int)
+        for c, root in roots.items():
+            z[c], power[c] = root, np.arange(len(_WALL_ROWS))
+        certified = potential(z, power=power)
         for c, root in roots.items():
             rows = certified[c]
             if not rows.converged:

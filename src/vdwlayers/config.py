@@ -323,15 +323,14 @@ def _parse_geometry(obj, path: str, materials: dict[str, Medium]) -> Geometry:
     return Geometry(kind, series, atom_layer)
 
 
-def _parse_grid(obj, path: str, lo_key: str, hi_key: str,
-                default_points: int, points_key: str = "points") -> GridSection:
+def _parse_grid(obj, path: str, lo_key: str, hi_key: str, default_points: int) -> GridSection:
     obj = _expect_mapping(obj, path)
-    _check_keys(obj, path, (lo_key, hi_key), (points_key, "spacing"))
+    _check_keys(obj, path, (lo_key, hi_key), ("points", "spacing"))
     lo = _number(obj[lo_key], f"{path}.{lo_key}", positive=True)
     hi = _number(obj[hi_key], f"{path}.{hi_key}", positive=True)
     if not hi > lo:
         raise ConfigError(f"{path}: {hi_key} must exceed {lo_key}")
-    points = _integer(obj.get(points_key, default_points), f"{path}.{points_key}", minimum=2)
+    points = _integer(obj.get("points", default_points), f"{path}.points", minimum=2)
     spacing = _string(obj.get("spacing", "log"), f"{path}.spacing", ("log", "linear"))
     return GridSection(lo=lo, hi=hi, points=points, spacing=spacing)
 

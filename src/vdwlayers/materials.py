@@ -247,7 +247,14 @@ class StaticSummary:
     chi_m0: float
 
 
+def _require_dispersive(name: str, material) -> None:
+    """TypeError naming ``name`` for a perfect mirror, which has no eps(u) or mu(u)."""
+    if isinstance(material, PerfectMirror):
+        raise TypeError(f"{name} needs a dispersive material, not a perfect mirror")
+
+
 def static_summary(material: MaterialModel) -> StaticSummary:
+    _require_dispersive("static_summary", material)
     eps0 = material.eps(0.0)
     mu0 = material.mu(0.0)
     return StaticSummary(

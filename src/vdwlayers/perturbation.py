@@ -21,6 +21,8 @@ one evaluation of alpha, eps and mu, so one b-node table serves every
 channel and every entry.  Several terms share a table the same way: each
 step of the additivity check's three depth integrals is one call whose
 kernel returns the channels of every term whose integral is still open.
+Each term is named by its arguments (order, geometry, d, s, z), and a
+public term is the one-term case of that call.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import AtomModel, MaterialModel
+from .materials import AtomModel, MaterialModel, _require_dispersive
 from .potential import _u_scale
 # integrate_semi_infinite is unused here but stays importable: perfbench's
 # quadrature.oned probe wraps perturbation.integrate_semi_infinite.
@@ -161,12 +163,15 @@ def _terms_kernel(atom, material, terms):
 def _evaluate_terms(atom, material, terms, spec):
     """Several terms as one ``integrate_nested`` call: one ``TermBatch`` per term.
 
-    Each term is (order, geometry, weights, pref, b power, shift, z), its z
-    a 1-D array of the same size for every term and its decay lengths
-    z + shift.  Its channels are rows of the call at its own decay lengths,
-    so one b-node table serves every channel of every term.
+    Each term is (order, geometry, d, s, z), from which ``_term`` gives its
+    weights, prefactor, power of b and decay shift; its z is a 1-D array of
+    the same size for every term, its decay lengths z + shift.  Its channels
+    are rows of the call at its own decay lengths, so one b-node table serves
+    every channel of every term.
     """
-    orders, geometries, weights, prefs, b_powers, shifts, zs = zip(*terms)
+    _require_dispersive(f"expansion_order{terms[0][0]}", material)
+    orders, geometries, ds, ss, zs = zip(*terms)
+    weights, prefs, b_powers, shifts = zip(*map(_term, orders, geometries, ds, ss))
     actives = [{name: w for name, w in ws.items() if w} for ws in weights]
     kernel = _terms_kernel(atom, material, list(zip(actives, prefs, b_powers)))
     zdecay = np.concatenate([np.broadcast_to(z + shift, (len(active), z.size))
@@ -183,14 +188,6 @@ def _evaluate_terms(atom, material, terms, spec):
         out.append(TermBatch(values, rows.errors.sum(axis=0), rows.row_evaluations.sum(axis=0),
                              rows.row_converged.all(axis=0), order, geometry, channels))
     return out
-
-
-def _evaluate_term(order, geometry, atom, material, weights, pref, b_power, z, spec,
-                   shift=0.0):
-    """The term at z (decay length z + shift): its channels as one ``integrate_nested`` call."""
-    [terms] = _evaluate_terms(atom, material, [(order, geometry, weights, pref, b_power, shift,
-                                                _as_rows("z", z))], spec)
-    return terms if np.ndim(z) else terms[0]
 
 
 def _term(order, geometry, d, s):
@@ -219,8 +216,8 @@ def expansion_order1(geometry: str, atom: AtomModel, material: MaterialModel, z,
     how well it approximates the exact potential.  ``z`` is a float or a 1-D
     array (see the module docstring).
     """
-    weights, pref, b_power, _ = _term(1, geometry, d, None)
-    return _evaluate_term(1, geometry, atom, material, weights, pref, b_power, z, spec)
+    [term] = _evaluate_terms(atom, material, [(1, geometry, d, None, _as_rows("z", z))], spec)
+    return term if np.ndim(z) else term[0]
 
 
 def expansion_order2(geometry: str, atom: AtomModel, material: MaterialModel, z,
@@ -232,9 +229,8 @@ def expansion_order2(geometry: str, atom: AtomModel, material: MaterialModel, z,
     correlation term (front plate at z, back plate at z + s) does.  ``z`` is a
     float or a 1-D array (see the module docstring).
     """
-    weights, pref, b_power, shift = _term(2, geometry, d, s)
-    return _evaluate_term(2, geometry, atom, material, weights, pref, b_power, z, spec,
-                          shift=shift)
+    [term] = _evaluate_terms(atom, material, [(2, geometry, d, s, _as_rows("z", z))], spec)
+    return term if np.ndim(z) else term[0]
 
 
 # The stacked side's depth integrands: (name, order, geometry, weighted by w - z)
@@ -268,6 +264,7 @@ def additivity_check(atom: AtomModel, material: MaterialModel, z: float,
     Raises ``RuntimeError`` naming the term and z when a term or a depth
     integral does not converge.
     """
+    _require_dispersive("additivity_check", material)
     _require_positive("z", z)
 
     def values(terms, what, zs):  # a term that did not converge raises, named by its z
@@ -282,8 +279,7 @@ def additivity_check(atom: AtomModel, material: MaterialModel, z: float,
     first_thick, second_thick = (values(terms, f"{what} thick term", at_z).item() for terms, what
                                  in zip(thick, ("first-order", "second-order")))
 
-    stacked = [(order, geometry, *_term(order, geometry, 1.0, 0.0))
-               for _, order, geometry, _ in _STACKED]
+    stacked = [(order, geometry, 1.0, 0.0) for _, order, geometry, _ in _STACKED]  # d=1, s=0
     stacked_points = 0
 
     def depth(rows, w):  # w[i] holds a panel's nodes of the depth integral rows[i]

@@ -244,13 +244,17 @@ def reflection_coefficients(stack: LayerStack, u, b) -> ReflectionSet:
 
     ``b`` is the axial wavenumber in vacuum (the atom layer), sqrt(u^2 + q^2)
     for in-plane wavenumber q, so b >= u; ``u`` and ``b`` may be floats or
-    broadcastable arrays, and b = 0 (the degenerate point u = q = 0) is
-    rejected.
+    broadcastable arrays.  Every b must be > 0 (b = 0 is the degenerate
+    point u = q = 0) and every u >= 0, or ValueError names the argument;
+    a NaN fails either test.
     """
     u = np.asarray(u, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not b.all():
-        raise ValueError("b = 0 (u = q = 0) is a degenerate point")
+    if not (b > 0.0).all():
+        raise ValueError("b must be > 0: b = 0 (u = q = 0) is a degenerate point, and a "
+                         "negative or NaN b is no axial wavenumber")
+    if not (u >= 0.0).all():
+        raise ValueError("u must be >= 0: it is an imaginary frequency, got a negative or NaN u")
     j = stack.atom_layer
     n = stack.n
     r_s_m, r_p_m = _side_reflection(stack.layers, range(0, j + 1), u, b)

@@ -33,6 +33,45 @@ def test_near_mirror_c3_approaches_lennard_jones(atom):
     assert c.c3 == pytest.approx(atom.dipole_sq_total / (48.0 * math.pi), rel=1e-5)
 
 
+@pytest.mark.parametrize("mirror", [v.CONDUCTING_MIRROR, v.PERMEABLE_MIRROR],
+                         ids=["conducting", "permeable"])
+@pytest.mark.parametrize("name, call", [
+    ("static_summary", lambda atom, m: v.static_summary(m)),
+    ("expansion_order1", lambda atom, m: v.expansion_order1("thick", atom, m, 1.0)),
+    ("expansion_order2", lambda atom, m: v.expansion_order2("thick", atom, m, 1.0)),
+    ("additivity_check", lambda atom, m: v.additivity_check(atom, m, 1.0)),
+    ("thin_wall_height_bound", lambda atom, m: v.thin_wall_height_bound(atom, m)),
+], ids=["static_summary", "expansion_order1", "expansion_order2", "additivity_check",
+        "thin_wall_height_bound"])
+def test_functions_of_eps_and_mu_reject_a_perfect_mirror(atom, mirror, name, call):
+    # a perfect mirror has no eps(u) or mu(u): a TypeError naming the function
+    with pytest.raises(TypeError, match=rf"^{name} needs a dispersive material, not a "
+                                        r"perfect mirror$"):
+        call(atom, mirror)
+
+
+@pytest.mark.parametrize("error, message, call", [
+    (TypeError, "thin-plate coefficients are undefined for a perfect mirror",
+     lambda atom, m: v.plate_coefficients(atom, v.CONDUCTING_MIRROR, 1.0, thick=False)),
+    (ValueError, "thin-plate coefficients need a thickness",
+     lambda atom, m: v.plate_coefficients(atom, m, thick=False)),
+    (ValueError, "plate_kind must be 'thick' or 'thin', got 'slab'",
+     lambda atom, m: v.border_curve("slab", [2.0])),
+    (ValueError, "plate_kind must be 'thick' or 'thin', got 'slab'",
+     lambda atom, m: v.wall_estimate("slab", atom, m)),
+    (TypeError, "wall estimates need a dispersive material",
+     lambda atom, m: v.wall_estimate("thick", atom, [m, v.CONDUCTING_MIRROR])),
+    (ValueError, "thin wall estimate needs a thickness",
+     lambda atom, m: v.wall_estimate("thin", atom, m)),
+    (ValueError, "bound needs a two-level atom and single-resonance material",
+     lambda atom, m: v.thin_wall_height_bound(atom, material(wpe=0.75, wte=1.03))),
+], ids=["thin-mirror", "thin-no-thickness", "border-kind", "estimate-kind", "estimate-mirror",
+        "estimate-thin-no-thickness", "bound-no-magnetic-resonance"])
+def test_asymptotics_boundary_raises(atom, error, message, call):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(atom, fig2_material())
+
+
 def test_pure_magnetic_has_no_cubic_term(atom):
     c = v.thick_coefficients(atom, material(wpm=2.0, wtm=1.0, gm=0.001))
     assert c.c3 == 0.0
@@ -387,6 +426,22 @@ def test_border_root_search_at_its_step_cap_names_its_point(monkeypatch):
         v.border_curve("thick", [1.0, 2.0])
 
 
+@pytest.mark.parametrize("eps0", [0.0, 0.5, -1.0, math.nan, math.inf])
+def test_thin_border_mu_takes_border_curves_eps0(eps0):
+    with pytest.raises(ValueError, match=rf"^eps0 must be finite and >= 1, got {eps0}$"):
+        v.thin_border_mu(eps0)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((math.nan, 2.0, 1.0), "eps0"), ((0.0, 2.0, 1.0), "eps0"), ((0.5, 2.0, 1.0), "eps0"),
+    ((math.inf, 2.0, 1.0), "eps0"), ((2.0, 0.0, 1.0), "mu0"), ((2.0, math.nan, 1.0), "mu0"),
+    ((2.0, 2.0, math.nan), "alpha0"), ((2.0, 2.0, math.inf), "alpha0"),
+])
+def test_thick_c4_limits_rejects_bad_statics(args, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        v.thick_c4_limits(*args)
+
+
 def test_c4_matches_scalar_integral(atom):
     for eps0, mu0 in [(1.5, 1.2), (3.0, 5.0), (20.0, 40.0)]:
         m = constant_material(eps0, mu0)
@@ -663,6 +718,63 @@ def test_locate_wall_rejects_nonconverged_refinement():
         assert sum(len(zs) for _, zs, _ in calls) == samples + 3
         assert [ndim for ndim, _, _ in calls] == [1, 1]  # the scan, then the certifying call
         assert calls[1][1:] == ([root] * 3, [0, 1, 2])
+
+
+def _one_channel(potential):
+    """``potential`` of one wall as a one-channel ``locate_wall`` potential: the scan's
+    z is 1-D, the certifying call's z and power are (1, 3) arrays."""
+    def listed(z, power=0):
+        return [potential(z) if np.ndim(z) == 1 else potential(z[0], power=power[0])]
+
+    return listed
+
+
+@pytest.mark.parametrize("case", ["gaussian", "fig2-mu5"])
+def test_locate_wall_of_one_potential_is_its_one_channel_case(atom, case):
+    # one potential and its one-channel list form give the same wall to the
+    # bit, and both certifying calls receive the same z and power
+    def search(as_list):
+        if case == "gaussian":
+            potential, force, _ = _gaussian_wall()
+            grid = dict(z_lo=0.1, z_hi=10.0, samples=12)
+        else:
+            table, m = v.NodeTable(), fig2_material(mu0=5.0)
+            potential = functools.partial(v.potential_halfspace, atom, m, table=table)
+            force = functools.partial(table.sums, power=1)  # takes a (1, m) z as well
+            grid = dict(samples=40)
+        calls = []
+
+        def recorded(z, power=0):
+            calls.append((np.array(z), np.array(power)))
+            return potential(z, power=power)
+
+        out = v.locate_wall(_one_channel(recorded) if as_list else recorded, force=force,
+                            **grid)
+        return (out[0] if as_list else out), calls
+
+    (one, one_calls), (listed, listed_calls) = search(False), search(True)
+    assert one is not None and one.method == "numeric-scan"
+    for field in ("z_max", "u_max", "z_err", "force"):
+        assert getattr(one, field).hex() == getattr(listed, field).hex(), field
+    assert len(one_calls) == len(listed_calls) == 2  # the scan, then the certifying call
+    for (z, power), (z_listed, power_listed) in zip(one_calls, listed_calls):
+        assert np.array_equal(z, z_listed) and np.array_equal(power, power_listed)
+    assert one_calls[1][1].tolist() == [0, 1, 2]
+
+
+def test_locate_wall_root_at_its_step_cap_is_that_channels_failure(monkeypatch):
+    # a force root still open after _ROOT_MAX_STEPS: returned for a channel of a
+    # list call, raised for one potential, and no certifying call either way
+    monkeypatch.setattr(v.asymptotics, "_ROOT_MAX_STEPS", 1)
+    message = r"wall search: the root of the force near z = \S+ did not converge in 1 steps"
+    potential, force, calls = _gaussian_walls([0.3, -5.0])
+    out = v.locate_wall(potential, z_lo=0.1, z_hi=10.0, samples=12, force=force)
+    assert isinstance(out[0], RuntimeError) and re.fullmatch(message, str(out[0]))
+    assert out[1] is None and len(calls) == 1
+    potential, force, calls = _gaussian_wall()
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        v.locate_wall(potential, z_lo=0.1, z_hi=10.0, samples=12, force=force)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("rel_error, found", [(0.2, False), (0.05, True)])

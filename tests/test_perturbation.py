@@ -48,19 +48,28 @@ def test_thick_second_order_channel_symmetry():
 def _kernel_prefactors(monkeypatch, atom):
     """{(order, geometry): (prefactor, power of b, weights)} each expansion term hands its kernels.
 
-    Thin plates have d = 1, the pair s = 0; nothing is integrated.
+    Thin plates have d = 1, the pair s = 0.  The spy records what ``_term``
+    gives each term's evaluation, then stops it: nothing is integrated.
     """
     seen = {}
+    term = perturbation._term
 
-    def spy(order, geometry, atom, material, weights, pref, b_power, *args, **kwargs):
+    class Recorded(Exception):
+        pass
+
+    def spy(order, geometry, d, s):
+        weights, pref, b_power, _ = term(order, geometry, d, s)
         seen[order, geometry] = (Fraction(pref), b_power, weights)
+        raise Recorded
 
-    monkeypatch.setattr(perturbation, "_evaluate_term", spy)
+    monkeypatch.setattr(perturbation, "_term", spy)
     m = weak_material()
     for geometry in ("thick", "thin"):
-        v.expansion_order1(geometry, atom, m, 1.0, d=1.0)
+        with pytest.raises(Recorded):
+            v.expansion_order1(geometry, atom, m, 1.0, d=1.0)
     for geometry in ("thick", "thin", "two-thin-plates"):
-        v.expansion_order2(geometry, atom, m, 1.0, d=1.0, s=0.0)
+        with pytest.raises(Recorded):
+            v.expansion_order2(geometry, atom, m, 1.0, d=1.0, s=0.0)
     return seen
 
 

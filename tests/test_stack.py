@@ -124,6 +124,19 @@ def test_all_vacuum_reflects_nothing():
         assert r.d_s == 1.0 and r.d_p == 1.0
 
 
+@pytest.mark.parametrize("u, b, message", [
+    (0.0, 0.0, r"^b must be > 0: b = 0 \(u = q = 0\) is a degenerate point"),
+    (0.5, -1.0, r"^b must be > 0"),
+    (0.5, [1.0, math.nan], r"^b must be > 0"),
+    (-0.5, 1.0, r"^u must be >= 0"),
+    ([0.5, math.nan], 1.0, r"^u must be >= 0"),
+], ids=["b-zero", "b-negative", "b-nan", "u-negative", "u-nan"])
+def test_reflection_coefficients_reject_points_off_the_imaginary_axis(u, b, message):
+    stack = halfspace_stack(fig2_material(), 1.0)
+    with pytest.raises(ValueError, match=message):
+        v.reflection_coefficients(stack, u, b)
+
+
 def test_huge_permittivity_approaches_conducting_mirror():
     stack = halfspace_stack(constant_material(eps0=1e12), 1.0)
     for (u, q) in [(0.5, 0.7), (1.0, 1.0), (3.0, 0.2)]:
