@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,7 +26,8 @@ from .materials import (AtomModel, MaterialModel, Medium, PerfectMirror, _requir
 # integrate_finite is unused here but stays importable: perfbench's
 # quadrature.oned probe wraps asymptotics.integrate_finite.
 from .quadrature import (_EPS, IntegralBatch, QuadratureSpec, _require,  # noqa: F401
-                         _require_positive, integrate_finite, integrate_semi_infinite)
+                         _require_finite, _require_integer, _require_positive, integrate_finite,
+                         integrate_semi_infinite)
 
 __all__ = [
     "NoWallError",
@@ -379,6 +379,11 @@ def _require_static(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and >= 1, got {value}")
 
 
+def _require_plate_kind(plate_kind: str) -> None:
+    if plate_kind not in ("thick", "thin"):
+        raise ValueError(f"plate_kind must be 'thick' or 'thin', got {plate_kind!r}")
+
+
 def thick_c4_limits(eps0: float, mu0: float, alpha0: float) -> C4Limits:
     """Closed-form C4 in the weak- and strong-response limits.
 
@@ -390,8 +395,7 @@ def thick_c4_limits(eps0: float, mu0: float, alpha0: float) -> C4Limits:
     """
     _require_static("eps0", eps0)
     _require_static("mu0", mu0)
-    if not math.isfinite(alpha0):
-        raise ValueError(f"alpha0 must be finite, got {alpha0}")
+    _require_finite("alpha0", alpha0)
     chi_e = eps0 - 1.0
     chi_m = mu0 - 1.0
     weak = -(alpha0 / (640.0 * _PI2)) * (23.0 * chi_e - 7.0 * chi_m)
@@ -524,8 +528,7 @@ def border_curve(plate_kind: str, eps0_values: Sequence[float],
     raises RuntimeError naming its eps0; a point past the float range (a
     thick eps0 mu0 or a thin mu0 that overflows) raises ValueError naming it.
     """
-    if plate_kind not in ("thick", "thin"):
-        raise ValueError(f"plate_kind must be 'thick' or 'thin', got {plate_kind!r}")
+    _require_plate_kind(plate_kind)
     eps = np.array([float(e) for e in eps0_values], dtype=float)
     bad = ~(np.isfinite(eps) & (eps >= 1.0))
     if bad.any():
@@ -588,8 +591,7 @@ def wall_estimate(plate_kind: str, atom: AtomModel,
     rather than raised.  Their coefficient integrals are one
     ``plate_coefficients`` call, so one 1-D integral serves them all.
     """
-    if plate_kind not in ("thick", "thin"):
-        raise ValueError(f"plate_kind must be 'thick' or 'thin', got {plate_kind!r}")
+    _require_plate_kind(plate_kind)
     several = not isinstance(material, (MaterialModel, PerfectMirror))
     media = list(material) if several else [material]
     if any(isinstance(m, PerfectMirror) for m in media):
@@ -749,8 +751,7 @@ def locate_wall(potential: Callable, z_lo: float = _WALL_Z_LO, z_hi: float = _WA
     """
     _require_positive("z_lo", z_lo)
     _require_positive("z_hi", z_hi)
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 4:
-        raise ValueError(f"samples must be an integer >= 4, got {samples!r}")
+    _require_integer("samples", samples, 4)
     if not z_hi > z_lo:
         raise ValueError(f"z_hi must exceed z_lo, got z_lo={z_lo}, z_hi={z_hi}")
     zs = np.geomspace(z_lo, z_hi, samples)

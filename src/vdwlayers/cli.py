@@ -263,7 +263,7 @@ def cmd_wall(cfg: RunConfig, args) -> int:
         else:
             rows = [(name, found.method, found.z_max, found.z_err, found.u_max,
                      found.consistency, "ok")]
-        diagnostics[name] = {"scan_kernel_points": points[0][c] if points else None,
+        diagnostics[name] = {"scan_kernel_points": points[0][c],
                              "certify_kernel_points": sum(p[c] for p in points[1:]),
                              "z_err": getattr(found, "z_err", None),
                              "force": getattr(found, "force", None)}

@@ -136,7 +136,6 @@ class RunConfig:
     wall: GridSection
     check: CheckSection | None
     quadrature: QuadratureSpec
-    label: str | None
     raw: dict
 
     def medium(self, name: str) -> Medium:
@@ -417,7 +416,8 @@ def parse_config(doc: dict) -> RunConfig:
 
         quadrature = (_parse_quadrature(doc["quadrature"], "config.quadrature")
                       if "quadrature" in doc else QuadratureSpec())
-        label = _string(doc["label"], "config.label") if "label" in doc else None
+        if "label" in doc:  # free text, kept in raw for the sidecars
+            _string(doc["label"], "config.label")
     except ConfigError:
         raise
     except ValueError as exc:  # domain validation from the model dataclasses
@@ -426,7 +426,7 @@ def parse_config(doc: dict) -> RunConfig:
     return RunConfig(
         atom=atom, materials=materials, geometry=geometry, scan=scan, coeffs=coeffs,
         border_kind=border_kind, border=border, wall=wall, check=check,
-        quadrature=quadrature, label=label, raw=doc,
+        quadrature=quadrature, raw=doc,
     )
 
 

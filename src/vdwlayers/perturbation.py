@@ -38,7 +38,7 @@ from .potential import _u_scale
 # quadrature.oned probe wraps perturbation.integrate_semi_infinite.
 from .quadrature import (IntegralBatch, QuadratureSpec, _as_rows, _mapped, _oned,  # noqa: F401
                          _require, _require_positive, integrate_nested, integrate_semi_infinite)
-from .stack import thin_layer_reflection
+from .stack import _require_point, _require_thickness, thin_layer_reflection
 
 __all__ = [
     "ExpansionTerm",
@@ -343,15 +343,14 @@ def thin_pair_reflection(material: MaterialModel, d: float, s: float,
     """Expanded two-thin-plate reflection coefficients at one (u, q) point.
 
     Pure formula evaluation (no quadrature); accurate for b_M d << 1 and
-    weak susceptibilities.
+    weak susceptibilities.  d must be finite and > 0, s finite and >= 0, and
+    (u, b = hypot(u, q)) pass ``reflection_coefficients``' point rule.
     """
-    if not (d > 0.0 and math.isfinite(d)):
-        raise ValueError(f"need a finite thickness d > 0, got {d}")
+    _require_thickness(d)
     if not (s >= 0.0 and math.isfinite(s)):
         raise ValueError(f"need a finite separation s >= 0, got {s}")
     b = math.hypot(u, q)
-    if b == 0.0:
-        raise ValueError("(u, q) = (0, 0) is a degenerate point")
+    _require_point(u, b)
     e = material.eps(u)
     m = material.mu(u)
     bm2 = u * u * (e * m - 1.0) + b * b

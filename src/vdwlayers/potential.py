@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .materials import AtomModel, MaterialModel, Medium, static_summary
+from .materials import AtomModel, MaterialModel, Medium, PerfectMirror, static_summary
 from .quadrature import (IntegralBatch, NodeTable, QuadratureSpec, _as_rows, _require_positive,
                          integrate_nested, integrate_semi_infinite)
 from .stack import LayerStack, layout, reflection_coefficients
@@ -100,9 +100,7 @@ def potential_mirror(atom: AtomModel, z, kind: str = "conducting",
     b-node table; the tests use it as that path's oracle.
     """
     zs = _as_rows("z", z)
-    if kind not in ("conducting", "permeable"):
-        raise ValueError(f"kind must be 'conducting' or 'permeable', got {kind!r}")
-    sign = -1.0 if kind == "conducting" else 1.0
+    sign = PerfectMirror(kind).r_s
     value, error = np.empty(zs.size), np.empty(zs.size)
     converged, evaluations = np.empty(zs.size, dtype=bool), np.empty(zs.size, dtype=np.intp)
     for i, zi in enumerate(zs.tolist()):

@@ -14,7 +14,9 @@ engine applies e^{-2 b z}.  The table calls the
 kernel with ``u`` of shape (m, 15) and ``b`` of shape (m, 1), one b node per
 row, and it must return the values at the broadcast shape (after a leading
 axis of k channels), computed elementwise, so that a point's value does not
-depend on the rest of the batch.  ``b`` is the vacuum axial wavenumber of
+depend on the rest of the batch.  The table's inner integrals are one
+``_lockstep`` whose integrand always carries the channel axis, one channel
+included.  ``b`` is the vacuum axial wavenumber of
 the atom layer, so the change of variables is identical for every stack.
 Every row, one per (channel, z), carries an integer power p and weighs
 e^{-2 b z} by (2 b)^p, formed as the one exponential e^{p log(2 b) - 2 b z},
@@ -39,9 +41,11 @@ in lockstep, each on its own panels, with one integrand call per step for
 the new panels of every open integral.  Their integrand gets a flat array
 of the 15 nodes of every new panel and must return its values elementwise,
 either flat (one channel, an ``IntegralResult``) or with k channels on a
-leading axis.  The k channels share one node set, the driver steers on the
-worst channel's error over its tolerance, and the call returns a k-row
-``IntegralBatch`` with each channel's own value, error and convergence.
+leading axis; the flat path serves them and the test oracles
+(``tests/conftest.py``).  The k channels share one node set, the driver
+steers on the worst channel's error over its tolerance, and the call
+returns a k-row ``IntegralBatch`` with each channel's own value, error and
+convergence.
 """
 
 from __future__ import annotations
@@ -112,6 +116,11 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
+def _require_integer(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _as_rows(name: str, value, below: float = math.inf) -> np.ndarray:
     """A float or 1-D array as a 1-D array, every entry finite, > 0 and < ``below``.
 
@@ -144,11 +153,7 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         for name in ("rel_tol_inner", "rel_tol_outer", "abs_tol"):
             _require_positive(name, getattr(self, name))
-        if (isinstance(self.max_subdivisions, bool)
-                or not isinstance(self.max_subdivisions, numbers.Integral)
-                or self.max_subdivisions < 1):
-            raise ValueError(f"max_subdivisions must be an integer >= 1, "
-                             f"got {self.max_subdivisions!r}")
+        _require_integer("max_subdivisions", self.max_subdivisions, 1)
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -273,7 +278,9 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions):
     """Worst-first panel bisection over [0, 1] for n integrals, refined in lockstep.
 
     ``f(rows, t)`` returns the integrand of integral ``rows[i]`` at the nodes
-    ``t[i]``, an (m, 15) array, or k channels of it on a leading axis.
+    ``t[i]``, an (m, 15) array, or k channels of it on a leading axis.  The
+    b-node table's integrand always has that axis, one channel included; a
+    flat one serves ``_oned`` and the test oracles.
     ``rel_tol`` is finite and broadcasts to (k, n).  ``abs_tol`` is a float,
     an array that broadcasts to (k, n), or a function that maps the first
     (k, n) estimates, of one panel each, to such an array; a channel that
@@ -310,8 +317,7 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions):
     tab[_KEY, :, 0] = key(e)
     tab[_VAL:err_, :, 0], tab[err_:, :, 0] = v, e
     splits = np.zeros(n, dtype=np.intp)  # integral i uses columns [0, 1 + 2 * splits[i])
-    tot_val, tot_err = v, e  # updated through row views: a 2-D fancy update costs more
-    val_rows, err_rows = list(v), list(e)
+    tot_val, tot_err = v, e
     live = np.ones(n, dtype=bool)
     while True:
         tol = tolerance(tot_val)
@@ -348,9 +354,8 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions):
         lo2, hi2 = np.concatenate([pa, mid]), np.concatenate([mid, pb])
         v, e = _eval_panels(f, rows2, lo2, hi2)
         v, e = v.reshape(k, 2 * m), e.reshape(k, 2 * m)
-        for c in range(k):
-            val_rows[c][idx] += v[c, :m] + v[c, m:] - tab[_VAL + c, idx, col]
-            err_rows[c][idx] += e[c, :m] + e[c, m:] - tab[err_ + c, idx, col]
+        tot_val[:, idx] += v[:, :m] + v[:, m:] - tab[_VAL:err_, idx, col]
+        tot_err[:, idx] += e[:, :m] + e[:, m:] - tab[err_:, idx, col]
         tab[_VAL:, idx, col] = 0.0
         new = 1 + 2 * splits[idx]
         tab[:, rows2, np.concatenate([new, new + 1])] = np.concatenate(([lo2, hi2, key(e)], v, e))
@@ -605,7 +610,8 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
     of at most _TABLE_INNER_SPLITS splits: u = b t while b <= u_scale, and
     beyond it u = c t / (1 - (1 - c / b) t), c = u_scale, which still ends at
     u = b but puts half of the nodes below u of order u_scale, where the
-    material and atom resonances sit.
+    material and atom resonances sit.  That integrand returns shape (k, m,
+    15) for every k, a one-channel kernel's values given the channel axis.
 
     Node j's inner integral in channel c stops at max(rel_tol_inner |G|,
     a_cj), a_cj = theta / N min_i tau_ci / W_cij, where W_cij = h w_j jac_j
@@ -691,10 +697,10 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
             c[-1] = bb[-1]
             bend = 1.0 - c / bb
 
-            def integrand(r, t):  # one channel stays 2-D, k get a leading axis
+            def integrand(r, t):
                 d = 1.0 - bend[r] * t
                 vals = kernel(c[r] * t / d, bb[r]) * (c[r] / (d * d))
-                return vals.reshape(t.shape if k == 1 else (k,) + t.shape)
+                return vals.reshape((k,) + t.shape)
 
             hw = h[:, None] * _WK
             jac = b_c / (safe[busy] * safe[busy])
@@ -734,7 +740,7 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
             nodes[0][:, busy], nodes[1][:, busy] = g * jac, g_err[..., :-1] * jac
             done[busy] = True
         # an earlier call's node decayed here counts as zero
-        val_j, err_j = np.where(needed, nodes, 0.0) if (done & ~needed).any() else nodes
+        val_j, err_j = np.where(needed, nodes, 0.0)
         out = np.empty((4, lo.size, k * n))
         for ch in range(k):
             for j in range(0, n, _TABLE_Z_CHUNK):  # bounds the (panel, z, node) temporaries

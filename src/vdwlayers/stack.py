@@ -136,12 +136,32 @@ class ReflectionSet:
     d_p: float
 
 
+def _require_point(u, b):
+    """(u, b) as float arrays, or ValueError naming the argument: every b must be > 0 (b = 0
+    is the degenerate point u = q = 0) and every u >= 0; a NaN fails either test."""
+    u = np.asarray(u, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (b > 0.0).all():
+        raise ValueError("b must be > 0: b = 0 (u = q = 0) is a degenerate point, and a "
+                         "negative or NaN b is no axial wavenumber")
+    if not (u >= 0.0).all():
+        raise ValueError("u must be >= 0: it is an imaginary frequency, got a negative or NaN u")
+    return u, b
+
+
+def _require_thickness(d) -> None:
+    if not (d > 0.0 and math.isfinite(d)):
+        raise ValueError(f"need a finite thickness d > 0, got {d}")
+
+
 def axial_wavenumber(material, u, q):
-    """Imaginary-axis z-component of the wave vector, sqrt(u^2 eps mu + q^2)."""
+    """Imaginary-axis z-component of the wave vector, sqrt(u^2 eps mu + q^2).
+
+    (u, b = hypot(u, q)) must pass ``reflection_coefficients``' point rule.
+    """
     u = np.asarray(u, float)
     q = np.asarray(q, float)
-    if np.any((u == 0.0) & (q == 0.0)):
-        raise ValueError("(u, q) = (0, 0) is a degenerate point")
+    _require_point(u, np.hypot(u, q))
     # hypot form avoids under/overflow of u^2 for extreme u
     b = np.hypot(u * np.sqrt(material.eps(u) * material.mu(u)), q)
     return float(b) if np.ndim(b) == 0 else b
@@ -248,13 +268,7 @@ def reflection_coefficients(stack: LayerStack, u, b) -> ReflectionSet:
     point u = q = 0) and every u >= 0, or ValueError names the argument;
     a NaN fails either test.
     """
-    u = np.asarray(u, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (b > 0.0).all():
-        raise ValueError("b must be > 0: b = 0 (u = q = 0) is a degenerate point, and a "
-                         "negative or NaN b is no axial wavenumber")
-    if not (u >= 0.0).all():
-        raise ValueError("u must be >= 0: it is an imaginary frequency, got a negative or NaN u")
+    u, b = _require_point(u, b)
     j = stack.atom_layer
     n = stack.n
     r_s_m, r_p_m = _side_reflection(stack.layers, range(0, j + 1), u, b)
@@ -280,8 +294,11 @@ def thin_layer_reflection(material, d, u, b):
 
     d (mu^2 b^2 - b_M^2) / (2 mu b) and d (eps^2 b^2 - b_M^2) / (2 eps b),
     with b the vacuum and b_M the layer's axial wavenumber; valid for
-    b_M d << 1.  A thin ``Layer`` in vacuum in closed form, kept as its oracle.
+    b_M d << 1.  A thin ``Layer`` in vacuum in closed form, kept as its oracle.  d must
+    be finite and > 0, and (u, b) pass ``reflection_coefficients``' point rule.
     """
+    _require_thickness(d)
+    _require_point(u, b)
     e = material.eps(u)
     m = material.mu(u)
     bm2 = u * u * (e * m - 1.0) + b * b

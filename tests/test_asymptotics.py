@@ -420,6 +420,14 @@ def test_border_rejects_bad_input_before_integrating(monkeypatch, kind, eps, val
         v.border_curve(kind, [valid, *eps])
 
 
+@pytest.mark.parametrize("steps", [0, 1, 3])
+def test_impedance_root_search_at_its_step_cap_raises(monkeypatch, steps):
+    monkeypatch.setattr(v.asymptotics, "_ROOT_MAX_STEPS", steps)
+    with pytest.raises(RuntimeError,
+                       match="^strong-limit impedance root search did not converge$"):
+        v.strong_limit_impedance_root()
+
+
 def test_border_root_search_at_its_step_cap_names_its_point(monkeypatch):
     monkeypatch.setattr(v.asymptotics, "_ROOT_MAX_STEPS", 3)
     with pytest.raises(RuntimeError, match=r"eps0=2\.0 did not converge in 3 steps"):

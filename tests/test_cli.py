@@ -14,7 +14,7 @@ import pytest
 import vdwlayers as v
 from vdwlayers import cli
 from vdwlayers.cli import main
-from vdwlayers.config import parse_config
+from vdwlayers.config import ConfigError, parse_config
 
 ATOM = {"transitions": [{"frequency": 1.0, "dipole_sq": 1.0}]}
 PLATE = {
@@ -110,6 +110,26 @@ def test_missing_section(tmp_path, capsys):
     del doc["scan"]
     code, _ = run(tmp_path, "scan", doc)
     assert code == 2
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("scan", {"geometry": None}, "scan needs a geometry section"),
+    ("coeffs", {}, "coeffs needs a coeffs section"),
+    ("border", {}, "border needs a border section"),
+    ("wall", {"geometry": None}, "wall needs a geometry section"),
+    ("check", {}, "check needs a check section"),
+    ("check", {"materials": {"plate": PLATE, "wall": {"mirror": "conducting"}},
+               "check": {"material": "wall", "z": 1.0}},
+     "config.check.material: additivity check needs a dispersive material"),
+], ids=["scan-no-geometry", "coeffs-no-section", "border-no-section", "wall-no-geometry",
+        "check-no-section", "check-mirror"])
+def test_command_rejects_a_config_without_what_it_needs(tmp_path, command, edit, message):
+    doc = {key: value for key, value in scan_doc(**edit).items() if value is not None}
+    args = cli.build_parser().parse_args([command, "--config", "unused.json",
+                                          "--out", str(tmp_path / "out")])
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cli._COMMANDS[command](parse_config(doc), args)
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- scan

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,3 +210,14 @@ def test_polarizability_strictly_decreasing(u1, u2):
     if hi - lo > 1e-6 * (1.0 + lo):  # resolvable at double precision
         assert a.alpha(hi) < a.alpha(lo)
     assert a.alpha(hi) > 0.0
+
+
+@pytest.mark.parametrize("frequency, dipole_sq, message", [
+    (0.0, 1.0, "transition frequency must be > 0, got 0.0"),
+    (-1.0, 1.0, "transition frequency must be > 0, got -1.0"),
+    (1.0, -1.0, "dipole_sq must be >= 0, got -1.0"),
+], ids=["frequency-zero", "frequency-negative", "dipole-negative"])
+def test_transition_rejects_a_nonpositive_frequency_or_negative_dipole(frequency, dipole_sq,
+                                                                       message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        v.Transition(frequency, dipole_sq)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -407,6 +408,17 @@ def test_additivity_check_rejects_nonconverged_terms(atom, monkeypatch):
 def test_nonfinite_thickness_and_separation_rejected(atom, name, call):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call(atom, weak_material())
+
+
+@pytest.mark.parametrize("order, geometry, message", [
+    (1, "two-thin-plates", "geometry must be one of ('thick', 'thin'), got 'two-thin-plates'"),
+    (1, "slab", "geometry must be one of ('thick', 'thin'), got 'slab'"),
+    (2, "slab", "geometry must be one of ('thick', 'thin', 'two-thin-plates'), got 'slab'"),
+], ids=["order1-pair", "order1-unknown", "order2-unknown"])
+def test_expansion_term_rejects_an_unknown_geometry(atom, order, geometry, message):
+    term = v.expansion_order1 if order == 1 else v.expansion_order2
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        term(geometry, atom, weak_material(), 1.0, d=1.0)
 
 
 def test_additivity_vacuum(atom):

@@ -630,7 +630,7 @@ def test_table_flags_the_sign_change_row_alone_within_budget(atom, monkeypatch):
     estimate = quadrature._estimate
 
     def recording(fx, h):
-        if fx.ndim == 3:  # (panel, z, node): the table's outer panels
+        if np.ndim(h) == 2:  # (panel, 1) half-widths: the table's outer panels
             widths.append(np.ravel(h).tolist())
         return estimate(fx, h)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vdwlayers as v
-from vdwlayers.stack import thin_layer_reflection
+from vdwlayers.stack import layout, thin_layer_reflection
 
 from conftest import constant_material, fig2_material, halfspace_stack, material
 
@@ -80,6 +80,25 @@ def test_stack_validation():
         v.LayerStack((v.Layer(v.VACUUM, math.inf), v.Layer(v.VACUUM, math.inf)), 1, -1.0)
 
 
+_OUTER = v.Layer(v.VACUUM, math.inf)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: v.Layer(v.VACUUM, 0.0), "layer thickness must be > 0, got 0.0"),
+    (lambda: v.Layer(v.VACUUM, math.nan), "layer thickness must be > 0, got nan"),
+    (lambda: v.LayerStack((_OUTER,), 0, 1.0), "a stack needs at least two layers"),
+    (lambda: v.LayerStack((_OUTER, _OUTER, _OUTER), 0, 1.0),
+     "only the outer layers may be semi-infinite"),
+    (lambda: v.LayerStack((_OUTER, _OUTER), 2, 1.0), "atom_layer 2 out of range"),
+    (lambda: v.LayerStack((_OUTER, _OUTER), -1, 1.0), "atom_layer -1 out of range"),
+    (lambda: layout("multilayer", v.VACUUM), "no one-medium layout 'multilayer'"),
+], ids=["thickness-zero", "thickness-nan", "one-layer", "inner-semi-infinite",
+        "atom-layer-past-the-end", "atom-layer-negative", "layout-unknown-kind"])
+def test_stack_rejects_bad_layers(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_thin_layer_validation():
     m = fig2_material()
     with pytest.raises(ValueError, match="must be finite"):
@@ -135,6 +154,35 @@ def test_reflection_coefficients_reject_points_off_the_imaginary_axis(u, b, mess
     stack = halfspace_stack(fig2_material(), 1.0)
     with pytest.raises(ValueError, match=message):
         v.reflection_coefficients(stack, u, b)
+
+
+_B_RULE, _U_RULE, _D_RULE = r"^b must be > 0", r"^u must be >= 0", r"^need a finite thickness d > 0"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: v.axial_wavenumber(m, math.nan, 0.5), _B_RULE),
+    (lambda m: v.axial_wavenumber(m, -1.03, 0.5), _U_RULE),
+    (lambda m: v.axial_wavenumber(m, [0.5, 0.0], [0.5, 0.0]), _B_RULE),
+    (lambda m: v.thin_pair_reflection(m, 1e-3, 1.0, math.nan, 0.7), _B_RULE),
+    (lambda m: v.thin_pair_reflection(m, 1e-3, 1.0, -0.5, 0.7), _U_RULE),
+    (lambda m: v.thin_pair_reflection(m, 1e-3, 1.0, 0.0, 0.0), _B_RULE),
+    (lambda m: thin_layer_reflection(m, 1e-3, math.nan, 1.0), _U_RULE),
+    (lambda m: thin_layer_reflection(m, 1e-3, -0.5, 1.0), _U_RULE),
+    (lambda m: thin_layer_reflection(m, 1e-3, 0.5, -1.0), _B_RULE),
+    (lambda m: thin_layer_reflection(m, 1e-3, 0.0, 0.0), _B_RULE),
+    (lambda m: thin_layer_reflection(m, math.nan, 0.5, 1.0), _D_RULE),
+    (lambda m: thin_layer_reflection(m, -1.0, 0.5, 1.0), _D_RULE),
+    (lambda m: thin_layer_reflection(m, 0.0, 0.5, 1.0), _D_RULE),
+    (lambda m: thin_layer_reflection(m, math.inf, 0.5, 1.0), _D_RULE),
+], ids=["axial-u-nan", "axial-u-negative", "axial-degenerate", "pair-u-nan",
+        "pair-u-negative", "pair-degenerate", "thin-u-nan", "thin-u-negative",
+        "thin-b-negative", "thin-b-zero", "thin-d-nan", "thin-d-negative", "thin-d-zero",
+        "thin-d-inf"])
+def test_point_and_thickness_rules_reach_every_reflection_function(call, message):
+    # the rules of reflection_coefficients and of thin_pair_reflection's d, on
+    # (u, b = hypot(u, q)) where the function takes q
+    with pytest.raises(ValueError, match=message):
+        call(fig2_material())
 
 
 def test_huge_permittivity_approaches_conducting_mirror():
