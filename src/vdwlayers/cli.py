@@ -129,9 +129,9 @@ def _keeping_warnings(warned: list[str], name: str):
 def cmd_scan(cfg: RunConfig, args) -> int:
     geo = cfg.geometry
     if geo is None:
-        raise ConfigError("scan needs a geometry section")
+        raise ConfigError("config.geometry: scan needs a geometry section")
     if cfg.scan is None:
-        raise ConfigError("scan needs a scan section")
+        raise ConfigError("config.scan: scan needs a scan section")
     for z in (cfg.scan.lo, cfg.scan.hi):  # every series has the same layout
         cfg.build_stack(z, geo.materials[0])  # a ConfigError if its atom layer cannot hold z
     zs = cfg.scan.values()
@@ -165,7 +165,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 def cmd_coeffs(cfg: RunConfig, args) -> int:
     section = cfg.coeffs
     if section is None:
-        raise ConfigError("coeffs needs a coeffs section")
+        raise ConfigError("config.coeffs: coeffs needs a coeffs section")
     rows = []
     failures = []  # "<material>: <message>" per failure, for the sidecar
     # every dispersive material's integrals are channels of one 1-D call
@@ -195,7 +195,7 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
 
 def cmd_border(cfg: RunConfig, args) -> int:
     if cfg.border is None or cfg.border_kind is None:
-        raise ConfigError("border needs a border section")
+        raise ConfigError("config.border: border needs a border section")
     try:
         points = border_curve(cfg.border_kind, cfg.border.values(), cfg.quadrature)
     except ValueError as exc:  # an eps0 grid past the float range
@@ -211,7 +211,7 @@ def cmd_border(cfg: RunConfig, args) -> int:
 def cmd_wall(cfg: RunConfig, args) -> int:
     geo = cfg.geometry
     if geo is None:
-        raise ConfigError("wall needs a geometry section")
+        raise ConfigError("config.geometry: wall needs a geometry section")
     grid = cfg.wall
     if len(cfg.build_stack(grid.lo, geo.materials[0]).walls) != 1:  # the same in every series
         raise ConfigError("config.geometry: wall needs an atom in an outer layer (one wall)")
@@ -288,7 +288,7 @@ def cmd_wall(cfg: RunConfig, args) -> int:
 
 def cmd_check(cfg: RunConfig, args) -> int:
     if cfg.check is None:
-        raise ConfigError("check needs a check section")
+        raise ConfigError("config.check: check needs a check section")
     material = cfg.medium(cfg.check.material)
     if isinstance(material, PerfectMirror):
         raise ConfigError("config.check.material: additivity check needs a dispersive material")

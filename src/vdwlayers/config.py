@@ -142,7 +142,7 @@ class RunConfig:
         try:
             return self.materials[name]
         except KeyError:
-            raise ConfigError(f"unknown material {name!r}") from None
+            raise ConfigError(f"config.materials: unknown material {name!r}") from None
 
     def build_stack(self, atom_position, series: str = "multilayer") -> LayerStack:
         """The stack of the series ``series`` with the atom at ``atom_position`` (a float or
@@ -150,7 +150,7 @@ class RunConfig:
         atom layer cannot hold is a ``ConfigError`` naming config.geometry."""
         geo = self.geometry
         if geo is None or series not in geo.series:
-            raise ConfigError(f"the geometry has no series {series!r}")
+            raise ConfigError(f"config.geometry: the geometry has no series {series!r}")
         try:
             return LayerStack(geo.series[series], geo.atom_layer, atom_position)
         except ValueError as exc:

@@ -121,22 +121,6 @@ class AdditivityReport:
     stacked_kernel_points: int = 0
 
 
-def _weight_times_u2(weight: dict[int, float], u, b):
-    """u^2 * sum_k c_k (u/b)^(2k), evaluated without forming u/b (regular at u = 0).
-
-    The weight tables use k = -1..2; u^(2 + 2k) and b^(-2k) are products of
-    u^2 and b^-2 built once per call.
-    """
-    u2, b2 = u * u, b * b
-    ib2 = 1.0 / b2
-    u_pow = (1.0, u2, u2 * u2, u2 * u2 * u2)  # u^(2 + 2k), k = -1..2
-    b_pow = (b2, 1.0, ib2, ib2 * ib2)  # b^(-2k)
-    out = 0.0
-    for k, c in weight.items():
-        out = out + c * u_pow[k + 1] * b_pow[k + 1]
-    return out
-
-
 # (power of chi_e, power of chi_m) in each channel's susceptibility product
 _CHI_POWERS = {"chi_e": (1, 0), "chi_m": (0, 1), "chi_e2": (2, 0), "chi_m2": (0, 2),
                "chi_em": (1, 1)}
@@ -152,7 +136,14 @@ def _terms_kernel(atom, material, terms):
         chi_m = material.mu(u) - 1.0
         e_pow, m_pow = (1.0, chi_e, chi_e * chi_e), (1.0, chi_m, chi_m * chi_m)
         alpha = atom.alpha(u)
-        return np.stack([common * _weight_times_u2(w, u, b) * e_pow[pe] * m_pow[pm]
+        # a weight w = {k: c_k}, k = -1..2, enters as u^2 sum_k c_k (u/b)^(2k), formed
+        # as c_k u^(2 + 2k) b^(-2k) without u/b, so it is regular at u = 0
+        u2, b2 = u * u, b * b
+        ib2 = 1.0 / b2
+        u_pow = (1.0, u2, u2 * u2, u2 * u2 * u2)  # u^(2 + 2k)
+        b_pow = (b2, 1.0, ib2, ib2 * ib2)  # b^(-2k)
+        return np.stack([common * sum(c * u_pow[k + 1] * b_pow[k + 1] for k, c in w.items())
+                         * e_pow[pe] * m_pow[pm]
                          for (weights, pref, b_power), channel_powers in zip(terms, powers)
                          for common in (pref * alpha * b**b_power,)
                          for w, (pe, pm) in zip(weights.values(), channel_powers)])

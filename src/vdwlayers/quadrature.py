@@ -266,11 +266,12 @@ def _eval_panels(f, rows, a, b):
 _LO, _HI, _KEY, _VAL = range(4)
 
 
-def _leaf_sums(field, split, used):
-    """``math.fsum`` of each row of ``field[:, :used]``; only the ``split`` rows hold
-    more than column 0 (one panel and zeros fsum to it, with +0.0 for -0.0)."""
-    out = field[:, 0] + 0.0
-    out[split] = [math.fsum(r) for r in field[split, :used].tolist()]
+def _leaf_sums(fields, splits):
+    """``math.fsum`` of every (field, integral) row of ``fields`` over the columns in use, in
+    one pass; an integral of no ``splits`` has only column 0, its sum (+0.0 for -0.0)."""
+    out, split, used = fields[..., 0] + 0.0, np.flatnonzero(splits), 1 + 2 * splits.max()
+    rows = fields[:, split, :used].reshape(-1, used).tolist()
+    out[:, split] = np.fromiter(map(math.fsum, rows), float, len(rows)).reshape(len(fields), -1)
     return out
 
 
@@ -361,10 +362,7 @@ def _lockstep(f, n, rel_tol, abs_tol, max_subdivisions):
         tab[:, rows2, np.concatenate([new, new + 1])] = np.concatenate(([lo2, hi2, key(e)], v, e))
         splits[idx] += 1
 
-    used = 1 + 2 * splits.max()
-    split = np.flatnonzero(splits)
-    value, error = (np.array([_leaf_sums(field, split, used) for field in tab[fields]])
-                    for fields in (slice(_VAL, err_), slice(err_, None)))
+    value, error = _leaf_sums(tab[_VAL:], splits).reshape(2, k, n)
     channel_converged = error <= tolerance(value)
     converged = channel_converged.all(axis=0)
     if single:
@@ -477,8 +475,9 @@ _TABLE_B_HI = 10.0
 # A node with 2 b min(z) above this has e^{-2 b z} < 1e-304 for every z; its
 # G(b) is not computed and counts as zero.
 _TABLE_MAX_DECAY = 700.0
-# z per block of the per-z panel sums, which bounds their temporaries
-_TABLE_Z_CHUNK = 128
+# (channel, z) columns per block of a table's floors and panel sums, which bounds
+# their temporaries; at 128 the check's 7 x 15 table's floors set its memory peak
+_TABLE_Z_CHUNK = 64
 # Splits of one inner integral of a table.  Smooth G(b) needs about ten; a node
 # at a zero of G can never meet a relative tolerance, so the cap bounds its
 # cost, and its error estimate, however large, still counts in every row.
@@ -612,6 +611,9 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
     u = b but puts half of the nodes below u of order u_scale, where the
     material and atom resonances sit.  That integrand returns shape (k, m,
     15) for every k, a one-channel kernel's values given the channel axis.
+    The floors and panel sums below take every channel in one pass, in blocks
+    of ``_TABLE_Z_CHUNK // k`` z (at least one), so no block holds more than
+    ``_TABLE_Z_CHUNK`` (channel, z) columns unless k alone does.
 
     Node j's inner integral in channel c stops at max(rel_tol_inner |G|,
     a_cj), a_cj = theta / N min_i tau_ci / W_cij, where W_cij = h w_j jac_j
@@ -648,6 +650,7 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
     from its tolerance.
     """
     k, n = z.shape
+    z_chunk = max(1, _TABLE_Z_CHUNK // k)  # z per block of (channel, z) columns
     z_min = float(z.min())
     flat_power = power.reshape(-1)  # per (channel, z) column
     if table.spec is not None:
@@ -680,7 +683,7 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
         The nodes of the table that these rows need and ``done`` lacks are
         computed into ``nodes`` (G and its inner error, times the jacobian)
         and marked in ``done``, in place; then the sums of every panel are
-        formed again from the stored nodes.
+        formed again from the stored nodes, per (channel, panel, z, node) block.
         """
         nonlocal evals
         h, safe, b, inside = _outer_nodes(b_c, lo, hi)
@@ -713,8 +716,8 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
                 val[:, busy] = first[:, :-1] * jac
                 val = (val * hw)[:, needed]
                 lowest = np.full((k, bb.size - 1), np.inf)  # least log(tol / weight)
-                for j in range(0, n, _TABLE_Z_CHUNK):  # bounds the (channel, z, node) temporaries
-                    cols = slice(j, j + _TABLE_Z_CHUNK)
+                for j in range(0, n, z_chunk):  # bounds the (channel, z, node) temporaries
+                    cols = slice(j, j + z_chunk)
                     zj, pj = z[:, cols, None], power[:, cols, None]
                     weight = _outer_weight(b[needed], zj, pj)
                     row = np.einsum("cij,cj->ci", weight, val)
@@ -740,18 +743,15 @@ def _table_rows(kernel, z: np.ndarray, spec: QuadratureSpec, u_scale: float,
             nodes[0][:, busy], nodes[1][:, busy] = g * jac, g_err[..., :-1] * jac
             done[busy] = True
         # an earlier call's node decayed here counts as zero
-        val_j, err_j = np.where(needed, nodes, 0.0)
-        out = np.empty((4, lo.size, k * n))
-        for ch in range(k):
-            for j in range(0, n, _TABLE_Z_CHUNK):  # bounds the (panel, z, node) temporaries
-                cols = slice(ch * n + j, ch * n + min(j + _TABLE_Z_CHUNK, n))
-                decay = _outer_weight(b[:, None, :], z[ch, j:j + _TABLE_Z_CHUNK, None],
-                                      power[ch, j:j + _TABLE_Z_CHUNK, None])
-                out[0, :, cols], out[1, :, cols], resabs = _estimate(
-                    val_j[ch, :, None, :] * decay, h[:, None])
-                out[2, :, cols] = h[:, None] * _rowdot(err_j[ch, :, None, :] * decay, _WK)
-                out[3, :, cols] = _ROUND_OFF * resabs
-        return out
+        val_j, err_j = np.where(needed, nodes, 0.0)[:, :, :, None, :]
+        out = np.empty((4, lo.size, k, n))
+        for j in range(0, n, z_chunk):  # bounds the (channel, panel, z, node) temporaries
+            cols = slice(j, j + z_chunk)
+            decay = _outer_weight(b[:, None, :], z[:, None, cols, None], power[:, None, cols, None])
+            block = out[:, :, :, cols].transpose(0, 2, 1, 3)  # (field, channel, panel, z) view
+            block[0], block[1], resabs = _estimate(val_j * decay, h[:, None])
+            block[2], block[3] = h[:, None] * _rowdot(err_j * decay, _WK), _ROUND_OFF * resabs
+        return out.reshape(4, lo.size, k * n)
 
     sums = panels()
     while True:

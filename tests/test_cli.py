@@ -110,14 +110,15 @@ def test_missing_section(tmp_path, capsys):
     del doc["scan"]
     code, _ = run(tmp_path, "scan", doc)
     assert code == 2
+    assert "config.scan: scan needs a scan section" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, edit, message", [
-    ("scan", {"geometry": None}, "scan needs a geometry section"),
-    ("coeffs", {}, "coeffs needs a coeffs section"),
-    ("border", {}, "border needs a border section"),
-    ("wall", {"geometry": None}, "wall needs a geometry section"),
-    ("check", {}, "check needs a check section"),
+    ("scan", {"geometry": None}, "config.geometry: scan needs a geometry section"),
+    ("coeffs", {}, "config.coeffs: coeffs needs a coeffs section"),
+    ("border", {}, "config.border: border needs a border section"),
+    ("wall", {"geometry": None}, "config.geometry: wall needs a geometry section"),
+    ("check", {}, "config.check: check needs a check section"),
     ("check", {"materials": {"plate": PLATE, "wall": {"mirror": "conducting"}},
                "check": {"material": "wall", "z": 1.0}},
      "config.check.material: additivity check needs a dispersive material"),

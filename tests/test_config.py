@@ -44,9 +44,10 @@ def bad_json(tmp_path):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda tmp_path: parsed()(tmp_path).medium("granite"), "unknown material 'granite'"),
+    (lambda tmp_path: parsed()(tmp_path).medium("granite"),
+     "config.materials: unknown material 'granite'"),
     (lambda tmp_path: parsed()(tmp_path).build_stack(1.0, "granite"),
-     "the geometry has no series 'granite'"),
+     "config.geometry: the geometry has no series 'granite'"),
     (lambda tmp_path: parse_config([BASE]), "config: expected an object, got list"),
     (parsed(("materials", None)), "config: missing required key(s) ['materials']"),
     (parsed(("scan.z_min", "0.5")), "config.scan.z_min: expected a number, got '0.5'"),

@@ -296,6 +296,20 @@ def test_lockstep_matches_scalar_rows(rel_tol, max_subdivisions):
     assert val[3] == 0.0 and conv[3]
 
 
+def test_leaf_sums_are_each_rows_fsum():
+    # the one pass over every field is the per-row fsum loop, -0.0 read as +0.0
+    rng = np.random.default_rng(5)
+    splits = np.array([0, 3, 0, 1, 2])
+    fields = np.zeros((4, splits.size, 9))
+    for i, s in enumerate(splits):
+        fields[:, i, :1 + 2 * s] = rng.standard_normal((4, 1 + 2 * s)) * 10.0 ** rng.integers(
+            -20, 20, (4, 1 + 2 * s))
+    fields[1, 0, 0] = -0.0
+    expected = np.array([[math.fsum(row[:1 + 2 * s]) + 0.0 for row, s in zip(field, splits)]
+                         for field in fields])
+    assert quadrature._leaf_sums(fields, splits).tobytes() == expected.tobytes()
+
+
 def test_lockstep_channels_share_one_node_set():
     # a smooth channel and a sharp Lorentzian peak at t = 0.3, each with its own
     # tolerance; one call of f evaluates both on the same nodes
@@ -908,6 +922,64 @@ def test_power_rows_across_z_chunks():
              / (2.0 * zs + 1.0) ** (power + 2))
     assert batch.converged
     assert np.all(np.abs(batch.values - exact) <= batch.errors)
+
+
+def _resonant_kernel(u, b):
+    return (b - u) / (1.0 + (u - 0.7) ** 2 / 0.01)
+
+
+def test_doubled_channel_is_twice_its_channel_bit_for_bit():
+    # every channel's panel sums come from one pass over all channels: a channel that
+    # is exactly twice another at the same z gives exactly twice its value and error
+    zs = np.geomspace(0.05, 5.0, 9)
+
+    def kernel(u, b):
+        one = _resonant_kernel(u, b)
+        return np.stack([one, 2.0 * one])
+
+    batch = v.integrate_nested(kernel, z=np.stack([zs, zs]), power=np.arange(9) % 2)
+    assert batch.converged
+    for field in ("values", "errors"):
+        rows = getattr(batch, field)
+        assert (2.0 * rows[0]).tobytes() == rows[1].tobytes(), field
+
+
+def test_swapped_channels_swap_their_rows_bit_for_bit():
+    z = np.array([[0.05, 0.4, 3.0], [0.2, 1.0, 8.0]])
+
+    def kernel(order):
+        def f(u, b):
+            both = [_resonant_kernel(u, b), np.exp(-b) * np.cos(u) * np.ones_like(b)]
+            return np.stack([both[c] for c in order])
+        return f
+
+    ahead = v.integrate_nested(kernel((0, 1)), z=z)
+    swapped = v.integrate_nested(kernel((1, 0)), z=z[::-1])
+    for field in ("values", "errors", "row_converged"):
+        assert getattr(ahead, field)[::-1].tobytes() == getattr(swapped, field).tobytes(), field
+
+
+def test_table_blocks_hold_at_most_the_column_bound(monkeypatch):
+    # a 7-channel, 15-z call at a bound of 32 columns: every block of the floors and
+    # of the panel sums takes every channel at 32 // 7 = 4 of the z, so 28 columns
+    k, bound = 7, 32
+    columns = []
+    weight = quadrature._outer_weight
+
+    def recording(b, z, power):
+        columns.append((np.ndim(z), np.size(z)))
+        return weight(b, z, power)
+
+    monkeypatch.setattr(quadrature, "_TABLE_Z_CHUNK", bound)
+    monkeypatch.setattr(quadrature, "_outer_weight", recording)
+    scale = np.arange(1.0, k + 1.0)[:, None, None]
+    batch = v.integrate_nested(lambda u, b: scale * _exponential_kernel(u, b),
+                               z=np.broadcast_to(np.geomspace(0.1, 10.0, 15), (k, 15)))
+    assert batch.converged
+    for ndim in (3, 4):  # the floors' (channel, z, node) and the sums' (.., panel, z, node)
+        sizes = [size for dims, size in columns if dims == ndim]
+        assert len(sizes) > 1 and sum(sizes) % (k * 15) == 0, ndim
+        assert max(sizes) <= k * (bound // k), (ndim, sizes)
 
 
 def test_zero_power_is_the_call_without_power(atom):
